@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .frobenius import FrobeniusAlgebra, comultiplication
-from .tensor import Tensor, permute, tensordot
+from .frobenius import FrobeniusAlgebra
+from .tensor import Tensor, integer_form, permute, scale, tensordot
 
 
 class WordSyntaxError(ValueError):
@@ -309,16 +310,14 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-def _generator_tensors(algebra: FrobeniusAlgebra):
-    """Tensors of the generators evaluate contracts; legs [inputs..., outputs...]."""
-    ident = Tensor.identity(algebra.dim, exact=algebra.exact, tol=algebra.tol)
-    return {
-        Gen.ID: ident,
-        Gen.CAP: algebra.unit,
-        Gen.CUP: algebra.counit,
-        Gen.PANTS: algebra.mul,
-        Gen.COPANTS: comultiplication(algebra),
-    }
+# the structure tensor a contracted generator stands for, legs [inputs..., outputs...]
+_STRUCTURE = {
+    Gen.ID: "identity",
+    Gen.CAP: "unit",
+    Gen.CUP: "counit",
+    Gen.PANTS: "mul",
+    Gen.COPANTS: "comultiplication",
+}
 
 
 def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
@@ -332,9 +331,14 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     input i still runs through identity cylinders and has no leg yet.
     ``id`` and ``swap`` only relabel the boundary; every other generator is
     contracted against the legs of its own input circles.
+
+    In exact mode the state holds int numerators over the denominator
+    ``den``: each contraction multiplies ``den`` by the generator tensor's
+    own denominator, and one division at the end gives the Fraction tensor.
     """
-    gens = _generator_tensors(algebra)
-    state = Tensor.scalar(1, exact=algebra.exact, tol=algebra.tol)
+    gens = {g: algebra.contraction_tensors[name] for g, name in _STRUCTURE.items()}
+    one = Tensor.scalar(1, exact=algebra.exact, tol=algebra.tol)
+    state, den = integer_form(one) if algebra.exact else (one, 1)
     legs = []
     boundary = [("in", i) for i in range(w.arity_in)]
     made = 0
@@ -354,19 +358,22 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
             axes_gen = [j for j, c in enumerate(circles) if c in legs]
             outs = [("out", made + k) for k in range(n_out)]
             made += n_out
-            state = tensordot(state, gens[g], axes_state, axes_gen)
+            gen, gen_den = gens[g]
+            state = tensordot(state, gen, axes_state, axes_gen)
+            den *= gen_den
             legs = ([leg for leg in legs if leg not in circles]
                     + [c for c in circles if c not in legs] + outs)
             boundary[pos:pos + n_in] = outs
             pos += n_out
     for p, c in enumerate(boundary):
         if c[0] == "in":  # an input that reaches the outputs untouched
-            state = tensordot(state, gens[Gen.ID], [], [])
+            state = tensordot(state, gens[Gen.ID][0], [], [])
             boundary[p] = ("out", made)
             made += 1
             legs += [c, boundary[p]]
     inputs = [("in", i) for i in range(w.arity_in)]
-    return permute(state, [legs.index(leg) for leg in inputs + boundary])
+    state = permute(state, [legs.index(leg) for leg in inputs + boundary])
+    return scale(state, Fraction(1, den)) if algebra.exact else state
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

@@ -17,7 +17,7 @@ from .crossed import BundleError, LabelError
 from .frobenius import StructureError
 from .gerbe import CocycleError
 from .groups import GroupError
-from .tensor import equal, format_scalar
+from .tensor import DEFAULT_TOL, equal, format_scalar
 
 PARSE_ERRORS = (WordSyntaxError, ArityError, StructureError, GroupError,
                 BundleError, LabelError, CocycleError, OSError, ValueError)
@@ -33,6 +33,13 @@ def _result(out, ok, details=""):
     tail = (" " + details) if details else ""
     out.write("RESULT: %s%s\n" % ("PASS" if ok else "FAIL", tail))
     return 0 if ok else 1
+
+
+def _mode(args):
+    """Keywords for the algebra and bundle loaders: the scalar mode, and
+    --tolerance as every tensor's tolerance in float mode."""
+    exact = args.mode == "exact"
+    return {"exact": exact, "tol": DEFAULT_TOL if exact else args.tolerance}
 
 
 def _load_word(source):
@@ -65,10 +72,10 @@ def _report_lines(out, report):
 
 def cmd_validate(args, out):
     if args.bundle:
-        bundle = crossed.load_bundle(args.bundle, exact=args.mode == "exact")
+        bundle = crossed.load_bundle(args.bundle, **_mode(args))
         report = crossed.validate_bundle(bundle)
     elif args.algebra:
-        algebra = frobenius.load_algebra(args.algebra, exact=args.mode == "exact")
+        algebra = frobenius.load_algebra(args.algebra, **_mode(args))
         report = frobenius.validate(algebra)
     else:
         raise _Exit(2, "validate needs --algebra or --bundle")
@@ -81,7 +88,7 @@ def cmd_validate(args, out):
 def cmd_eval(args, out):
     if not args.algebra or not args.word:
         raise _Exit(2, "eval needs --algebra and --word")
-    algebra = frobenius.load_algebra(args.algebra, exact=args.mode == "exact")
+    algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     w = _load_word(args.word)
     t = bordism.evaluate(w, algebra)
     _print_matrix(out, t, w.arity_in, algebra.dim)
@@ -91,7 +98,7 @@ def cmd_eval(args, out):
 def cmd_invariant(args, out):
     if not args.algebra:
         raise _Exit(2, "invariant needs --algebra")
-    algebra = frobenius.load_algebra(args.algebra, exact=args.mode == "exact")
+    algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     z = frobenius.closed_invariant(algebra, args.genus)
     out.write("%s\n" % format_scalar(z))
     return _result(out, True, "genus %d invariant %s" % (args.genus, format_scalar(z)))
@@ -111,7 +118,7 @@ def cmd_type(args, out):
 def cmd_fuzz_equiv(args, out):
     if not args.algebra:
         raise _Exit(2, "fuzz-equiv needs --algebra")
-    algebra = frobenius.load_algebra(args.algebra, exact=args.mode == "exact")
+    algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     rng = random.Random(args.seed)
     agree = 0
     first_bad = None
@@ -131,7 +138,7 @@ def cmd_fuzz_equiv(args, out):
 
 def cmd_roundtrip(args, out):
     if args.bundle:
-        bundle = crossed.load_bundle(args.bundle, exact=args.mode == "exact")
+        bundle = crossed.load_bundle(args.bundle, **_mode(args))
     elif args.group:
         bundle = crossed.from_group_algebra(_load_group(args.group))
     else:
@@ -145,7 +152,7 @@ def cmd_roundtrip(args, out):
 
 def cmd_holonomy(args, out):
     if args.bundle:
-        bundle = crossed.load_bundle(args.bundle, exact=args.mode == "exact")
+        bundle = crossed.load_bundle(args.bundle, **_mode(args))
     elif args.group:
         bundle = crossed.from_group_algebra(_load_group(args.group))
     else:
@@ -218,7 +225,8 @@ def build_parser():
     p.add_argument("--max-layers", type=int, default=8)
     p.add_argument("--max-gens", type=int, default=3)
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+                   help="float-mode tolerance of the loaded algebra or bundle")
     return p
 
 

@@ -19,7 +19,8 @@ from .bordism import ARITY, BordismWord, Gen, layer_arity
 from .frobenius import FrobeniusAlgebra, comultiplication
 from .groups import FiniteGroup, LoopWord
 from .report import ValidationReport
-from .tensor import Tensor, equal, invert_matrix, parse_scalar, format_scalar, tensordot
+from .tensor import (DEFAULT_TOL, Tensor, equal, invert_matrix, parse_scalar,
+                     format_scalar, tensordot)
 
 
 class BundleError(ValueError):
@@ -81,6 +82,10 @@ class CrossedBundle:
     def exact(self):
         return self.unit.exact
 
+    @property
+    def tol(self):
+        return self.unit.tol
+
     def fiber_dim(self, g):
         return self.dims[g]
 
@@ -100,8 +105,9 @@ def _zero_like(bundle, shape):
     return np.full(shape, zero, dtype=object)
 
 
-def _first_mismatch(a, b, exact, tol=1e-9):
-    """First differing multi-index between two equal-shaped object arrays."""
+def _first_mismatch(a, b, exact, tol):
+    """First differing multi-index between two equal-shaped object arrays;
+    in float mode entries differ when they are more than ``tol`` apart."""
     for idx in np.ndindex(a.shape):
         d = a[idx] - b[idx]
         if (d != 0) if exact else (abs(d) > tol):
@@ -123,7 +129,7 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     report = ValidationReport()
 
     def mismatch(axiom, grading, lhs, rhs):
-        idx = _first_mismatch(lhs, rhs, exact)
+        idx = _first_mismatch(lhs, rhs, exact, bundle.tol)
         if idx is not None:
             report.fail(axiom, grading + idx)
 
@@ -199,7 +205,7 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
 
     report.check("nondegeneracy")
     pair = np.tensordot(mu[e, e], eps, axes=([2], [0]))
-    if invert_matrix(Tensor(pair, exact=exact)) is None:
+    if invert_matrix(Tensor(pair, exact=exact, tol=bundle.tol)) is None:
         report.fail("nondegeneracy", ())
 
     report.check("flatness")
@@ -703,14 +709,14 @@ def frobenius_action(bundle: CrossedBundle, g):
     coact = bundle.fission[e, g].array
     mu_e = bundle.fusion[e, e].array
     nu_e = bundle.fission[e, e].array
-    exact = bundle.exact
+    exact, tol = bundle.exact, bundle.tol
     report = ValidationReport()
 
     report.check("module")
     lhs = np.tensordot(mu_e, act, axes=([2], [0]))
     rhs = np.tensordot(act, act, axes=([2], [1]))   # (y, v, x, o)
     rhs = np.transpose(rhs, (2, 0, 1, 3))
-    idx = _first_mismatch(lhs, rhs, exact)
+    idx = _first_mismatch(lhs, rhs, exact, tol)
     if idx is not None:
         report.fail("module", (g,) + idx)
 
@@ -718,7 +724,7 @@ def frobenius_action(bundle: CrossedBundle, g):
     lhs = np.tensordot(coact, coact, axes=([2], [0]))  # (v, x, y, o)
     rhs = np.tensordot(coact, nu_e, axes=([1], [0]))   # (v, o, x, y)
     rhs = np.transpose(rhs, (0, 2, 3, 1))
-    idx = _first_mismatch(lhs, rhs, exact)
+    idx = _first_mismatch(lhs, rhs, exact, tol)
     if idx is not None:
         report.fail("comodule", (g,) + idx)
 
@@ -726,11 +732,12 @@ def frobenius_action(bundle: CrossedBundle, g):
     lhs = np.tensordot(act, coact, axes=([2], [0]))    # (x, v, y, o)
     rhs = np.tensordot(coact, mu_e, axes=([1], [1]))   # (v, o, x, y)
     rhs = np.transpose(rhs, (2, 0, 3, 1))
-    idx = _first_mismatch(lhs, rhs, exact)
+    idx = _first_mismatch(lhs, rhs, exact, tol)
     if idx is not None:
         report.fail("compatibility-square", (g,) + idx)
 
-    return (Tensor(act, exact=exact), Tensor(coact, exact=exact), report)
+    return (Tensor(act, exact=exact, tol=tol), Tensor(coact, exact=exact, tol=tol),
+            report)
 
 
 def rotation_transport(w: LoopWord, j: int, bundle: CrossedBundle) -> Tensor:
@@ -989,8 +996,12 @@ def _propagate(group, layer, annots, cur):
 # ---------------------------------------------------------------------------
 # bundle file format
 
-def parse_bundle(text: str, group: FiniteGroup, exact=True) -> CrossedBundle:
-    """Parse the bundle block format against a known group."""
+def parse_bundle(text: str, group: FiniteGroup, exact=True,
+                 tol=DEFAULT_TOL) -> CrossedBundle:
+    """Parse the bundle block format against a known group.
+
+    Every tensor of the bundle carries ``tol``, the float-mode tolerance.
+    """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     dims = {}
@@ -1033,11 +1044,12 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True) -> CrossedBundle:
             if len(vals) != int(np.prod(shape)):
                 raise BundleError("block %s has %d entries, want %d"
                                   % (key, len(vals), int(np.prod(shape))))
-            return Tensor(np.array(vals, dtype=object).reshape(shape), exact=exact)
+            return Tensor(np.array(vals, dtype=object).reshape(shape),
+                          exact=exact, tol=tol)
         if not default_zero:
             raise BundleError("missing required block %s" % (key,))
         zero = Fraction(0) if exact else complex(0)
-        return Tensor(np.full(shape, zero, dtype=object), exact=exact)
+        return Tensor(np.full(shape, zero, dtype=object), exact=exact, tol=tol)
 
     fusion, fission, transport = {}, {}, {}
     for g in group.elements():
@@ -1053,8 +1065,9 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True) -> CrossedBundle:
                                     (dims[g], dims[group.conj(k, g)]), False)
     return CrossedBundle(group=group, dims=dims_t, fusion=fusion, fission=fission,
                          transport=transport,
-                         unit=Tensor(np.array(unit, dtype=object), exact=exact),
-                         counit=Tensor(np.array(counit, dtype=object), exact=exact))
+                         unit=Tensor(np.array(unit, dtype=object), exact=exact, tol=tol),
+                         counit=Tensor(np.array(counit, dtype=object), exact=exact,
+                                       tol=tol))
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
@@ -1081,8 +1094,11 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_bundle(path: str, exact=True):
-    """Load a bundle file; the header references the group file by path."""
+def load_bundle(path: str, exact=True, tol=DEFAULT_TOL):
+    """Load a bundle file; the header references the group file by path.
+
+    Every tensor of the bundle carries ``tol``, the float-mode tolerance.
+    """
     import os
     from .groups import parse_group
     with open(path, "r", encoding="utf-8") as fh:
@@ -1099,4 +1115,4 @@ def load_bundle(path: str, exact=True):
             break
     if group is None:
         raise BundleError("bundle file must start with 'bundle over <groupfile>'")
-    return parse_bundle(text, group, exact=exact)
+    return parse_bundle(text, group, exact=exact, tol=tol)

@@ -7,15 +7,16 @@ pairing is invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, format_scalar, invert_matrix,
-                     parse_scalar, tensordot)
+from .tensor import (DEFAULT_TOL, Tensor, format_scalar, integer_form,
+                     invert_matrix, parse_scalar, tensordot)
 
 
 class StructureError(ValueError):
@@ -62,6 +63,27 @@ class FrobeniusAlgebra:
     @property
     def tol(self):
         return self.mul.tol
+
+    @cached_property
+    def contraction_tensors(self):
+        """The tensors ``bordism.evaluate`` contracts, built once per algebra.
+
+        Maps "identity", "unit", "counit", "mul" and "comultiplication" to a
+        pair (tensor, den).  In exact mode the tensor holds int numerators
+        over the common denominator den (see ``integer_form``); in float mode
+        it is the float tensor itself and den is 1.  Nothing is cached when
+        the pairing is degenerate, so every access raises again.
+        """
+        tensors = {
+            "identity": Tensor.identity(self.dim, exact=self.exact, tol=self.tol),
+            "unit": self.unit,
+            "counit": self.counit,
+            "mul": self.mul,
+            "comultiplication": comultiplication(self),
+        }
+        if not self.exact:
+            return {name: (t, 1) for name, t in tensors.items()}
+        return {name: integer_form(t) for name, t in tensors.items()}
 
     def multiply(self, v: Tensor, w: Tensor) -> Tensor:
         prod = tensordot(v, self.mul, [0], [0])
@@ -314,8 +336,11 @@ def rescale_counit(algebra: FrobeniusAlgebra, factor) -> FrobeniusAlgebra:
 # ---------------------------------------------------------------------------
 # file format
 
-def parse_algebra(text: str, exact=True) -> FrobeniusAlgebra:
-    """Parse the line-oriented algebra file format (see README)."""
+def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
+    """Parse the line-oriented algebra file format (see README).
+
+    Every tensor of the algebra carries ``tol``, the float-mode tolerance.
+    """
     lines = []
     for raw in text.splitlines():
         ln = raw.split("#", 1)[0].strip()
@@ -373,9 +398,9 @@ def parse_algebra(text: str, exact=True) -> FrobeniusAlgebra:
                 raise StructureError("index out of range in %r" % ln)
             c[i, j, k] = parse_scalar(ctok.strip(), exact)
     return FrobeniusAlgebra(dim=n, basis=basis,
-                            mul=Tensor(c, exact=exact),
-                            unit=Tensor(unit, exact=exact),
-                            counit=Tensor(counit, exact=exact))
+                            mul=Tensor(c, exact=exact, tol=tol),
+                            unit=Tensor(unit, exact=exact, tol=tol),
+                            counit=Tensor(counit, exact=exact, tol=tol))
 
 
 def format_algebra(algebra: FrobeniusAlgebra) -> str:
@@ -396,12 +421,17 @@ def format_algebra(algebra: FrobeniusAlgebra) -> str:
 _LIBRARY_NAMES = {"ground_field", "dual_numbers"}
 
 
-def load_algebra(path_or_name, exact=True) -> FrobeniusAlgebra:
-    """Load an algebra file; bare library names are accepted for convenience."""
+def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
+    """Load an algebra file; bare library names are accepted for convenience.
+
+    Every tensor of the algebra carries ``tol``, the float-mode tolerance.
+    """
     import os
     if os.path.exists(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse_algebra(fh.read(), exact=exact)
+            return parse_algebra(fh.read(), exact=exact, tol=tol)
     if path_or_name in _LIBRARY_NAMES:
-        return standard_algebra(path_or_name, exact=exact)
+        a = standard_algebra(path_or_name, exact=exact)
+        return replace(a, **{k: Tensor(getattr(a, k).array, exact=exact, tol=tol)
+                             for k in ("mul", "unit", "counit")})
     raise StructureError("no such algebra file: %s" % path_or_name)

@@ -4,10 +4,17 @@ Entries live in numpy object arrays so that ``Fraction`` arithmetic stays
 exact; the same code path handles complex entries with a tolerance.  All
 shapes in this project are tiny (dimensions <= ~12), so dense storage and
 naive contraction are the right trade-off.
+
+A long exact contraction, such as ``bordism.evaluate``, runs on integer
+numerators instead: ``integer_form`` splits an exact tensor into a tensor of
+Python ints and one common denominator, the ints go through ``tensordot``
+at integer speed, and one ``scale`` by ``Fraction(1, den)`` at the end gives
+back the ``Fraction`` tensor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +179,21 @@ def scale(a: Tensor, s) -> Tensor:
     if a.exact and not isinstance(s, Fraction):
         s = Fraction(s)
     return Tensor(a.array * s, exact=a.exact, tol=a.tol)
+
+
+def integer_form(a: Tensor):
+    """(Tensor of int numerators, den) with ``a == scale(ints, Fraction(1, den))``.
+
+    ``den`` is the least common denominator of the entries of the exact
+    tensor ``a``; the int tensor keeps ``a``'s shape, ``exact`` and ``tol``.
+    """
+    if not a.exact:
+        raise ModeMismatchError("integer_form needs an exact tensor")
+    flat = a.array.reshape(-1)
+    den = math.lcm(1, *(x.denominator for x in flat))
+    ints = np.array([x.numerator * (den // x.denominator) for x in flat],
+                    dtype=object).reshape(a.shape)
+    return Tensor(ints, exact=True, tol=a.tol), den
 
 
 def equal(a: Tensor, b: Tensor) -> bool:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from tqft2d.bordism import (ARITY, Gen, BordismWord, WordSyntaxError, ArityError,
-                            parse_word, word, identity_word, seq, par,
+                            parse_word, identity_word, seq, par,
                             topological_type, equivalent, evaluate, as_matrix,
                             random_equivalent_pair)
-from tqft2d.frobenius import (FrobeniusAlgebra, ground_field, dual_numbers, diagonal,
-                              group_center, closed_invariant)
+from tqft2d import frobenius
+from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError, ground_field,
+                              dual_numbers, diagonal, group_center, closed_invariant,
+                              comultiplication, rescale_counit)
 from tqft2d.groups import symmetric_group
 from tqft2d.tensor import Tensor, equal, permute, tensordot, tensor_product
 
@@ -210,10 +212,25 @@ def test_nfold_bracketings_agree():
         assert all(equal(v, vals[0]) for v in vals[1:])
 
 
+def _reference_generators(a):
+    """Generator tensors straight from the algebra's data, legs
+    [inputs..., outputs...]; nothing here goes through evaluate."""
+    ident = Tensor.identity(a.dim, exact=a.exact, tol=a.tol)
+    # swap[i, j, k, l] = 1 when the first output k carries the second input j
+    # and the second output l the first input i
+    swap = Tensor.zeros((a.dim,) * 4, exact=a.exact, tol=a.tol)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            swap.array[i, j, j, i] = ident.array[0, 0]
+    return {Gen.ID: ident, Gen.SWAP: swap, Gen.CAP: a.unit, Gen.CUP: a.counit,
+            Gen.PANTS: a.mul, Gen.COPANTS: comultiplication(a)}
+
+
 def _reference_evaluate(w, a):
     """evaluate by definition: each layer is the tensor product of its
     generators, legs permuted to [inputs..., outputs...], and the layers are
     composed in order."""
+    gens = _reference_generators(a)
     cur = None
     for layer in w.layers:
         lt = Tensor.scalar(1, exact=a.exact, tol=a.tol)
@@ -222,7 +239,7 @@ def _reference_evaluate(w, a):
             n_in, n_out = ARITY[g]
             ins += range(lt.rank, lt.rank + n_in)
             outs += range(lt.rank + n_in, lt.rank + n_in + n_out)
-            lt = tensor_product(lt, evaluate(word([g]), a))
+            lt = tensor_product(lt, gens[g])
         lt = permute(lt, ins + outs)
         if cur is None:
             cur, word_in = lt, len(ins)
@@ -252,11 +269,40 @@ WIDE_WORDS = [
 
 
 def test_evaluate_matches_layer_definition_on_random_pairs():
-    a = dual_numbers()
-    for seed in list(range(40)) + [98, 143, 179]:
-        arity = (seed % 3, (seed // 3) % 3)
-        for w in random_equivalent_pair(arity, 8, seed):
+    # the last two algebras put denominators into mul and comultiplication
+    for a in (dual_numbers(), diagonal([Fraction(2), Fraction(1, 3)]),
+              rescale_counit(dual_numbers(), Fraction(2, 3))):
+        for seed in list(range(40)) + [98, 143, 179]:
+            arity = (seed % 3, (seed // 3) % 3)
+            for w in random_equivalent_pair(arity, 8, seed):
+                _assert_identical(evaluate(w, a), _reference_evaluate(w, a))
+
+
+def test_evaluate_builds_generator_tensors_once_per_algebra(monkeypatch):
+    calls = []
+
+    def counted(algebra):
+        calls.append(algebra)
+        return comultiplication(algebra)
+
+    monkeypatch.setattr(frobenius, "comultiplication", counted)
+    # two distinct algebras of equal dimension, evaluated alternately
+    algebras = [diagonal([Fraction(2), Fraction(1, 3)]),
+                rescale_counit(dual_numbers(), Fraction(2, 3))]
+    words = [parse_word(t) for t in ("copants ; pants", "id * cap ; swap ; pants")
+             + tuple(WIDE_WORDS)]
+    for w in words:
+        for a in algebras:
             _assert_identical(evaluate(w, a), _reference_evaluate(w, a))
+    assert len(words) * len(algebras) >= 10
+    assert len(calls) == 2 and all(c is a for c, a in zip(calls, algebras))
+    # a degenerate pairing is never cached: every call raises again
+    d = dual_numbers()
+    degenerate = FrobeniusAlgebra(dim=2, basis=d.basis, mul=d.mul, unit=d.unit,
+                                  counit=d.unit)
+    for _ in range(2):
+        with pytest.raises(DegeneratePairingError):
+            evaluate(parse_word("copants"), degenerate)
 
 
 def test_evaluate_matches_layer_definition_on_wide_words():

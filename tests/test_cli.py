@@ -57,6 +57,28 @@ def test_validate_failure_exit_code(tmp_path):
     assert "RESULT: FAIL" in text
 
 
+def test_tolerance_flag_reaches_float_mode(tmp_path):
+    # the unit is off by 1e-7, so the unit axiom holds only to 1e-7
+    algebra = tmp_path / "near.fa"
+    algebra.write_text("dim 2\nbasis 1 x\nunit 1.0000001 0\ncounit 0 1\n"
+                       "mul 1 1 -> 1:1\nmul 1 2 -> 2:1\nmul 2 1 -> 2:1\n")
+    # the counit is off by 1e-7, so fission followed by it is the identity to 1e-7
+    (tmp_path / "z2.group").write_text(format_group(cyclic_group(2)))
+    bundle = tmp_path / "near.bundle"
+    bundle.write_text(format_bundle(
+        from_frobenius_algebra(cyclic_group(2), dual_numbers()), "z2.group")
+        .replace("counit : 0 1", "counit : 0 1.0000001"))
+    for source in (("--algebra", str(algebra)), ("--bundle", str(bundle))):
+        code, text = invoke("validate", *source, "--mode", "float")
+        assert code == 1, text
+        code, text = invoke("validate", *source, "--mode", "float",
+                            "--tolerance", "1e-6")
+        assert code == 0, text
+        # exact mode ignores the flag
+        code, text = invoke("validate", *source, "--tolerance", "1e-6")
+        assert code == 1, text
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "broken.fa"
     bad.write_text("dim two\n")

@@ -20,6 +20,7 @@ from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               comultiplication)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
+from tqft2d.report import Violation
 from tqft2d.tensor import Tensor, equal, tensordot
 
 Z2 = cyclic_group(2)
@@ -141,6 +142,36 @@ def test_plant_nondegeneracy():
 def test_plant_flatness():
     bad = scaled(from_group_algebra(Z2), "transport", (1, 1), 3)
     assert "flatness" in validate_bundle(bad).failed_axioms()
+
+
+def nudged(bundle, block, key, eps):
+    """Copy of a float bundle with eps added to the first entry of one block."""
+    data = dict(group=bundle.group, dims=bundle.dims,
+                fusion=dict(bundle.fusion), fission=dict(bundle.fission),
+                transport=dict(bundle.transport),
+                unit=bundle.unit, counit=bundle.counit)
+    t = data[block][key]
+    arr = t.array.copy()
+    arr.flat[0] += eps
+    data[block][key] = Tensor(arr, exact=False, tol=t.tol)
+    return CrossedBundle(**data)
+
+
+def test_float_checks_use_the_bundle_tolerance():
+    text = format_bundle(from_group_algebra(Z2), "z2.group")
+    loose = parse_bundle(text, Z2, exact=False, tol=1e-6)
+    assert (loose.exact, loose.tol) == (False, 1e-6)
+    e, r = Z2.identity, 1
+    assert validate_bundle(nudged(loose, "transport", (e, r), 1e-7)).passed
+    report = validate_bundle(nudged(loose, "transport", (e, r), 1e-3))
+    assert Violation("flatness", (e, r, 0, 0)) in report.violations
+    # the same 1e-7 is a violation at the default tolerance
+    strict = parse_bundle(text, Z2, exact=False)
+    assert not validate_bundle(nudged(strict, "transport", (e, r), 1e-7)).passed
+
+    assert frobenius_action(nudged(loose, "fusion", (e, r), 1e-7), r)[2].passed
+    report = frobenius_action(nudged(loose, "fusion", (e, r), 1e-3), r)[2]
+    assert report.violations[0] == Violation("module", (r, 0, 0, 0, 0))
 
 
 # --- labeling and evaluation ---------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            tensor_product, contract, tensordot, equal,
-                           invert_matrix, parse_scalar, format_scalar, permute)
+                           invert_matrix, parse_scalar, format_scalar, permute,
+                           integer_form, scale)
 
 
 def frac_tensor(values):
@@ -120,6 +121,21 @@ def test_tensordot_empty_axes_is_outer_product():
     a = frac_tensor([1, 2])
     b = frac_tensor([3, 4])
     assert equal(tensordot(a, b, [], []), tensor_product(a, b))
+
+
+def test_integer_form_uses_the_least_common_denominator():
+    t = Tensor(frac_tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]]).array, tol=1e-6)
+    ints, den = integer_form(t)
+    assert den == 6
+    assert [type(x) for x in ints.entries()] == [int] * 4
+    assert ints.entries() == [3, -2, 12, 0]
+    assert (ints.shape, ints.exact, ints.tol) == ((2, 2), True, 1e-6)
+    back = scale(ints, Fraction(1, den))
+    assert back.entries() == t.entries()
+    assert all(type(x) is Fraction for x in back.entries())
+    assert integer_form(Tensor.scalar(Fraction(5, 4)))[1] == 4
+    with pytest.raises(ModeMismatchError):
+        integer_form(Tensor.identity(2, exact=False))
 
 
 def test_permute():

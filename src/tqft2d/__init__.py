@@ -6,8 +6,8 @@ with flat transport over a finite group, in exact rational arithmetic.
 """
 
 from .tensor import (Tensor, ModeMismatchError, ContractionError,
-                     tensor_product, contract, tensordot, equal,
-                     invert_matrix, parse_scalar, format_scalar)
+                     tensordot, equal, invert_matrix, parse_scalar,
+                     format_scalar)
 from .report import Violation, ValidationReport
 from .groups import (FiniteGroup, GroupError, LoopWord, trivial_group,
                      cyclic_group, symmetric_group, direct_product,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .frobenius import FrobeniusAlgebra
-from .tensor import Tensor, integer_form, permute, scale, tensordot
+from .tensor import Tensor, from_integer_form, permute, tensordot
 
 
 class WordSyntaxError(ValueError):
@@ -82,11 +82,11 @@ class BordismWord:
                     "layer outputs %d circles but next layer expects %d"
                     % (out_a, in_b), layer=t)
 
-    @property
+    @cached_property
     def arity_in(self):
         return layer_arity(self.layers[0])[0]
 
-    @property
+    @cached_property
     def arity_out(self):
         return layer_arity(self.layers[-1])[1]
 
@@ -296,7 +296,9 @@ def topological_type(w: BordismWord) -> TopologicalType:
     for data in comps.values():
         b = len(data["in"]) + len(data["out"])
         genus2 = 2 - data["chi"] - b
-        assert genus2 % 2 == 0 and genus2 >= 0, "bad component genus"
+        if genus2 % 2 or genus2 < 0:
+            raise RuntimeError("a component with Euler characteristic %d and %d "
+                               "boundary circles is no surface" % (data["chi"], b))
         out.append((genus2 // 2, tuple(sorted(data["in"])), tuple(sorted(data["out"]))))
     return TopologicalType(tuple(sorted(out)))
 
@@ -310,9 +312,82 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-# the structure tensor a contracted generator stands for, legs [inputs..., outputs...]
+def contract_word(w: BordismWord, lookup, pad, exact, tol) -> Tensor:
+    """The linear map of a word; legs ordered [inputs..., outputs...].
+
+    One state tensor is carried through the word, one generator at a time,
+    so the cost follows the generators rather than the width of a layer.
+    Each state leg is labelled ~i (a negative int) for word input i, or k
+    for the k-th generator output made so far; ``boundary`` labels the
+    circles of the current boundary the same way.
+
+    ``lookup(g, t, j, q)`` gives the pair (tensor, den) of generator g, the
+    j-th of layer t, whose first input is circle q of the boundary above
+    layer t.  The tensor, legs [inputs..., outputs...], is contracted
+    against the legs of its input circles.  ``lookup`` returns None for a
+    cylinder that only carries its circle, and is not asked for ``swap``,
+    which relabels two circles.  ``pad(i)`` gives the (identity, den) on
+    input i's fiber, for an input that reaches the outputs untouched.
+
+    In exact mode every tensor holds int numerators over its den (see
+    ``integer_form``); the dens multiply, and one division at the end gives
+    the Fraction tensor.  In float mode every den is 1.
+    """
+    n_in = w.arity_in
+    state, den = None, 1  # None stands for the scalar 1
+    legs = []
+    # an input label in the boundary never has a leg yet, an output always has
+    boundary = [~i for i in range(n_in)]
+    made = 0
+    for t, layer in enumerate(w.layers):
+        pos = 0  # position of the next generator's first input in ``boundary``
+        q = 0    # and in the boundary above the layer
+        for j, g in enumerate(layer):
+            if g is Gen.SWAP:
+                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
+                pos, q = pos + 2, q + 2
+                continue
+            found = lookup(g, t, j, q)
+            n_gen_in, n_out = ARITY[g]
+            q += n_gen_in
+            if found is None:
+                pos += 1
+                continue
+            gen, gen_den = found
+            circles = boundary[pos:pos + n_gen_in]
+            outs = list(range(made, made + n_out))
+            made += n_out
+            if state is None:
+                state, den, legs = gen, gen_den, circles + outs
+            else:
+                state = tensordot(state, gen, [legs.index(c) for c in circles if c >= 0],
+                                  [k for k, c in enumerate(circles) if c >= 0])
+                den *= gen_den
+                legs = ([leg for leg in legs if leg not in circles]
+                        + [c for c in circles if c < 0] + outs)
+            boundary[pos:pos + n_gen_in] = outs
+            pos += n_out
+    for p, c in enumerate(boundary):
+        if c < 0:  # an input that reaches the outputs untouched
+            ident, ident_den = pad(~c)
+            state = ident if state is None else tensordot(state, ident, [], [])
+            den *= ident_den
+            legs += [c, made]
+            boundary[p] = made
+            made += 1
+    if state is None:
+        return Tensor.scalar(1, exact=exact, tol=tol)
+    perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
+    if perm != list(range(len(perm))):
+        state = permute(state, perm)
+    if exact:
+        return from_integer_form(state, den)
+    # a fresh array: the state may still be a generator tensor itself
+    return Tensor(state.array.copy(), exact=False, tol=min(state.tol, tol))
+
+
+# the structure tensor each generator but the cylinder is contracted as
 _STRUCTURE = {
-    Gen.ID: "identity",
     Gen.CAP: "unit",
     Gen.CUP: "counit",
     Gen.PANTS: "mul",
@@ -323,57 +398,14 @@ _STRUCTURE = {
 def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     """Linear map A^(x)in -> A^(x)out; legs ordered [inputs..., outputs...].
 
-    One state tensor is carried through the word, one generator at a time,
-    so the cost follows the generators rather than the width of a layer.
-    Each state leg is labelled ("in", i) for word input i or ("out", k) for
-    the k-th generator output made so far.  ``boundary`` names what each
-    circle of the current boundary is: an output label, or ("in", i) while
-    input i still runs through identity cylinders and has no leg yet.
-    ``id`` and ``swap`` only relabel the boundary; every other generator is
-    contracted against the legs of its own input circles.
-
-    In exact mode the state holds int numerators over the denominator
-    ``den``: each contraction multiplies ``den`` by the generator tensor's
-    own denominator, and one division at the end gives the Fraction tensor.
+    ``contract_word`` over the algebra's ``contraction_tensors``; a cylinder
+    only carries its circle.
     """
-    gens = {g: algebra.contraction_tensors[name] for g, name in _STRUCTURE.items()}
-    one = Tensor.scalar(1, exact=algebra.exact, tol=algebra.tol)
-    state, den = integer_form(one) if algebra.exact else (one, 1)
-    legs = []
-    boundary = [("in", i) for i in range(w.arity_in)]
-    made = 0
-    for layer in w.layers:
-        pos = 0  # boundary position of the next generator's first input
-        for g in layer:
-            if g is Gen.ID:
-                pos += 1
-                continue
-            if g is Gen.SWAP:
-                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
-                pos += 2
-                continue
-            n_in, n_out = ARITY[g]
-            circles = boundary[pos:pos + n_in]
-            axes_state = [legs.index(c) for c in circles if c in legs]
-            axes_gen = [j for j, c in enumerate(circles) if c in legs]
-            outs = [("out", made + k) for k in range(n_out)]
-            made += n_out
-            gen, gen_den = gens[g]
-            state = tensordot(state, gen, axes_state, axes_gen)
-            den *= gen_den
-            legs = ([leg for leg in legs if leg not in circles]
-                    + [c for c in circles if c not in legs] + outs)
-            boundary[pos:pos + n_in] = outs
-            pos += n_out
-    for p, c in enumerate(boundary):
-        if c[0] == "in":  # an input that reaches the outputs untouched
-            state = tensordot(state, gens[Gen.ID][0], [], [])
-            boundary[p] = ("out", made)
-            made += 1
-            legs += [c, boundary[p]]
-    inputs = [("in", i) for i in range(w.arity_in)]
-    state = permute(state, [legs.index(leg) for leg in inputs + boundary])
-    return scale(state, Fraction(1, den)) if algebra.exact else state
+    tensors = algebra.contraction_tensors
+    gens = {g: tensors[name] for g, name in _STRUCTURE.items()}
+    ident = tensors["identity"]
+    return contract_word(w, lambda g, t, j, q: gens.get(g), lambda i: ident,
+                         algebra.exact, algebra.tol)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):
@@ -517,5 +549,7 @@ def random_equivalent_pair(arity, max_layers, seed):
     w2 = w1
     for _ in range(rng.randint(1, 4)):
         w2 = _rewrite_once(rng, w2, max_layers)
-    assert equivalent(w1, w2)
+    if not equivalent(w1, w2):
+        raise RuntimeError("the rewrites of pair seed %r changed the "
+                           "topological type" % (seed,))
     return w1, w2

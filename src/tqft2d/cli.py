@@ -36,8 +36,8 @@ def _result(out, ok, details=""):
 
 
 def _mode(args):
-    """Keywords for the algebra and bundle loaders: the scalar mode, and
-    --tolerance as every tensor's tolerance in float mode."""
+    """Keywords for the algebra, bundle and cocycle loaders: the scalar
+    mode, and --tolerance as the float-mode tolerance."""
     exact = args.mode == "exact"
     return {"exact": exact, "tol": DEFAULT_TOL if exact else args.tolerance}
 
@@ -178,7 +178,7 @@ def cmd_holonomy(args, out):
 def cmd_cocycle(args, out):
     if not args.cocycle:
         raise _Exit(2, "cocycle needs --cocycle <file>")
-    sb = gerbe.load_cocycle(args.cocycle, exact=args.mode == "exact")
+    sb = gerbe.load_cocycle(args.cocycle, **_mode(args))
     report = gerbe.check_cocycle(sb)
     _report_lines(out, report)
     if report.passed and args.labels is not None:
@@ -226,7 +226,8 @@ def build_parser():
     p.add_argument("--max-gens", type=int, default=3)
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                   help="float-mode tolerance of the loaded algebra or bundle")
+                   help="float-mode tolerance of the loaded algebra, bundle "
+                        "or cocycle")
     return p
 
 

@@ -10,17 +10,18 @@ evaluators live here: `evaluate_labeled` turns a bundle into an evaluator,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .bordism import ARITY, BordismWord, Gen, layer_arity
+from .bordism import ARITY, BordismWord, Gen, contract_word, layer_arity
 from .frobenius import FrobeniusAlgebra, comultiplication
 from .groups import FiniteGroup, LoopWord
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, equal, invert_matrix, parse_scalar,
-                     format_scalar, tensordot)
+from .tensor import (DEFAULT_TOL, Tensor, equal, integer_form, invert_matrix,
+                     parse_scalar, format_scalar, permute, tensordot)
 
 
 class BundleError(ValueError):
@@ -86,6 +87,27 @@ class CrossedBundle:
     def tol(self):
         return self.unit.tol
 
+    @cached_property
+    def contraction_tensors(self):
+        """The blocks ``evaluate_labeled`` contracts, built once per bundle.
+
+        Maps "fusion", "fission" and "transport" to dicts keyed like the
+        bundle's blocks, "unit" and "counit" to one pair, and "identity" to
+        a dict from each group element to the identity on its fiber.  Every
+        pair is (tensor, den) as in ``FrobeniusAlgebra.contraction_tensors``:
+        int numerators over den in exact mode, the float tensor and 1 in
+        float mode.
+        """
+        lift = integer_form if self.exact else (lambda t: (t, 1))
+        blocks = {name: {key: lift(t) for key, t in getattr(self, name).items()}
+                  for name in ("fusion", "fission", "transport")}
+        blocks["unit"] = lift(self.unit)
+        blocks["counit"] = lift(self.counit)
+        blocks["identity"] = {
+            g: lift(Tensor.identity(self.dims[g], exact=self.exact, tol=self.tol))
+            for g in self.group.elements()}
+        return blocks
+
     def fiber_dim(self, g):
         return self.dims[g]
 
@@ -98,11 +120,6 @@ class CrossedBundle:
                 and all(equal(self.fission[k], other.fission[k]) for k in self.fission)
                 and all(equal(self.transport[k], other.transport[k]) for k in self.transport)
                 and equal(self.unit, other.unit) and equal(self.counit, other.counit))
-
-
-def _zero_like(bundle, shape):
-    zero = Fraction(0) if bundle.exact else complex(0)
-    return np.full(shape, zero, dtype=object)
 
 
 def _first_mismatch(a, b, exact, tol):
@@ -242,7 +259,7 @@ def from_frobenius_algebra(group: FiniteGroup, algebra: FrobeniusAlgebra) -> Cro
     """Constant bundle: every fiber is the given algebra, transport identity."""
     n = algebra.dim
     delta = comultiplication(algebra)
-    ident = Tensor.identity(n, exact=algebra.exact)
+    ident = Tensor.identity(n, exact=algebra.exact, tol=algebra.tol)
     els = list(group.elements())
     fusion = {(g, h): algebra.mul for g in els for h in els}
     fission = {(g, h): delta for g in els for h in els}
@@ -266,7 +283,7 @@ def derive_fission(bundle: CrossedBundle) -> dict:
         hi = G.inverse(h)
         # pairing A_{h^-1} x A_h -> k through mu and counit
         pair = np.tensordot(bundle.fusion[hi, h].array, eps, axes=([2], [0]))
-        inv = invert_matrix(Tensor(pair, exact=bundle.exact))
+        inv = invert_matrix(Tensor(pair, exact=bundle.exact, tol=bundle.tol))
         if inv is None:
             raise BundleError("pairing between fibers %d and %d is singular" % (hi, h))
         copair[h] = inv.array
@@ -276,7 +293,8 @@ def derive_fission(bundle: CrossedBundle) -> dict:
             hi = G.inverse(h)
             # nu[g,h][x,i,j] = sum_a mu_{gh,h^-1}[x,a,i] copair_h[a,j]
             arr = np.tensordot(bundle.fusion[gh, hi].array, copair[h], axes=([1], [0]))
-            out[g, h] = Tensor(np.asarray(arr, dtype=object), exact=bundle.exact)
+            out[g, h] = Tensor(np.asarray(arr, dtype=object), exact=bundle.exact,
+                               tol=bundle.tol)
     return out
 
 
@@ -545,68 +563,31 @@ def format_labeled(b: LabeledBordism) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _labeled_generator_tensor(bundle, gen, ann, in_labels, out_labels):
-    G = bundle.group
-    if gen is Gen.ID:
-        return bundle.transport[ann, in_labels[0]]
-    if gen is Gen.SWAP:
-        dg, dh = bundle.dims[in_labels[0]], bundle.dims[in_labels[1]]
-        t = Tensor.zeros((dg, dh, dh, dg), exact=bundle.exact)
-        one = Fraction(1) if bundle.exact else complex(1)
-        for i in range(dg):
-            for j in range(dh):
-                t.array[i, j, j, i] = one
-        return t
-    if gen is Gen.CAP:
-        return bundle.unit
-    if gen is Gen.CUP:
-        return bundle.counit
-    if gen is Gen.PANTS:
-        return bundle.fusion[in_labels[0], in_labels[1]]
-    if gen is Gen.COPANTS:
-        return bundle.fission[ann]
-    raise AssertionError(gen)
-
-
 def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
-    """Linear map between the labeled boundary fibers; legs [ins..., outs...]."""
+    """Linear map between the labeled boundary fibers; legs [ins..., outs...].
+
+    ``bordism.contract_word`` over the bundle's ``contraction_tensors``, with
+    the block of each generator picked by the labels: ``id[k]`` is transport
+    by k, ``pants`` is fusion, ``copants`` fission, and ``cap``/``cup`` are
+    the unit/counit.
+    """
     if b.group != bundle.group:
         raise BundleError("bordism and bundle are over different groups")
-    cur = None
-    cur_in = cur_bound = 0
-    for t, (layer, ann_row) in enumerate(zip(b.word.layers, b.annotations)):
-        ins_all = b.boundaries[t]
-        outs_all = b.boundaries[t + 1]
-        lt = None
-        slots = []
-        qi = qo = 0
-        for gen, ann in zip(layer, ann_row):
-            a, o = ARITY[gen]
-            gt = _labeled_generator_tensor(bundle, gen, ann,
-                                           ins_all[qi:qi + a], outs_all[qo:qo + o])
-            qi += a
-            qo += o
-            lt = gt if lt is None else tensordot(lt, gt, [], [])
-            slots.append((a, o))
-        if lt is None:
-            lt = Tensor.scalar(1, exact=bundle.exact)
-        perm_in, perm_out = [], []
-        off = 0
-        for a, o in slots:
-            perm_in.extend(range(off, off + a))
-            perm_out.extend(range(off + a, off + a + o))
-            off += a + o
-        if perm_in or perm_out:
-            lt = Tensor(np.transpose(lt.array, perm_in + perm_out),
-                        exact=lt.exact, tol=lt.tol)
-        l_in, l_out = len(perm_in), len(perm_out)
-        if cur is None:
-            cur, cur_in, cur_bound = lt, l_in, l_out
-        else:
-            cur = tensordot(cur, lt, list(range(cur_in, cur_in + cur_bound)),
-                            list(range(l_in)))
-            cur_bound = l_out
-    return cur
+    blocks = bundle.contraction_tensors
+
+    def lookup(g, t, j, q):
+        labels = b.boundaries[t]
+        if g is Gen.ID:
+            return blocks["transport"][b.annotations[t][j], labels[q]]
+        if g is Gen.PANTS:
+            return blocks["fusion"][labels[q], labels[q + 1]]
+        if g is Gen.COPANTS:
+            return blocks["fission"][b.annotations[t][j]]
+        return blocks["unit" if g is Gen.CAP else "counit"]
+
+    identity = blocks["identity"]
+    return contract_word(b.word, lookup, lambda i: identity[b.in_labels[i]],
+                         bundle.exact, bundle.tol)
 
 
 def holonomy(b: LabeledBordism, bundle: CrossedBundle):
@@ -779,7 +760,7 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
         """Tensor with legs [leaves..., out]; returns (tensor, product)."""
         if isinstance(tree, int):
             d = bundle.dims[gs[tree]]
-            return Tensor.identity(d, exact=bundle.exact), gs[tree]
+            return Tensor.identity(d, exact=bundle.exact, tol=bundle.tol), gs[tree]
         tl, pl = mu_tower(tree[0])
         tr, pr = mu_tower(tree[1])
         mu = bundle.fusion[pl, pr]
@@ -789,13 +770,13 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
         r = t.rank
         nl = tl.rank - 1
         perm = list(range(nl)) + list(range(nl + 1, r)) + [nl]
-        return Tensor(np.transpose(t.array, perm), exact=t.exact), G.mul(pl, pr)
+        return permute(t, perm), G.mul(pl, pr)
 
     def nu_tower(tree):
         """Tensor with legs [in, leaves...]; returns (tensor, product)."""
         if isinstance(tree, int):
             d = bundle.dims[gs[tree]]
-            return Tensor.identity(d, exact=bundle.exact), gs[tree]
+            return Tensor.identity(d, exact=bundle.exact, tol=bundle.tol), gs[tree]
         tl, pl = nu_tower(tree[0])
         tr, pr = nu_tower(tree[1])
         nu = bundle.fission[pl, pr]

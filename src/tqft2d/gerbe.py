@@ -17,11 +17,15 @@ from .bordism import ARITY, Gen
 from .crossed import CrossedBundle, LabeledBordism, LabelError
 from .groups import FiniteGroup, LoopWord, klein_four_group, parse_group
 from .report import ValidationReport
-from .tensor import Tensor, parse_scalar, format_scalar
+from .tensor import DEFAULT_TOL, Tensor, parse_scalar, format_scalar
 
 
 class CocycleError(ValueError):
     """Malformed cocycle data (missing entries, zero values, bad file)."""
+
+
+def _differ(x, y, exact, tol):
+    return x != y if exact else abs(x - y) > tol
 
 
 def _complete(group, data, default):
@@ -38,6 +42,7 @@ class ScalarBundle:
     theta: dict          # (g, h) -> scalar, the fusion cocycle
     tau: dict            # (k, g) -> scalar transport A_g -> A_{kgk^-1}
     counit_scalar: object = Fraction(1)
+    tol: float = DEFAULT_TOL  # float-mode tolerance of every comparison
 
     def __post_init__(self):
         G = self.group
@@ -59,23 +64,25 @@ class ScalarBundle:
         return not isinstance(self.counit_scalar, complex)
 
 
-def check_theta(group: FiniteGroup, theta) -> ValidationReport:
-    """Cocycle identity and normalization for a fusion scalar table."""
+def check_theta(group: FiniteGroup, theta, exact=True,
+                tol=DEFAULT_TOL) -> ValidationReport:
+    """Cocycle identity and normalization for a fusion scalar table; in
+    float mode (``exact=False``) values within ``tol`` count as equal."""
     report = ValidationReport()
     report.check("cocycle")
     report.check("normalization")
     e = group.identity
     for g in group.elements():
-        if theta[g, e] != 1:
+        if _differ(theta[g, e], 1, exact, tol):
             report.fail("normalization", (g, e))
-        if theta[e, g] != 1:
+        if _differ(theta[e, g], 1, exact, tol):
             report.fail("normalization", (e, g))
     for g in group.elements():
         for h in group.elements():
             for k in group.elements():
                 lhs = theta[g, h] * theta[group.mul(g, h), k]
                 rhs = theta[h, k] * theta[g, group.mul(h, k)]
-                if lhs != rhs:
+                if _differ(lhs, rhs, exact, tol):
                     report.fail("cocycle", (g, h, k))
     return report
 
@@ -84,23 +91,24 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     """Cocycle identity plus transport compatibility and flatness."""
     G = sb.group
     e = G.identity
-    report = check_theta(G, sb.theta)
+    exact, tol = sb.exact, sb.tol
+    report = check_theta(G, sb.theta, exact, tol)
     report.check("transport-compatibility")
     report.check("transport-flatness")
     for k in G.elements():
         for g in G.elements():
-            if sb.tau[e, g] != 1:
+            if _differ(sb.tau[e, g], 1, exact, tol):
                 report.fail("transport-flatness", (e, g))
             for h in G.elements():
                 gc, hc = G.conj(k, g), G.conj(k, h)
                 lhs = sb.tau[k, g] * sb.tau[k, h] * sb.theta[gc, hc]
                 rhs = sb.tau[k, G.mul(g, h)] * sb.theta[g, h]
-                if lhs != rhs:
+                if _differ(lhs, rhs, exact, tol):
                     report.fail("transport-compatibility", (k, g, h))
             for l in G.elements():
                 lhs = sb.tau[G.mul(k, l), g]
                 rhs = sb.tau[k, G.conj(l, g)] * sb.tau[l, g]
-                if lhs != rhs:
+                if _differ(lhs, rhs, exact, tol):
                     report.fail("transport-flatness", (k, l, g))
     return report
 
@@ -157,13 +165,13 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     """Inflate the scalar data to a rank-one crossed bundle."""
     G = sb.group
     c = sb.counit_scalar
-    exact = sb.exact
+    exact, tol = sb.exact, sb.tol
 
     def t3(x):
-        return Tensor(np.array([[[x]]], dtype=object), exact=exact)
+        return Tensor(np.array([[[x]]], dtype=object), exact=exact, tol=tol)
 
     def t2(x):
-        return Tensor(np.array([[x]], dtype=object), exact=exact)
+        return Tensor(np.array([[x]], dtype=object), exact=exact, tol=tol)
 
     fusion = {k: t3(v) for k, v in sb.theta.items()}
     fission = {k: t3(1 / (c * v)) for k, v in sb.theta.items()}
@@ -171,8 +179,8 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     one = Fraction(1) if exact else complex(1)
     return CrossedBundle(group=G, dims=(1,) * G.order,
                          fusion=fusion, fission=fission, transport=transport,
-                         unit=Tensor(np.array([one], dtype=object), exact=exact),
-                         counit=Tensor(np.array([c], dtype=object), exact=exact))
+                         unit=Tensor(np.array([one], dtype=object), exact=exact, tol=tol),
+                         counit=Tensor(np.array([c], dtype=object), exact=exact, tol=tol))
 
 
 def scalar_surface_product(b: LabeledBordism, sb: ScalarBundle):
@@ -208,7 +216,7 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
     b = closed_surface_word(sb.group, genus, handles)
     direct = scalar_surface_product(b, sb)
     via_bundle = bundle_holonomy(b, to_crossed_bundle(sb))
-    if direct != via_bundle:
+    if _differ(direct, via_bundle, sb.exact, sb.tol):
         raise CocycleError("scalar walk %s disagrees with the evaluator %s"
                            % (direct, via_bundle))
     return direct
@@ -241,7 +249,9 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # cocycle file format
 
-def parse_cocycle(text: str, group: FiniteGroup, exact=True) -> ScalarBundle:
+def parse_cocycle(text: str, group: FiniteGroup, exact=True,
+                  tol=DEFAULT_TOL) -> ScalarBundle:
+    """Parse the cocycle format; ``tol`` is the float-mode tolerance."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     one = Fraction(1) if exact else complex(1)
@@ -267,12 +277,13 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True) -> ScalarBundle:
             raise CocycleError("unexpected line %r" % ln)
     theta = _complete(group, theta_raw, one)
     tau = _complete(group, tau_raw, one) if explicit_tau else None
-    rep = check_theta(group, theta)
+    rep = check_theta(group, theta, exact, tol)
     if not rep.passed:
         raise CocycleError("not a normalized cocycle: %s" % rep.failed_axioms())
     if tau is None:
         tau = induced_transport(group, theta)
-    return ScalarBundle(group=group, theta=theta, tau=tau, counit_scalar=counit)
+    return ScalarBundle(group=group, theta=theta, tau=tau, counit_scalar=counit,
+                        tol=tol)
 
 
 def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:
@@ -295,7 +306,8 @@ def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_cocycle(path: str, exact=True):
+def load_cocycle(path: str, exact=True, tol=DEFAULT_TOL):
+    """Load a cocycle file; ``tol`` is the float-mode tolerance."""
     import os
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -311,4 +323,4 @@ def load_cocycle(path: str, exact=True):
             break
     if group is None:
         raise CocycleError("cocycle file must start with 'cocycle over <groupfile>'")
-    return parse_cocycle(text, group, exact=exact)
+    return parse_cocycle(text, group, exact=exact, tol=tol)

@@ -5,11 +5,11 @@ exact; the same code path handles complex entries with a tolerance.  All
 shapes in this project are tiny (dimensions <= ~12), so dense storage and
 naive contraction are the right trade-off.
 
-A long exact contraction, such as ``bordism.evaluate``, runs on integer
+A long exact contraction, such as ``bordism.contract_word``, runs on integer
 numerators instead: ``integer_form`` splits an exact tensor into a tensor of
 Python ints and one common denominator, the ints go through ``tensordot``
-at integer speed, and one ``scale`` by ``Fraction(1, den)`` at the end gives
-back the ``Fraction`` tensor.
+at integer speed, and ``from_integer_form`` at the end gives back the
+``Fraction`` tensor.
 """
 
 from __future__ import annotations
@@ -109,48 +109,6 @@ def _check_modes(a, b):
         raise ModeMismatchError("cannot mix exact and approximate tensors")
 
 
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Outer product; shape is the concatenation of the operand shapes."""
-    _check_modes(a, b)
-    arr = np.multiply.outer(a.array, b.array)
-    return Tensor(arr, exact=a.exact, tol=min(a.tol, b.tol))
-
-
-def _trace_pair(arr, i, j):
-    arr = np.moveaxis(arr, (i, j), (-2, -1))
-    d = arr.shape[-1]
-    out = arr[..., 0, 0].copy() if d else np.zeros(arr.shape[:-2], dtype=object)
-    for k in range(1, d):
-        out = out + arr[..., k, k]
-    return np.asarray(out, dtype=object)
-
-
-def contract(a: Tensor, pairs) -> Tensor:
-    """Sum over the given pairs of legs; remaining legs keep relative order."""
-    pairs = [tuple(p) for p in pairs]
-    seen = set()
-    for i, j in pairs:
-        for leg in (i, j):
-            if not 0 <= leg < a.rank:
-                raise ContractionError("leg %d out of range for rank %d" % (leg, a.rank))
-            if leg in seen:
-                raise ContractionError("leg %d used twice" % leg)
-            seen.add(leg)
-        if i == j:
-            raise ContractionError("cannot pair leg %d with itself" % i)
-        if a.shape[i] != a.shape[j]:
-            raise ContractionError(
-                "dimension mismatch: leg %d has dim %d, leg %d has dim %d"
-                % (i, a.shape[i], j, a.shape[j]))
-    arr = a.array
-    todo = [tuple(sorted(p)) for p in pairs]
-    while todo:
-        i, j = todo.pop(0)
-        arr = _trace_pair(arr, i, j)
-        todo = [(p - (p > i) - (p > j), q - (q > i) - (q > j)) for p, q in todo]
-    return Tensor(arr, exact=a.exact, tol=a.tol)
-
-
 def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     """Contract legs ``axes_a`` of a against ``axes_b`` of b (pairwise)."""
     _check_modes(a, b)
@@ -167,7 +125,7 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
         arr = np.tensordot(a.array, b.array, axes=(axes_a, axes_b))
     else:
         arr = np.multiply.outer(a.array, b.array)
-    return Tensor(np.asarray(arr, dtype=object), exact=a.exact, tol=min(a.tol, b.tol))
+    return Tensor(arr, exact=a.exact, tol=min(a.tol, b.tol))
 
 
 def permute(a: Tensor, perm) -> Tensor:
@@ -175,14 +133,8 @@ def permute(a: Tensor, perm) -> Tensor:
     return Tensor(np.transpose(a.array, perm), exact=a.exact, tol=a.tol)
 
 
-def scale(a: Tensor, s) -> Tensor:
-    if a.exact and not isinstance(s, Fraction):
-        s = Fraction(s)
-    return Tensor(a.array * s, exact=a.exact, tol=a.tol)
-
-
 def integer_form(a: Tensor):
-    """(Tensor of int numerators, den) with ``a == scale(ints, Fraction(1, den))``.
+    """(Tensor of int numerators, den) with ``a == from_integer_form(ints, den)``.
 
     ``den`` is the least common denominator of the entries of the exact
     tensor ``a``; the int tensor keeps ``a``'s shape, ``exact`` and ``tol``.
@@ -194,6 +146,18 @@ def integer_form(a: Tensor):
     ints = np.array([x.numerator * (den // x.denominator) for x in flat],
                     dtype=object).reshape(a.shape)
     return Tensor(ints, exact=True, tol=a.tol), den
+
+
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
+_FRACTION_OVER = np.frompyfunc(Fraction, 2, 1)
+
+
+def from_integer_form(ints: Tensor, den) -> Tensor:
+    """The exact tensor with entries ``Fraction(n, den)`` for the int
+    numerators n of ``ints``; it keeps their shape and ``tol``."""
+    # Fraction(n) skips the gcd that Fraction(n, 1) pays for
+    arr = _FRACTION(ints.array) if den == 1 else _FRACTION_OVER(ints.array, den)
+    return Tensor(arr, exact=True, tol=ints.tol)
 
 
 def equal(a: Tensor, b: Tensor) -> bool:

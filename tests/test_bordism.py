@@ -12,7 +12,7 @@ from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError, ground_f
                               dual_numbers, diagonal, group_center, closed_invariant,
                               comultiplication, rescale_counit)
 from tqft2d.groups import symmetric_group
-from tqft2d.tensor import Tensor, equal, permute, tensordot, tensor_product
+from tqft2d.tensor import Tensor, equal, permute, tensordot
 
 ALGEBRAS = [ground_field(), dual_numbers(),
             diagonal([Fraction(1), Fraction(2)]),
@@ -145,7 +145,7 @@ def test_parallel_composition_is_tensor_product():
     w2 = parse_word("cup")
     lhs = evaluate(par(w1, w2), a)
     # legs of the parallel word: [in of cup, out of cap]
-    rhs = tensor_product(evaluate(w2, a), evaluate(w1, a))
+    rhs = tensordot(evaluate(w2, a), evaluate(w1, a), [], [])
     assert equal(lhs, rhs)
 
 
@@ -239,7 +239,7 @@ def _reference_evaluate(w, a):
             n_in, n_out = ARITY[g]
             ins += range(lt.rank, lt.rank + n_in)
             outs += range(lt.rank + n_in, lt.rank + n_in + n_out)
-            lt = tensor_product(lt, gens[g])
+            lt = tensordot(lt, gens[g], [], [])
         lt = permute(lt, ins + outs)
         if cur is None:
             cur, word_in = lt, len(ins)

@@ -1,5 +1,6 @@
 import io
 import os
+import shutil
 
 import pytest
 
@@ -166,6 +167,20 @@ def test_cocycle_command(tmp_path):
                         "--genus", "1", "--labels", "10,01")
     assert code == 0
     assert "-1" in text.splitlines()
+
+
+def test_cocycle_command_uses_the_tolerance(tmp_path):
+    # one theta is off by 1e-7, so the cocycle identity holds only to 1e-7
+    shutil.copy(os.path.join(FIXDIR, "k4.group"), tmp_path / "k4.group")
+    with open(os.path.join(FIXDIR, "k4_anti.cocycle"), encoding="utf-8") as fh:
+        text = fh.read()
+    near = tmp_path / "near.cocycle"
+    near.write_text(text.replace("theta 01 10 = -1", "theta 01 10 = -1.0000001"))
+    code, out = invoke("cocycle", "--cocycle", str(near), "--mode", "float")
+    assert code != 0 and out.splitlines()[-1].startswith("RESULT: FAIL"), out
+    code, out = invoke("cocycle", "--cocycle", str(near), "--mode", "float",
+                       "--tolerance", "1e-6", "--genus", "1", "--labels", "10,01")
+    assert code == 0, out
 
 
 def test_output_determinism(algebra_file):

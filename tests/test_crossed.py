@@ -1,10 +1,13 @@
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tqft2d.bordism import BordismWord, Gen, parse_word
+from tqft2d import crossed
+from tqft2d.bordism import (ARITY, BordismWord, Gen, evaluate, parse_word,
+                            random_equivalent_pair)
 from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             ExtractionError, TftOracle, validate_bundle,
                             from_group_algebra, from_frobenius_algebra,
@@ -16,17 +19,19 @@ from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             insert_identity_layer, insert_conjugation_pair,
                             enumerate_labeled_words, parse_bundle,
                             format_bundle, load_bundle)
-from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
-                              comultiplication)
+from tqft2d.frobenius import (FrobeniusAlgebra, dual_numbers, diagonal,
+                              closed_invariant, comultiplication, group_center)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
 from tqft2d.report import Violation
-from tqft2d.tensor import Tensor, equal, tensordot
+from tqft2d.tensor import Tensor, equal, integer_form, permute, tensordot
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 S3 = symmetric_group(3)
 CONSTANT = from_frobenius_algebra(Z2, dual_numbers())
+Z2_DUAL_FILE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                            "z2_dual.bundle")
 
 
 def scaled(bundle, block, key, factor):
@@ -155,6 +160,34 @@ def nudged(bundle, block, key, eps):
     arr.flat[0] += eps
     data[block][key] = Tensor(arr, exact=False, tol=t.tol)
     return CrossedBundle(**data)
+
+
+def test_float_bundle_helpers_keep_the_tolerance():
+    loose = load_bundle(Z2_DUAL_FILE, exact=False, tol=1e-6)
+    t = evaluate_labeled(parse_labeled("swap[e,e]", loose.group), loose)
+    assert (t.exact, t.tol) == (False, 1e-6)
+
+    d = dual_numbers(exact=False)
+    a = FrobeniusAlgebra(dim=2, basis=d.basis,
+                         **{k: Tensor(getattr(d, k).array, exact=False, tol=1e-6)
+                            for k in ("mul", "unit", "counit")})
+    assert {t.tol for t in from_frobenius_algebra(Z2, a).transport.values()} == {1e-6}
+
+    assert {t.tol for t in derive_fission(loose).values()} == {1e-6}
+    # a pairing of size 1e-7 is singular at 1e-6, though not at 1e-9
+    text = format_bundle(from_group_algebra(Z2), "z2.group").replace(
+        "counit : 1", "counit : 1e-7")
+    derive_fission(parse_bundle(text, Z2, exact=False))
+    with pytest.raises(BundleError):
+        derive_fission(parse_bundle(text, Z2, exact=False, tol=1e-6))
+
+    # towers of a comultiplication that is coassociative only to 1e-7
+    r = 1
+    assert nfold_fission_check(nudged(loose, "fission", (r, r), 1e-7),
+                               [r] * 4).passed
+    strict = load_bundle(Z2_DUAL_FILE, exact=False)
+    assert not nfold_fission_check(nudged(strict, "fission", (r, r), 1e-7),
+                                   [r] * 4).passed
 
 
 def test_float_checks_use_the_bundle_tolerance():
@@ -291,6 +324,102 @@ def test_roundtrip_check_bundles():
         words = enumerate_labeled_words(B.group, 3, budget_per_shape=budget)
         report = roundtrip_check(B, words)
         assert report.passed, report.summary()
+
+
+def _reference_evaluate_labeled(b, bundle):
+    """evaluate_labeled by definition: each layer is the tensor product of
+    its generators' blocks, with a dense tensor for swap, legs permuted to
+    [inputs..., outputs...], and the layers are composed in order.  Nothing
+    here goes through the contraction engine."""
+    exact, tol = bundle.exact, bundle.tol
+    cur = None
+    for t, (layer, ann_row) in enumerate(zip(b.word.layers, b.annotations)):
+        lt = Tensor.scalar(1, exact=exact, tol=tol)
+        ins, outs = [], []
+        q = 0
+        for g, ann in zip(layer, ann_row):
+            n_in, n_out = ARITY[g]
+            labels = b.boundaries[t][q:q + n_in]
+            q += n_in
+            if g is Gen.ID:
+                gt = bundle.transport[ann, labels[0]]
+            elif g is Gen.SWAP:
+                dg, dh = bundle.dims[labels[0]], bundle.dims[labels[1]]
+                gt = Tensor.zeros((dg, dh, dh, dg), exact=exact, tol=tol)
+                for i in range(dg):
+                    for j in range(dh):
+                        gt.array[i, j, j, i] = Fraction(1) if exact else complex(1)
+            elif g is Gen.CAP:
+                gt = bundle.unit
+            elif g is Gen.CUP:
+                gt = bundle.counit
+            elif g is Gen.PANTS:
+                gt = bundle.fusion[labels[0], labels[1]]
+            else:
+                gt = bundle.fission[ann]
+            ins += range(lt.rank, lt.rank + n_in)
+            outs += range(lt.rank + n_in, lt.rank + n_in + n_out)
+            lt = tensordot(lt, gt, [], [])
+        lt = permute(lt, ins + outs)
+        if cur is None:
+            cur, word_in = lt, len(ins)
+        else:
+            cur = tensordot(cur, lt, range(word_in, cur.rank), range(len(ins)))
+    return cur
+
+
+def _assert_identical(t, ref):
+    assert t.shape == ref.shape
+    assert (t.exact, t.tol) == (ref.exact, ref.tol)
+    assert all(type(x) is type(y) and x == y
+               for x, y in zip(t.entries(), ref.entries()))
+
+
+def test_evaluate_labeled_matches_layer_definition():
+    # the criterion 06 bundles, one with denominators and one in float mode;
+    # every word shape is labeled at least once, the exact two-dimensional
+    # fibers with fewer labelings since each word there costs about 1 ms
+    cases = [(from_group_algebra(Z2), 1000), (from_group_algebra(S3), 12),
+             (CONSTANT, 10),
+             (from_frobenius_algebra(Z2, diagonal([Fraction(2), Fraction(1, 3)])), 10),
+             (load_bundle(Z2_DUAL_FILE, exact=False, tol=1e-6), 60)]
+    for B, budget in cases:
+        for b in enumerate_labeled_words(B.group, 3, budget_per_shape=budget):
+            _assert_identical(evaluate_labeled(b, B), _reference_evaluate_labeled(b, B))
+
+
+def test_trivial_group_evaluation_is_plain_evaluation():
+    T = trivial_group()
+    e = T.identity
+    for a in (dual_numbers(), group_center(S3)):
+        B = from_frobenius_algebra(T, a)
+        for seed in range(200):  # the criterion 04 pairs
+            arity = (seed % 3, (seed // 3) % 3)
+            for w in random_equivalent_pair(arity, 8, seed):
+                splits = tuple(tuple((e, e) if g is Gen.COPANTS else None
+                                     for g in layer) for layer in w.layers)
+                b = label_word(T, w, (e,) * w.arity_in, splits)
+                _assert_identical(evaluate_labeled(b, B), evaluate(w, a))
+
+
+def test_bundle_blocks_are_lifted_once_per_bundle(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return integer_form(t)
+
+    monkeypatch.setattr(crossed, "integer_form", counted)
+    bundles = [from_frobenius_algebra(Z2, diagonal([Fraction(2), Fraction(1, 3)])),
+               from_frobenius_algebra(Z2, dual_numbers())]
+    words = enumerate_labeled_words(Z2, 2, budget_per_shape=2)
+    for b in words:
+        for B in bundles:
+            _assert_identical(evaluate_labeled(b, B), _reference_evaluate_labeled(b, B))
+    assert len(words) * len(bundles) >= 10
+    # fusion, fission and transport blocks, unit, counit, one identity per fiber
+    assert len(calls) == sum(len(B.fusion) + len(B.fission) + len(B.transport)
+                             + 2 + B.group.order for B in bundles)
 
 
 def test_enumeration_is_deterministic():

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .frobenius import FrobeniusAlgebra
-from .tensor import Tensor, from_integer_form, permute, tensordot
+from .tensor import Tensor, tensordot
 
 
 class WordSyntaxError(ValueError):
@@ -321,20 +321,17 @@ def contract_word(w: BordismWord, lookup, pad, exact, tol) -> Tensor:
     for the k-th generator output made so far; ``boundary`` labels the
     circles of the current boundary the same way.
 
-    ``lookup(g, t, j, q)`` gives the pair (tensor, den) of generator g, the
-    j-th of layer t, whose first input is circle q of the boundary above
-    layer t.  The tensor, legs [inputs..., outputs...], is contracted
-    against the legs of its input circles.  ``lookup`` returns None for a
-    cylinder that only carries its circle, and is not asked for ``swap``,
-    which relabels two circles.  ``pad(i)`` gives the (identity, den) on
-    input i's fiber, for an input that reaches the outputs untouched.
-
-    In exact mode every tensor holds int numerators over its den (see
-    ``integer_form``); the dens multiply, and one division at the end gives
-    the Fraction tensor.  In float mode every den is 1.
+    ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
+    layer t, whose first input is circle q of the boundary above layer t.
+    The tensor, legs [inputs..., outputs...], is contracted against the legs
+    of its input circles.  ``lookup`` returns None for a cylinder that only
+    carries its circle, and is not asked for ``swap``, which relabels two
+    circles.  ``pad(i)`` gives the identity on input i's fiber, for an input
+    that reaches the outputs untouched.  In exact mode every contraction runs
+    on integer numerators (see ``tensor``).
     """
     n_in = w.arity_in
-    state, den = None, 1  # None stands for the scalar 1
+    state = None  # None stands for the scalar 1
     legs = []
     # an input label in the boundary never has a leg yet, an output always has
     boundary = [~i for i in range(n_in)]
@@ -347,43 +344,37 @@ def contract_word(w: BordismWord, lookup, pad, exact, tol) -> Tensor:
                 boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
                 pos, q = pos + 2, q + 2
                 continue
-            found = lookup(g, t, j, q)
+            gen = lookup(g, t, j, q)
             n_gen_in, n_out = ARITY[g]
             q += n_gen_in
-            if found is None:
+            if gen is None:
                 pos += 1
                 continue
-            gen, gen_den = found
             circles = boundary[pos:pos + n_gen_in]
             outs = list(range(made, made + n_out))
             made += n_out
             if state is None:
-                state, den, legs = gen, gen_den, circles + outs
+                state, legs = gen, circles + outs
             else:
                 state = tensordot(state, gen, [legs.index(c) for c in circles if c >= 0],
                                   [k for k, c in enumerate(circles) if c >= 0])
-                den *= gen_den
                 legs = ([leg for leg in legs if leg not in circles]
                         + [c for c in circles if c < 0] + outs)
             boundary[pos:pos + n_gen_in] = outs
             pos += n_out
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
-            ident, ident_den = pad(~c)
+            ident = pad(~c)
             state = ident if state is None else tensordot(state, ident, [], [])
-            den *= ident_den
             legs += [c, made]
             boundary[p] = made
             made += 1
     if state is None:
         return Tensor.scalar(1, exact=exact, tol=tol)
     perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
-    if perm != list(range(len(perm))):
-        state = permute(state, perm)
-    if exact:
-        return from_integer_form(state, den)
     # a fresh array: the state may still be a generator tensor itself
-    return Tensor(state.array.copy(), exact=False, tol=min(state.tol, tol))
+    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact,
+                      min(state.tol, tol))
 
 
 # the structure tensor each generator but the cylinder is contracted as
@@ -413,7 +404,7 @@ def as_matrix(t: Tensor, arity_in: int, dim: int):
     arity_out = t.rank - arity_in
     rows = dim ** arity_out
     cols = dim ** arity_in
-    flat = t.array.reshape(cols, rows)
+    flat = np.array(t.entries(), dtype=object).reshape(cols, rows)
     return np.transpose(flat)
 
 

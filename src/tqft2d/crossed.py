@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from .bordism import ARITY, BordismWord, Gen, contract_word, layer_arity
 from .frobenius import FrobeniusAlgebra, comultiplication
 from .groups import FiniteGroup, LoopWord
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, equal, integer_form, invert_matrix,
+from .tensor import (DEFAULT_TOL, Tensor, equal, first_difference, invert_matrix,
                      parse_scalar, format_scalar, permute, tensordot)
 
 
@@ -87,27 +85,6 @@ class CrossedBundle:
     def tol(self):
         return self.unit.tol
 
-    @cached_property
-    def contraction_tensors(self):
-        """The blocks ``evaluate_labeled`` contracts, built once per bundle.
-
-        Maps "fusion", "fission" and "transport" to dicts keyed like the
-        bundle's blocks, "unit" and "counit" to one pair, and "identity" to
-        a dict from each group element to the identity on its fiber.  Every
-        pair is (tensor, den) as in ``FrobeniusAlgebra.contraction_tensors``:
-        int numerators over den in exact mode, the float tensor and 1 in
-        float mode.
-        """
-        lift = integer_form if self.exact else (lambda t: (t, 1))
-        blocks = {name: {key: lift(t) for key, t in getattr(self, name).items()}
-                  for name in ("fusion", "fission", "transport")}
-        blocks["unit"] = lift(self.unit)
-        blocks["counit"] = lift(self.counit)
-        blocks["identity"] = {
-            g: lift(Tensor.identity(self.dims[g], exact=self.exact, tol=self.tol))
-            for g in self.group.elements()}
-        return blocks
-
     def fiber_dim(self, g):
         return self.dims[g]
 
@@ -122,16 +99,6 @@ class CrossedBundle:
                 and equal(self.unit, other.unit) and equal(self.counit, other.counit))
 
 
-def _first_mismatch(a, b, exact, tol):
-    """First differing multi-index between two equal-shaped object arrays;
-    in float mode entries differ when they are more than ``tol`` apart."""
-    for idx in np.ndindex(a.shape):
-        d = a[idx] - b[idx]
-        if (d != 0) if exact else (abs(d) > tol):
-            return idx
-    return None
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -139,14 +106,12 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     """Enumerate every defining condition over all gradings."""
     G = bundle.group
     e = G.identity
-    mu = {k: t.array for k, t in bundle.fusion.items()}
-    nu = {k: t.array for k, t in bundle.fission.items()}
-    P = {k: t.array for k, t in bundle.transport.items()}
-    exact = bundle.exact
+    mu, nu, P = bundle.fusion, bundle.fission, bundle.transport
+    exact, tol = bundle.exact, bundle.tol
     report = ValidationReport()
 
     def mismatch(axiom, grading, lhs, rhs):
-        idx = _first_mismatch(lhs, rhs, exact, bundle.tol)
+        idx = first_difference(lhs, rhs, tol)
         if idx is not None:
             report.fail(axiom, grading + idx)
 
@@ -159,15 +124,14 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
                 gh = G.mul(g, h)
                 ghc = G.conj(k, gh)
                 # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k)
-                lhs = np.tensordot(mu[g, h], P[k, gh], axes=([2], [0]))
-                tmp = np.tensordot(P[k, g], mu[gc, hc], axes=([1], [0]))
-                rhs = np.tensordot(P[k, h], tmp, axes=([1], [1]))
-                rhs = np.transpose(rhs, (1, 0, 2))
+                lhs = tensordot(mu[g, h], P[k, gh], [2], [0])
+                tmp = tensordot(P[k, g], mu[gc, hc], [1], [0])
+                rhs = permute(tensordot(P[k, h], tmp, [1], [1]), (1, 0, 2))
                 mismatch("fusion-transport", (k, g, h), lhs, rhs)
                 # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}
-                lhs = np.tensordot(P[k, gh], nu[gc, hc], axes=([1], [0]))
-                tmp = np.tensordot(nu[g, h], P[k, g], axes=([1], [0]))
-                rhs = np.tensordot(tmp, P[k, h], axes=([1], [0]))
+                lhs = tensordot(P[k, gh], nu[gc, hc], [1], [0])
+                tmp = tensordot(nu[g, h], P[k, g], [1], [0])
+                rhs = tensordot(tmp, P[k, h], [1], [0])
                 mismatch("fission-transport", (k, g, h), lhs, rhs)
 
     report.check("associativity")
@@ -177,63 +141,52 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
         for h in G.elements():
             for k in G.elements():
                 gh, hk = G.mul(g, h), G.mul(h, k)
-                lhs = np.tensordot(mu[g, h], mu[gh, k], axes=([2], [0]))
-                rhs = np.tensordot(mu[h, k], mu[g, hk], axes=([2], [1]))
-                rhs = np.transpose(rhs, (2, 0, 1, 3))
-                mismatch("associativity", (g, h, k), lhs, rhs)
+                lhs = tensordot(mu[g, h], mu[gh, k], [2], [0])
+                rhs = tensordot(mu[h, k], mu[g, hk], [2], [1])
+                mismatch("associativity", (g, h, k), lhs, permute(rhs, (2, 0, 1, 3)))
 
-                lhs = np.tensordot(nu[gh, k], nu[g, h], axes=([1], [0]))
                 # legs (x, c, a, b) -> (x, a, b, c)
-                lhs = np.transpose(lhs, (0, 2, 3, 1))
-                rhs = np.tensordot(nu[g, hk], nu[h, k], axes=([2], [0]))
+                lhs = permute(tensordot(nu[gh, k], nu[g, h], [1], [0]), (0, 2, 3, 1))
+                rhs = tensordot(nu[g, hk], nu[h, k], [2], [0])
                 mismatch("coassociativity", (g, h, k), lhs, rhs)
 
                 # nu_{g,hk} . mu_{gh,k} = (id x mu_{h,k}) . (nu_{g,h} x id)
-                lhs = np.tensordot(mu[gh, k], nu[g, hk], axes=([2], [0]))
-                rhs = np.tensordot(nu[g, h], mu[h, k], axes=([2], [0]))
+                lhs = tensordot(mu[gh, k], nu[g, hk], [2], [0])
+                rhs = tensordot(nu[g, h], mu[h, k], [2], [0])
                 # legs (x, a, y, m) -> (x, y, a, m)
-                rhs = np.transpose(rhs, (0, 2, 1, 3))
-                mismatch("frobenius", (g, h, k), lhs, rhs)
+                mismatch("frobenius", (g, h, k), lhs, permute(rhs, (0, 2, 1, 3)))
                 # nu_{gh,k} . mu_{g,hk} = (mu_{g,h} x id) . (id x nu_{h,k})
-                lhs = np.tensordot(mu[g, hk], nu[gh, k], axes=([2], [0]))
-                rhs = np.tensordot(nu[h, k], mu[g, h], axes=([1], [1]))
+                lhs = tensordot(mu[g, hk], nu[gh, k], [2], [0])
+                rhs = tensordot(nu[h, k], mu[g, h], [1], [1])
                 # legs (y, c, x, a) -> (x, y, a, c)
-                rhs = np.transpose(rhs, (2, 0, 3, 1))
-                mismatch("frobenius", (g, h, k, "rev"), lhs, rhs)
+                mismatch("frobenius", (g, h, k, "rev"), lhs, permute(rhs, (2, 0, 3, 1)))
 
     report.check("unit-transport")
-    u = bundle.unit.array
-    eps = bundle.counit.array
-    de = bundle.dims[e]
+    u, eps = bundle.unit, bundle.counit
     for k in G.elements():
-        lhs = np.tensordot(u, P[k, e], axes=([0], [0]))
-        mismatch("unit-transport", (k,), lhs, u)
-        lhs = np.tensordot(P[k, e], eps, axes=([1], [0]))
-        mismatch("unit-transport", (k, "counit"), lhs, eps)
+        mismatch("unit-transport", (k,), tensordot(u, P[k, e], [0], [0]), u)
+        mismatch("unit-transport", (k, "counit"), tensordot(P[k, e], eps, [1], [0]), eps)
 
     report.check("unit")
     report.check("counit")
     for g in G.elements():
-        ident = Tensor.identity(bundle.dims[g], exact=exact).array
-        lhs = np.tensordot(mu[g, e], u, axes=([1], [0]))
-        mismatch("unit", (g,), lhs, ident)
-        lhs = np.tensordot(nu[g, e], eps, axes=([2], [0]))
-        mismatch("counit", (g,), lhs, ident)
+        ident = Tensor.identity(bundle.dims[g], exact=exact)
+        mismatch("unit", (g,), tensordot(mu[g, e], u, [1], [0]), ident)
+        mismatch("counit", (g,), tensordot(nu[g, e], eps, [2], [0]), ident)
 
     report.check("nondegeneracy")
-    pair = np.tensordot(mu[e, e], eps, axes=([2], [0]))
-    if invert_matrix(Tensor(pair, exact=exact, tol=bundle.tol)) is None:
+    pair = tensordot(mu[e, e], eps, [2], [0])
+    if invert_matrix(Tensor.from_nums(pair.nums, pair.den, exact, tol)) is None:
         report.fail("nondegeneracy", ())
 
     report.check("flatness")
     for g in G.elements():
-        ident = Tensor.identity(bundle.dims[g], exact=exact).array
-        mismatch("flatness", (e, g), P[e, g], ident)
+        mismatch("flatness", (e, g), P[e, g], Tensor.identity(bundle.dims[g], exact=exact))
     for k in G.elements():
         for l in G.elements():
             for g in G.elements():
                 gl = G.conj(l, g)
-                lhs = np.tensordot(P[l, g], P[k, gl], axes=([1], [0]))
+                lhs = tensordot(P[l, g], P[k, gl], [1], [0])
                 mismatch("flatness", (k, l, g), lhs, P[G.mul(k, l), g])
     return report
 
@@ -243,10 +196,10 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
 
 def from_group_algebra(group: FiniteGroup, exact=True) -> CrossedBundle:
     """All fibers one-dimensional with trivial structure scalars."""
-    one = Fraction(1) if exact else complex(1)
-    scalar3 = Tensor(np.full((1, 1, 1), one, dtype=object), exact=exact)
-    scalar2 = Tensor(np.full((1, 1), one, dtype=object), exact=exact)
-    vec = Tensor(np.array([one], dtype=object), exact=exact)
+    one = 1 if exact else complex(1)
+    scalar3 = Tensor([[[one]]], exact=exact)
+    scalar2 = Tensor([[one]], exact=exact)
+    vec = Tensor([one], exact=exact)
     fusion = {(g, h): scalar3 for g in group.elements() for h in group.elements()}
     fission = dict(fusion)
     transport = {(k, g): scalar2 for k in group.elements() for g in group.elements()}
@@ -276,25 +229,22 @@ def derive_fission(bundle: CrossedBundle) -> dict:
     between A_h and A_{h^-1} is singular.
     """
     G = bundle.group
-    eps = bundle.counit.array
     out = {}
     copair = {}
     for h in G.elements():
         hi = G.inverse(h)
         # pairing A_{h^-1} x A_h -> k through mu and counit
-        pair = np.tensordot(bundle.fusion[hi, h].array, eps, axes=([2], [0]))
-        inv = invert_matrix(Tensor(pair, exact=bundle.exact, tol=bundle.tol))
+        pair = tensordot(bundle.fusion[hi, h], bundle.counit, [2], [0])
+        inv = invert_matrix(Tensor.from_nums(pair.nums, pair.den, bundle.exact,
+                                             bundle.tol))
         if inv is None:
             raise BundleError("pairing between fibers %d and %d is singular" % (hi, h))
-        copair[h] = inv.array
+        copair[h] = inv
     for g in G.elements():
         for h in G.elements():
             gh = G.mul(g, h)
-            hi = G.inverse(h)
             # nu[g,h][x,i,j] = sum_a mu_{gh,h^-1}[x,a,i] copair_h[a,j]
-            arr = np.tensordot(bundle.fusion[gh, hi].array, copair[h], axes=([1], [0]))
-            out[g, h] = Tensor(np.asarray(arr, dtype=object), exact=bundle.exact,
-                               tol=bundle.tol)
+            out[g, h] = tensordot(bundle.fusion[gh, G.inverse(h)], copair[h], [1], [0])
     return out
 
 
@@ -566,28 +516,29 @@ def format_labeled(b: LabeledBordism) -> str:
 def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
     """Linear map between the labeled boundary fibers; legs [ins..., outs...].
 
-    ``bordism.contract_word`` over the bundle's ``contraction_tensors``, with
-    the block of each generator picked by the labels: ``id[k]`` is transport
+    ``bordism.contract_word`` over the bundle's blocks, with the block of
+    each generator picked by the labels: ``id[k]`` is transport
     by k, ``pants`` is fusion, ``copants`` fission, and ``cap``/``cup`` are
     the unit/counit.
     """
     if b.group != bundle.group:
         raise BundleError("bordism and bundle are over different groups")
-    blocks = bundle.contraction_tensors
 
     def lookup(g, t, j, q):
         labels = b.boundaries[t]
         if g is Gen.ID:
-            return blocks["transport"][b.annotations[t][j], labels[q]]
+            return bundle.transport[b.annotations[t][j], labels[q]]
         if g is Gen.PANTS:
-            return blocks["fusion"][labels[q], labels[q + 1]]
+            return bundle.fusion[labels[q], labels[q + 1]]
         if g is Gen.COPANTS:
-            return blocks["fission"][b.annotations[t][j]]
-        return blocks["unit" if g is Gen.CAP else "counit"]
+            return bundle.fission[b.annotations[t][j]]
+        return bundle.unit if g is Gen.CAP else bundle.counit
 
-    identity = blocks["identity"]
-    return contract_word(b.word, lookup, lambda i: identity[b.in_labels[i]],
-                         bundle.exact, bundle.tol)
+    def pad(i):
+        return Tensor.identity(bundle.dims[b.in_labels[i]], exact=bundle.exact,
+                               tol=bundle.tol)
+
+    return contract_word(b.word, lookup, pad, bundle.exact, bundle.tol)
 
 
 def holonomy(b: LabeledBordism, bundle: CrossedBundle):
@@ -684,41 +635,26 @@ def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
 
 def frobenius_action(bundle: CrossedBundle, g):
     """Module/comodule structure of the identity fiber on fiber g."""
-    G = bundle.group
-    e = G.identity
-    act = bundle.fusion[e, g].array
-    coact = bundle.fission[e, g].array
-    mu_e = bundle.fusion[e, e].array
-    nu_e = bundle.fission[e, e].array
-    exact, tol = bundle.exact, bundle.tol
+    e = bundle.group.identity
+    act, coact = bundle.fusion[e, g], bundle.fission[e, g]
+    mu_e, nu_e = bundle.fusion[e, e], bundle.fission[e, e]
     report = ValidationReport()
 
-    report.check("module")
-    lhs = np.tensordot(mu_e, act, axes=([2], [0]))
-    rhs = np.tensordot(act, act, axes=([2], [1]))   # (y, v, x, o)
-    rhs = np.transpose(rhs, (2, 0, 1, 3))
-    idx = _first_mismatch(lhs, rhs, exact, tol)
-    if idx is not None:
-        report.fail("module", (g,) + idx)
+    def check(axiom, lhs, rhs):
+        report.check(axiom)
+        idx = first_difference(lhs, rhs, bundle.tol)
+        if idx is not None:
+            report.fail(axiom, (g,) + idx)
 
-    report.check("comodule")
-    lhs = np.tensordot(coact, coact, axes=([2], [0]))  # (v, x, y, o)
-    rhs = np.tensordot(coact, nu_e, axes=([1], [0]))   # (v, o, x, y)
-    rhs = np.transpose(rhs, (0, 2, 3, 1))
-    idx = _first_mismatch(lhs, rhs, exact, tol)
-    if idx is not None:
-        report.fail("comodule", (g,) + idx)
-
-    report.check("compatibility-square")
-    lhs = np.tensordot(act, coact, axes=([2], [0]))    # (x, v, y, o)
-    rhs = np.tensordot(coact, mu_e, axes=([1], [1]))   # (v, o, x, y)
-    rhs = np.transpose(rhs, (2, 0, 3, 1))
-    idx = _first_mismatch(lhs, rhs, exact, tol)
-    if idx is not None:
-        report.fail("compatibility-square", (g,) + idx)
-
-    return (Tensor(act, exact=exact, tol=tol), Tensor(coact, exact=exact, tol=tol),
-            report)
+    rhs = tensordot(act, act, [2], [1])                # (y, v, x, o)
+    check("module", tensordot(mu_e, act, [2], [0]), permute(rhs, (2, 0, 1, 3)))
+    lhs = tensordot(coact, coact, [2], [0])            # (v, x, y, o)
+    rhs = tensordot(coact, nu_e, [1], [0])             # (v, o, x, y)
+    check("comodule", lhs, permute(rhs, (0, 2, 3, 1)))
+    lhs = tensordot(act, coact, [2], [0])              # (x, v, y, o)
+    rhs = tensordot(coact, mu_e, [1], [1])             # (v, o, x, y)
+    check("compatibility-square", lhs, permute(rhs, (2, 0, 3, 1)))
+    return act, coact, report
 
 
 def rotation_transport(w: LoopWord, j: int, bundle: CrossedBundle) -> Tensor:
@@ -1029,8 +965,7 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
                           exact=exact, tol=tol)
         if not default_zero:
             raise BundleError("missing required block %s" % (key,))
-        zero = Fraction(0) if exact else complex(0)
-        return Tensor(np.full(shape, zero, dtype=object), exact=exact, tol=tol)
+        return Tensor.zeros(shape, exact=exact, tol=tol)
 
     fusion, fission, transport = {}, {}, {}
     for g in group.elements():
@@ -1046,9 +981,8 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
                                     (dims[g], dims[group.conj(k, g)]), False)
     return CrossedBundle(group=group, dims=dims_t, fusion=fusion, fission=fission,
                          transport=transport,
-                         unit=Tensor(np.array(unit, dtype=object), exact=exact, tol=tol),
-                         counit=Tensor(np.array(counit, dtype=object), exact=exact,
-                                       tol=tol))
+                         unit=Tensor(unit, exact=exact, tol=tol),
+                         counit=Tensor(counit, exact=exact, tol=tol))
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
@@ -1058,20 +992,20 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
         lines.append("fiber %s dim %d" % (G.labels[g], bundle.dims[g]))
 
     def emit(tag, key_pair, tensor):
-        vals = " ".join(format_scalar(x) for x in tensor.array.reshape(-1))
+        vals = " ".join(format_scalar(x) for x in tensor.entries())
         lines.append("%s %s %s : %s" % (tag, G.labels[key_pair[0]],
                                         G.labels[key_pair[1]], vals))
 
     for key, t in sorted(bundle.fusion.items()):
-        if any(x != 0 for x in t.array.reshape(-1)):
+        if any(t.nums.flat):
             emit("fusion", key, t)
     for key, t in sorted(bundle.fission.items()):
-        if any(x != 0 for x in t.array.reshape(-1)):
+        if any(t.nums.flat):
             emit("fission", key, t)
     for key, t in sorted(bundle.transport.items()):
         emit("transport", key, t)
-    lines.append("unit : " + " ".join(format_scalar(x) for x in bundle.unit.array))
-    lines.append("counit : " + " ".join(format_scalar(x) for x in bundle.counit.array))
+    lines.append("unit : " + " ".join(format_scalar(x) for x in bundle.unit.entries()))
+    lines.append("counit : " + " ".join(format_scalar(x) for x in bundle.counit.entries()))
     return "\n".join(lines) + "\n"
 
 

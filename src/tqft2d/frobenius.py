@@ -7,6 +7,7 @@ pairing is invertible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -15,8 +16,8 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, format_scalar, integer_form,
-                     invert_matrix, parse_scalar, tensordot)
+from .tensor import (DEFAULT_TOL, Tensor, first_difference, format_scalar,
+                     invert_matrix, parse_scalar, permute, tensordot)
 
 
 class StructureError(ValueError):
@@ -25,10 +26,6 @@ class StructureError(ValueError):
 
 class DegeneratePairingError(ValueError):
     """The counit pairing is singular; fission cannot be derived."""
-
-
-def _is_zero(x, exact, tol):
-    return x == 0 if exact else abs(x) <= tol
 
 
 @dataclass(frozen=True)
@@ -66,24 +63,20 @@ class FrobeniusAlgebra:
 
     @cached_property
     def contraction_tensors(self):
-        """The tensors ``bordism.evaluate`` contracts, built once per algebra.
+        """The tensors ``bordism.evaluate`` contracts, built once per algebra
+        so that the comultiplication is derived once.
 
-        Maps "identity", "unit", "counit", "mul" and "comultiplication" to a
-        pair (tensor, den).  In exact mode the tensor holds int numerators
-        over the common denominator den (see ``integer_form``); in float mode
-        it is the float tensor itself and den is 1.  Nothing is cached when
-        the pairing is degenerate, so every access raises again.
+        Maps "identity", "unit", "counit", "mul" and "comultiplication" to
+        their tensors.  Nothing is cached when the pairing is degenerate, so
+        every access raises again.
         """
-        tensors = {
+        return {
             "identity": Tensor.identity(self.dim, exact=self.exact, tol=self.tol),
             "unit": self.unit,
             "counit": self.counit,
             "mul": self.mul,
             "comultiplication": comultiplication(self),
         }
-        if not self.exact:
-            return {name: (t, 1) for name, t in tensors.items()}
-        return {name: integer_form(t) for name, t in tensors.items()}
 
     def multiply(self, v: Tensor, w: Tensor) -> Tensor:
         prod = tensordot(v, self.mul, [0], [0])
@@ -103,56 +96,21 @@ def validate(algebra: FrobeniusAlgebra) -> ValidationReport:
 
     The first witnessing index tuple per failed axiom is recorded.
     """
-    n = algebra.dim
-    c = algebra.mul.array
+    mul, tol = algebra.mul, algebra.tol
     report = ValidationReport()
 
-    report.check("associativity")
-    found = False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = sum(c[i, j, m] * c[m, k, l] for m in range(n))
-                    rhs = sum(c[j, k, m] * c[i, m, l] for m in range(n))
-                    if not _is_zero(lhs - rhs, algebra.exact, algebra.tol):
-                        report.fail("associativity", (i, j, k, l))
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
+    def check(axiom, lhs, rhs):
+        report.check(axiom)
+        idx = first_difference(lhs, rhs, tol)
+        if idx is not None:
+            report.fail(axiom, idx)
 
-    report.check("commutativity")
-    for i in range(n):
-        broke = False
-        for j in range(n):
-            for k in range(n):
-                if not _is_zero(c[i, j, k] - c[j, i, k], algebra.exact, algebra.tol):
-                    report.fail("commutativity", (i, j, k))
-                    broke = True
-                    break
-            if broke:
-                break
-        if broke:
-            break
-
-    report.check("unit")
-    u = algebra.unit.array
-    for j in range(n):
-        broke = False
-        for k in range(n):
-            val = sum(u[i] * c[i, j, k] for i in range(n))
-            want = 1 if j == k else 0
-            if not _is_zero(val - want, algebra.exact, algebra.tol):
-                report.fail("unit", (j, k))
-                broke = True
-                break
-        if broke:
-            break
+    # (e_i e_j) e_k = e_i (e_j e_k), legs (i, j, k, l) on both sides
+    check("associativity", tensordot(mul, mul, [2], [0]),
+          permute(tensordot(mul, mul, [2], [1]), (2, 0, 1, 3)))
+    check("commutativity", mul, permute(mul, (1, 0, 2)))
+    check("unit", tensordot(algebra.unit, mul, [0], [0]),
+          Tensor.identity(algebra.dim, exact=algebra.exact))
 
     report.check("nondegeneracy")
     if invert_matrix(pairing(algebra)) is None:
@@ -166,9 +124,7 @@ def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
     if ginv is None:
         raise DegeneratePairingError("pairing matrix is singular")
     # delta[k,i,j] = sum_a mul[k,a,i] ginv[a,j]
-    arr = np.tensordot(algebra.mul.array, ginv.array, axes=([1], [0]))
-    # legs now (k, i, j) with j from ginv
-    return Tensor(arr, exact=algebra.exact, tol=algebra.tol)
+    return tensordot(algebra.mul, ginv, [1], [0])
 
 
 def handle_operator(algebra: FrobeniusAlgebra) -> Tensor:
@@ -192,27 +148,24 @@ def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
 # standard library of algebras
 
 def ground_field(exact=True):
-    one = Fraction(1) if exact else complex(1)
+    one = 1 if exact else complex(1)
     return FrobeniusAlgebra(
         dim=1, basis=("1",),
-        mul=Tensor(np.full((1, 1, 1), one, dtype=object), exact=exact),
-        unit=Tensor(np.array([one], dtype=object), exact=exact),
-        counit=Tensor(np.array([one], dtype=object), exact=exact))
+        mul=Tensor([[[one]]], exact=exact),
+        unit=Tensor([one], exact=exact),
+        counit=Tensor([one], exact=exact))
 
 
 def dual_numbers(exact=True):
     """k[x]/(x^2) with counit picking the x coefficient."""
-    one = Fraction(1) if exact else complex(1)
-    zero = Fraction(0) if exact else complex(0)
-    c = np.full((2, 2, 2), zero, dtype=object)
-    c[0, 0, 0] = one
-    c[0, 1, 1] = one
-    c[1, 0, 1] = one
+    one = 1 if exact else complex(1)
+    zero = 0 if exact else complex(0)
+    c = Tensor.zeros((2, 2, 2), exact=exact)
+    c.nums[0, 0, 0] = c.nums[0, 1, 1] = c.nums[1, 0, 1] = one
     return FrobeniusAlgebra(
-        dim=2, basis=("1", "x"),
-        mul=Tensor(c, exact=exact),
-        unit=Tensor(np.array([one, zero], dtype=object), exact=exact),
-        counit=Tensor(np.array([zero, one], dtype=object), exact=exact))
+        dim=2, basis=("1", "x"), mul=c,
+        unit=Tensor([one, zero], exact=exact),
+        counit=Tensor([zero, one], exact=exact))
 
 
 def diagonal(weights, exact=True):
@@ -221,18 +174,16 @@ def diagonal(weights, exact=True):
     n = len(weights)
     if n == 0:
         raise StructureError("diagonal algebra needs at least one weight")
-    if any(_is_zero(w, exact, DEFAULT_TOL) for w in weights):
+    if any(w == 0 if exact else abs(w) <= DEFAULT_TOL for w in weights):
         raise StructureError("zero weight makes the pairing degenerate")
-    one = Fraction(1) if exact else complex(1)
-    zero = Fraction(0) if exact else complex(0)
-    c = np.full((n, n, n), zero, dtype=object)
+    one = 1 if exact else complex(1)
+    c = Tensor.zeros((n, n, n), exact=exact)
     for i in range(n):
-        c[i, i, i] = one
+        c.nums[i, i, i] = one
     return FrobeniusAlgebra(
-        dim=n, basis=tuple("e%d" % i for i in range(n)),
-        mul=Tensor(c, exact=exact),
-        unit=Tensor(np.array([one] * n, dtype=object), exact=exact),
-        counit=Tensor(np.array(weights, dtype=object), exact=exact))
+        dim=n, basis=tuple("e%d" % i for i in range(n)), mul=c,
+        unit=Tensor([one] * n, exact=exact),
+        counit=Tensor(weights, exact=exact))
 
 
 def group_center(group: FiniteGroup, normalization=None):
@@ -249,8 +200,7 @@ def group_center(group: FiniteGroup, normalization=None):
         for g in cls:
             class_of[g] = ci
     rep = [cls[0] for cls in classes]
-    zero = Fraction(0)
-    c = np.full((n, n, n), zero, dtype=object)
+    c = np.zeros((n, n, n), dtype=object)
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             counts = [0] * n
@@ -260,7 +210,7 @@ def group_center(group: FiniteGroup, normalization=None):
                     if p == rep[class_of[p]]:
                         counts[class_of[p]] += 1
             for k in range(n):
-                c[i, j, k] = Fraction(counts[k])
+                c[i, j, k] = counts[k]
     if normalization is None:
         normalization = Fraction(1, group.order)
     else:
@@ -268,10 +218,10 @@ def group_center(group: FiniteGroup, normalization=None):
         if normalization == 0:
             raise StructureError("normalization must be nonzero")
     e_class = class_of[group.identity]
-    eps = np.full((n,), zero, dtype=object)
+    eps = [0] * n
     eps[e_class] = normalization
-    unit = np.full((n,), zero, dtype=object)
-    unit[e_class] = Fraction(1)
+    unit = [0] * n
+    unit[e_class] = 1
     labels = tuple("C%s" % group.labels[r] for r in rep)
     return FrobeniusAlgebra(dim=n, basis=labels,
                             mul=Tensor(c), unit=Tensor(unit), counit=Tensor(eps))
@@ -293,16 +243,19 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     if a.exact != b.exact:
         raise StructureError("mixed scalar modes")
     n, m = a.dim, b.dim
-    zero = Fraction(0) if a.exact else complex(0)
-    c = np.full((n + m, n + m, n + m), zero, dtype=object)
-    c[:n, :n, :n] = a.mul.array
-    c[n:, n:, n:] = b.mul.array
-    unit = np.concatenate([a.unit.array, b.unit.array])
-    counit = np.concatenate([a.counit.array, b.counit.array])
+
+    def block_sum(x, y):
+        """x and y side by side on the diagonal, over their common den."""
+        den = math.lcm(x.den, y.den)
+        out = Tensor.zeros((n + m,) * x.rank, exact=a.exact).nums
+        out[(slice(n),) * x.rank] = x.nums * (den // x.den)
+        out[(slice(n, None),) * x.rank] = y.nums * (den // y.den)
+        return Tensor.from_nums(out, den, exact=a.exact)
+
     basis = tuple("a.%s" % s for s in a.basis) + tuple("b.%s" % s for s in b.basis)
-    return FrobeniusAlgebra(dim=n + m, basis=basis, mul=Tensor(c, exact=a.exact),
-                            unit=Tensor(unit, exact=a.exact),
-                            counit=Tensor(counit, exact=a.exact))
+    return FrobeniusAlgebra(dim=n + m, basis=basis, mul=block_sum(a.mul, b.mul),
+                            unit=block_sum(a.unit, b.unit),
+                            counit=block_sum(a.counit, b.counit))
 
 
 def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
@@ -310,27 +263,22 @@ def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
     sinv = invert_matrix(s)
     if sinv is None:
         raise StructureError("change of basis matrix is singular")
-    c = algebra.mul.array
-    sa = s.array
     # c'[i,j,k] = sum S[a,i] S[b,j] c[a,b,m] Sinv[k,m]
-    tmp = np.tensordot(sa, c, axes=([0], [0]))          # (i, b, m)
-    tmp = np.tensordot(sa, tmp, axes=([0], [1]))        # (j, i, m)
-    new_c = np.tensordot(tmp, sinv.array, axes=([2], [1]))  # (j, i, k)
-    new_c = np.transpose(new_c, (1, 0, 2))
-    new_unit = np.tensordot(sinv.array, algebra.unit.array, axes=([1], [0]))
-    new_counit = np.tensordot(sa, algebra.counit.array, axes=([0], [0]))
+    tmp = tensordot(s, algebra.mul, [0], [0])           # (i, b, m)
+    tmp = tensordot(s, tmp, [0], [1])                   # (j, i, m)
+    new_c = tensordot(tmp, sinv, [2], [1])              # (j, i, k)
     return FrobeniusAlgebra(
-        dim=algebra.dim, basis=algebra.basis,
-        mul=Tensor(np.asarray(new_c, dtype=object), exact=algebra.exact),
-        unit=Tensor(np.asarray(new_unit, dtype=object), exact=algebra.exact),
-        counit=Tensor(np.asarray(new_counit, dtype=object), exact=algebra.exact))
+        dim=algebra.dim, basis=algebra.basis, mul=permute(new_c, (1, 0, 2)),
+        unit=tensordot(sinv, algebra.unit, [1], [0]),
+        counit=tensordot(s, algebra.counit, [0], [0]))
 
 
 def rescale_counit(algebra: FrobeniusAlgebra, factor) -> FrobeniusAlgebra:
-    factor = Fraction(factor) if algebra.exact else complex(factor)
+    factor = Tensor.scalar(factor if algebra.exact else complex(factor),
+                           exact=algebra.exact)
     return FrobeniusAlgebra(
         dim=algebra.dim, basis=algebra.basis, mul=algebra.mul, unit=algebra.unit,
-        counit=Tensor(algebra.counit.array * factor, exact=algebra.exact))
+        counit=tensordot(factor, algebra.counit, [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +314,7 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
         toks = line.split()[1:]
         if len(toks) != n:
             raise StructureError("%s needs %d entries" % (tag, n))
-        return np.array([parse_scalar(t, exact) for t in toks], dtype=object)
+        return [parse_scalar(t, exact) for t in toks]
 
     unit = vector(lines[2], "unit")
     counit = vector(lines[3], "counit")
@@ -405,14 +353,16 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
 
 def format_algebra(algebra: FrobeniusAlgebra) -> str:
     n = algebra.dim
+    mul = algebra.mul.entries()
     lines = ["dim %d" % n,
              "basis " + " ".join(algebra.basis),
-             "unit " + " ".join(format_scalar(x) for x in algebra.unit.array),
-             "counit " + " ".join(format_scalar(x) for x in algebra.counit.array)]
+             "unit " + " ".join(format_scalar(x) for x in algebra.unit.entries()),
+             "counit " + " ".join(format_scalar(x) for x in algebra.counit.entries())]
     for i in range(n):
         for j in range(n):
-            terms = ["%d:%s" % (k + 1, format_scalar(algebra.mul.array[i, j, k]))
-                     for k in range(n) if algebra.mul.array[i, j, k] != 0]
+            row = mul[(i * n + j) * n:(i * n + j + 1) * n]
+            terms = ["%d:%s" % (k + 1, format_scalar(x))
+                     for k, x in enumerate(row) if x != 0]
             if terms:
                 lines.append("mul %d %d -> %s" % (i + 1, j + 1, ",".join(terms)))
     return "\n".join(lines) + "\n"
@@ -432,6 +382,7 @@ def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             return parse_algebra(fh.read(), exact=exact, tol=tol)
     if path_or_name in _LIBRARY_NAMES:
         a = standard_algebra(path_or_name, exact=exact)
-        return replace(a, **{k: Tensor(getattr(a, k).array, exact=exact, tol=tol)
-                             for k in ("mul", "unit", "counit")})
+        parts = {k: getattr(a, k) for k in ("mul", "unit", "counit")}
+        return replace(a, **{k: Tensor.from_nums(t.nums, t.den, exact, tol)
+                             for k, t in parts.items()})
     raise StructureError("no such algebra file: %s" % path_or_name)

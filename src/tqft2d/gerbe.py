@@ -17,15 +17,27 @@ from .bordism import ARITY, Gen
 from .crossed import CrossedBundle, LabeledBordism, LabelError
 from .groups import FiniteGroup, LoopWord, klein_four_group, parse_group
 from .report import ValidationReport
-from .tensor import DEFAULT_TOL, Tensor, parse_scalar, format_scalar
+from .tensor import (DEFAULT_TOL, Tensor, differences, first_difference,
+                     parse_scalar, format_scalar)
 
 
 class CocycleError(ValueError):
     """Malformed cocycle data (missing entries, zero values, bad file)."""
 
 
-def _differ(x, y, exact, tol):
-    return x != y if exact else abs(x - y) > tol
+def _table(group, values, exact):
+    """A (g, h) -> scalar dict as (numerators, den) of the tensor [g, h]."""
+    els = group.elements()
+    t = Tensor([[values[g, h] for h in els] for g in els], exact=exact)
+    return t.nums, t.den
+
+
+def _mismatches(lhs, lhs_den, rhs, rhs_den, exact, tol):
+    """Where lhs / lhs_den and rhs / rhs_den differ, for arrays of int
+    numerators (complex entries over 1 in float mode); see
+    ``tensor.differences``."""
+    return differences(Tensor.from_nums(lhs, lhs_den, exact, tol),
+                       Tensor.from_nums(rhs, rhs_den, exact, tol), tol)
 
 
 def _complete(group, data, default):
@@ -71,45 +83,54 @@ def check_theta(group: FiniteGroup, theta, exact=True,
     report = ValidationReport()
     report.check("cocycle")
     report.check("normalization")
-    e = group.identity
-    for g in group.elements():
-        if _differ(theta[g, e], 1, exact, tol):
+    e, els = group.identity, group.elements()
+    t, d = _table(group, theta, exact)
+    ones = np.ones(group.order, dtype=object)
+    right = _mismatches(t[:, e], d, ones, 1, exact, tol)
+    left = _mismatches(t[e], d, ones, 1, exact, tol)
+    for g in els:
+        if right[g]:
             report.fail("normalization", (g, e))
-        if _differ(theta[e, g], 1, exact, tol):
+        if left[g]:
             report.fail("normalization", (e, g))
-    for g in group.elements():
-        for h in group.elements():
-            for k in group.elements():
-                lhs = theta[g, h] * theta[group.mul(g, h), k]
-                rhs = theta[h, k] * theta[g, group.mul(h, k)]
-                if _differ(lhs, rhs, exact, tol):
-                    report.fail("cocycle", (g, h, k))
+    # theta(g,h) theta(gh,k) = theta(h,k) theta(g,hk) on axes (g, h, k)
+    mul = np.array(group.table)
+    x, y, z = np.ix_(els, els, els)
+    bad = _mismatches(t[x, y] * t[mul[x, y], z], d * d,
+                      t[y, z] * t[x, mul[y, z]], d * d, exact, tol)
+    for idx in np.argwhere(bad):
+        report.fail("cocycle", tuple(int(i) for i in idx))
     return report
 
 
 def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     """Cocycle identity plus transport compatibility and flatness."""
     G = sb.group
-    e = G.identity
+    e, els = G.identity, G.elements()
     exact, tol = sb.exact, sb.tol
     report = check_theta(G, sb.theta, exact, tol)
     report.check("transport-compatibility")
     report.check("transport-flatness")
-    for k in G.elements():
-        for g in G.elements():
-            if _differ(sb.tau[e, g], 1, exact, tol):
+    s, ds = _table(G, sb.theta, exact)
+    t, dt = _table(G, sb.tau, exact)
+    mul = np.array(G.table)
+    conj = np.array([[G.conj(k, g) for g in els] for k in els])
+    x, y, z = np.ix_(els, els, els)
+    # tau(k,g) tau(k,h) theta(kgk^-1,khk^-1) = tau(k,gh) theta(g,h) on axes (k, g, h)
+    compat = _mismatches(t[x, y] * t[x, z] * s[conj[x, y], conj[x, z]], dt * dt * ds,
+                         t[x, mul[y, z]] * s[y, z], dt * ds, exact, tol)
+    # tau(kl,g) = tau(k,lgl^-1) tau(l,g) on axes (k, l, g)
+    flat = _mismatches(t[mul[x, y], z], dt, t[x, conj[y, z]] * t[y, z], dt * dt,
+                       exact, tol)
+    unit = _mismatches(t[e], dt, np.ones(G.order, dtype=object), 1, exact, tol)
+    for k in els:
+        for g in els:
+            if unit[g]:
                 report.fail("transport-flatness", (e, g))
-            for h in G.elements():
-                gc, hc = G.conj(k, g), G.conj(k, h)
-                lhs = sb.tau[k, g] * sb.tau[k, h] * sb.theta[gc, hc]
-                rhs = sb.tau[k, G.mul(g, h)] * sb.theta[g, h]
-                if _differ(lhs, rhs, exact, tol):
-                    report.fail("transport-compatibility", (k, g, h))
-            for l in G.elements():
-                lhs = sb.tau[G.mul(k, l), g]
-                rhs = sb.tau[k, G.conj(l, g)] * sb.tau[l, g]
-                if _differ(lhs, rhs, exact, tol):
-                    report.fail("transport-flatness", (k, l, g))
+            for h in np.flatnonzero(compat[k, g]):
+                report.fail("transport-compatibility", (k, g, int(h)))
+            for l in np.flatnonzero(flat[k, :, g]):
+                report.fail("transport-flatness", (k, int(l), g))
     return report
 
 
@@ -122,10 +143,18 @@ def induced_transport(group: FiniteGroup, theta) -> dict:
     return tau
 
 
-def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1)):
-    """Build a scalar bundle; transport defaults to twisted conjugation."""
-    theta = _complete(group, theta, Fraction(1))
-    rep = check_theta(group, theta)
+def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
+                 tol=DEFAULT_TOL):
+    """Build a scalar bundle; transport defaults to twisted conjugation.
+
+    A complex ``counit_scalar`` makes the bundle a float one: its values are
+    complex, and values within ``tol`` count as equal in the cocycle check
+    and in the bundle's own checks.
+    """
+    exact = not isinstance(counit_scalar, complex)
+    one = Fraction(1) if exact else complex(1)
+    theta = _complete(group, theta, one)
+    rep = check_theta(group, theta, exact, tol)
     if not rep.passed:
         raise CocycleError(
             "not a normalized cocycle (%s); dividing by the coboundary of "
@@ -134,9 +163,9 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1))
     if tau is None:
         tau = induced_transport(group, theta)
     else:
-        tau = _complete(group, tau, Fraction(1))
+        tau = _complete(group, tau, one)
     return ScalarBundle(group=group, theta=theta, tau=tau,
-                        counit_scalar=counit_scalar)
+                        counit_scalar=counit_scalar, tol=tol)
 
 
 def coboundary(group: FiniteGroup, theta, beta) -> dict:
@@ -168,19 +197,16 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     exact, tol = sb.exact, sb.tol
 
     def t3(x):
-        return Tensor(np.array([[[x]]], dtype=object), exact=exact, tol=tol)
-
-    def t2(x):
-        return Tensor(np.array([[x]], dtype=object), exact=exact, tol=tol)
+        return Tensor([[[x]]], exact=exact, tol=tol)
 
     fusion = {k: t3(v) for k, v in sb.theta.items()}
     fission = {k: t3(1 / (c * v)) for k, v in sb.theta.items()}
-    transport = {k: t2(v) for k, v in sb.tau.items()}
-    one = Fraction(1) if exact else complex(1)
+    transport = {k: Tensor([[v]], exact=exact, tol=tol) for k, v in sb.tau.items()}
+    one = 1 if exact else complex(1)
     return CrossedBundle(group=G, dims=(1,) * G.order,
                          fusion=fusion, fission=fission, transport=transport,
-                         unit=Tensor(np.array([one], dtype=object), exact=exact, tol=tol),
-                         counit=Tensor(np.array([c], dtype=object), exact=exact, tol=tol))
+                         unit=Tensor([one], exact=exact, tol=tol),
+                         counit=Tensor([c], exact=exact, tol=tol))
 
 
 def scalar_surface_product(b: LabeledBordism, sb: ScalarBundle):
@@ -212,13 +238,14 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
     and through the general rank-one bundle evaluator, and the two values
     are required to agree.
     """
-    from .crossed import closed_surface_word, holonomy as bundle_holonomy
+    from .crossed import closed_surface_word, evaluate_labeled
     b = closed_surface_word(sb.group, genus, handles)
     direct = scalar_surface_product(b, sb)
-    via_bundle = bundle_holonomy(b, to_crossed_bundle(sb))
-    if _differ(direct, via_bundle, sb.exact, sb.tol):
+    via_bundle = evaluate_labeled(b, to_crossed_bundle(sb))
+    if first_difference(Tensor.scalar(direct, sb.exact, sb.tol), via_bundle,
+                        sb.tol) is not None:
         raise CocycleError("scalar walk %s disagrees with the evaluator %s"
-                           % (direct, via_bundle))
+                           % (direct, via_bundle.item()))
     return direct
 
 
@@ -241,7 +268,9 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
         h = G.mul(pts[j], G.inverse(pts[k]))
         return sb.theta[g, h]
 
-    if lam(0, 2, 3) * lam(0, 1, 2) != lam(0, 1, 3) * lam(1, 2, 3):
+    lhs = Tensor.scalar(lam(0, 2, 3) * lam(0, 1, 2), sb.exact, sb.tol)
+    rhs = Tensor.scalar(lam(0, 1, 3) * lam(1, 2, 3), sb.exact, sb.tol)
+    if first_difference(lhs, rhs, sb.tol) is not None:
         report.fail("lambda-associativity", tuple(pts))
     return report
 

@@ -1,15 +1,17 @@
 """Dense tensors over exact rationals or complex floats.
 
-Entries live in numpy object arrays so that ``Fraction`` arithmetic stays
-exact; the same code path handles complex entries with a tolerance.  All
-shapes in this project are tiny (dimensions <= ~12), so dense storage and
-naive contraction are the right trade-off.
+An exact tensor holds ``nums``, a numpy object array of Python ints, over
+``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
+numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
+multiplies the dens and contracts the ints at integer speed, and ``equal``
+compares the dens and then the integer arrays.  A float tensor holds its
+complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
+code path; float comparisons use a tolerance.  ``Fraction``s appear only at
+the edges: the ``Tensor`` constructor and ``parse_scalar`` take them in,
+``item()`` and ``entries()`` give them out.
 
-A long exact contraction, such as ``bordism.contract_word``, runs on integer
-numerators instead: ``integer_form`` splits an exact tensor into a tensor of
-Python ints and one common denominator, the ints go through ``tensordot``
-at integer speed, and ``from_integer_form`` at the end gives back the
-``Fraction`` tensor.
+All shapes in this project are tiny (dimensions <= ~12), so dense storage and
+naive contraction are the right trade-off.
 """
 
 from __future__ import annotations
@@ -46,51 +48,83 @@ def format_scalar(value):
 
 
 class Tensor:
-    """Immutable-by-convention dense tensor, row-major, object entries."""
+    """Immutable-by-convention dense tensor, row-major: entry i is
+    ``nums[i] / den``."""
 
-    __slots__ = ("array", "exact", "tol")
+    __slots__ = ("nums", "den", "exact", "tol")
 
-    def __init__(self, array, exact=True, tol=DEFAULT_TOL):
-        arr = np.asarray(array, dtype=object)
-        self.array = arr
-        self.exact = exact
-        self.tol = tol
+    def __init__(self, entries, exact=True, tol=DEFAULT_TOL):
+        """The tensor of ``entries``: ints or Fractions in exact mode,
+        complex numbers in float mode."""
+        nums = np.asarray(entries, dtype=object)
+        den = 1
+        if exact:
+            vals = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                    for x in nums.flat]
+            # over the lcm of reduced denominators the numerators share no
+            # factor with it, so this is already lowest terms
+            den = math.lcm(1, *(x.denominator for x in vals))
+            nums = np.array([x.numerator * (den // x.denominator) for x in vals],
+                            dtype=object).reshape(nums.shape)
+        self.nums, self.den, self.exact, self.tol = nums, den, exact, tol
+
+    @classmethod
+    def from_nums(cls, nums, den=1, exact=True, tol=DEFAULT_TOL):
+        """The tensor ``nums / den`` in lowest terms, for an object array of
+        Python ints and a positive int den; in float mode ``nums`` holds the
+        complex entries and den is 1."""
+        # numpy gives a bare Python scalar for some 0-d object results
+        nums = np.asarray(nums, dtype=object)
+        if den != 1:
+            g = math.gcd(den, *nums.flat)
+            if g != 1:
+                nums, den = np.asarray(nums // g, dtype=object), den // g
+        return cls._of(nums, den, exact, tol)
+
+    @classmethod
+    def _of(cls, nums, den, exact, tol):
+        """A tensor of numerators ``nums`` over ``den`` already in lowest terms."""
+        t = cls.__new__(cls)
+        t.nums, t.den, t.exact, t.tol = nums, den, exact, tol
+        return t
 
     @classmethod
     def scalar(cls, value, exact=True, tol=DEFAULT_TOL):
-        if exact and not isinstance(value, Fraction):
-            value = Fraction(value)
         return cls(np.array(value, dtype=object), exact=exact, tol=tol)
 
     @classmethod
     def zeros(cls, shape, exact=True, tol=DEFAULT_TOL):
-        zero = Fraction(0) if exact else complex(0)
-        return cls(np.full(shape, zero, dtype=object), exact=exact, tol=tol)
+        return cls._of(np.full(shape, 0 if exact else complex(0), dtype=object),
+                       1, exact, tol)
 
     @classmethod
     def identity(cls, n, exact=True, tol=DEFAULT_TOL):
         t = cls.zeros((n, n), exact=exact, tol=tol)
-        one = Fraction(1) if exact else complex(1)
+        one = 1 if exact else complex(1)
         for i in range(n):
-            t.array[i, i] = one
+            t.nums[i, i] = one
         return t
 
     @property
     def shape(self):
-        return tuple(self.array.shape)
+        return tuple(self.nums.shape)
 
     @property
     def rank(self):
-        return self.array.ndim
+        return self.nums.ndim
 
     def item(self):
-        if self.array.ndim != 0:
-            raise ContractionError("item() on a tensor with %d legs" % self.array.ndim)
-        return self.array[()]
+        if self.nums.ndim != 0:
+            raise ContractionError("item() on a tensor with %d legs" % self.nums.ndim)
+        n = self.nums[()]
+        return Fraction(n, self.den) if self.exact else n
 
     def entries(self):
-        """Row-major flat list of entries."""
-        return list(self.array.reshape(-1))
+        """Row-major flat list of entries: Fractions in exact mode."""
+        if not self.exact:
+            return list(self.nums.flat)
+        den = self.den
+        return [Fraction(n, den) for n in self.nums.flat]
 
     def __repr__(self):
         return "Tensor(shape=%r, exact=%r)" % (self.shape, self.exact)
@@ -101,7 +135,9 @@ class Tensor:
         return equal(self, other)
 
     def __hash__(self):
-        return hash((self.shape, tuple(self.entries())))
+        if not self.exact:  # equal within a tolerance: only the shape is sure
+            return hash(self.shape)
+        return hash((self.shape, self.den, tuple(self.nums.flat)))
 
 
 def _check_modes(a, b):
@@ -122,51 +158,45 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
                 "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
                 % (i, a.shape[i], j, b.shape[j]))
     if axes_a:
-        arr = np.tensordot(a.array, b.array, axes=(axes_a, axes_b))
+        nums = np.tensordot(a.nums, b.nums, axes=(axes_a, axes_b))
     else:
-        arr = np.multiply.outer(a.array, b.array)
-    return Tensor(arr, exact=a.exact, tol=min(a.tol, b.tol))
+        nums = np.multiply.outer(a.nums, b.nums)
+    return Tensor.from_nums(nums, a.den * b.den, a.exact, min(a.tol, b.tol))
 
 
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs: new leg i is old leg perm[i]."""
-    return Tensor(np.transpose(a.array, perm), exact=a.exact, tol=a.tol)
+    return Tensor._of(np.transpose(a.nums, perm), a.den, a.exact, a.tol)
 
 
-def integer_form(a: Tensor):
-    """(Tensor of int numerators, den) with ``a == from_integer_form(ints, den)``.
-
-    ``den`` is the least common denominator of the entries of the exact
-    tensor ``a``; the int tensor keeps ``a``'s shape, ``exact`` and ``tol``.
-    """
+def differences(a: Tensor, b: Tensor, tol):
+    """Boolean array over the common shape of a and b, true where they
+    differ: as fractions in exact mode, by more than ``tol`` in float mode."""
+    _check_modes(a, b)
+    if a.shape != b.shape:
+        raise ContractionError("cannot compare shapes %s and %s" % (a.shape, b.shape))
     if not a.exact:
-        raise ModeMismatchError("integer_form needs an exact tensor")
-    flat = a.array.reshape(-1)
-    den = math.lcm(1, *(x.denominator for x in flat))
-    ints = np.array([x.numerator * (den // x.denominator) for x in flat],
-                    dtype=object).reshape(a.shape)
-    return Tensor(ints, exact=True, tol=a.tol), den
+        return np.asarray(abs(a.nums - b.nums) > tol)
+    if a.den == b.den:
+        return np.asarray(a.nums != b.nums)
+    return np.asarray(a.nums * b.den != b.nums * a.den)
 
 
-_FRACTION = np.frompyfunc(Fraction, 1, 1)
-_FRACTION_OVER = np.frompyfunc(Fraction, 2, 1)
-
-
-def from_integer_form(ints: Tensor, den) -> Tensor:
-    """The exact tensor with entries ``Fraction(n, den)`` for the int
-    numerators n of ``ints``; it keeps their shape and ``tol``."""
-    # Fraction(n) skips the gcd that Fraction(n, 1) pays for
-    arr = _FRACTION(ints.array) if den == 1 else _FRACTION_OVER(ints.array, den)
-    return Tensor(arr, exact=True, tol=ints.tol)
+def first_difference(a: Tensor, b: Tensor, tol):
+    """The first row-major index at which a and b differ (see
+    ``differences``), or None when they agree."""
+    diff = differences(a, b, tol)
+    if not diff.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
 
 
 def equal(a: Tensor, b: Tensor) -> bool:
     if a.shape != b.shape or a.exact != b.exact:
         return False
-    if a.exact:
-        return all(x == y for x, y in zip(a.array.reshape(-1), b.array.reshape(-1)))
-    tol = max(a.tol, b.tol)
-    return all(abs(x - y) <= tol for x, y in zip(a.array.reshape(-1), b.array.reshape(-1)))
+    if a.exact and a.den != b.den:  # lowest terms: equal tensors share den
+        return False
+    return first_difference(a, b, max(a.tol, b.tol)) is None
 
 
 def invert_matrix(a: Tensor):
@@ -177,7 +207,8 @@ def invert_matrix(a: Tensor):
     if a.rank != 2 or a.shape[0] != a.shape[1]:
         raise ContractionError("invert_matrix needs a square rank-2 tensor")
     n = a.shape[0]
-    m = [list(row) for row in a.array]
+    flat = a.entries()
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
     one = Fraction(1) if a.exact else complex(1)
     zero = Fraction(0) if a.exact else complex(0)
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -207,4 +238,4 @@ def invert_matrix(a: Tensor):
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Tensor(np.array(inv, dtype=object), exact=a.exact, tol=a.tol)
+    return Tensor(inv, exact=a.exact, tol=a.tol)

@@ -125,7 +125,7 @@ def test_swap_evaluates_to_transposition():
     t = evaluate(parse_word("swap"), a)
     for i in range(2):
         for j in range(2):
-            assert t.array[i, j, j, i] == 1
+            assert t.nums[i, j, j, i] == 1
 
 
 def test_sequential_composition_is_map_composition():
@@ -221,7 +221,7 @@ def _reference_generators(a):
     swap = Tensor.zeros((a.dim,) * 4, exact=a.exact, tol=a.tol)
     for i in range(a.dim):
         for j in range(a.dim):
-            swap.array[i, j, j, i] = ident.array[0, 0]
+            swap.nums[i, j, j, i] = ident.nums[0, 0]
     return {Gen.ID: ident, Gen.SWAP: swap, Gen.CAP: a.unit, Gen.CUP: a.counit,
             Gen.PANTS: a.mul, Gen.COPANTS: comultiplication(a)}
 
@@ -328,7 +328,7 @@ def test_evaluate_edge_cases():
 
 def test_evaluate_float_mode_carries_tolerance():
     d = dual_numbers(exact=False)
-    loose = {k: Tensor(getattr(d, k).array, exact=False, tol=1e-6)
+    loose = {k: Tensor(getattr(d, k).nums, exact=False, tol=1e-6)
              for k in ("mul", "unit", "counit")}
     a = FrobeniusAlgebra(dim=2, basis=d.basis, **loose)
     for text in ("id", "cap ; cup", "id * cap ; swap ; pants") + tuple(WIDE_WORDS):

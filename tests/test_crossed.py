@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tqft2d import crossed
 from tqft2d.bordism import (ARITY, BordismWord, Gen, evaluate, parse_word,
                             random_equivalent_pair)
 from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
@@ -24,7 +23,7 @@ from tqft2d.frobenius import (FrobeniusAlgebra, dual_numbers, diagonal,
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
 from tqft2d.report import Violation
-from tqft2d.tensor import Tensor, equal, integer_form, permute, tensordot
+from tqft2d.tensor import Tensor, equal, permute, tensordot
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -41,11 +40,9 @@ def scaled(bundle, block, key, factor):
                 transport=dict(bundle.transport),
                 unit=bundle.unit, counit=bundle.counit)
     if block in ("fusion", "fission", "transport"):
-        t = data[block][key]
-        data[block][key] = Tensor(t.array * factor, exact=t.exact)
+        data[block][key] = tensordot(Tensor.scalar(factor), data[block][key], [], [])
     else:
-        t = data[block]
-        data[block] = Tensor(t.array * factor, exact=t.exact)
+        data[block] = tensordot(Tensor.scalar(factor), data[block], [], [])
     return CrossedBundle(**data)
 
 
@@ -69,7 +66,7 @@ def test_derived_fission_matches_constant_bundle():
 def test_trivial_group_bundle_is_ground_field():
     b = from_group_algebra(trivial_group())
     assert b.dims == (1,)
-    assert b.fusion[0, 0].array[0, 0, 0] == 1
+    assert b.fusion[0, 0].entries() == [1]
 
 
 def test_shape_errors_before_axioms():
@@ -97,7 +94,7 @@ def test_plant_fission_transport():
                 unit=b.unit, counit=b.counit)
     # make transport trivial except on fission comparisons by scaling one
     # fission block instead
-    data["fission"][3, 3] = Tensor(data["fission"][3, 3].array * 2)
+    data["fission"][3, 3] = tensordot(Tensor.scalar(2), data["fission"][3, 3], [], [])
     bad = CrossedBundle(**data)
     failed = validate_bundle(bad).failed_axioms()
     assert "fission-transport" in failed or "coassociativity" in failed
@@ -156,7 +153,7 @@ def nudged(bundle, block, key, eps):
                 transport=dict(bundle.transport),
                 unit=bundle.unit, counit=bundle.counit)
     t = data[block][key]
-    arr = t.array.copy()
+    arr = t.nums.copy()
     arr.flat[0] += eps
     data[block][key] = Tensor(arr, exact=False, tol=t.tol)
     return CrossedBundle(**data)
@@ -169,7 +166,7 @@ def test_float_bundle_helpers_keep_the_tolerance():
 
     d = dual_numbers(exact=False)
     a = FrobeniusAlgebra(dim=2, basis=d.basis,
-                         **{k: Tensor(getattr(d, k).array, exact=False, tol=1e-6)
+                         **{k: Tensor(getattr(d, k).nums, exact=False, tol=1e-6)
                             for k in ("mul", "unit", "counit")})
     assert {t.tol for t in from_frobenius_algebra(Z2, a).transport.values()} == {1e-6}
 
@@ -244,7 +241,7 @@ def test_identity_cylinder_evaluates_to_identity():
 def test_pants_cup_pairing_on_group_algebra():
     b = parse_labeled("pants[120,201] ; cup", from_group_algebra(S3).group)
     t = evaluate_labeled(b, from_group_algebra(S3))
-    assert t.array[0, 0] == 1
+    assert t.entries()[0] == 1
 
 
 def test_torus_on_group_algebra_is_one():
@@ -310,7 +307,7 @@ def test_tft_to_bundle_detects_broken_identity():
 
     def broken(b):
         t = base.evaluate(b)
-        return Tensor(t.array * 2, exact=t.exact)
+        return tensordot(Tensor.scalar(2), t, [], [])
 
     with pytest.raises(ExtractionError) as err:
         tft_to_bundle(TftOracle(group=Z2, dims=B.dims, evaluate=broken))
@@ -348,7 +345,7 @@ def _reference_evaluate_labeled(b, bundle):
                 gt = Tensor.zeros((dg, dh, dh, dg), exact=exact, tol=tol)
                 for i in range(dg):
                     for j in range(dh):
-                        gt.array[i, j, j, i] = Fraction(1) if exact else complex(1)
+                        gt.nums[i, j, j, i] = 1 if exact else complex(1)
             elif g is Gen.CAP:
                 gt = bundle.unit
             elif g is Gen.CUP:
@@ -402,26 +399,6 @@ def test_trivial_group_evaluation_is_plain_evaluation():
                 _assert_identical(evaluate_labeled(b, B), evaluate(w, a))
 
 
-def test_bundle_blocks_are_lifted_once_per_bundle(monkeypatch):
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return integer_form(t)
-
-    monkeypatch.setattr(crossed, "integer_form", counted)
-    bundles = [from_frobenius_algebra(Z2, diagonal([Fraction(2), Fraction(1, 3)])),
-               from_frobenius_algebra(Z2, dual_numbers())]
-    words = enumerate_labeled_words(Z2, 2, budget_per_shape=2)
-    for b in words:
-        for B in bundles:
-            _assert_identical(evaluate_labeled(b, B), _reference_evaluate_labeled(b, B))
-    assert len(words) * len(bundles) >= 10
-    # fusion, fission and transport blocks, unit, counit, one identity per fiber
-    assert len(calls) == sum(len(B.fusion) + len(B.fission) + len(B.transport)
-                             + 2 + B.group.order for B in bundles)
-
-
 def test_enumeration_is_deterministic():
     w1 = enumerate_labeled_words(Z2, 2, budget_per_shape=10)
     w2 = enumerate_labeled_words(Z2, 2, budget_per_shape=10)
@@ -435,13 +412,13 @@ def test_frobenius_action_on_group_algebra():
     for g in S3.elements():
         act, coact, report = frobenius_action(B, g)
         assert report.passed, report.summary()
-        assert act.array[0, 0, 0] == 1
+        assert act.entries() == [1]
 
 
 def test_frobenius_action_identity_fiber_is_algebra():
     act, coact, report = frobenius_action(CONSTANT, Z2.identity)
     assert report.passed
-    assert equal(Tensor(act.array), CONSTANT.fusion[0, 0])
+    assert equal(act, CONSTANT.fusion[0, 0])
 
 
 def test_planted_compat_square_violation():
@@ -449,16 +426,13 @@ def test_planted_compat_square_violation():
     # module and comodule diagrams survive but the mixed square cannot
     A = diagonal([Fraction(1), Fraction(1)])
     B = from_frobenius_algebra(Z2, A)
-    delta = comultiplication(A).array
-    twisted = np.zeros_like(delta)
-    twisted[0], twisted[1] = delta[1], delta[0]
+    delta = comultiplication(A)
     data = dict(group=Z2, dims=B.dims, fusion=B.fusion,
                 fission=dict(B.fission), transport=B.transport,
                 unit=B.unit, counit=B.counit)
-    perm = np.transpose(delta, (0, 2, 1)).copy()
     # sigma x id applied to the output of delta: swap the first output leg
-    swapped = delta[:, ::-1, :]
-    data["fission"][0, 1] = Tensor(np.ascontiguousarray(swapped))
+    swapped = delta.nums[:, ::-1, :].copy()
+    data["fission"][0, 1] = Tensor.from_nums(swapped, delta.den)
     bad = CrossedBundle(**data)
     act, coact, report = frobenius_action(bad, 1)
     assert report.failed_axioms() == ["compatibility-square"]

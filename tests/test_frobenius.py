@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,13 @@ from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError,
                               rescale_counit, parse_algebra, format_algebra,
                               load_algebra)
 from tqft2d.groups import cyclic_group, symmetric_group
-from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix
+from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix, permute
+
+
+def values(t):
+    """The entries of t as an array of its shape."""
+    return np.array(t.entries(), dtype=object).reshape(t.shape)
+
 
 LIBRARY = [
     ground_field(),
@@ -42,7 +49,7 @@ def test_library_validates():
 
 def test_dual_numbers_pairing():
     p = pairing(dual_numbers())
-    assert [list(row) for row in p.array] == [[0, 1], [1, 0]]
+    assert [list(row) for row in values(p)] == [[0, 1], [1, 0]]
 
 
 def test_degenerate_counit_fails_nondegeneracy():
@@ -51,16 +58,16 @@ def test_degenerate_counit_fails_nondegeneracy():
                                             dtype=object)))
     report = validate(bad)
     assert report.failed_axioms() == ["nondegeneracy"]
-    assert [list(row) for row in pairing(bad).array] == [[1, 0], [0, 0]]
+    assert [list(row) for row in values(pairing(bad))] == [[1, 0], [0, 0]]
 
 
 def test_planted_associativity_failure():
     a = diagonal([Fraction(1)] * 3)
-    mul = Tensor(a.mul.array.copy())
+    mul = Tensor.from_nums(a.mul.nums.copy())
     # add a symmetric product e1*e2 = e0 so commutativity survives but
     # (e1 e1) e2 = e0 while e1 (e1 e2) = e1 e0 = 0
-    mul.array[1, 2, 0] = Fraction(1)
-    mul.array[2, 1, 0] = Fraction(1)
+    mul.nums[1, 2, 0] = 1
+    mul.nums[2, 1, 0] = 1
     bad = _copy_with(a, mul=mul)
     report = validate(bad)
     assert "associativity" in report.failed_axioms()
@@ -69,8 +76,8 @@ def test_planted_associativity_failure():
 
 def test_planted_commutativity_failure():
     a = diagonal([Fraction(1), Fraction(1)])
-    mul = Tensor(a.mul.array.copy())
-    mul.array[0, 1, 0] = Fraction(1)
+    mul = Tensor.from_nums(a.mul.nums.copy())
+    mul.nums[0, 1, 0] = 1
     bad = _copy_with(a, mul=mul)
     assert "commutativity" in validate(bad).failed_axioms()
 
@@ -85,9 +92,9 @@ def test_planted_unit_failure():
 def test_comultiplication_dual_numbers():
     d = comultiplication(dual_numbers())
     # delta(1) = 1 x x + x x 1, delta(x) = x x x
-    assert d.array[0, 0, 1] == 1 and d.array[0, 1, 0] == 1
-    assert d.array[0, 0, 0] == 0 and d.array[0, 1, 1] == 0
-    assert d.array[1, 1, 1] == 1 and d.array[1, 0, 0] == 0
+    assert values(d)[0, 0, 1] == 1 and values(d)[0, 1, 0] == 1
+    assert values(d)[0, 0, 0] == 0 and values(d)[0, 1, 1] == 0
+    assert values(d)[1, 1, 1] == 1 and values(d)[1, 0, 0] == 0
 
 
 def test_comultiplication_diagonal():
@@ -96,7 +103,7 @@ def test_comultiplication_diagonal():
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                assert d.array[k, i, j] == (1 if i == j == k else 0)
+                assert values(d)[k, i, j] == (1 if i == j == k else 0)
 
 
 def test_comultiplication_degenerate_raises():
@@ -109,8 +116,8 @@ def test_comultiplication_degenerate_raises():
 
 def test_handle_operator_values():
     h = handle_operator(dual_numbers())
-    assert h.array[0, 1] == 2 and h.array[0, 0] == 0
-    assert h.array[1, 0] == 0 and h.array[1, 1] == 0
+    assert values(h)[0, 1] == 2 and values(h)[0, 0] == 0
+    assert values(h)[1, 0] == 0 and values(h)[1, 1] == 0
     h = handle_operator(diagonal([Fraction(1), Fraction(1)]))
     assert equal(h, Tensor.identity(2))
     assert equal(handle_operator(ground_field()), Tensor.identity(1))
@@ -137,14 +144,14 @@ def test_counit_and_frobenius_relations():
         # delta . mu = (mu x id) . (id x delta)
         lhs = tensordot(a.mul, d, [2], [0])
         tmp = tensordot(d, a.mul, [1], [1])   # (j, out2, i, out1)
-        rhs = Tensor(np.transpose(tmp.array, (2, 0, 3, 1)))
+        rhs = permute(tmp, (2, 0, 3, 1))
         assert equal(lhs, rhs)
 
 
 def test_cocommutativity():
     for a in LIBRARY:
         d = comultiplication(a)
-        assert equal(d, Tensor(np.transpose(d.array, (0, 2, 1))))
+        assert equal(d, permute(d, (0, 2, 1)))
 
 
 def test_rescaling_law():
@@ -158,7 +165,7 @@ def test_rescaling_law():
 def test_s3_center_pairing_and_invariant():
     a = group_center(symmetric_group(3))
     p = pairing(a)
-    diag = [p.array[i, i] for i in range(3)]
+    diag = [values(p)[i, i] for i in range(3)]
     assert diag == [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
     assert closed_invariant(a, 2) == 81
 
@@ -170,6 +177,36 @@ def _random_invertible(rng, n):
         m = Tensor(np.array(rows, dtype=object))
         if invert_matrix(m) is not None:
             return m
+
+
+def _reference_witnesses(a):
+    """The first witness per failed axiom of validate, by loops over indices."""
+    c, u, n = values(a.mul), values(a.unit), a.dim
+
+    def first(fails, legs):
+        return next((idx for idx in itertools.product(range(n), repeat=legs)
+                     if fails(*idx)), None)
+
+    found = {
+        "associativity": first(lambda i, j, k, l: sum(c[i, j, m] * c[m, k, l] for m in range(n))
+                               != sum(c[j, k, m] * c[i, m, l] for m in range(n)), 4),
+        "commutativity": first(lambda i, j, k: c[i, j, k] != c[j, i, k], 3),
+        "unit": first(lambda j, k: sum(u[i] * c[i, j, k] for i in range(n)) != (j == k), 2),
+    }
+    return {axiom: idx for axiom, idx in found.items() if idx is not None}
+
+
+def test_validate_reports_the_first_witness_the_loops_find():
+    rng = random.Random(3)
+    for _ in range(40):
+        a = rng.choice(LIBRARY[2:])
+        mul = Tensor.from_nums(a.mul.nums.copy(), a.mul.den)
+        for _ in range(rng.randint(1, 3)):
+            mul.nums[tuple(rng.randrange(a.dim) for _ in range(3))] = rng.choice([-1, 2, 3])
+        bad = _copy_with(a, mul=mul)
+        got = {v.axiom: v.witness for v in validate(bad).violations
+               if v.axiom != "nondegeneracy"}
+        assert got == _reference_witnesses(bad)
 
 
 def test_random_basis_changes_stay_valid():
@@ -213,7 +250,7 @@ mul 2 1 -> 2:3/3
 """
     a = parse_algebra(text)
     assert validate(a).passed
-    assert a.counit.array[1] == 1
+    assert values(a.counit)[1] == 1
 
 
 def test_load_algebra_builtin_names(tmp_path):

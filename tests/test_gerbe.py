@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,6 +49,69 @@ def test_unnormalized_cocycle_rejected():
     with pytest.raises(CocycleError) as err:
         from_cocycle(K, theta)
     assert "coboundary" in str(err.value)
+
+
+def test_float_cocycle_uses_the_tolerance_passed_in():
+    # the anticommuting cocycle as complex values, one -1 moved by 1e-12
+    theta = {k: complex(v) for k, v in THETA.items()}
+    key = next(k for k, v in sorted(theta.items()) if v == -1)
+    theta[key] = complex(-1 + 1e-12)
+    sb = from_cocycle(K, theta, counit_scalar=complex(1), tol=1e-9)
+    assert (sb.exact, sb.tol) == (False, 1e-9)
+    assert check_cocycle(sb).passed
+    assert abs(gerbe_holonomy(sb, 1, [(1, 2)]) - gerbe_holonomy(ANTI, 1, [(1, 2)])) < 1e-9
+    assert all(fusion_lambda_check(sb, list(ws)).passed
+               for ws in itertools.product(K.elements(), repeat=4))
+    with pytest.raises(CocycleError):
+        from_cocycle(K, theta, counit_scalar=complex(1), tol=1e-15)
+
+
+def _reference_check_cocycle(sb):
+    """check_cocycle by definition: loops over the group elements, on the
+    scalars themselves, recording every violation in loop order."""
+    G, e, exact, tol = sb.group, sb.group.identity, sb.exact, sb.tol
+    theta, tau = sb.theta, sb.tau
+
+    def differ(x, y):
+        return x != y if exact else abs(x - y) > tol
+
+    out = []
+    for g in G.elements():
+        if differ(theta[g, e], 1):
+            out.append(("normalization", (g, e)))
+        if differ(theta[e, g], 1):
+            out.append(("normalization", (e, g)))
+    for g, h, k in itertools.product(G.elements(), repeat=3):
+        if differ(theta[g, h] * theta[G.mul(g, h), k], theta[h, k] * theta[g, G.mul(h, k)]):
+            out.append(("cocycle", (g, h, k)))
+    for k, g in itertools.product(G.elements(), repeat=2):
+        if differ(tau[e, g], 1):
+            out.append(("transport-flatness", (e, g)))
+        for h in G.elements():
+            lhs = tau[k, g] * tau[k, h] * theta[G.conj(k, g), G.conj(k, h)]
+            if differ(lhs, tau[k, G.mul(g, h)] * theta[g, h]):
+                out.append(("transport-compatibility", (k, g, h)))
+        for l in G.elements():
+            if differ(tau[G.mul(k, l), g], tau[k, G.conj(l, g)] * tau[l, g]):
+                out.append(("transport-flatness", (k, l, g)))
+    return out
+
+
+def test_check_cocycle_reports_what_the_loops_report():
+    rng = random.Random(11)
+    values = [Fraction(-1), Fraction(1, 2), Fraction(3)]
+    for G in (K, symmetric_group(3)):
+        for _ in range(12):
+            theta, tau = ({(g, h): rng.choice(values) if rng.random() < rate else Fraction(1)
+                           for g in G.elements() for h in G.elements()}
+                          for rate in (0.1, 0.05))
+            for exact in (True, False):
+                cast = Fraction if exact else complex
+                sb = ScalarBundle(G, {k: cast(v) for k, v in theta.items()},
+                                  {k: cast(v) for k, v in tau.items()},
+                                  counit_scalar=cast(1))
+                got = [(v.axiom, v.witness) for v in check_cocycle(sb).violations]
+                assert got == _reference_check_cocycle(sb)
 
 
 def test_zero_scalar_rejected():

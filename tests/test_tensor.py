@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
-                           tensordot, equal, invert_matrix, parse_scalar,
-                           format_scalar, permute, integer_form,
-                           from_integer_form)
+                           tensordot, equal, first_difference, invert_matrix,
+                           parse_scalar, format_scalar, permute)
 
 
 def outer(a, b):
@@ -48,14 +48,14 @@ def test_product_of_basis_vectors():
     b = frac_tensor([0, 1])
     p = outer(a, b)
     assert p.shape == (2, 2)
-    assert list(p.array.reshape(-1)) == [0, 1, 0, 0]
+    assert p.entries() == [0, 1, 0, 0]
 
 
 def test_product_rational_table():
     a = frac_tensor([Fraction(1, 2), Fraction(1, 3)])
     b = frac_tensor([2, 3])
     p = outer(a, b)
-    assert list(p.array.reshape(-1)) == [1, Fraction(3, 2), Fraction(2, 3), 1]
+    assert p.entries() == [1, Fraction(3, 2), Fraction(2, 3), 1]
 
 
 def test_contract_trace_of_identity():
@@ -68,7 +68,7 @@ def test_contract_matrix_vector():
     m = frac_tensor([[0, 1], [1, 0]])
     v = frac_tensor([1, 0])
     mv = trace(outer(m, v), 1, 2)
-    assert list(mv.array) == [0, 1]
+    assert mv.entries() == [0, 1]
 
 
 def test_contract_dimension_mismatch():
@@ -121,29 +121,76 @@ def test_tensordot_empty_axes_is_outer_product():
     assert p.entries() == [3, 4, 6, 8]
 
 
-def test_integer_form_uses_the_least_common_denominator():
-    t = Tensor(frac_tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]]).array, tol=1e-6)
-    ints, den = integer_form(t)
-    assert den == 6
-    assert [type(x) for x in ints.entries()] == [int] * 4
-    assert ints.entries() == [3, -2, 12, 0]
-    assert (ints.shape, ints.exact, ints.tol) == ((2, 2), True, 1e-6)
-    back = from_integer_form(ints, den)
-    assert back.entries() == t.entries()
-    assert all(type(x) is Fraction for x in back.entries())
-    assert (back.shape, back.exact, back.tol) == ((2, 2), True, 1e-6)
-    scalar = from_integer_form(*integer_form(Tensor.scalar(Fraction(-5, 4))))
-    assert scalar.shape == () and type(scalar.item()) is Fraction
-    assert scalar.item() == Fraction(-5, 4)
-    assert integer_form(Tensor.scalar(Fraction(5, 4)))[1] == 4
-    with pytest.raises(ModeMismatchError):
-        integer_form(Tensor.identity(2, exact=False))
+def test_exact_tensor_holds_numerators_over_the_least_common_denominator():
+    t = Tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]], tol=1e-6)
+    assert t.den == 6
+    assert [type(x) for x in t.nums.flat] == [int] * 4
+    assert list(t.nums.flat) == [3, -2, 12, 0]
+    assert (t.shape, t.exact, t.tol) == ((2, 2), True, 1e-6)
+    assert t.entries() == [Fraction(1, 2), Fraction(-1, 3), 2, 0]
+    assert all(type(x) is Fraction for x in t.entries())
+    # from_nums brings numerators over any den to lowest terms
+    same = Tensor.from_nums(np.array([[6, -4], [24, 0]], dtype=object), 12, tol=1e-6)
+    assert (same.den, list(same.nums.flat)) == (6, [3, -2, 12, 0])
+    assert equal(same, t) and hash(same) == hash(t)
+    zero = Tensor.from_nums(np.zeros((2,), dtype=object), 5)
+    assert (zero.den, zero.entries()) == (1, [0, 0])
+
+
+def test_zero_leg_results_are_fractions():
+    half_one = frac_tensor([Fraction(1, 2), 1])
+    cases = [(Tensor.scalar(Fraction(-5, 4)), Fraction(-5, 4)),
+             (tensordot(half_one, frac_tensor([Fraction(1, 2), -2]), [0], [0]),
+              Fraction(-7, 4)),
+             (tensordot(Tensor.scalar(Fraction(3, 2)), Tensor.scalar(Fraction(-1, 6)),
+                        [], []), Fraction(-1, 4)),
+             (permute(Tensor.scalar(Fraction(7, 3)), []), Fraction(7, 3))]
+    for t, want in cases:
+        assert t.shape == () and isinstance(t.nums, np.ndarray)
+        assert type(t.item()) is Fraction and t.item() == want
+        assert t.entries() == [want]
+
+
+def test_equal_tensors_hash_equal():
+    a = Tensor([Fraction(2, 4), Fraction(1)])
+    b = tensordot(Tensor.scalar(Fraction(1, 3)), frac_tensor([Fraction(3, 2), 3]), [], [])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, frac_tensor([1, 2])}) == 2
+    f = Tensor([complex(1.0)], exact=False)
+    g = Tensor([complex(1.0 + 1e-12)], exact=False)
+    assert f == g and hash(f) == hash(g)
+
+
+def test_float_tensors_keep_their_entries():
+    entries = [complex(0.5, 1.0), complex(1.0 / 3.0), complex(-2.0)]
+    t = Tensor(entries, exact=False, tol=1e-6)
+    assert t.den == 1 and t.entries() == entries
+    assert all(type(x) is complex for x in t.entries())
+    p = tensordot(t, Tensor.identity(3, exact=False), [0], [0])
+    assert p.den == 1 and p.entries() == entries and p.tol == 1e-9
+    assert permute(tensordot(t, t, [], []), [1, 0]).entries() \
+        == [x * y for y in entries for x in entries]
+    assert type(tensordot(t, t, [0], [0]).item()) is complex
+
+
+def test_first_difference_reports_the_first_row_major_index():
+    a = frac_tensor([[1, 2], [3, 4]])
+    assert first_difference(a, a, 0) is None
+    b = frac_tensor([[1, 2], [Fraction(7, 2), 5]])
+    assert first_difference(a, b, 0) == (1, 0)
+    assert first_difference(a, frac_tensor([[1, 2], [3, 5]]), 0) == (1, 1)
+    assert first_difference(Tensor.scalar(1), Tensor.scalar(Fraction(1, 2)), 0) == ()
+    x = Tensor([complex(1.0), complex(2.0)], exact=False)
+    y = Tensor([complex(1.0 + 1e-12), complex(2.0 + 1e-6)], exact=False)
+    assert first_difference(x, y, 1e-9) == (1,)
+    assert first_difference(x, y, 1e-3) is None
+    assert first_difference(x, y, 1e-15) == (0,)
 
 
 def test_permute():
     t = frac_tensor([[1, 2], [3, 4]])
     p = permute(t, [1, 0])
-    assert p.array[0, 1] == 3
+    assert p.entries()[1] == 3
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -181,3 +228,24 @@ def test_contraction_commutes_with_disjoint_product(xs, ys):
     lhs = outer(trace(m, 0, 1), v)
     rhs = trace(outer(m, v), 0, 1)
     assert equal(lhs, rhs)
+
+
+def _assert_lowest_terms(t):
+    assert t.exact and type(t.den) is int and t.den > 0
+    assert all(type(n) is int for n in t.nums.flat)
+    assert math.gcd(t.den, *t.nums.flat) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_fracs, min_size=4, max_size=4),
+       st.lists(small_fracs, min_size=2, max_size=2))
+def test_every_exact_tensor_is_in_lowest_terms(xs, ys):
+    m = Tensor(np.array(xs, dtype=object).reshape(2, 2))
+    v = frac_tensor(ys)
+    for t in (m, v, tensordot(m, v, [1], [0]), tensordot(m, m, [0, 1], [1, 0]),
+              tensordot(m, v, [], []), permute(m, [1, 0]),
+              permute(tensordot(v, m, [], []), [2, 0, 1])):
+        _assert_lowest_terms(t)
+    # and the numbers are the fractions the entries stand for
+    assert tensordot(m, v, [1], [0]).entries() == [xs[0] * ys[0] + xs[1] * ys[1],
+                                                   xs[2] * ys[0] + xs[3] * ys[1]]

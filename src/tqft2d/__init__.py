@@ -16,7 +16,7 @@ from .frobenius import (FrobeniusAlgebra, StructureError,
                         DegeneratePairingError, validate, pairing,
                         comultiplication, handle_operator, closed_invariant,
                         ground_field, dual_numbers, diagonal, group_center,
-                        standard_algebra, direct_sum, change_of_basis,
+                        standard_algebra, change_of_basis,
                         rescale_counit, parse_algebra, format_algebra,
                         load_algebra)
 from .bordism import (Gen, BordismWord, TopologicalType, WordSyntaxError,

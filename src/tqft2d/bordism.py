@@ -212,25 +212,6 @@ def parse_word(text: str) -> BordismWord:
 # ---------------------------------------------------------------------------
 # topological classification
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 def _generator_slots(layer):
     """Yield (gen, in_positions, out_positions) with layer-local offsets."""
     qi = qo = 0
@@ -254,52 +235,53 @@ class TopologicalType:
 
 
 def topological_type(w: BordismWord) -> TopologicalType:
-    uf = _UnionFind()
-    # nodes: (boundary index, circle position); boundary t sits above layer t
-    chi = {}
+    # one node per word input and per generator but id and swap, which only
+    # carry circles; boundary holds the node each current circle belongs to,
+    # walked as in contract_word
+    n_in = w.arity_in
+    parent = list(range(n_in))
+    chi = [0] * n_in
+    boundary = list(range(n_in))
 
-    def add_chi(node, val):
-        chi[node] = val
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    gen_nodes = []
-    for t, layer in enumerate(w.layers):
-        for g, ins, outs in _generator_slots(layer):
-            nodes_in = [(t, p) for p in ins]
-            nodes_out = [(t + 1, p) for p in outs]
+    for layer in w.layers:
+        pos = 0
+        for g in layer:
+            if g is Gen.ID:
+                pos += 1
+                continue
             if g is Gen.SWAP:
-                uf.union(nodes_in[0], nodes_out[1])
-                uf.union(nodes_in[1], nodes_out[0])
-            else:
-                touched = nodes_in + nodes_out
-                for a, b in zip(touched, touched[1:]):
-                    uf.union(a, b)
-            gen_nodes.append((EULER[g], (nodes_in + nodes_out)[0]))
-    n_layers = len(w.layers)
-    comps = {}
-
-    def comp(node):
-        return uf.find(node)
-
-    for contribution, node in gen_nodes:
-        root = comp(node)
-        comps.setdefault(root, {"chi": 0, "in": set(), "out": set()})
-        comps[root]["chi"] += contribution
-    for p in range(w.arity_in):
-        root = comp((0, p))
-        comps.setdefault(root, {"chi": 0, "in": set(), "out": set()})
-        comps[root]["in"].add(p)
-    for p in range(w.arity_out):
-        root = comp((n_layers, p))
-        comps.setdefault(root, {"chi": 0, "in": set(), "out": set()})
-        comps[root]["out"].add(p)
+                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
+                pos += 2
+                continue
+            n_gen_in, n_out = ARITY[g]
+            node = len(parent)
+            parent.append(node)
+            chi.append(EULER[g])
+            for c in boundary[pos:pos + n_gen_in]:
+                parent[find(c)] = node
+            boundary[pos:pos + n_gen_in] = [node] * n_out
+            pos += n_out
+    comps = {}  # root -> [Euler characteristic, inputs, outputs]
+    for x, c in enumerate(chi):
+        comps.setdefault(find(x), [0, [], []])[0] += c
+    for p in range(n_in):
+        comps[find(p)][1].append(p)
+    for p, x in enumerate(boundary):
+        comps[find(x)][2].append(p)
     out = []
-    for data in comps.values():
-        b = len(data["in"]) + len(data["out"])
-        genus2 = 2 - data["chi"] - b
+    for c, ins, outs in comps.values():
+        b = len(ins) + len(outs)
+        genus2 = 2 - c - b
         if genus2 % 2 or genus2 < 0:
             raise RuntimeError("a component with Euler characteristic %d and %d "
-                               "boundary circles is no surface" % (data["chi"], b))
-        out.append((genus2 // 2, tuple(sorted(data["in"])), tuple(sorted(data["out"]))))
+                               "boundary circles is no surface" % (c, b))
+        out.append((genus2 // 2, tuple(ins), tuple(outs)))
     return TopologicalType(tuple(sorted(out)))
 
 

@@ -56,6 +56,14 @@ def _load_group(path):
         return groups.parse_group(fh.read())
 
 
+def _handles(G, labels):
+    """--labels a1,b1,a2,b2,... as the handle pairs [(a1, b1), ...] of G."""
+    names = [s for s in labels.split(",") if s]
+    if len(names) % 2:
+        raise _Exit(2, "--labels wants pairs a1,b1,a2,b2,...")
+    return [(G.index(a), G.index(b)) for a, b in zip(names[::2], names[1::2])]
+
+
 def _print_matrix(out, t, arity_in, dim):
     rows, cols = dim ** (t.rank - arity_in), dim ** arity_in
     mat = bordism.as_matrix(t, arity_in, dim)
@@ -162,12 +170,7 @@ def cmd_holonomy(args, out):
         with open(args.surface, "r", encoding="utf-8") as fh:
             b = crossed.parse_labeled(fh.read(), G)
     elif args.labels is not None:
-        names = [s for s in args.labels.split(",") if s]
-        if len(names) % 2:
-            raise _Exit(2, "--labels wants pairs a1,b1,a2,b2,...")
-        handles = [(G.index(names[i]), G.index(names[i + 1]))
-                   for i in range(0, len(names), 2)]
-        b = crossed.closed_surface_word(G, args.genus, handles)
+        b = crossed.closed_surface_word(G, args.genus, _handles(G, args.labels))
     else:
         raise _Exit(2, "holonomy needs --surface or --genus/--labels")
     z = crossed.holonomy(b, bundle)
@@ -182,11 +185,7 @@ def cmd_cocycle(args, out):
     report = gerbe.check_cocycle(sb)
     _report_lines(out, report)
     if report.passed and args.labels is not None:
-        G = sb.group
-        names = [s for s in args.labels.split(",") if s]
-        handles = [(G.index(names[i]), G.index(names[i + 1]))
-                   for i in range(0, len(names), 2)]
-        z = gerbe.gerbe_holonomy(sb, args.genus, handles)
+        z = gerbe.gerbe_holonomy(sb, args.genus, _handles(sb.group, args.labels))
         out.write("%s\n" % format_scalar(z))
         return _result(out, True, "holonomy %s" % format_scalar(z))
     return _result(out, report.passed,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bordism import ARITY, BordismWord, Gen, contract_word, layer_arity
 from .frobenius import FrobeniusAlgebra, comultiplication
-from .groups import FiniteGroup, LoopWord
+from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, Tensor, equal, first_difference, invert_matrix,
                      parse_scalar, format_scalar, permute, tensordot)
@@ -53,29 +53,13 @@ class CrossedBundle:
             raise BundleError("unit must live in the identity fiber")
         if self.counit.shape != (self.dims[e],):
             raise BundleError("counit must live on the identity fiber")
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.mul(g, h)
-                want = (self.dims[g], self.dims[h], self.dims[gh])
-                if (g, h) not in self.fusion:
-                    raise BundleError("missing fusion block (%d,%d)" % (g, h))
-                if self.fusion[g, h].shape != want:
-                    raise BundleError("fusion (%d,%d) has shape %s, want %s"
-                                      % (g, h, self.fusion[g, h].shape, want))
-                want = (self.dims[gh], self.dims[g], self.dims[h])
-                if (g, h) not in self.fission:
-                    raise BundleError("missing fission block (%d,%d)" % (g, h))
-                if self.fission[g, h].shape != want:
-                    raise BundleError("fission (%d,%d) has shape %s, want %s"
-                                      % (g, h, self.fission[g, h].shape, want))
-        for k in G.elements():
-            for g in G.elements():
-                want = (self.dims[g], self.dims[G.conj(k, g)])
-                if (k, g) not in self.transport:
-                    raise BundleError("missing transport block (%d,%d)" % (k, g))
-                if self.transport[k, g].shape != want:
-                    raise BundleError("transport (%d,%d) has shape %s, want %s"
-                                      % (k, g, self.transport[k, g].shape, want))
+        for family, key, want in _block_shapes(G, self.dims):
+            blocks = getattr(self, family)
+            if key not in blocks:
+                raise BundleError("missing %s block (%d,%d)" % ((family,) + key))
+            if blocks[key].shape != want:
+                raise BundleError("%s (%d,%d) has shape %s, want %s"
+                                  % ((family,) + key + (blocks[key].shape, want)))
 
     @property
     def exact(self):
@@ -93,10 +77,25 @@ class CrossedBundle:
             return NotImplemented
         if self.group != other.group or self.dims != other.dims:
             return False
-        return (all(equal(self.fusion[k], other.fusion[k]) for k in self.fusion)
-                and all(equal(self.fission[k], other.fission[k]) for k in self.fission)
-                and all(equal(self.transport[k], other.transport[k]) for k in self.transport)
+        return (all(equal(getattr(self, family)[key], getattr(other, family)[key])
+                    for family, key, _ in _block_shapes(self.group, self.dims))
                 and equal(self.unit, other.unit) and equal(self.counit, other.counit))
+
+
+FAMILIES = ("fusion", "fission", "transport")
+
+
+def _block_shapes(group: FiniteGroup, dims):
+    """Yield (family, key, shape) for every block of a bundle over ``group``
+    with fiber dimensions ``dims``: family by family in ``FAMILIES`` order,
+    keys in lexicographic order."""
+    pairs = list(itertools.product(group.elements(), repeat=2))
+    for g, h in pairs:
+        yield "fusion", (g, h), (dims[g], dims[h], dims[group.mul(g, h)])
+    for g, h in pairs:
+        yield "fission", (g, h), (dims[group.mul(g, h)], dims[g], dims[h])
+    for k, g in pairs:
+        yield "transport", (k, g), (dims[g], dims[group.conj(k, g)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,6 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
     (default identity), (g, h) output split for COPANTS (required), None
     for the rest.
     """
-    e = group.identity
     in_labels = tuple(in_labels)
     if len(in_labels) != word.arity_in:
         raise LabelError("expected %d input labels, got %d"
@@ -291,53 +289,59 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
             len(a) != len(layer) for a, layer in zip(annotations, word.layers)):
         raise LabelError("annotation shape does not match the word")
 
-    norm_annots = []
     boundaries = [in_labels]
-    cur = list(in_labels)
+    norm_annots = []
     for t, (layer, annot) in enumerate(zip(word.layers, annotations)):
-        nxt = []
-        norm_layer = []
-        qi = 0
-        for g_idx, (gen, ann) in enumerate(zip(layer, annot)):
-            a_in = ARITY[gen][0]
-            ins = cur[qi:qi + a_in]
-            qi += a_in
-            if gen is Gen.ID:
-                k = e if ann is None else int(ann)
-                nxt.append(group.conj(k, ins[0]))
-                norm_layer.append(k)
-            elif gen is Gen.SWAP:
-                nxt.extend([ins[1], ins[0]])
-                norm_layer.append(None)
-            elif gen is Gen.CAP:
-                nxt.append(e)
-                norm_layer.append(None)
-            elif gen is Gen.CUP:
-                if ins[0] != e:
-                    raise LabelError(
-                        "cup on a non-identity label %r (layer %d)"
-                        % (group.labels[ins[0]], t))
-                norm_layer.append(None)
-            elif gen is Gen.PANTS:
-                nxt.append(group.mul(ins[0], ins[1]))
-                norm_layer.append(None)
-            elif gen is Gen.COPANTS:
-                if ann is None:
-                    raise LabelError("copants at layer %d needs a (g,h) split" % t)
-                sg, sh = int(ann[0]), int(ann[1])
-                if group.mul(sg, sh) != ins[0]:
-                    raise LabelError(
-                        "copants split (%s,%s) does not multiply to %s (layer %d)"
-                        % (group.labels[sg], group.labels[sh],
-                           group.labels[ins[0]], t))
-                nxt.extend([sg, sh])
-                norm_layer.append((sg, sh))
-        boundaries.append(tuple(nxt))
-        norm_annots.append(tuple(norm_layer))
-        cur = nxt
+        labels, norm = _label_layer(group, layer, annot, boundaries[-1], t)
+        boundaries.append(labels)
+        norm_annots.append(norm)
     return LabeledBordism(group=group, word=word,
                           boundaries=tuple(boundaries),
                           annotations=tuple(norm_annots))
+
+
+def _label_layer(group: FiniteGroup, layer, annot, cur, t):
+    """The labels below layer t, given the labels ``cur`` above it, and the
+    layer's normalized annotations (see ``label_word``), as two tuples."""
+    e = group.identity
+    nxt = []
+    norm = []
+    qi = 0
+    for gen, ann in zip(layer, annot):
+        a_in = ARITY[gen][0]
+        ins = cur[qi:qi + a_in]
+        qi += a_in
+        if gen is Gen.ID:
+            k = e if ann is None else int(ann)
+            nxt.append(group.conj(k, ins[0]))
+            norm.append(k)
+        elif gen is Gen.SWAP:
+            nxt.extend([ins[1], ins[0]])
+            norm.append(None)
+        elif gen is Gen.CAP:
+            nxt.append(e)
+            norm.append(None)
+        elif gen is Gen.CUP:
+            if ins[0] != e:
+                raise LabelError(
+                    "cup on a non-identity label %r (layer %d)"
+                    % (group.labels[ins[0]], t))
+            norm.append(None)
+        elif gen is Gen.PANTS:
+            nxt.append(group.mul(ins[0], ins[1]))
+            norm.append(None)
+        elif gen is Gen.COPANTS:
+            if ann is None:
+                raise LabelError("copants at layer %d needs a (g,h) split" % t)
+            sg, sh = int(ann[0]), int(ann[1])
+            if group.mul(sg, sh) != ins[0]:
+                raise LabelError(
+                    "copants split (%s,%s) does not multiply to %s (layer %d)"
+                    % (group.labels[sg], group.labels[sh],
+                       group.labels[ins[0]], t))
+            nxt.extend([sg, sh])
+            norm.append((sg, sh))
+    return tuple(nxt), tuple(norm)
 
 
 def conjugate_labeled(b: LabeledBordism, k) -> LabeledBordism:
@@ -403,10 +407,10 @@ def parse_labeled(text: str, group: FiniteGroup) -> LabeledBordism:
         gens = []
         anns = []
         for f in factors:
-            name, _, rest = f.partition("[")
+            name, bracket, rest = f.partition("[")
             name = name.strip()
             args = []
-            if rest:
+            if bracket:
                 if not rest.endswith("]"):
                     raise LabelError("missing ']' in %r" % f)
                 body = rest[:-1].strip()
@@ -611,15 +615,9 @@ def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
     rebuilt = tft_to_bundle(oracle)
     if rebuilt.dims != bundle.dims:
         report.fail("bundle-reconstruction", ("dims",))
-    for key in bundle.fusion:
-        if not equal(rebuilt.fusion[key], bundle.fusion[key]):
-            report.fail("bundle-reconstruction", ("fusion",) + key)
-    for key in bundle.fission:
-        if not equal(rebuilt.fission[key], bundle.fission[key]):
-            report.fail("bundle-reconstruction", ("fission",) + key)
-    for key in bundle.transport:
-        if not equal(rebuilt.transport[key], bundle.transport[key]):
-            report.fail("bundle-reconstruction", ("transport",) + key)
+    for family, key, _ in _block_shapes(bundle.group, bundle.dims):
+        if not equal(getattr(rebuilt, family)[key], getattr(bundle, family)[key]):
+            report.fail("bundle-reconstruction", (family,) + key)
     if not equal(rebuilt.unit, bundle.unit):
         report.fail("bundle-reconstruction", ("unit",))
     if not equal(rebuilt.counit, bundle.counit):
@@ -827,87 +825,49 @@ def _enumerate_shapes(max_gens):
             extend(layers + [layer], used + len(layer))
 
     extend([], 0)
-    # dedupe
-    seen = set()
-    uniq = []
-    for w in results:
-        if w.layers not in seen:
-            seen.add(w.layers)
-            uniq.append(w)
-    return uniq
+    return results
 
 
 def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
                             budget_per_shape: int = 50):
     """All (budgeted) consistent labelings of all words with <= max_gens
     generators; deterministic order."""
-    e = group.identity
     out = []
     for shape in _enumerate_shapes(max_gens):
         n_in = shape.arity_in
-        free_slots = []
-        for layer in shape.layers:
-            for g in layer:
-                if g is Gen.ID:
-                    free_slots.append("id")
-                elif g is Gen.COPANTS:
-                    free_slots.append("split")
-        total = group.order ** (n_in + len(free_slots))
+        n_free = sum(g in (Gen.ID, Gen.COPANTS) for layer in shape.layers for g in layer)
+        total = group.order ** (n_in + n_free)
         step = max(1, -(-total // budget_per_shape))
-        count = 0
-        for combo in itertools.product(group.elements(),
-                                       repeat=n_in + len(free_slots)):
-            count += 1
-            if (count - 1) % step:
-                continue
-            in_labels = combo[:n_in]
-            frees = list(combo[n_in:])
+        labelings = itertools.product(group.elements(), repeat=n_in + n_free)
+        for combo in itertools.islice(labelings, 0, None, step):
+            # a free value is the conjugator of an id, or the first label of
+            # a copants split, whose second label it then fixes
+            frees = iter(combo[n_in:])
+            boundaries = [combo[:n_in]]
             annots = []
             try:
-                cur = list(in_labels)
-                for layer in shape.layers:
+                for t, layer in enumerate(shape.layers):
+                    cur = boundaries[-1]
                     row = []
                     qi = 0
                     for g in layer:
-                        ins = cur[qi:qi + ARITY[g][0]]
-                        qi += ARITY[g][0]
                         if g is Gen.ID:
-                            row.append(frees.pop(0))
+                            row.append(next(frees))
                         elif g is Gen.COPANTS:
-                            first = frees.pop(0)
-                            row.append((first, group.mul(group.inverse(first),
-                                                         ins[0])))
+                            first = next(frees)
+                            row.append((first, group.mul(group.inverse(first), cur[qi])))
                         else:
                             row.append(None)
-                    annots.append(tuple(row))
-                    cur = _propagate(group, layer, annots[-1], cur)
-                out.append(label_word(group, shape, in_labels, tuple(annots)))
+                        qi += ARITY[g][0]
+                    labels, norm = _label_layer(group, layer, row, cur, t)
+                    boundaries.append(labels)
+                    annots.append(norm)
             except LabelError:
                 continue
+            out.append(LabeledBordism(group=group, word=shape,
+                                      boundaries=tuple(boundaries),
+                                      annotations=tuple(annots)))
     return out
-
-
-def _propagate(group, layer, annots, cur):
-    e = group.identity
-    nxt = []
-    qi = 0
-    for g, ann in zip(layer, annots):
-        ins = cur[qi:qi + ARITY[g][0]]
-        qi += ARITY[g][0]
-        if g is Gen.ID:
-            nxt.append(group.conj(ann, ins[0]))
-        elif g is Gen.SWAP:
-            nxt.extend([ins[1], ins[0]])
-        elif g is Gen.CAP:
-            nxt.append(e)
-        elif g is Gen.CUP:
-            if ins[0] != e:
-                raise LabelError("cup on non-identity label")
-        elif g is Gen.PANTS:
-            nxt.append(group.mul(ins[0], ins[1]))
-        elif g is Gen.COPANTS:
-            nxt.extend([ann[0], ann[1]])
-    return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +882,7 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     dims = {}
-    fusion_raw, fission_raw, transport_raw = {}, {}, {}
+    raw = {family: {} for family in FAMILIES}
     unit = counit = None
     for ln in lines:
         if ln.startswith("bundle over"):
@@ -936,15 +896,11 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         head, _, body = ln.partition(":")
         toks = head.split()
         vals = [parse_scalar(t, exact) for t in body.split()]
-        if toks[0] == "fusion" and len(toks) == 3:
-            fusion_raw[group.index(toks[1]), group.index(toks[2])] = vals
-        elif toks[0] == "fission" and len(toks) == 3:
-            fission_raw[group.index(toks[1]), group.index(toks[2])] = vals
-        elif toks[0] == "transport" and len(toks) == 3:
-            transport_raw[group.index(toks[1]), group.index(toks[2])] = vals
-        elif toks[0] == "unit" and len(toks) == 1:
+        if len(toks) == 3 and toks[0] in raw:
+            raw[toks[0]][group.index(toks[1]), group.index(toks[2])] = vals
+        elif toks == ["unit"]:
             unit = vals
-        elif toks[0] == "counit" and len(toks) == 1:
+        elif toks == ["counit"]:
             counit = vals
         else:
             raise BundleError("unexpected line %r" % ln)
@@ -952,37 +908,24 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         raise BundleError("need a fiber line for every group element")
     if unit is None or counit is None:
         raise BundleError("unit and counit blocks are required")
-    e = group.identity
-    dims_t = tuple(dims[g] for g in group.elements())
 
-    def block(raw, key, shape, default_zero):
-        if key in raw:
-            vals = raw[key]
-            if len(vals) != int(np.prod(shape)):
-                raise BundleError("block %s has %d entries, want %d"
-                                  % (key, len(vals), int(np.prod(shape))))
-            return Tensor(np.array(vals, dtype=object).reshape(shape),
-                          exact=exact, tol=tol)
-        if not default_zero:
-            raise BundleError("missing required block %s" % (key,))
-        return Tensor.zeros(shape, exact=exact, tol=tol)
-
-    fusion, fission, transport = {}, {}, {}
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            fusion[g, h] = block(fusion_raw, (g, h),
-                                 (dims[g], dims[h], dims[gh]), True)
-            fission[g, h] = block(fission_raw, (g, h),
-                                  (dims[gh], dims[g], dims[h]), True)
-    for k in group.elements():
-        for g in group.elements():
-            transport[k, g] = block(transport_raw, (k, g),
-                                    (dims[g], dims[group.conj(k, g)]), False)
-    return CrossedBundle(group=group, dims=dims_t, fusion=fusion, fission=fission,
-                         transport=transport,
+    blocks = {family: {} for family in FAMILIES}
+    for family, key, shape in _block_shapes(group, dims):
+        vals = raw[family].get(key)
+        if vals is None:
+            # omitted fusion and fission blocks are zero
+            if family == "transport":
+                raise BundleError("missing required block %s" % (key,))
+            blocks[family][key] = Tensor.zeros(shape, exact=exact, tol=tol)
+            continue
+        if len(vals) != int(np.prod(shape)):
+            raise BundleError("block %s has %d entries, want %d"
+                              % (key, len(vals), int(np.prod(shape))))
+        blocks[family][key] = Tensor(np.array(vals, dtype=object).reshape(shape),
+                                     exact=exact, tol=tol)
+    return CrossedBundle(group=group, dims=tuple(dims[g] for g in group.elements()),
                          unit=Tensor(unit, exact=exact, tol=tol),
-                         counit=Tensor(counit, exact=exact, tol=tol))
+                         counit=Tensor(counit, exact=exact, tol=tol), **blocks)
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
@@ -991,19 +934,13 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
     for g in G.elements():
         lines.append("fiber %s dim %d" % (G.labels[g], bundle.dims[g]))
 
-    def emit(tag, key_pair, tensor):
-        vals = " ".join(format_scalar(x) for x in tensor.entries())
-        lines.append("%s %s %s : %s" % (tag, G.labels[key_pair[0]],
-                                        G.labels[key_pair[1]], vals))
-
-    for key, t in sorted(bundle.fusion.items()):
-        if any(t.nums.flat):
-            emit("fusion", key, t)
-    for key, t in sorted(bundle.fission.items()):
-        if any(t.nums.flat):
-            emit("fission", key, t)
-    for key, t in sorted(bundle.transport.items()):
-        emit("transport", key, t)
+    for family, key, _ in _block_shapes(G, bundle.dims):
+        t = getattr(bundle, family)[key]
+        # zero fusion and fission blocks are left out; they read back as zero
+        if family == "transport" or any(t.nums.flat):
+            vals = " ".join(format_scalar(x) for x in t.entries())
+            lines.append("%s %s %s : %s" % (family, G.labels[key[0]],
+                                            G.labels[key[1]], vals))
     lines.append("unit : " + " ".join(format_scalar(x) for x in bundle.unit.entries()))
     lines.append("counit : " + " ".join(format_scalar(x) for x in bundle.counit.entries()))
     return "\n".join(lines) + "\n"
@@ -1014,20 +951,7 @@ def load_bundle(path: str, exact=True, tol=DEFAULT_TOL):
 
     Every tensor of the bundle carries ``tol``, the float-mode tolerance.
     """
-    import os
-    from .groups import parse_group
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    group = None
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln.startswith("bundle over"):
-            gpath = ln[len("bundle over"):].strip()
-            if not os.path.isabs(gpath):
-                gpath = os.path.join(os.path.dirname(os.path.abspath(path)), gpath)
-            with open(gpath, "r", encoding="utf-8") as gh:
-                group = parse_group(gh.read())
-            break
+    text, group = load_over(path, "bundle")
     if group is None:
         raise BundleError("bundle file must start with 'bundle over <groupfile>'")
     return parse_bundle(text, group, exact=exact, tol=tol)

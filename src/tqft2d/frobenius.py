@@ -7,7 +7,6 @@ pairing is invertible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -77,10 +76,6 @@ class FrobeniusAlgebra:
             "mul": self.mul,
             "comultiplication": comultiplication(self),
         }
-
-    def multiply(self, v: Tensor, w: Tensor) -> Tensor:
-        prod = tensordot(v, self.mul, [0], [0])
-        return tensordot(w, prod, [0], [0])
 
     def apply_counit(self, v: Tensor):
         return tensordot(v, self.counit, [0], [0]).item()
@@ -237,25 +232,6 @@ def standard_algebra(name, **params) -> FrobeniusAlgebra:
     if name == "group_center":
         return group_center(**params)
     raise StructureError("unknown standard algebra %r" % name)
-
-
-def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
-    if a.exact != b.exact:
-        raise StructureError("mixed scalar modes")
-    n, m = a.dim, b.dim
-
-    def block_sum(x, y):
-        """x and y side by side on the diagonal, over their common den."""
-        den = math.lcm(x.den, y.den)
-        out = Tensor.zeros((n + m,) * x.rank, exact=a.exact).nums
-        out[(slice(n),) * x.rank] = x.nums * (den // x.den)
-        out[(slice(n, None),) * x.rank] = y.nums * (den // y.den)
-        return Tensor.from_nums(out, den, exact=a.exact)
-
-    basis = tuple("a.%s" % s for s in a.basis) + tuple("b.%s" % s for s in b.basis)
-    return FrobeniusAlgebra(dim=n + m, basis=basis, mul=block_sum(a.mul, b.mul),
-                            unit=block_sum(a.unit, b.unit),
-                            counit=block_sum(a.counit, b.counit))
 
 
 def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bordism import ARITY, Gen
 from .crossed import CrossedBundle, LabeledBordism, LabelError
-from .groups import FiniteGroup, LoopWord, klein_four_group, parse_group
+from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, Tensor, differences, first_difference,
                      parse_scalar, format_scalar)
@@ -295,12 +295,12 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True,
         if not rhs.strip():
             raise CocycleError("missing value in line %r" % ln)
         val = parse_scalar(rhs.strip(), exact)
-        if toks[0] == "theta" and len(toks) == 3:
+        if len(toks) == 3 and toks[0] == "theta":
             theta_raw[group.index(toks[1]), group.index(toks[2])] = val
-        elif toks[0] == "tau" and len(toks) == 3:
+        elif len(toks) == 3 and toks[0] == "tau":
             tau_raw[group.index(toks[1]), group.index(toks[2])] = val
             explicit_tau = True
-        elif toks[0] == "counit" and len(toks) == 1:
+        elif toks == ["counit"]:
             counit = val
         else:
             raise CocycleError("unexpected line %r" % ln)
@@ -337,19 +337,7 @@ def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:
 
 def load_cocycle(path: str, exact=True, tol=DEFAULT_TOL):
     """Load a cocycle file; ``tol`` is the float-mode tolerance."""
-    import os
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    group = None
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln.startswith("cocycle over"):
-            gpath = ln[len("cocycle over"):].strip()
-            if not os.path.isabs(gpath):
-                gpath = os.path.join(os.path.dirname(os.path.abspath(path)), gpath)
-            with open(gpath, "r", encoding="utf-8") as gh:
-                group = parse_group(gh.read())
-            break
+    text, group = load_over(path, "cocycle")
     if group is None:
         raise CocycleError("cocycle file must start with 'cocycle over <groupfile>'")
     return parse_cocycle(text, group, exact=exact, tol=tol)

@@ -6,6 +6,7 @@ elements, paths between conjugate loops are conjugators.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -208,3 +209,23 @@ def format_group(group: FiniteGroup) -> str:
         lines.append(" ".join(str(x) for x in row))
     lines.append("labels " + " ".join(group.labels))
     return "\n".join(lines) + "\n"
+
+
+def load_over(path: str, kind: str):
+    """Read a file whose header line is ``<kind> over <groupfile>``.
+
+    Returns the file's text and the group the header names, with a relative
+    group path taken from the file's directory; the group is None when no
+    line starts with ``<kind> over``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    header = kind + " over"
+    for ln in text.splitlines():
+        ln = ln.split("#", 1)[0].strip()
+        if ln.startswith(header):
+            gpath = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                 ln[len(header):].strip())
+            with open(gpath, "r", encoding="utf-8") as fh:
+                return text, parse_group(fh.read())
+    return text, None

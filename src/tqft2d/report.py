@@ -36,11 +36,6 @@ class ValidationReport:
     def failed_axioms(self):
         return sorted({v.axiom for v in self.violations})
 
-    def merge(self, other: "ValidationReport"):
-        for axiom in other.checked:
-            self.check(axiom)
-        self.violations.extend(other.violations)
-
     def summary(self) -> str:
         lines = ["checked %d axioms" % len(self.checked)]
         for v in self.violations:

@@ -183,6 +183,31 @@ def test_cocycle_command_uses_the_tolerance(tmp_path):
     assert code == 0, out
 
 
+def test_cocycle_labels_must_come_in_pairs():
+    code, text = invoke("cocycle", "--cocycle",
+                        os.path.join(FIXDIR, "k4_anti.cocycle"),
+                        "--genus", "1", "--labels", "10,01,11")
+    assert code == 2
+    assert text.splitlines()[-1].startswith(
+        "RESULT: FAIL --labels wants pairs"), text
+
+
+@pytest.mark.parametrize("command, fixture, group, line", [
+    ("validate --bundle", "z2_dual.bundle", "z2.group", ": 1"),
+    ("cocycle --cocycle", "k4_anti.cocycle", "k4.group", "= 1"),
+], ids=["bundle", "cocycle"])
+def test_line_without_a_keyword_is_a_parse_error(tmp_path, command, fixture,
+                                                  group, line):
+    shutil.copy(os.path.join(FIXDIR, group), tmp_path / group)
+    with open(os.path.join(FIXDIR, fixture), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / fixture
+    bad.write_text(text + line + "\n")
+    code, out = invoke(*command.split(), str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL unexpected line %r" % line, out
+
+
 def test_output_determinism(algebra_file):
     a = invoke("fuzz-equiv", "--algebra", algebra_file, "--count", "10",
                "--seed", "4")

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,13 +71,22 @@ def test_trivial_group_bundle_is_ground_field():
 
 
 def test_shape_errors_before_axioms():
+    # every block family, with one block missing and with one of wrong shape
     b = from_group_algebra(Z2)
-    bad_fusion = dict(b.fusion)
-    bad_fusion[0, 1] = Tensor(np.zeros((2, 1, 1), dtype=object))
-    with pytest.raises(BundleError):
-        CrossedBundle(group=Z2, dims=b.dims, fusion=bad_fusion,
-                      fission=b.fission, transport=b.transport,
-                      unit=b.unit, counit=b.counit)
+    for family in ("fusion", "fission", "transport"):
+        for fault in ("missing", "shape"):
+            blocks = {f: dict(getattr(b, f))
+                      for f in ("fusion", "fission", "transport")}
+            if fault == "missing":
+                del blocks[family][0, 1]
+                message = "missing %s block (0,1)" % family
+            else:
+                rank = blocks[family][0, 1].rank
+                blocks[family][0, 1] = Tensor(np.zeros((2,) * rank, dtype=object))
+                message = "%s (0,1) has shape %s" % (family, (2,) * rank)
+            with pytest.raises(BundleError, match=re.escape(message)):
+                CrossedBundle(group=Z2, dims=b.dims, unit=b.unit,
+                              counit=b.counit, **blocks)
 
 
 # --- the eight planted violations, one per defining condition -------------
@@ -219,6 +229,11 @@ def test_cup_on_nonidentity_label_rejected():
 def test_bad_copants_split_rejected():
     with pytest.raises(LabelError):
         parse_labeled("id[e,r1] ; copants[e,e]", Z2)
+
+
+def test_unclosed_bracket_rejected():
+    with pytest.raises(LabelError, match="missing"):
+        parse_labeled("cap[] ; cup[", Z2)
 
 
 def test_label_assertion_mismatch_rejected():

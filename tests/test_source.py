@@ -1,8 +1,11 @@
 import ast
 import glob
+import importlib
 import os
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tqft2d")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_no_assert_statements_in_the_package():
@@ -14,3 +17,16 @@ def test_no_assert_statements_in_the_package():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_traced_function_exists():
+    # the benchmark tracer patches these functions by name, so a deleted or
+    # renamed one breaks every traced run; only perfbench/ is read
+    sys.path.insert(0, PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    missing = []
+    for module, funcs in tracer.TARGETS.items():
+        home = importlib.import_module("tqft2d." + module)
+        missing += ["%s.%s" % (module, f) for f in funcs
+                    if not callable(getattr(home, f, None))]
+    assert missing == []

@@ -294,7 +294,7 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-def contract_word(w: BordismWord, lookup, pad, exact, tol) -> Tensor:
+def contract_word(w: BordismWord, lookup, pad, exact) -> Tensor:
     """The linear map of a word; legs ordered [inputs..., outputs...].
 
     One state tensor is carried through the word, one generator at a time,
@@ -352,11 +352,10 @@ def contract_word(w: BordismWord, lookup, pad, exact, tol) -> Tensor:
             boundary[p] = made
             made += 1
     if state is None:
-        return Tensor.scalar(1, exact=exact, tol=tol)
+        return Tensor.scalar(1, exact=exact)
     perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
     # a fresh array: the state may still be a generator tensor itself
-    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact,
-                      min(state.tol, tol))
+    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact)
 
 
 # the structure tensor each generator but the cylinder is contracted as
@@ -378,7 +377,7 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     gens = {g: tensors[name] for g, name in _STRUCTURE.items()}
     ident = tensors["identity"]
     return contract_word(w, lambda g, t, j, q: gens.get(g), lambda i: ident,
-                         algebra.exact, algebra.tol)
+                         algebra.exact)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import replace
 
 from . import bordism, crossed, frobenius, gerbe, groups
 from .bordism import ArityError, WordSyntaxError
@@ -54,6 +55,18 @@ def _load_word(source):
 def _load_group(path):
     with open(path, "r", encoding="utf-8") as fh:
         return groups.parse_group(fh.read())
+
+
+def _load_bundle(args):
+    """The --bundle file, or for --group the group algebra's bundle, in the
+    scalar mode and tolerance of the flags."""
+    mode = _mode(args)
+    if args.bundle:
+        return crossed.load_bundle(args.bundle, **mode)
+    if args.group:
+        field = replace(frobenius.ground_field(mode["exact"]), tol=mode["tol"])
+        return crossed.from_frobenius_algebra(_load_group(args.group), field)
+    raise _Exit(2, "%s needs --bundle or --group" % args.command)
 
 
 def _handles(G, labels):
@@ -134,7 +147,8 @@ def cmd_fuzz_equiv(args, out):
         arity = (rng.randrange(3), rng.randrange(3))
         w1, w2 = bordism.random_equivalent_pair(arity, args.max_layers,
                                                 args.seed + i)
-        if equal(bordism.evaluate(w1, algebra), bordism.evaluate(w2, algebra)):
+        if equal(bordism.evaluate(w1, algebra), bordism.evaluate(w2, algebra),
+                 algebra.tol):
             agree += 1
         elif first_bad is None:
             first_bad = i
@@ -145,12 +159,7 @@ def cmd_fuzz_equiv(args, out):
 
 
 def cmd_roundtrip(args, out):
-    if args.bundle:
-        bundle = crossed.load_bundle(args.bundle, **_mode(args))
-    elif args.group:
-        bundle = crossed.from_group_algebra(_load_group(args.group))
-    else:
-        raise _Exit(2, "roundtrip needs --bundle or --group")
+    bundle = _load_bundle(args)
     words = crossed.enumerate_labeled_words(bundle.group, args.max_gens,
                                             budget_per_shape=args.count)
     report = crossed.roundtrip_check(bundle, words)
@@ -159,12 +168,7 @@ def cmd_roundtrip(args, out):
 
 
 def cmd_holonomy(args, out):
-    if args.bundle:
-        bundle = crossed.load_bundle(args.bundle, **_mode(args))
-    elif args.group:
-        bundle = crossed.from_group_algebra(_load_group(args.group))
-    else:
-        raise _Exit(2, "holonomy needs --bundle or --group")
+    bundle = _load_bundle(args)
     G = bundle.group
     if args.surface:
         with open(args.surface, "r", encoding="utf-8") as fh:

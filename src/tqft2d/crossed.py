@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bordism import ARITY, BordismWord, Gen, contract_word, layer_arity
-from .frobenius import FrobeniusAlgebra, comultiplication
+from .frobenius import FrobeniusAlgebra, comultiplication, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, Tensor, equal, first_difference, invert_matrix,
@@ -43,6 +44,7 @@ class CrossedBundle:
     transport: dict             # (k, g) -> Tensor (d_g, d_{kgk^-1})
     unit: Tensor                # shape (d_e,)
     counit: Tensor              # shape (d_e,)
+    tol: float = DEFAULT_TOL    # float-mode tolerance of every comparison
 
     def __post_init__(self):
         G = self.group
@@ -65,21 +67,21 @@ class CrossedBundle:
     def exact(self):
         return self.unit.exact
 
-    @property
-    def tol(self):
-        return self.unit.tol
-
-    def fiber_dim(self, g):
-        return self.dims[g]
+    @cached_property
+    def identities(self):
+        """The identity map of each fiber, by group element, built once."""
+        return tuple(Tensor.identity(d, exact=self.exact) for d in self.dims)
 
     def __eq__(self, other):
         if not isinstance(other, CrossedBundle):
             return NotImplemented
         if self.group != other.group or self.dims != other.dims:
             return False
-        return (all(equal(getattr(self, family)[key], getattr(other, family)[key])
+        tol = max(self.tol, other.tol)
+        return (all(equal(getattr(self, family)[key], getattr(other, family)[key], tol)
                     for family, key, _ in _block_shapes(self.group, self.dims))
-                and equal(self.unit, other.unit) and equal(self.counit, other.counit))
+                and equal(self.unit, other.unit, tol)
+                and equal(self.counit, other.counit, tol))
 
 
 FAMILIES = ("fusion", "fission", "transport")
@@ -106,7 +108,7 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     G = bundle.group
     e = G.identity
     mu, nu, P = bundle.fusion, bundle.fission, bundle.transport
-    exact, tol = bundle.exact, bundle.tol
+    tol = bundle.tol
     report = ValidationReport()
 
     def mismatch(axiom, grading, lhs, rhs):
@@ -169,18 +171,18 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     report.check("unit")
     report.check("counit")
     for g in G.elements():
-        ident = Tensor.identity(bundle.dims[g], exact=exact)
+        ident = bundle.identities[g]
         mismatch("unit", (g,), tensordot(mu[g, e], u, [1], [0]), ident)
         mismatch("counit", (g,), tensordot(nu[g, e], eps, [2], [0]), ident)
 
     report.check("nondegeneracy")
     pair = tensordot(mu[e, e], eps, [2], [0])
-    if invert_matrix(Tensor.from_nums(pair.nums, pair.den, exact, tol)) is None:
+    if invert_matrix(pair, tol) is None:
         report.fail("nondegeneracy", ())
 
     report.check("flatness")
     for g in G.elements():
-        mismatch("flatness", (e, g), P[e, g], Tensor.identity(bundle.dims[g], exact=exact))
+        mismatch("flatness", (e, g), P[e, g], bundle.identities[g])
     for k in G.elements():
         for l in G.elements():
             for g in G.elements():
@@ -194,31 +196,23 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
 # constructors
 
 def from_group_algebra(group: FiniteGroup, exact=True) -> CrossedBundle:
-    """All fibers one-dimensional with trivial structure scalars."""
-    one = 1 if exact else complex(1)
-    scalar3 = Tensor([[[one]]], exact=exact)
-    scalar2 = Tensor([[one]], exact=exact)
-    vec = Tensor([one], exact=exact)
-    fusion = {(g, h): scalar3 for g in group.elements() for h in group.elements()}
-    fission = dict(fusion)
-    transport = {(k, g): scalar2 for k in group.elements() for g in group.elements()}
-    return CrossedBundle(group=group, dims=(1,) * group.order,
-                         fusion=fusion, fission=fission, transport=transport,
-                         unit=vec, counit=vec)
+    """All fibers one-dimensional with trivial structure scalars: the
+    constant bundle of the ground field."""
+    return from_frobenius_algebra(group, ground_field(exact))
 
 
 def from_frobenius_algebra(group: FiniteGroup, algebra: FrobeniusAlgebra) -> CrossedBundle:
     """Constant bundle: every fiber is the given algebra, transport identity."""
     n = algebra.dim
     delta = comultiplication(algebra)
-    ident = Tensor.identity(n, exact=algebra.exact, tol=algebra.tol)
+    ident = Tensor.identity(n, exact=algebra.exact)
     els = list(group.elements())
     fusion = {(g, h): algebra.mul for g in els for h in els}
     fission = {(g, h): delta for g in els for h in els}
     transport = {(k, g): ident for k in els for g in els}
     return CrossedBundle(group=group, dims=(n,) * group.order,
                          fusion=fusion, fission=fission, transport=transport,
-                         unit=algebra.unit, counit=algebra.counit)
+                         unit=algebra.unit, counit=algebra.counit, tol=algebra.tol)
 
 
 def derive_fission(bundle: CrossedBundle) -> dict:
@@ -234,8 +228,7 @@ def derive_fission(bundle: CrossedBundle) -> dict:
         hi = G.inverse(h)
         # pairing A_{h^-1} x A_h -> k through mu and counit
         pair = tensordot(bundle.fusion[hi, h], bundle.counit, [2], [0])
-        inv = invert_matrix(Tensor.from_nums(pair.nums, pair.den, bundle.exact,
-                                             bundle.tol))
+        inv = invert_matrix(pair, bundle.tol)
         if inv is None:
             raise BundleError("pairing between fibers %d and %d is singular" % (hi, h))
         copair[h] = inv
@@ -538,11 +531,9 @@ def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
             return bundle.fission[b.annotations[t][j]]
         return bundle.unit if g is Gen.CAP else bundle.counit
 
-    def pad(i):
-        return Tensor.identity(bundle.dims[b.in_labels[i]], exact=bundle.exact,
-                               tol=bundle.tol)
-
-    return contract_word(b.word, lookup, pad, bundle.exact, bundle.tol)
+    identities = bundle.identities
+    return contract_word(b.word, lookup, lambda i: identities[b.in_labels[i]],
+                         bundle.exact)
 
 
 def holonomy(b: LabeledBordism, bundle: CrossedBundle):
@@ -557,16 +548,18 @@ def holonomy(b: LabeledBordism, bundle: CrossedBundle):
 
 @dataclass
 class TftOracle:
-    """A black-box evaluator of labeled bordisms with known fiber dimensions."""
+    """A black-box evaluator of labeled bordisms with known fiber dimensions,
+    and the float-mode tolerance its answers are checked with."""
 
     group: FiniteGroup
     dims: tuple
     evaluate: object  # callable LabeledBordism -> Tensor
+    tol: float = DEFAULT_TOL
 
     @classmethod
     def from_bundle(cls, bundle: CrossedBundle):
         return cls(group=bundle.group, dims=bundle.dims,
-                   evaluate=lambda b: evaluate_labeled(b, bundle))
+                   evaluate=lambda b: evaluate_labeled(b, bundle), tol=bundle.tol)
 
 
 def _single(group, gens, in_labels, annots):
@@ -579,7 +572,7 @@ def tft_to_bundle(oracle: TftOracle, group: FiniteGroup = None) -> CrossedBundle
     e = G.identity
     for g in G.elements():
         t = oracle.evaluate(_single(G, [Gen.ID], (g,), [e]))
-        if not equal(t, Tensor.identity(oracle.dims[g], exact=t.exact, tol=t.tol)):
+        if not equal(t, Tensor.identity(oracle.dims[g], exact=t.exact), oracle.tol):
             raise ExtractionError(
                 "identity-preservation fails: the plain cylinder on label %r "
                 "is not the identity map" % G.labels[g])
@@ -600,7 +593,7 @@ def tft_to_bundle(oracle: TftOracle, group: FiniteGroup = None) -> CrossedBundle
     try:
         return CrossedBundle(group=G, dims=tuple(oracle.dims), fusion=fusion,
                              fission=fission, transport=transport,
-                             unit=unit, counit=counit)
+                             unit=unit, counit=counit, tol=oracle.tol)
     except BundleError as exc:
         raise ExtractionError("oracle produced inconsistent shapes: %s" % exc) from exc
 
@@ -608,6 +601,7 @@ def tft_to_bundle(oracle: TftOracle, group: FiniteGroup = None) -> CrossedBundle
 def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
     """Bundle -> evaluator -> bundle must be the identity, and the rebuilt
     evaluator must agree with the original on every test word."""
+    tol = bundle.tol
     report = ValidationReport()
     report.check("bundle-reconstruction")
     report.check("evaluator-agreement")
@@ -616,14 +610,14 @@ def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
     if rebuilt.dims != bundle.dims:
         report.fail("bundle-reconstruction", ("dims",))
     for family, key, _ in _block_shapes(bundle.group, bundle.dims):
-        if not equal(getattr(rebuilt, family)[key], getattr(bundle, family)[key]):
+        if not equal(getattr(rebuilt, family)[key], getattr(bundle, family)[key], tol):
             report.fail("bundle-reconstruction", (family,) + key)
-    if not equal(rebuilt.unit, bundle.unit):
+    if not equal(rebuilt.unit, bundle.unit, tol):
         report.fail("bundle-reconstruction", ("unit",))
-    if not equal(rebuilt.counit, bundle.counit):
+    if not equal(rebuilt.counit, bundle.counit, tol):
         report.fail("bundle-reconstruction", ("counit",))
     for i, b in enumerate(test_words):
-        if not equal(evaluate_labeled(b, rebuilt), evaluate_labeled(b, bundle)):
+        if not equal(evaluate_labeled(b, rebuilt), evaluate_labeled(b, bundle), tol):
             report.fail("evaluator-agreement", (i,))
     return report
 
@@ -693,8 +687,7 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     def mu_tower(tree):
         """Tensor with legs [leaves..., out]; returns (tensor, product)."""
         if isinstance(tree, int):
-            d = bundle.dims[gs[tree]]
-            return Tensor.identity(d, exact=bundle.exact, tol=bundle.tol), gs[tree]
+            return bundle.identities[gs[tree]], gs[tree]
         tl, pl = mu_tower(tree[0])
         tr, pr = mu_tower(tree[1])
         mu = bundle.fusion[pl, pr]
@@ -709,8 +702,7 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     def nu_tower(tree):
         """Tensor with legs [in, leaves...]; returns (tensor, product)."""
         if isinstance(tree, int):
-            d = bundle.dims[gs[tree]]
-            return Tensor.identity(d, exact=bundle.exact, tol=bundle.tol), gs[tree]
+            return bundle.identities[gs[tree]], gs[tree]
         tl, pl = nu_tower(tree[0])
         tr, pr = nu_tower(tree[1])
         nu = bundle.fission[pl, pr]
@@ -723,10 +715,10 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     ref_nu, _ = nu_tower(trees[0])
     for i, tree in enumerate(trees[1:], start=1):
         t, _ = mu_tower(tree)
-        if not equal(t, ref_mu):
+        if not equal(t, ref_mu, bundle.tol):
             report.fail("higher-associativity", (tuple(gs), 0, i))
         t, _ = nu_tower(tree)
-        if not equal(t, ref_nu):
+        if not equal(t, ref_nu, bundle.tol):
             report.fail("higher-coassociativity", (tuple(gs), 0, i))
     return report
 
@@ -831,7 +823,11 @@ def _enumerate_shapes(max_gens):
 def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
                             budget_per_shape: int = 50):
     """All (budgeted) consistent labelings of all words with <= max_gens
-    generators; deterministic order."""
+    generators; deterministic order.  ``budget_per_shape`` must be at least
+    1."""
+    if budget_per_shape < 1:
+        raise ValueError("need a labeling budget of at least 1 per shape, got %d"
+                         % budget_per_shape)
     out = []
     for shape in _enumerate_shapes(max_gens):
         n_in = shape.arity_in
@@ -875,10 +871,8 @@ def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
 
 def parse_bundle(text: str, group: FiniteGroup, exact=True,
                  tol=DEFAULT_TOL) -> CrossedBundle:
-    """Parse the bundle block format against a known group.
-
-    Every tensor of the bundle carries ``tol``, the float-mode tolerance.
-    """
+    """Parse the bundle block format against a known group; ``tol`` is the
+    bundle's float-mode tolerance."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     dims = {}
@@ -891,7 +885,9 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
             toks = ln.split()
             if len(toks) != 4 or toks[2] != "dim":
                 raise BundleError("bad fiber line %r" % ln)
-            dims[group.index(toks[1])] = int(toks[3])
+            dims[group.index(toks[1])] = d = int(toks[3])
+            if d < 1:
+                raise BundleError("fiber dimension must be positive in %r" % ln)
             continue
         head, _, body = ln.partition(":")
         toks = head.split()
@@ -916,16 +912,16 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
             # omitted fusion and fission blocks are zero
             if family == "transport":
                 raise BundleError("missing required block %s" % (key,))
-            blocks[family][key] = Tensor.zeros(shape, exact=exact, tol=tol)
+            blocks[family][key] = Tensor.zeros(shape, exact=exact)
             continue
         if len(vals) != int(np.prod(shape)):
             raise BundleError("block %s has %d entries, want %d"
                               % (key, len(vals), int(np.prod(shape))))
         blocks[family][key] = Tensor(np.array(vals, dtype=object).reshape(shape),
-                                     exact=exact, tol=tol)
+                                     exact=exact)
     return CrossedBundle(group=group, dims=tuple(dims[g] for g in group.elements()),
-                         unit=Tensor(unit, exact=exact, tol=tol),
-                         counit=Tensor(counit, exact=exact, tol=tol), **blocks)
+                         unit=Tensor(unit, exact=exact),
+                         counit=Tensor(counit, exact=exact), tol=tol, **blocks)
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
@@ -948,9 +944,7 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
 
 def load_bundle(path: str, exact=True, tol=DEFAULT_TOL):
     """Load a bundle file; the header references the group file by path.
-
-    Every tensor of the bundle carries ``tol``, the float-mode tolerance.
-    """
+    ``tol`` is the bundle's float-mode tolerance."""
     text, group = load_over(path, "bundle")
     if group is None:
         raise BundleError("bundle file must start with 'bundle over <groupfile>'")

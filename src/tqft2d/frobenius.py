@@ -29,13 +29,15 @@ class DegeneratePairingError(ValueError):
 
 @dataclass(frozen=True)
 class FrobeniusAlgebra:
-    """Structure constants mul[i,j,k], unit vector and counit covector."""
+    """Structure constants mul[i,j,k], unit vector and counit covector, and
+    the float-mode tolerance of every comparison made on them."""
 
     dim: int
     basis: tuple
     mul: Tensor      # shape (n, n, n): e_i e_j = sum_k mul[i,j,k] e_k
     unit: Tensor     # shape (n,)
     counit: Tensor   # shape (n,)
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         n = self.dim
@@ -56,10 +58,6 @@ class FrobeniusAlgebra:
     def exact(self):
         return self.mul.exact
 
-    @property
-    def tol(self):
-        return self.mul.tol
-
     @cached_property
     def contraction_tensors(self):
         """The tensors ``bordism.evaluate`` contracts, built once per algebra
@@ -70,7 +68,7 @@ class FrobeniusAlgebra:
         every access raises again.
         """
         return {
-            "identity": Tensor.identity(self.dim, exact=self.exact, tol=self.tol),
+            "identity": Tensor.identity(self.dim, exact=self.exact),
             "unit": self.unit,
             "counit": self.counit,
             "mul": self.mul,
@@ -108,14 +106,14 @@ def validate(algebra: FrobeniusAlgebra) -> ValidationReport:
           Tensor.identity(algebra.dim, exact=algebra.exact))
 
     report.check("nondegeneracy")
-    if invert_matrix(pairing(algebra)) is None:
+    if invert_matrix(pairing(algebra), tol) is None:
         report.fail("nondegeneracy", ())
     return report
 
 
 def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
     """delta[k,i,j]: delta(e_k) = sum delta[k,i,j] e_i (x) e_j."""
-    ginv = invert_matrix(pairing(algebra))
+    ginv = invert_matrix(pairing(algebra), algebra.tol)
     if ginv is None:
         raise DegeneratePairingError("pairing matrix is singular")
     # delta[k,i,j] = sum_a mul[k,a,i] ginv[a,j]
@@ -236,7 +234,7 @@ def standard_algebra(name, **params) -> FrobeniusAlgebra:
 
 def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
     """Conjugate the structure by an invertible matrix (columns = new basis)."""
-    sinv = invert_matrix(s)
+    sinv = invert_matrix(s, algebra.tol)
     if sinv is None:
         raise StructureError("change of basis matrix is singular")
     # c'[i,j,k] = sum S[a,i] S[b,j] c[a,b,m] Sinv[k,m]
@@ -246,25 +244,21 @@ def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
     return FrobeniusAlgebra(
         dim=algebra.dim, basis=algebra.basis, mul=permute(new_c, (1, 0, 2)),
         unit=tensordot(sinv, algebra.unit, [1], [0]),
-        counit=tensordot(s, algebra.counit, [0], [0]))
+        counit=tensordot(s, algebra.counit, [0], [0]), tol=algebra.tol)
 
 
 def rescale_counit(algebra: FrobeniusAlgebra, factor) -> FrobeniusAlgebra:
     factor = Tensor.scalar(factor if algebra.exact else complex(factor),
                            exact=algebra.exact)
-    return FrobeniusAlgebra(
-        dim=algebra.dim, basis=algebra.basis, mul=algebra.mul, unit=algebra.unit,
-        counit=tensordot(factor, algebra.counit, [], []))
+    return replace(algebra, counit=tensordot(factor, algebra.counit, [], []))
 
 
 # ---------------------------------------------------------------------------
 # file format
 
 def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
-    """Parse the line-oriented algebra file format (see README).
-
-    Every tensor of the algebra carries ``tol``, the float-mode tolerance.
-    """
+    """Parse the line-oriented algebra file format (see README); ``tol`` is
+    the algebra's float-mode tolerance."""
     lines = []
     for raw in text.splitlines():
         ln = raw.split("#", 1)[0].strip()
@@ -321,10 +315,9 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             if not 0 <= k < n:
                 raise StructureError("index out of range in %r" % ln)
             c[i, j, k] = parse_scalar(ctok.strip(), exact)
-    return FrobeniusAlgebra(dim=n, basis=basis,
-                            mul=Tensor(c, exact=exact, tol=tol),
-                            unit=Tensor(unit, exact=exact, tol=tol),
-                            counit=Tensor(counit, exact=exact, tol=tol))
+    return FrobeniusAlgebra(dim=n, basis=basis, mul=Tensor(c, exact=exact),
+                            unit=Tensor(unit, exact=exact),
+                            counit=Tensor(counit, exact=exact), tol=tol)
 
 
 def format_algebra(algebra: FrobeniusAlgebra) -> str:
@@ -349,16 +342,11 @@ _LIBRARY_NAMES = {"ground_field", "dual_numbers"}
 
 def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
     """Load an algebra file; bare library names are accepted for convenience.
-
-    Every tensor of the algebra carries ``tol``, the float-mode tolerance.
-    """
+    ``tol`` is the algebra's float-mode tolerance."""
     import os
     if os.path.exists(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as fh:
             return parse_algebra(fh.read(), exact=exact, tol=tol)
     if path_or_name in _LIBRARY_NAMES:
-        a = standard_algebra(path_or_name, exact=exact)
-        parts = {k: getattr(a, k) for k in ("mul", "unit", "counit")}
-        return replace(a, **{k: Tensor.from_nums(t.nums, t.den, exact, tol)
-                             for k, t in parts.items()})
+        return replace(standard_algebra(path_or_name, exact=exact), tol=tol)
     raise StructureError("no such algebra file: %s" % path_or_name)

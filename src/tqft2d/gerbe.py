@@ -36,8 +36,8 @@ def _mismatches(lhs, lhs_den, rhs, rhs_den, exact, tol):
     """Where lhs / lhs_den and rhs / rhs_den differ, for arrays of int
     numerators (complex entries over 1 in float mode); see
     ``tensor.differences``."""
-    return differences(Tensor.from_nums(lhs, lhs_den, exact, tol),
-                       Tensor.from_nums(rhs, rhs_den, exact, tol), tol)
+    return differences(Tensor.from_nums(lhs, lhs_den, exact),
+                       Tensor.from_nums(rhs, rhs_den, exact), tol)
 
 
 def _complete(group, data, default):
@@ -194,19 +194,19 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     """Inflate the scalar data to a rank-one crossed bundle."""
     G = sb.group
     c = sb.counit_scalar
-    exact, tol = sb.exact, sb.tol
+    exact = sb.exact
 
     def t3(x):
-        return Tensor([[[x]]], exact=exact, tol=tol)
+        return Tensor([[[x]]], exact=exact)
 
     fusion = {k: t3(v) for k, v in sb.theta.items()}
     fission = {k: t3(1 / (c * v)) for k, v in sb.theta.items()}
-    transport = {k: Tensor([[v]], exact=exact, tol=tol) for k, v in sb.tau.items()}
+    transport = {k: Tensor([[v]], exact=exact) for k, v in sb.tau.items()}
     one = 1 if exact else complex(1)
     return CrossedBundle(group=G, dims=(1,) * G.order,
                          fusion=fusion, fission=fission, transport=transport,
-                         unit=Tensor([one], exact=exact, tol=tol),
-                         counit=Tensor([c], exact=exact, tol=tol))
+                         unit=Tensor([one], exact=exact),
+                         counit=Tensor([c], exact=exact), tol=sb.tol)
 
 
 def scalar_surface_product(b: LabeledBordism, sb: ScalarBundle):
@@ -242,7 +242,7 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
     b = closed_surface_word(sb.group, genus, handles)
     direct = scalar_surface_product(b, sb)
     via_bundle = evaluate_labeled(b, to_crossed_bundle(sb))
-    if first_difference(Tensor.scalar(direct, sb.exact, sb.tol), via_bundle,
+    if first_difference(Tensor.scalar(direct, sb.exact), via_bundle,
                         sb.tol) is not None:
         raise CocycleError("scalar walk %s disagrees with the evaluator %s"
                            % (direct, via_bundle.item()))
@@ -268,8 +268,8 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
         h = G.mul(pts[j], G.inverse(pts[k]))
         return sb.theta[g, h]
 
-    lhs = Tensor.scalar(lam(0, 2, 3) * lam(0, 1, 2), sb.exact, sb.tol)
-    rhs = Tensor.scalar(lam(0, 1, 3) * lam(1, 2, 3), sb.exact, sb.tol)
+    lhs = Tensor.scalar(lam(0, 2, 3) * lam(0, 1, 2), sb.exact)
+    rhs = Tensor.scalar(lam(0, 1, 3) * lam(1, 2, 3), sb.exact)
     if first_difference(lhs, rhs, sb.tol) is not None:
         report.fail("lambda-associativity", tuple(pts))
     return report

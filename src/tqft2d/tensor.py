@@ -6,9 +6,11 @@ numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
 multiplies the dens and contracts the ints at integer speed, and ``equal``
 compares the dens and then the integer arrays.  A float tensor holds its
 complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
-code path; float comparisons use a tolerance.  ``Fraction``s appear only at
-the edges: the ``Tensor`` constructor and ``parse_scalar`` take them in,
-``item()`` and ``entries()`` give them out.
+code path.  A tensor carries no tolerance: the algebra, bundle or oracle that
+owns it does, and passes it to the comparisons (``differences``,
+``first_difference``, ``equal``) and to ``invert_matrix``'s pivoting.
+``Fraction``s appear only at the edges: the ``Tensor`` constructor and
+``parse_scalar`` take them in, ``item()`` and ``entries()`` give them out.
 
 All shapes in this project are tiny (dimensions <= ~12), so dense storage and
 naive contraction are the right trade-off.
@@ -51,9 +53,9 @@ class Tensor:
     """Immutable-by-convention dense tensor, row-major: entry i is
     ``nums[i] / den``."""
 
-    __slots__ = ("nums", "den", "exact", "tol")
+    __slots__ = ("nums", "den", "exact")
 
-    def __init__(self, entries, exact=True, tol=DEFAULT_TOL):
+    def __init__(self, entries, exact=True):
         """The tensor of ``entries``: ints or Fractions in exact mode,
         complex numbers in float mode."""
         nums = np.asarray(entries, dtype=object)
@@ -66,10 +68,10 @@ class Tensor:
             den = math.lcm(1, *(x.denominator for x in vals))
             nums = np.array([x.numerator * (den // x.denominator) for x in vals],
                             dtype=object).reshape(nums.shape)
-        self.nums, self.den, self.exact, self.tol = nums, den, exact, tol
+        self.nums, self.den, self.exact = nums, den, exact
 
     @classmethod
-    def from_nums(cls, nums, den=1, exact=True, tol=DEFAULT_TOL):
+    def from_nums(cls, nums, den=1, exact=True):
         """The tensor ``nums / den`` in lowest terms, for an object array of
         Python ints and a positive int den; in float mode ``nums`` holds the
         complex entries and den is 1."""
@@ -79,27 +81,27 @@ class Tensor:
             g = math.gcd(den, *nums.flat)
             if g != 1:
                 nums, den = np.asarray(nums // g, dtype=object), den // g
-        return cls._of(nums, den, exact, tol)
+        return cls._of(nums, den, exact)
 
     @classmethod
-    def _of(cls, nums, den, exact, tol):
+    def _of(cls, nums, den, exact):
         """A tensor of numerators ``nums`` over ``den`` already in lowest terms."""
         t = cls.__new__(cls)
-        t.nums, t.den, t.exact, t.tol = nums, den, exact, tol
+        t.nums, t.den, t.exact = nums, den, exact
         return t
 
     @classmethod
-    def scalar(cls, value, exact=True, tol=DEFAULT_TOL):
-        return cls(np.array(value, dtype=object), exact=exact, tol=tol)
+    def scalar(cls, value, exact=True):
+        return cls(np.array(value, dtype=object), exact=exact)
 
     @classmethod
-    def zeros(cls, shape, exact=True, tol=DEFAULT_TOL):
+    def zeros(cls, shape, exact=True):
         return cls._of(np.full(shape, 0 if exact else complex(0), dtype=object),
-                       1, exact, tol)
+                       1, exact)
 
     @classmethod
-    def identity(cls, n, exact=True, tol=DEFAULT_TOL):
-        t = cls.zeros((n, n), exact=exact, tol=tol)
+    def identity(cls, n, exact=True):
+        t = cls.zeros((n, n), exact=exact)
         one = 1 if exact else complex(1)
         for i in range(n):
             t.nums[i, i] = one
@@ -161,12 +163,12 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
         nums = np.tensordot(a.nums, b.nums, axes=(axes_a, axes_b))
     else:
         nums = np.multiply.outer(a.nums, b.nums)
-    return Tensor.from_nums(nums, a.den * b.den, a.exact, min(a.tol, b.tol))
+    return Tensor.from_nums(nums, a.den * b.den, a.exact)
 
 
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs: new leg i is old leg perm[i]."""
-    return Tensor._of(np.transpose(a.nums, perm), a.den, a.exact, a.tol)
+    return Tensor._of(np.transpose(a.nums, perm), a.den, a.exact)
 
 
 def differences(a: Tensor, b: Tensor, tol):
@@ -191,16 +193,18 @@ def first_difference(a: Tensor, b: Tensor, tol):
     return tuple(int(i) for i in np.unravel_index(int(diff.argmax()), diff.shape))
 
 
-def equal(a: Tensor, b: Tensor) -> bool:
+def equal(a: Tensor, b: Tensor, tol=DEFAULT_TOL) -> bool:
+    """Same shape and mode, and no entry differs (see ``differences``)."""
     if a.shape != b.shape or a.exact != b.exact:
         return False
     if a.exact and a.den != b.den:  # lowest terms: equal tensors share den
         return False
-    return first_difference(a, b, max(a.tol, b.tol)) is None
+    return first_difference(a, b, tol) is None
 
 
-def invert_matrix(a: Tensor):
-    """Exact (or tolerance-pivoted) inverse of a square rank-2 tensor.
+def invert_matrix(a: Tensor, tol=DEFAULT_TOL):
+    """Exact inverse of a square rank-2 tensor; in float mode a pivot no
+    larger than ``tol`` counts as zero.
 
     Returns None when the matrix is singular.
     """
@@ -221,7 +225,7 @@ def invert_matrix(a: Tensor):
                     break
         else:
             r_best = max(range(col, n), key=lambda r: abs(m[r][col]))
-            if abs(m[r_best][col]) > a.tol:
+            if abs(m[r_best][col]) > tol:
                 pivot = r_best
         if pivot is None:
             return None
@@ -238,4 +242,4 @@ def invert_matrix(a: Tensor):
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Tensor(inv, exact=a.exact, tol=a.tol)
+    return Tensor(inv, exact=a.exact)

@@ -142,6 +142,23 @@ def test_roundtrip_group(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_roundtrip_rejects_a_labeling_budget_below_one(count):
+    code, text = invoke("roundtrip", "--group", os.path.join(FIXDIR, "z2.group"),
+                        "--max-gens", "2", "--count", count)
+    assert code == 2
+    assert text.splitlines()[-1].startswith(
+        "RESULT: FAIL need a labeling budget of at least 1"), text
+
+
+def test_holonomy_from_a_group_honours_the_mode():
+    argv = ("holonomy", "--group", os.path.join(FIXDIR, "k4.group"),
+            "--surface", os.path.join(FIXDIR, "k4_torus.surface"))
+    assert invoke(*argv) == (0, "1\nRESULT: PASS holonomy 1\n")
+    # a float, as the --bundle path prints in float mode
+    assert invoke(*argv, "--mode", "float") == (0, "1.0\nRESULT: PASS holonomy 1.0\n")
+
+
 def test_holonomy_from_labels(bundle_file):
     code, text = invoke("holonomy", "--bundle", bundle_file,
                         "--genus", "1", "--labels", "e,e")

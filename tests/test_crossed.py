@@ -1,6 +1,8 @@
+import io
 import os
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +21,11 @@ from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             insert_identity_layer, insert_conjugation_pair,
                             enumerate_labeled_words, parse_bundle,
                             format_bundle, load_bundle)
-from tqft2d.frobenius import (FrobeniusAlgebra, dual_numbers, diagonal,
-                              closed_invariant, comultiplication, group_center)
+from tqft2d.cli import run
+from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
+                              comultiplication, group_center, change_of_basis,
+                              format_algebra, load_algebra, rescale_counit,
+                              validate)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
 from tqft2d.report import Violation
@@ -161,26 +166,23 @@ def nudged(bundle, block, key, eps):
     data = dict(group=bundle.group, dims=bundle.dims,
                 fusion=dict(bundle.fusion), fission=dict(bundle.fission),
                 transport=dict(bundle.transport),
-                unit=bundle.unit, counit=bundle.counit)
-    t = data[block][key]
-    arr = t.nums.copy()
+                unit=bundle.unit, counit=bundle.counit, tol=bundle.tol)
+    arr = data[block][key].nums.copy()
     arr.flat[0] += eps
-    data[block][key] = Tensor(arr, exact=False, tol=t.tol)
+    data[block][key] = Tensor(arr, exact=False)
     return CrossedBundle(**data)
 
 
 def test_float_bundle_helpers_keep_the_tolerance():
     loose = load_bundle(Z2_DUAL_FILE, exact=False, tol=1e-6)
     t = evaluate_labeled(parse_labeled("swap[e,e]", loose.group), loose)
-    assert (t.exact, t.tol) == (False, 1e-6)
+    assert (t.exact, loose.tol) == (False, 1e-6)
 
-    d = dual_numbers(exact=False)
-    a = FrobeniusAlgebra(dim=2, basis=d.basis,
-                         **{k: Tensor(getattr(d, k).nums, exact=False, tol=1e-6)
-                            for k in ("mul", "unit", "counit")})
-    assert {t.tol for t in from_frobenius_algebra(Z2, a).transport.values()} == {1e-6}
+    a = replace(dual_numbers(exact=False), tol=1e-6)
+    assert from_frobenius_algebra(Z2, a).tol == 1e-6
 
-    assert {t.tol for t in derive_fission(loose).values()} == {1e-6}
+    derived = derive_fission(loose)
+    assert all(equal(derived[k], loose.fission[k], loose.tol) for k in derived)
     # a pairing of size 1e-7 is singular at 1e-6, though not at 1e-9
     text = format_bundle(from_group_algebra(Z2), "z2.group").replace(
         "counit : 1", "counit : 1e-7")
@@ -212,6 +214,45 @@ def test_float_checks_use_the_bundle_tolerance():
     assert frobenius_action(nudged(loose, "fusion", (e, r), 1e-7), r)[2].passed
     report = frobenius_action(nudged(loose, "fusion", (e, r), 1e-3), r)[2]
     assert report.violations[0] == Violation("module", (r, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("tol, ok", [(1e-6, True), (1e-9, False)])
+def test_float_tolerance_reaches_every_check_and_helper(tmp_path, tol, ok):
+    # the unit of near.fa and the transport e on r1 of near.bundle are off by
+    # 1e-7: every check below holds at 1e-6 and fails at 1e-9, so each shows
+    # that the tolerance loaded with the data reached it
+    near_algebra = tmp_path / "near.fa"
+    near_algebra.write_text(format_algebra(dual_numbers()).replace(
+        "unit 1 0", "unit 1.0000001 0"))
+    (tmp_path / "z2.group").write_text(format_group(Z2))
+    near_bundle = tmp_path / "near.bundle"
+    with open(Z2_DUAL_FILE, encoding="utf-8") as fh:
+        near_bundle.write_text(fh.read().replace(
+            "transport e r1 : 1 0 0 1", "transport e r1 : 1.0000001 0 0 1"))
+
+    algebra = load_algebra(str(near_algebra), exact=False, tol=tol)
+    s = Tensor([[complex(1), complex(1)], [complex(0), complex(1)]], exact=False)
+    for a in (algebra, rescale_counit(algebra, 2), change_of_basis(algebra, s)):
+        assert (a.exact, a.tol, validate(a).passed) == (False, tol, ok)
+    constant = from_frobenius_algebra(Z2, algebra)
+    bundle = load_bundle(str(near_bundle), exact=False, tol=tol)
+    for b in (constant, replace(constant, fission=derive_fission(constant)), bundle):
+        assert (b.exact, b.tol, validate_bundle(b).passed) == (False, tol, ok)
+
+    oracle = TftOracle.from_bundle(bundle)
+    assert oracle.tol == tol
+    words = enumerate_labeled_words(Z2, 2, budget_per_shape=5)
+    if ok:
+        assert tft_to_bundle(oracle).tol == tol
+        assert roundtrip_check(bundle, words).passed
+    else:  # the plain cylinder on r1 is the identity only to 1e-7
+        with pytest.raises(ExtractionError, match="identity-preservation"):
+            roundtrip_check(bundle, words)
+
+    out = io.StringIO()
+    code = run(["fuzz-equiv", "--algebra", str(near_algebra), "--count", "20",
+                "--seed", "3", "--mode", "float", "--tolerance", str(tol)], out)
+    assert (code == 0) is ok, out.getvalue()
 
 
 # --- labeling and evaluation ---------------------------------------------
@@ -343,10 +384,10 @@ def _reference_evaluate_labeled(b, bundle):
     its generators' blocks, with a dense tensor for swap, legs permuted to
     [inputs..., outputs...], and the layers are composed in order.  Nothing
     here goes through the contraction engine."""
-    exact, tol = bundle.exact, bundle.tol
+    exact = bundle.exact
     cur = None
     for t, (layer, ann_row) in enumerate(zip(b.word.layers, b.annotations)):
-        lt = Tensor.scalar(1, exact=exact, tol=tol)
+        lt = Tensor.scalar(1, exact=exact)
         ins, outs = [], []
         q = 0
         for g, ann in zip(layer, ann_row):
@@ -357,7 +398,7 @@ def _reference_evaluate_labeled(b, bundle):
                 gt = bundle.transport[ann, labels[0]]
             elif g is Gen.SWAP:
                 dg, dh = bundle.dims[labels[0]], bundle.dims[labels[1]]
-                gt = Tensor.zeros((dg, dh, dh, dg), exact=exact, tol=tol)
+                gt = Tensor.zeros((dg, dh, dh, dg), exact=exact)
                 for i in range(dg):
                     for j in range(dh):
                         gt.nums[i, j, j, i] = 1 if exact else complex(1)
@@ -382,7 +423,7 @@ def _reference_evaluate_labeled(b, bundle):
 
 def _assert_identical(t, ref):
     assert t.shape == ref.shape
-    assert (t.exact, t.tol) == (ref.exact, ref.tol)
+    assert t.exact == ref.exact
     assert all(type(x) is type(y) and x == y
                for x, y in zip(t.entries(), ref.entries()))
 
@@ -543,3 +584,13 @@ def test_bundle_file_bad_entry_count():
         "fusion e e : 1", "fusion e e : 1 1")
     with pytest.raises(BundleError):
         parse_bundle(txt, Z2)
+
+
+@pytest.mark.parametrize("keep_blocks", [True, False], ids=["blocks", "no-blocks"])
+def test_bundle_file_non_positive_fiber_dimension(keep_blocks):
+    with open(Z2_DUAL_FILE, encoding="utf-8") as fh:
+        lines = fh.read().replace("fiber e dim 2", "fiber e dim -1").splitlines()
+    if not keep_blocks:  # omitted fusion and fission blocks read as zero
+        lines = [ln for ln in lines if not ln.startswith(("fusion", "fission"))]
+    with pytest.raises(BundleError, match=re.escape("'fiber e dim -1'")):
+        parse_bundle("\n".join(lines), Z2)

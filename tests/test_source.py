@@ -1,8 +1,12 @@
 import ast
 import glob
 import importlib
+import inspect
 import os
 import sys
+
+from tqft2d import tensor
+from tqft2d.bordism import contract_word
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tqft2d")
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -30,3 +34,18 @@ def test_every_traced_function_exists():
         missing += ["%s.%s" % (module, f) for f in funcs
                     if not callable(getattr(home, f, None))]
     assert missing == []
+
+
+def test_tolerance_is_not_carried_by_tensors():
+    # the algebra, bundle or oracle owns the float tolerance; a tensor has
+    # none, and only the comparisons take one
+    assert "tol" not in tensor.Tensor.__slots__
+    routines = [f for _, f in inspect.getmembers(tensor, inspect.isfunction)]
+    for _, cls in inspect.getmembers(tensor, inspect.isclass):
+        routines += [f for _, f in inspect.getmembers(cls, inspect.isroutine)]
+    own = [f for f in routines if getattr(f, "__module__", None) == tensor.__name__]
+    with_tol = {f.__qualname__ for f in own
+                if "tol" in inspect.signature(f).parameters}
+    assert with_tol <= {"differences", "first_difference", "equal", "invert_matrix"}
+    assert "invert_matrix" in with_tol  # the scan sees the module's functions
+    assert "tol" not in inspect.signature(contract_word).parameters

@@ -122,15 +122,15 @@ def test_tensordot_empty_axes_is_outer_product():
 
 
 def test_exact_tensor_holds_numerators_over_the_least_common_denominator():
-    t = Tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]], tol=1e-6)
+    t = Tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]])
     assert t.den == 6
     assert [type(x) for x in t.nums.flat] == [int] * 4
     assert list(t.nums.flat) == [3, -2, 12, 0]
-    assert (t.shape, t.exact, t.tol) == ((2, 2), True, 1e-6)
+    assert (t.shape, t.exact) == ((2, 2), True)
     assert t.entries() == [Fraction(1, 2), Fraction(-1, 3), 2, 0]
     assert all(type(x) is Fraction for x in t.entries())
     # from_nums brings numerators over any den to lowest terms
-    same = Tensor.from_nums(np.array([[6, -4], [24, 0]], dtype=object), 12, tol=1e-6)
+    same = Tensor.from_nums(np.array([[6, -4], [24, 0]], dtype=object), 12)
     assert (same.den, list(same.nums.flat)) == (6, [3, -2, 12, 0])
     assert equal(same, t) and hash(same) == hash(t)
     zero = Tensor.from_nums(np.zeros((2,), dtype=object), 5)
@@ -163,11 +163,11 @@ def test_equal_tensors_hash_equal():
 
 def test_float_tensors_keep_their_entries():
     entries = [complex(0.5, 1.0), complex(1.0 / 3.0), complex(-2.0)]
-    t = Tensor(entries, exact=False, tol=1e-6)
+    t = Tensor(entries, exact=False)
     assert t.den == 1 and t.entries() == entries
     assert all(type(x) is complex for x in t.entries())
     p = tensordot(t, Tensor.identity(3, exact=False), [0], [0])
-    assert p.den == 1 and p.entries() == entries and p.tol == 1e-9
+    assert p.den == 1 and p.entries() == entries and p.exact is False
     assert permute(tensordot(t, t, [], []), [1, 0]).entries() \
         == [x * y for y in entries for x in entries]
     assert type(tensordot(t, t, [0], [0]).item()) is complex

@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, first_difference, format_scalar,
+from .tensor import (DEFAULT_TOL, Tensor, equal, first_difference, format_scalar,
                      invert_matrix, parse_scalar, permute, tensordot)
 
 
@@ -53,6 +53,19 @@ class FrobeniusAlgebra:
             raise StructureError("counit must have shape (n,)")
         if not (self.mul.exact == self.unit.exact == self.counit.exact):
             raise StructureError("mixed scalar modes in algebra data")
+
+    def __eq__(self, other):
+        if not isinstance(other, FrobeniusAlgebra):
+            return NotImplemented
+        tol = max(self.tol, other.tol)
+        return (self.dim == other.dim and self.basis == other.basis
+                and equal(self.mul, other.mul, tol)
+                and equal(self.unit, other.unit, tol)
+                and equal(self.counit, other.counit, tol))
+
+    def __hash__(self):
+        # without tol, as in __eq__; a float tensor hashes only its shape
+        return hash((self.dim, self.basis, self.mul, self.unit, self.counit))
 
     @property
     def exact(self):

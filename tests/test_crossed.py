@@ -1,7 +1,9 @@
 import io
+import itertools
 import os
 import random
 import re
+import shutil
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,15 +23,19 @@ from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             insert_identity_layer, insert_conjugation_pair,
                             enumerate_labeled_words, parse_bundle,
                             format_bundle, load_bundle)
+from tqft2d import crossed
 from tqft2d.cli import run
 from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               comultiplication, group_center, change_of_basis,
                               format_algebra, load_algebra, rescale_counit,
                               validate)
+from tqft2d.gerbe import (from_cocycle, klein_anticommuting_cocycle,
+                          to_crossed_bundle)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
-from tqft2d.report import Violation
-from tqft2d.tensor import Tensor, equal, permute, tensordot
+from tqft2d.report import ValidationReport, Violation
+from tqft2d.tensor import (Tensor, equal, first_difference, invert_matrix,
+                           permute, tensordot)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -253,6 +259,207 @@ def test_float_tolerance_reaches_every_check_and_helper(tmp_path, tol, ok):
     code = run(["fuzz-equiv", "--algebra", str(near_algebra), "--count", "20",
                 "--seed", "3", "--mode", "float", "--tolerance", str(tol)], out)
     assert (code == 0) is ok, out.getvalue()
+
+
+def test_mixed_scalar_modes_rejected():
+    # contractions that skip tensordot's mode check must never see such data
+    b = from_group_algebra(Z2)
+    transport = dict(b.transport)
+    transport[1, 0] = Tensor([[complex(1)]], exact=False)
+    with pytest.raises(BundleError, match=re.escape(
+            "mixed scalar modes: transport (1,0) is float, the unit exact")):
+        replace(b, transport=transport)
+    with pytest.raises(BundleError, match="the counit is float, the unit exact"):
+        replace(b, counit=Tensor([complex(1)], exact=False))
+
+
+# --- the validator against its definition ---------------------------------
+
+def _reference_validate_bundle(bundle):
+    """validate_bundle by definition: one grading at a time, block by block,
+    recording every violation in loop order."""
+    G = bundle.group
+    e = G.identity
+    mu, nu, P = bundle.fusion, bundle.fission, bundle.transport
+    report = ValidationReport()
+
+    def mismatch(axiom, grading, lhs, rhs):
+        idx = first_difference(lhs, rhs, bundle.tol)
+        if idx is not None:
+            report.fail(axiom, grading + idx)
+
+    report.check("fusion-transport")
+    report.check("fission-transport")
+    for k, g, h in itertools.product(G.elements(), repeat=3):
+        gc, hc = G.conj(k, g), G.conj(k, h)
+        gh = G.mul(g, h)
+        # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k)
+        lhs = tensordot(mu[g, h], P[k, gh], [2], [0])
+        tmp = tensordot(P[k, g], mu[gc, hc], [1], [0])
+        rhs = permute(tensordot(P[k, h], tmp, [1], [1]), (1, 0, 2))
+        mismatch("fusion-transport", (k, g, h), lhs, rhs)
+        # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}
+        lhs = tensordot(P[k, gh], nu[gc, hc], [1], [0])
+        tmp = tensordot(nu[g, h], P[k, g], [1], [0])
+        rhs = tensordot(tmp, P[k, h], [1], [0])
+        mismatch("fission-transport", (k, g, h), lhs, rhs)
+
+    report.check("associativity")
+    report.check("coassociativity")
+    report.check("frobenius")
+    for g, h, k in itertools.product(G.elements(), repeat=3):
+        gh, hk = G.mul(g, h), G.mul(h, k)
+        lhs = tensordot(mu[g, h], mu[gh, k], [2], [0])
+        rhs = tensordot(mu[h, k], mu[g, hk], [2], [1])
+        mismatch("associativity", (g, h, k), lhs, permute(rhs, (2, 0, 1, 3)))
+        lhs = permute(tensordot(nu[gh, k], nu[g, h], [1], [0]), (0, 2, 3, 1))
+        rhs = tensordot(nu[g, hk], nu[h, k], [2], [0])
+        mismatch("coassociativity", (g, h, k), lhs, rhs)
+        lhs = tensordot(mu[gh, k], nu[g, hk], [2], [0])
+        rhs = tensordot(nu[g, h], mu[h, k], [2], [0])
+        mismatch("frobenius", (g, h, k), lhs, permute(rhs, (0, 2, 1, 3)))
+        lhs = tensordot(mu[g, hk], nu[gh, k], [2], [0])
+        rhs = tensordot(nu[h, k], mu[g, h], [1], [1])
+        mismatch("frobenius", (g, h, k, "rev"), lhs, permute(rhs, (2, 0, 3, 1)))
+
+    report.check("unit-transport")
+    u, eps = bundle.unit, bundle.counit
+    for k in G.elements():
+        mismatch("unit-transport", (k,), tensordot(u, P[k, e], [0], [0]), u)
+        mismatch("unit-transport", (k, "counit"), tensordot(P[k, e], eps, [1], [0]), eps)
+
+    report.check("unit")
+    report.check("counit")
+    for g in G.elements():
+        ident = Tensor.identity(bundle.dims[g], exact=bundle.exact)
+        mismatch("unit", (g,), tensordot(mu[g, e], u, [1], [0]), ident)
+        mismatch("counit", (g,), tensordot(nu[g, e], eps, [2], [0]), ident)
+
+    report.check("nondegeneracy")
+    if invert_matrix(tensordot(mu[e, e], eps, [2], [0]), bundle.tol) is None:
+        report.fail("nondegeneracy", ())
+
+    report.check("flatness")
+    for g in G.elements():
+        mismatch("flatness", (e, g), P[e, g],
+                 Tensor.identity(bundle.dims[g], exact=bundle.exact))
+    for k, l, g in itertools.product(G.elements(), repeat=3):
+        lhs = tensordot(P[l, g], P[k, G.conj(l, g)], [1], [0])
+        mismatch("flatness", (k, l, g), lhs, P[G.mul(k, l), g])
+    return report
+
+
+def _as_float(bundle):
+    def f(t):
+        return Tensor(np.array([complex(x) for x in t.entries()],
+                               dtype=object).reshape(t.shape), exact=False)
+    return replace(bundle, unit=f(bundle.unit), counit=f(bundle.counit),
+                   **{fam: {key: f(t) for key, t in getattr(bundle, fam).items()}
+                      for fam in ("fusion", "fission", "transport")})
+
+
+def _random_entries(rng, shape):
+    values = [0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    return np.array([rng.choice(values) for _ in range(int(np.prod(shape)))],
+                    dtype=object).reshape(shape)
+
+
+def _perturbed(bundle, rng):
+    """Copy of an exact bundle with one entry, or one whole block, changed."""
+    fam = rng.choice(("fusion", "fission", "transport", "unit", "counit"))
+    if fam in ("unit", "counit"):
+        old = getattr(bundle, fam)
+    else:
+        key = rng.choice(sorted(getattr(bundle, fam)))
+        old = getattr(bundle, fam)[key]
+    if rng.random() < 0.5:
+        nums = np.array(old.entries(), dtype=object).reshape(old.shape)
+        nums.flat[rng.randrange(nums.size)] += rng.choice([1, -1, Fraction(1, 3)])
+    else:
+        nums = _random_entries(rng, old.shape)
+    if fam in ("unit", "counit"):
+        return replace(bundle, **{fam: Tensor(nums)})
+    return replace(bundle, **{fam: {**getattr(bundle, fam), key: Tensor(nums)}})
+
+
+def _random_bundle(rng, group, dims):
+    """Random blocks of the right shapes: almost every axiom fails."""
+    def block(*shape):
+        return Tensor(_random_entries(rng, shape))
+    els, m = group.elements(), group.mul
+    return CrossedBundle(
+        group=group, dims=dims,
+        fusion={(g, h): block(dims[g], dims[h], dims[m(g, h)]) for g in els for h in els},
+        fission={(g, h): block(dims[m(g, h)], dims[g], dims[h]) for g in els for h in els},
+        transport={(k, g): block(dims[g], dims[group.conj(k, g)])
+                   for k in els for g in els},
+        unit=block(dims[group.identity]), counit=block(dims[group.identity]))
+
+
+def _assert_validates_as_reference(bundle):
+    report, ref = validate_bundle(bundle), _reference_validate_bundle(bundle)
+    assert report.checked == ref.checked
+    assert report.violations == ref.violations
+    return len(ref.violations)
+
+
+def test_validate_bundle_matches_the_loop_reference():
+    K4 = klein_four_group()
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    bases = [load_bundle(os.path.join(fixtures, name))
+             for name in ("z2_dual.bundle", "s3_lines.bundle")]
+    bases += [from_group_algebra(G) for G in (Z2, S3, K4)]
+    bases += [to_crossed_bundle(from_cocycle(*klein_anticommuting_cocycle())),
+              from_frobenius_algebra(Z2, dual_numbers()),
+              from_frobenius_algebra(Z3, diagonal([Fraction(2), Fraction(1, 3)]))]
+    rng = random.Random(11)
+    compared = 0
+    for base in bases:
+        for exact in (True, False):
+            b = base if exact else _as_float(base)
+            assert validate_bundle(b).passed
+            compared += _assert_validates_as_reference(b)
+            for _ in range(4):
+                bad = _perturbed(base, rng)
+                compared += _assert_validates_as_reference(bad if exact else _as_float(bad))
+    for group, dims in ((Z2, (2, 1)), (K4, (1, 3, 2, 1)), (S3, (1, 2, 1, 1, 2, 1))):
+        for _ in range(3):
+            b = _random_bundle(rng, group, dims)
+            compared += _assert_validates_as_reference(b)
+            compared += _assert_validates_as_reference(_as_float(b))
+    assert compared > 1000  # most of the cases above fail many axioms
+
+
+def test_validator_contractions_do_not_grow_with_the_group(monkeypatch):
+    # the stacked validator contracts through np.einsum, not block by block
+    calls = []
+    real = crossed.tensordot
+    monkeypatch.setattr(crossed, "tensordot",
+                        lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for group in (S3, symmetric_group(4)):
+        calls.clear()
+        report = validate_bundle(from_group_algebra(group))
+        assert report.passed, report.summary()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_cli_validate_bundle_reports_the_reference_violations(tmp_path):
+    shutil.copy(os.path.join(os.path.dirname(Z2_DUAL_FILE), "z2.group"), tmp_path)
+    path = tmp_path / "bad.bundle"
+    with open(Z2_DUAL_FILE, encoding="utf-8") as fh:
+        path.write_text(fh.read().replace("transport r1 r1 : 1 0 0 1",
+                                          "transport r1 r1 : 1 0 1 1").replace(
+            "fission r1 e : 0 1 1 0 0 0 0 1", "fission r1 e : 0 1 1 0 0 0 2 1"))
+    ref = _reference_validate_bundle(load_bundle(str(path)))
+    out = io.StringIO()
+    assert run(["validate", "--bundle", str(path)], out) == 1
+    lines = out.getvalue().splitlines()
+    assert [ln for ln in lines if ln.startswith("violation:")] == \
+        ["violation: %s" % v for v in ref.violations]
+    assert len(ref.violations) > 10
+    assert lines[-1].startswith("RESULT: FAIL")
 
 
 # --- labeling and evaluation ---------------------------------------------

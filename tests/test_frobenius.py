@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -251,6 +252,24 @@ mul 2 1 -> 2:3/3
     a = parse_algebra(text)
     assert validate(a).passed
     assert values(a.counit)[1] == 1
+
+
+def test_equality_uses_the_algebra_tolerance(tmp_path):
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "dual_numbers.fa")
+    near = tmp_path / "near.fa"
+    with open(fixture, encoding="utf-8") as fh:
+        near.write_text(fh.read().replace("unit 1 0", "unit 1.0000001 0"))
+    loose = load_algebra(str(near), exact=False, tol=1e-6)
+    assert validate(loose).passed
+    original = load_algebra(fixture, exact=False, tol=1e-6)
+    assert loose == original and hash(loose) == hash(original)
+    assert {loose: 1}[original] == 1
+    # the larger tolerance of the two decides, as for bundles
+    assert loose == load_algebra(fixture, exact=False)
+    assert load_algebra(str(near), exact=False) != load_algebra(fixture, exact=False)
+    assert load_algebra(fixture) != original
+    assert load_algebra(fixture) == load_algebra(fixture, tol=1e-6)
 
 
 def test_load_algebra_builtin_names(tmp_path):

@@ -90,6 +90,18 @@ class BordismWord:
     def arity_out(self):
         return layer_arity(self.layers[-1])[1]
 
+    # contract_word's steps (see _schedule), built on first use per mode and
+    # kept as long as the word: every labeling of a shape shares them
+    @cached_property
+    def carried_schedule(self):
+        """The steps when each ``id`` cylinder only carries its circle."""
+        return _schedule(self.layers, carry=True)
+
+    @cached_property
+    def contracted_schedule(self):
+        """The steps when each ``id`` cylinder is contracted as a block."""
+        return _schedule(self.layers, carry=False)
+
     @property
     def euler_characteristic(self):
         return sum(EULER[g] for layer in self.layers for g in layer)
@@ -294,68 +306,96 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-def contract_word(w: BordismWord, lookup, pad, exact) -> Tensor:
-    """The linear map of a word; legs ordered [inputs..., outputs...].
+def _schedule(layers, carry):
+    """The steps ``contract_word`` takes through a word with these layers.
 
-    One state tensor is carried through the word, one generator at a time,
-    so the cost follows the generators rather than the width of a layer.
-    Each state leg is labelled ~i (a negative int) for word input i, or k
-    for the k-th generator output made so far; ``boundary`` labels the
-    circles of the current boundary the same way.
-
-    ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
-    layer t, whose first input is circle q of the boundary above layer t.
-    The tensor, legs [inputs..., outputs...], is contracted against the legs
-    of its input circles.  ``lookup`` returns None for a cylinder that only
-    carries its circle, and is not asked for ``swap``, which relabels two
-    circles.  ``pad(i)`` gives the identity on input i's fiber, for an input
-    that reaches the outputs untouched.  In exact mode every contraction runs
-    on integer numerators (see ``tensor``).
+    A pure function of the layers and of ``carry``, whether an ``id``
+    cylinder only carries its circle or is contracted like any other
+    generator.  Each state leg is labelled ~i (a negative int) for word
+    input i, or k for the k-th generator output made so far; ``boundary``
+    labels the circles of the current boundary the same way, and a swap
+    only exchanges two of its labels.  Returns ``(steps, pads, perm)``:
+    ``steps`` holds ``(g, t, j, q, axes_s, axes_g)`` per contracted
+    generator g, the j-th of layer t with first input circle q of the
+    boundary above layer t, whose legs ``axes_g`` are contracted against the
+    state's legs ``axes_s`` (the first step's generator is the state);
+    ``pads`` the inputs that reach the outputs untouched, each of which
+    gets an identity leg pair; ``perm`` the final order of the state's legs.
     """
-    n_in = w.arity_in
-    state = None  # None stands for the scalar 1
+    n_in = layer_arity(layers[0])[0]
+    steps = []
     legs = []
     # an input label in the boundary never has a leg yet, an output always has
     boundary = [~i for i in range(n_in)]
     made = 0
-    for t, layer in enumerate(w.layers):
+    for t, layer in enumerate(layers):
         pos = 0  # position of the next generator's first input in ``boundary``
         q = 0    # and in the boundary above the layer
         for j, g in enumerate(layer):
+            n_gen_in, n_out = ARITY[g]
             if g is Gen.SWAP:
                 boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
                 pos, q = pos + 2, q + 2
                 continue
-            gen = lookup(g, t, j, q)
-            n_gen_in, n_out = ARITY[g]
-            q += n_gen_in
-            if gen is None:
-                pos += 1
+            if g is Gen.ID and carry:
+                pos, q = pos + 1, q + 1
                 continue
             circles = boundary[pos:pos + n_gen_in]
             outs = list(range(made, made + n_out))
             made += n_out
-            if state is None:
-                state, legs = gen, circles + outs
-            else:
-                state = tensordot(state, gen, [legs.index(c) for c in circles if c >= 0],
-                                  [k for k, c in enumerate(circles) if c >= 0])
+            if steps:
+                axes_s = tuple(legs.index(c) for c in circles if c >= 0)
+                axes_g = tuple(k for k, c in enumerate(circles) if c >= 0)
                 legs = ([leg for leg in legs if leg not in circles]
                         + [c for c in circles if c < 0] + outs)
+            else:
+                axes_s = axes_g = ()
+                legs = circles + outs
+            steps.append((g, t, j, q, axes_s, axes_g))
             boundary[pos:pos + n_gen_in] = outs
-            pos += n_out
+            pos, q = pos + n_out, q + n_gen_in
+    pads = []
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
-            ident = pad(~c)
-            state = ident if state is None else tensordot(state, ident, [], [])
+            pads.append(~c)
             legs += [c, made]
             boundary[p] = made
             made += 1
+    perm = tuple(legs.index(leg) for leg in [~i for i in range(n_in)] + boundary)
+    return tuple(steps), tuple(pads), perm
+
+
+def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
+    """The linear map of a word; legs ordered [inputs..., outputs...].
+
+    One state tensor is carried through the word, one generator at a time,
+    so the cost follows the generators rather than the width of a layer.
+    The steps depend only on the word's layers and on ``carry``, so they are
+    scheduled once per word and mode (``BordismWord.carried_schedule`` and
+    ``contracted_schedule``, see ``_schedule``); this executor only looks up
+    generators and contracts them.
+
+    ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
+    layer t, whose first input is circle q of the boundary above layer t.
+    The tensor, legs [inputs..., outputs...], is contracted against the legs
+    of its input circles.  With ``carry`` an ``id`` cylinder only carries its
+    circle and ``lookup`` is not asked for it; ``lookup`` is never asked for
+    ``swap``, which relabels two circles.  ``pad(i)`` gives the identity on
+    input i's fiber, for an input that reaches the outputs untouched.  In
+    exact mode every contraction runs on integer numerators (see ``tensor``).
+    """
+    steps, pads, perm = w.carried_schedule if carry else w.contracted_schedule
+    state = None  # None stands for the scalar 1
+    for g, t, j, q, axes_s, axes_g in steps:
+        gen = lookup(g, t, j, q)
+        state = gen if state is None else tensordot(state, gen, axes_s, axes_g)
+    for i in pads:
+        ident = pad(i)
+        state = ident if state is None else tensordot(state, ident, (), ())
     if state is None:
         return Tensor.scalar(1, exact=exact)
-    perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
     # a fresh array: the state may still be a generator tensor itself
-    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact)
+    return Tensor._of(state.nums.transpose(perm).copy(), state.den, exact)
 
 
 # the structure tensor each generator but the cylinder is contracted as
@@ -376,8 +416,8 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     tensors = algebra.contraction_tensors
     gens = {g: tensors[name] for g, name in _STRUCTURE.items()}
     ident = tensors["identity"]
-    return contract_word(w, lambda g, t, j, q: gens.get(g), lambda i: ident,
-                         algebra.exact)
+    return contract_word(w, lambda g, t, j, q: gens[g], lambda i: ident,
+                         algebra.exact, carry=True)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

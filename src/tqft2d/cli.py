@@ -234,11 +234,14 @@ def build_parser():
     return p
 
 
+# built once: parsing leaves the parser unchanged
+PARSER = build_parser()
+
+
 def run(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit:
         return 2
     try:

@@ -595,7 +595,7 @@ def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
 
     identities = bundle.identities
     return contract_word(b.word, lookup, lambda i: identities[b.in_labels[i]],
-                         bundle.exact)
+                         bundle.exact, carry=False)
 
 
 def holonomy(b: LabeledBordism, bundle: CrossedBundle):

@@ -73,8 +73,8 @@ class FrobeniusAlgebra:
 
     @cached_property
     def contraction_tensors(self):
-        """The tensors ``bordism.evaluate`` contracts, built once per algebra
-        so that the comultiplication is derived once.
+        """The tensors ``bordism.evaluate`` and ``handle_operator`` contract,
+        built once per algebra so that the comultiplication is derived once.
 
         Maps "identity", "unit", "counit", "mul" and "comultiplication" to
         their tensors.  Nothing is cached when the pairing is degenerate, so
@@ -135,7 +135,7 @@ def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
 
 def handle_operator(algebra: FrobeniusAlgebra) -> Tensor:
     """H = mul o delta as an n x n map (legs: domain, codomain)."""
-    delta = comultiplication(algebra)
+    delta = algebra.contraction_tensors["comultiplication"]
     return tensordot(delta, algebra.mul, [1, 2], [0, 1])
 
 

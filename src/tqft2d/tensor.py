@@ -148,22 +148,36 @@ def _check_modes(a, b):
 
 
 def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
-    """Contract legs ``axes_a`` of a against ``axes_b`` of b (pairwise)."""
+    """Contract legs ``axes_a`` of a against ``axes_b`` of b (pairwise);
+    with no legs paired, the outer product.
+
+    The steps of ``np.tensordot``, without its argument handling: the paired
+    legs go to the end of a and the front of b, both are flattened to
+    matrices, and ``np.dot`` multiplies them, so float results are bit for
+    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.
+    """
     _check_modes(a, b)
-    axes_a = list(axes_a)
-    axes_b = list(axes_b)
     if len(axes_a) != len(axes_b):
         raise ContractionError("axis lists differ in length")
+    x, y = a.nums, b.nums
+    if not axes_a:
+        return Tensor.from_nums(np.multiply.outer(x, y), a.den * b.den, a.exact)
+    sa, sb = x.shape, y.shape
+    n = 1
     for i, j in zip(axes_a, axes_b):
-        if a.shape[i] != b.shape[j]:
+        if sa[i] != sb[j]:
             raise ContractionError(
                 "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
-                % (i, a.shape[i], j, b.shape[j]))
-    if axes_a:
-        nums = np.tensordot(a.nums, b.nums, axes=(axes_a, axes_b))
-    else:
-        nums = np.multiply.outer(a.nums, b.nums)
-    return Tensor.from_nums(nums, a.den * b.den, a.exact)
+                % (i, sa[i], j, sb[j]))
+        n *= sa[i]
+    keep_a = [k for k in range(len(sa)) if k not in axes_a]
+    keep_b = [k for k in range(len(sb)) if k not in axes_b]
+    out_a = [sa[k] for k in keep_a]
+    out_b = [sb[k] for k in keep_b]
+    at = x.transpose(keep_a + list(axes_a)).reshape(math.prod(out_a), n)
+    bt = y.transpose(list(axes_b) + keep_b).reshape(n, math.prod(out_b))
+    return Tensor.from_nums(np.dot(at, bt).reshape(out_a + out_b),
+                            a.den * b.den, a.exact)
 
 
 def permute(a: Tensor, perm) -> Tensor:

@@ -1,3 +1,6 @@
+import importlib
+import os
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,16 +11,24 @@ from tqft2d.bordism import (ARITY, Gen, BordismWord, WordSyntaxError, ArityError
                             parse_word, identity_word, seq, par,
                             topological_type, equivalent, evaluate, as_matrix,
                             random_equivalent_pair)
-from tqft2d import frobenius
+from tqft2d import bordism, crossed, frobenius
+from tqft2d.crossed import (enumerate_labeled_words, evaluate_labeled,
+                            from_frobenius_algebra, from_group_algebra, label_word,
+                            load_bundle)
 from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError, ground_field,
                               dual_numbers, diagonal, group_center, closed_invariant,
                               comultiplication, rescale_counit)
-from tqft2d.groups import symmetric_group
+from tqft2d.gerbe import from_cocycle, klein_anticommuting_cocycle, to_crossed_bundle
+from tqft2d.groups import cyclic_group, symmetric_group, trivial_group
 from tqft2d.tensor import Tensor, equal, permute, tensordot
+
+from test_crossed import _reference_evaluate_labeled
 
 ALGEBRAS = [ground_field(), dual_numbers(),
             diagonal([Fraction(1), Fraction(2)]),
             group_center(symmetric_group(3))]
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def test_parse_single_generator():
@@ -340,3 +351,228 @@ def test_evaluate_float_mode_carries_tolerance():
     # an empty layer must not bring an exact scalar into a float word
     sphere = evaluate(BordismWord(((), (Gen.CAP,), (Gen.CUP,))), a)
     assert (sphere.exact, sphere.item()) == (False, 0)
+
+
+def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
+    """contract_word as one loop that redoes the leg bookkeeping on every
+    call, with ``lookup`` returning None for a cylinder that only carries
+    its circle; every contraction goes through ``dot``."""
+    n_in = w.arity_in
+    state = None  # None stands for the scalar 1
+    legs = []
+    # an input label in the boundary never has a leg yet, an output always has
+    boundary = [~i for i in range(n_in)]
+    made = 0
+    for t, layer in enumerate(w.layers):
+        pos = 0  # position of the next generator's first input in ``boundary``
+        q = 0    # and in the boundary above the layer
+        for j, g in enumerate(layer):
+            if g is Gen.SWAP:
+                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
+                pos, q = pos + 2, q + 2
+                continue
+            gen = lookup(g, t, j, q)
+            n_gen_in, n_out = ARITY[g]
+            q += n_gen_in
+            if gen is None:
+                pos += 1
+                continue
+            circles = boundary[pos:pos + n_gen_in]
+            outs = list(range(made, made + n_out))
+            made += n_out
+            if state is None:
+                state, legs = gen, circles + outs
+            else:
+                state = dot(state, gen, [legs.index(c) for c in circles if c >= 0],
+                            [k for k, c in enumerate(circles) if c >= 0])
+                legs = ([leg for leg in legs if leg not in circles]
+                        + [c for c in circles if c < 0] + outs)
+            boundary[pos:pos + n_gen_in] = outs
+            pos += n_out
+    for p, c in enumerate(boundary):
+        if c < 0:  # an input that reaches the outputs untouched
+            ident = pad(~c)
+            state = ident if state is None else dot(state, ident, [], [])
+            legs += [c, made]
+            boundary[p] = made
+            made += 1
+    if state is None:
+        return Tensor.scalar(1, exact=exact)
+    perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
+    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact)
+
+
+def _recording(calls):
+    """tensordot, noting (a.shape, axes_a, b.shape, axes_b) of each call."""
+    def dot(a, b, axes_a, axes_b):
+        calls.append((a.shape, tuple(axes_a), b.shape, tuple(axes_b)))
+        return tensordot(a, b, axes_a, axes_b)
+    return dot
+
+
+def _reference_lookup(lookup, carry):
+    """The reference loop's lookup for contract_word's: None for a carried
+    cylinder, which contract_word's lookup is never asked for."""
+    if not carry:
+        return lookup
+    return lambda g, t, j, q: None if g is Gen.ID else lookup(g, t, j, q)
+
+
+def _engine_cases():
+    """(evaluate, word or labeled word, algebra or bundle) over the wide
+    words, random pair seeds and enumerated labeled words, exact and float."""
+    words = [parse_word(text) for text in WIDE_WORDS]
+    for seed in list(range(30)) + [98, 143, 179]:
+        words += random_equivalent_pair((seed % 3, (seed // 3) % 3), 8, seed)
+    for a in (dual_numbers(), diagonal([Fraction(2), Fraction(1, 3)]),
+              dual_numbers(exact=False)):
+        for w in words:
+            yield evaluate, w, a
+    z2_dual = os.path.join(FIXTURES, "z2_dual.bundle")
+    for B, budget in ((from_group_algebra(cyclic_group(2)), 60),
+                      (from_group_algebra(symmetric_group(3)), 3),
+                      (load_bundle(z2_dual), 6),
+                      (from_group_algebra(cyclic_group(2), exact=False), 6),
+                      (load_bundle(z2_dual, exact=False, tol=1e-6), 6)):
+        for b in enumerate_labeled_words(B.group, 3, budget_per_shape=budget):
+            yield evaluate_labeled, b, B
+
+
+def test_contract_word_matches_the_loop_reference(monkeypatch):
+    # each engine call of evaluate and evaluate_labeled is rerun by the
+    # reference loop on the same lookup and pad: the same tensordot calls in
+    # the same order, and the same result bit for bit
+    engine, calls, compared = bordism.contract_word, [], []
+    monkeypatch.setattr(bordism, "tensordot", _recording(calls))
+
+    def checked(w, lookup, pad, exact, carry):
+        calls.clear()
+        t = engine(w, lookup, pad, exact, carry)
+        ref_calls = []
+        ref = _reference_contract_word(w, _reference_lookup(lookup, carry), pad,
+                                       exact, _recording(ref_calls))
+        assert calls == ref_calls
+        _assert_identical(t, ref)
+        compared.append((carry, exact, len(calls)))
+        return t
+
+    monkeypatch.setattr(bordism, "contract_word", checked)
+    monkeypatch.setattr(crossed, "contract_word", checked)
+    cases = 0
+    for evaluator, w, target in _engine_cases():
+        evaluator(w, target)
+        cases += 1
+    assert len(compared) == cases
+    # both modes, both scalar kinds, and real contractions in each
+    assert {(carry, exact) for carry, exact, n in compared if n} == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
+def test_one_word_keeps_a_schedule_per_mode():
+    # the same word object, plain, labeled and plain again: a cylinder is
+    # carried in one mode and a signed transport block in the other
+    w = parse_word("id * id ; pants ; copants ; id * id")
+    K, theta = klein_anticommuting_cocycle()
+    B = to_crossed_bundle(from_cocycle(K, theta))
+    b = label_word(K, w, (1, 2), [(1, 2), (None,), ((1, 2),), (3, 2)])
+    a = diagonal([Fraction(2), Fraction(1, 3)])
+    _assert_identical(evaluate(w, a), _reference_evaluate(w, a))
+    labeled = evaluate_labeled(b, B)
+    _assert_identical(labeled, _reference_evaluate_labeled(b, B))
+    assert labeled.entries() == [-1]  # the transports by 3 and 1 carry a -1
+    _assert_identical(evaluate(w, a), _reference_evaluate(w, a))
+    assert b.word is w
+    assert w.carried_schedule is w.carried_schedule
+    assert len(w.carried_schedule[0]) == 2 and len(w.contracted_schedule[0]) == 6
+
+
+def test_all_labelings_of_a_shape_share_one_schedule(monkeypatch):
+    built = []
+
+    def counted(layers, carry):
+        built.append((layers, carry))
+        return schedule(layers, carry)
+
+    schedule = bordism._schedule
+    monkeypatch.setattr(bordism, "_schedule", counted)
+    B = from_group_algebra(cyclic_group(2))
+    words = enumerate_labeled_words(B.group, 3, budget_per_shape=1000)
+    shapes = {}
+    for b in words:
+        shapes.setdefault(id(b.word), []).append(b)
+    # the shape with the most labelings, all of them one word object
+    labelings = max(shapes.values(), key=len)
+    assert len(labelings) >= 16
+    for b in labelings:
+        _assert_identical(evaluate_labeled(b, B), _reference_evaluate_labeled(b, B))
+    assert built == [(labelings[0].word.layers, False)]
+    for b in words:
+        evaluate_labeled(b, B)
+    assert len(built) == len(shapes)
+
+
+def test_schedule_edge_cases():
+    a = dual_numbers()
+    T = trivial_group()
+    B = from_frobenius_algebra(T, a)
+    empty = identity_word(0)
+    # the empty word and a closed word ending in an empty layer: scalars
+    for w, value in ((empty, 1), (BordismWord(((Gen.CAP,), (Gen.CUP,), ())), 0),
+                     (parse_word("cap ; cup"), 0)):
+        for t in (evaluate(w, a), evaluate_labeled(label_word(T, w, ()), B)):
+            assert t.shape == () and t.item() == value
+    assert empty.carried_schedule == empty.contracted_schedule == ((), (), ())
+    steps, pads, perm = parse_word("cap ; cup").carried_schedule
+    assert [s[0] for s in steps] == [Gen.CAP, Gen.CUP] and pads == () and perm == ()
+    # an input that passes untouched gets an identity leg pair when carried
+    w = parse_word("id * cap ; id * cup")
+    assert w.carried_schedule[1] == (0,) and w.contracted_schedule[1] == ()
+    half = diagonal([Fraction(1, 2), Fraction(1, 2)])
+    _assert_identical(evaluate(w, half), Tensor.identity(2))
+    b = label_word(T, w, (T.identity,))
+    _assert_identical(evaluate_labeled(b, from_frobenius_algebra(T, half)),
+                      Tensor.identity(2))
+
+
+def test_the_tracer_sees_every_engine_contraction(monkeypatch):
+    # perfbench's tracer patches the tensor.tensordot binding; an engine that
+    # contracted past it would leave its per-layer counts short
+    sys.path.insert(0, PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    z2_dual = load_bundle(os.path.join(FIXTURES, "z2_dual.bundle"))
+    labeled = enumerate_labeled_words(z2_dual.group, 2, budget_per_shape=4)
+    # one algebra, whose comultiplication the first run derives and keeps
+    a = dual_numbers()
+
+    def run():
+        for text in WIDE_WORDS[3:]:
+            evaluate(parse_word(text), a)
+        for b in labeled:
+            evaluate_labeled(b, z2_dual)
+
+    ref_calls = []
+
+    def reference(w, lookup, pad, exact, carry):
+        return _reference_contract_word(w, _reference_lookup(lookup, carry), pad,
+                                        exact, _recording(ref_calls))
+
+    monkeypatch.setattr(bordism, "contract_word", reference)
+    monkeypatch.setattr(crossed, "contract_word", reference)
+    run()
+    monkeypatch.undo()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run()
+    finally:
+        t.uninstall()
+    assert len(ref_calls) > 50
+    assert sum(span[0] == "tensor.tensordot" for span in t.spans) == len(ref_calls)
+    # and the sizes it records are those of the reference's calls
+    sizes = []
+    for sa, axes_a, sb, axes_b in ref_calls:
+        out = [d for k, d in enumerate(sa) if k not in axes_a]
+        out += [d for k, d in enumerate(sb) if k not in axes_b]
+        sizes.append((int(np.prod(out)), int(np.prod([sa[i] for i in axes_a])),
+                      not axes_a))
+    assert t.tensordot == sizes

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from tqft2d import cli
 from tqft2d.cli import run
 from tqft2d.crossed import from_group_algebra, from_frobenius_algebra, \
     format_bundle
@@ -99,6 +100,18 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = invoke("no-such-command")
     assert code == 2
+
+
+def test_run_reuses_one_parser(monkeypatch, algebra_file):
+    def rebuilt():
+        raise AssertionError("run built a parser of its own")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert invoke("invariant", "--algebra", algebra_file, "--genus", "3")[0] == 0
+    assert invoke("no-such-command")[0] == 2
+    # the options of one call do not carry over to the next
+    code, text = invoke("invariant", "--algebra", algebra_file)
+    assert code == 0 and text.splitlines()[-1] == "RESULT: PASS genus 1 invariant 2"
 
 
 def test_invariant_prints_value(algebra_file):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tqft2d import frobenius
 from tqft2d.bordism import parse_word, evaluate
 from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError,
                               validate, pairing, comultiplication,
@@ -122,6 +123,32 @@ def test_handle_operator_values():
     h = handle_operator(diagonal([Fraction(1), Fraction(1)]))
     assert equal(h, Tensor.identity(2))
     assert equal(handle_operator(ground_field()), Tensor.identity(1))
+
+
+def test_handle_operator_inverts_the_pairing_once_per_algebra(monkeypatch):
+    inverted = []
+
+    def counted(m, tol):
+        inverted.append(m)
+        return invert_matrix(m, tol)
+
+    monkeypatch.setattr(frobenius, "invert_matrix", counted)
+    a = group_center(symmetric_group(3))
+    h = handle_operator(a)
+    assert equal(h, tensordot(comultiplication(a), a.mul, [1, 2], [0, 1]))
+    assert len(inverted) == 2  # the cached comultiplication and the one above
+    for g in range(4):
+        w = parse_word("cap ; " + "copants ; pants ; " * g + "cup")
+        assert closed_invariant(a, g) == evaluate(w, a).item()
+    assert len(inverted) == 2
+    # a degenerate pairing is never cached: every call raises again
+    bad = _copy_with(dual_numbers(),
+                     counit=Tensor(np.array([Fraction(1), Fraction(0)], dtype=object)))
+    for _ in range(2):
+        with pytest.raises(DegeneratePairingError):
+            handle_operator(bad)
+        with pytest.raises(DegeneratePairingError):
+            closed_invariant(bad, 0)
 
 
 def test_closed_invariants_dual_numbers():

@@ -249,3 +249,52 @@ def test_every_exact_tensor_is_in_lowest_terms(xs, ys):
     # and the numbers are the fractions the entries stand for
     assert tensordot(m, v, [1], [0]).entries() == [xs[0] * ys[0] + xs[1] * ys[1],
                                                    xs[2] * ys[0] + xs[3] * ys[1]]
+
+
+def test_transposed_legs_of_equal_size_do_not_contract():
+    # (2, 3) against (3, 2) flattens to the same 6 entries; only the per-leg
+    # dimension check stops it
+    a = Tensor.zeros((2, 3))
+    b = Tensor.zeros((3, 2))
+    with pytest.raises(ContractionError):
+        tensordot(a, b, [0, 1], [0, 1])
+    with pytest.raises(ContractionError):
+        tensordot(a, b, (1,), ())
+    assert tensordot(a, b, [0, 1], [1, 0]).shape == ()
+
+
+def test_contracting_mixed_modes_is_rejected():
+    a = frac_tensor([[1, 2], [3, 4]])
+    b = Tensor([[complex(1), 0], [0, complex(1)]], exact=False)
+    for axes in (([1], [0]), ([0, 1], [0, 1])):
+        with pytest.raises(ModeMismatchError):
+            tensordot(a, b, *axes)
+        with pytest.raises(ModeMismatchError):
+            tensordot(b, a, *axes)
+
+
+def test_vector_covector_contraction_is_a_scalar():
+    exact = tensordot(frac_tensor([Fraction(1, 2), 3]), frac_tensor([4, Fraction(1, 3)]),
+                      [0], [0])
+    assert exact.shape == () and isinstance(exact.nums, np.ndarray)
+    assert exact.item() == 3
+    approx = tensordot(Tensor([1j, 2], exact=False), Tensor([1j, 0.5], exact=False),
+                       (0,), (0,))
+    assert approx.shape == () and approx.item() == 0
+
+
+def test_float_contractions_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [((3,), (3,), [0], [0]), ((2, 3), (3, 4), [1], [0]),
+             ((2, 3, 4), (4, 3, 5), [1, 2], [1, 0]), ((4, 2, 3), (3, 4), [2, 0], [0, 1]),
+             ((2, 2, 2, 2), (2, 2, 2), [3, 1], [0, 2]), ((3, 2), (2, 3), [0, 1], [1, 0])]
+    for sa, sb, axes_a, axes_b in cases:
+        for _ in range(5):
+            x = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+            y = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+            a = Tensor(x.astype(object), exact=False)
+            b = Tensor(y.astype(object), exact=False)
+            got = np.asarray(tensordot(a, b, axes_a, axes_b).nums, dtype=complex)
+            want = np.asarray(np.tensordot(a.nums, b.nums, (axes_a, axes_b)), dtype=complex)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ connected component.
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,6 +102,12 @@ class BordismWord:
     def contracted_schedule(self):
         """The steps when each ``id`` cylinder is contracted as a block."""
         return _schedule(self.layers, carry=False)
+
+    @cached_property
+    def topological_type(self):
+        """The word's ``TopologicalType``, classified once per word; read it
+        through the module function ``topological_type``."""
+        return _classify(self)
 
     @property
     def euler_characteristic(self):
@@ -247,6 +254,17 @@ class TopologicalType:
 
 
 def topological_type(w: BordismWord) -> TopologicalType:
+    """The complete invariant of the surface a word describes: per connected
+    component its genus and the positions of its input and output circles.
+
+    It depends only on the word, so it is classified on first use and kept
+    on the word (``BordismWord.topological_type``); ``equivalent`` and every
+    later call on the same word object read the kept value.
+    """
+    return w.topological_type
+
+
+def _classify(w: BordismWord) -> TopologicalType:
     # one node per word input and per generator but id and swap, which only
     # carry circles; boundary holds the node each current circle belongs to,
     # walked as in contract_word
@@ -312,22 +330,26 @@ def _schedule(layers, carry):
     A pure function of the layers and of ``carry``, whether an ``id``
     cylinder only carries its circle or is contracted like any other
     generator.  Each state leg is labelled ~i (a negative int) for word
-    input i, or k for the k-th generator output made so far; ``boundary``
-    labels the circles of the current boundary the same way, and a swap
-    only exchanges two of its labels.  Returns ``(steps, pads, perm)``:
-    ``steps`` holds ``(g, t, j, q, axes_s, axes_g)`` per contracted
-    generator g, the j-th of layer t with first input circle q of the
-    boundary above layer t, whose legs ``axes_g`` are contracted against the
-    state's legs ``axes_s`` (the first step's generator is the state);
-    ``pads`` the inputs that reach the outputs untouched, each of which
-    gets an identity leg pair; ``perm`` the final order of the state's legs.
+    input i, or k for the k-th generator output in layer order; one walk of
+    the word labels the circles of each boundary the same way, a swap only
+    exchanging two labels, and lists the contracted generators with the
+    labels they read and make.  ``_plan`` then orders them from leg counts
+    alone, never from fiber dimensions, so one schedule serves every
+    algebra and every labeling of the word.  Returns ``(steps, pads,
+    perm)``: ``steps`` holds ``(g, t, j, q, axes_s, axes_g)`` per contracted
+    generator g in the planned order, the j-th of layer t with first input
+    circle q of the boundary above layer t, whose legs ``axes_g`` are
+    contracted against the state's legs ``axes_s`` (the first step's
+    generator is the state); ``pads`` the inputs that reach the outputs
+    untouched, each of which gets an identity leg pair; ``perm`` the final
+    order of the state's legs.
     """
     n_in = layer_arity(layers[0])[0]
-    steps = []
-    legs = []
-    # an input label in the boundary never has a leg yet, an output always has
+    # per contracted generator, in layer order: (g, t, j, q, labels read,
+    # labels made, axes_g, the change it makes to the number of state legs)
+    gens = []
     boundary = [~i for i in range(n_in)]
-    made = 0
+    made = n_legs = peak = 0
     for t, layer in enumerate(layers):
         pos = 0  # position of the next generator's first input in ``boundary``
         q = 0    # and in the boundary above the layer
@@ -343,17 +365,27 @@ def _schedule(layers, carry):
             circles = boundary[pos:pos + n_gen_in]
             outs = list(range(made, made + n_out))
             made += n_out
-            if steps:
-                axes_s = tuple(legs.index(c) for c in circles if c >= 0)
-                axes_g = tuple(k for k, c in enumerate(circles) if c >= 0)
-                legs = ([leg for leg in legs if leg not in circles]
-                        + [c for c in circles if c < 0] + outs)
-            else:
-                axes_s = axes_g = ()
-                legs = circles + outs
-            steps.append((g, t, j, q, axes_s, axes_g))
+            # a made label is a state leg to contract, a word input joins
+            # the state as a leg of its own
+            axes_g = tuple([k for k, c in enumerate(circles) if c >= 0])
+            grow = n_gen_in + n_out - 2 * len(axes_g)
+            n_legs += grow
+            if n_legs > peak:
+                peak = n_legs
+            gens.append((g, t, j, q, circles, outs, axes_g, grow))
             boundary[pos:pos + n_gen_in] = outs
             pos, q = pos + n_out, q + n_gen_in
+    # every order ends at the same final state, so none has a lower peak
+    # than layer order when that state is its peak
+    order = _plan(gens, made, peak) if peak > n_legs else range(len(gens))
+    steps = []
+    legs = []
+    for k in order:
+        g, t, j, q, circles, outs, axes_g, _ = gens[k]
+        steps.append((g, t, j, q, tuple([legs.index(c) for c in circles if c >= 0]),
+                      axes_g))
+        legs = ([leg for leg in legs if leg not in circles]
+                + [c for c in circles if c < 0] + outs)
     pads = []
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
@@ -365,15 +397,62 @@ def _schedule(layers, carry):
     return tuple(steps), tuple(pads), perm
 
 
+def _plan(gens, n_made, peak):
+    """The ready-first order in which to contract ``gens``, as indices into
+    it, or layer order when that order's peak is not below ``peak``.
+
+    ``gens`` is ``_schedule``'s list in layer order, ``n_made`` the number
+    of labels made in all and ``peak`` layer order's peak number of state
+    legs.  Of the generators whose inputs are all made, the greedy takes
+    the one that leaves the fewest state legs, the earliest in layer order
+    on a tie.  Readiness is kept up to date as labels are made, so
+    planning stays near-linear.  The greedy order is kept only if its peak
+    is strictly below ``peak``; the pads come after every generator in
+    either order and leave the comparison alone.
+    """
+    reader = [None] * n_made  # the generator that reads each made label
+    waiting = []              # made labels each generator still waits for
+    ready = []
+    for k, (_, _, _, _, circles, _, axes_g, grow) in enumerate(gens):
+        for c in circles:
+            if c >= 0:
+                reader[c] = k
+        waiting.append(len(axes_g))
+        if not axes_g:
+            ready.append((grow, k))
+    heapq.heapify(ready)
+    order = []
+    n_legs = 0
+    while ready:
+        grow, k = heapq.heappop(ready)
+        n_legs += grow
+        if n_legs >= peak:
+            return range(len(gens))
+        order.append(k)
+        for c in gens[k][5]:  # the labels it makes
+            m = reader[c]
+            if m is not None:
+                waiting[m] -= 1
+                if not waiting[m]:
+                    heapq.heappush(ready, (gens[m][7], m))
+    return order
+
+
 def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
     """The linear map of a word; legs ordered [inputs..., outputs...].
 
     One state tensor is carried through the word, one generator at a time,
-    so the cost follows the generators rather than the width of a layer.
-    The steps depend only on the word's layers and on ``carry``, so they are
-    scheduled once per word and mode (``BordismWord.carried_schedule`` and
-    ``contracted_schedule``, see ``_schedule``); this executor only looks up
-    generators and contracts them.
+    in the order ``_schedule`` plans: ready first, each step taking a
+    generator whose inputs are made and that leaves the fewest state legs,
+    ties going to layer order, and layer order itself wherever the greedy
+    would not lower the peak.  The plan counts legs only, never fiber
+    dimensions, so a wide layer no longer makes a dim**width state.  It
+    depends only on the word's layers and on ``carry``, so it is made once
+    per word and mode (``BordismWord.carried_schedule`` and
+    ``contracted_schedule``) and serves every algebra and every labeling;
+    this executor only looks up generators and contracts them.  Exact
+    results do not depend on the order; float results may differ from layer
+    order's in the last bits.
 
     ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
     layer t, whose first input is circle q of the boundary above layer t.

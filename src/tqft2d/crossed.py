@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -791,48 +791,51 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
 def closed_surface_word(group: FiniteGroup, genus: int, handles=()) -> LabeledBordism:
     """Closed genus-g surface with handle labels (a_i, b_i).
 
-    Requires the product of commutators [a_i, b_i] to be the identity.
+    Requires the product of commutators [a_i, b_i] to be the identity.  The
+    word depends only on the genus, so all calls of one genus label one
+    shared ``BordismWord`` and its schedule is planned once.
     """
     e = group.identity
     handles = [tuple(h) for h in handles]
     if len(handles) != genus:
         raise LabelError("genus %d needs %d handle label pairs" % (genus, genus))
-    total = group.product([group.commutator(a, b) for a, b in handles])
-    if total != e:
-        raise LabelError("commutator product is not the identity")
-    if genus == 0:
-        return label_word(group, BordismWord(((Gen.CAP,), (Gen.CUP,))), ())
-
-    layers = [(Gen.CAP,)]
-    annots = [(None,)]
     commutators = [group.commutator(a, b) for a, b in handles]
-    # split off circles c_1 .. c_{g-1}; the last circle carries c_g
+    if group.product(commutators) != e:
+        raise LabelError("commutator product is not the identity")
+    w = _closed_surface_shape(genus)
+    if genus == 0:
+        return label_word(group, w, ())
+    annots = [(None,)]
+    # copants i splits c_i off the product of the commutators after it
     for i in range(genus - 1):
-        width = i + 1
         rest = group.product(commutators[i + 1:])
-        pads = [Gen.ID] * i
-        layers.append(tuple(pads + [Gen.COPANTS]))
         annots.append(tuple([e] * i + [(commutators[i], rest)]))
-        # keep the split-off circle at position i, continue on the last one
-        # reorder so finished circles stay left: copants output is (c_i, rest)
-    # now boundary is (c_1, ..., c_{g-1}, c_g); cap each with a handle gadget
     for i in reversed(range(genus)):
         a, b = handles[i]
-        aba = group.conj(a, b)
-        bi = group.inverse(b)
-        pads = [Gen.ID] * i
         pad_ann = [e] * i
-        layers.append(tuple(pads + [Gen.COPANTS]))
-        annots.append(tuple(pad_ann + [(aba, bi)]))
-        layers.append(tuple(pads + [Gen.ID, Gen.ID]))
+        annots.append(tuple(pad_ann + [(group.conj(a, b), group.inverse(b))]))
         annots.append(tuple(pad_ann + [group.inverse(a), e]))
-        layers.append(tuple(pads + [Gen.SWAP]))
-        annots.append(tuple(pad_ann + [None]))
-        layers.append(tuple(pads + [Gen.PANTS]))
-        annots.append(tuple(pad_ann + [None]))
-        layers.append(tuple(pads + [Gen.CUP]))
-        annots.append(tuple(pad_ann + [None]))
-    return label_word(group, BordismWord(tuple(layers)), (), tuple(annots))
+        annots += [tuple(pad_ann + [None])] * 3  # swap, pants, cup
+    return label_word(group, w, (), tuple(annots))
+
+
+@lru_cache(maxsize=32)
+def _closed_surface_shape(genus: int) -> BordismWord:
+    """The word of ``closed_surface_word``, one object per genus."""
+    if genus == 0:
+        return BordismWord(((Gen.CAP,), (Gen.CUP,)))
+    layers = [(Gen.CAP,)]
+    # split off circles c_1 .. c_{g-1}, keeping each at position i and
+    # continuing on the last circle, which carries c_g
+    for i in range(genus - 1):
+        layers.append(tuple([Gen.ID] * i + [Gen.COPANTS]))
+    # now the boundary is (c_1, ..., c_g); close each with a handle gadget
+    for i in reversed(range(genus)):
+        pads = [Gen.ID] * i
+        layers += [tuple(pads + [Gen.COPANTS]), tuple(pads + [Gen.ID, Gen.ID]),
+                   tuple(pads + [Gen.SWAP]), tuple(pads + [Gen.PANTS]),
+                   tuple(pads + [Gen.CUP])]
+    return BordismWord(tuple(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,12 @@ class ScalarBundle:
     @property
     def exact(self):
         return not isinstance(self.counit_scalar, complex)
+
+    @cached_property
+    def crossed_bundle(self):
+        """The rank-one crossed bundle (``to_crossed_bundle``), built once
+        per scalar bundle for ``gerbe_holonomy``'s cross-check."""
+        return to_crossed_bundle(self)
 
 
 def check_theta(group: FiniteGroup, theta, exact=True,
@@ -241,7 +248,7 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
     from .crossed import closed_surface_word, evaluate_labeled
     b = closed_surface_word(sb.group, genus, handles)
     direct = scalar_surface_product(b, sb)
-    via_bundle = evaluate_labeled(b, to_crossed_bundle(sb))
+    via_bundle = evaluate_labeled(b, sb.crossed_bundle)
     if first_difference(Tensor.scalar(direct, sb.exact), via_bundle,
                         sb.tol) is not None:
         raise CocycleError("scalar walk %s disagrees with the evaluator %s"

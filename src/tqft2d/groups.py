@@ -106,6 +106,8 @@ class FiniteGroup:
             raise GroupError("unknown element label %r" % label) from None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, FiniteGroup) and self.table == other.table \
             and self.labels == other.labels
 

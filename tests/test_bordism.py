@@ -277,6 +277,8 @@ WIDE_WORDS = [
     "id * copants * id ; id * swap * id ; id * id * id * cup",
     "cap * id * id ; id * swap ; id * cup * id ; swap",
     "pants * id * pants ; id * cap * swap ; cup * id * id * id",
+    # caps beside a cylinder: re-planned when the cylinder is contracted
+    "id * cap * cap * cap ; pants * pants ; copants * id ; id * swap",
 ]
 
 
@@ -353,13 +355,43 @@ def test_evaluate_float_mode_carries_tolerance():
     assert (sphere.exact, sphere.item()) == (False, 0)
 
 
+def _reference_plan(gens):
+    """The contraction order of ``gens``, (labels read, labels made) per
+    contracted generator in layer order, by the plain greedy: at each step
+    readiness is recomputed from scratch, and of the ready generators the
+    one whose contraction leaves the fewest state legs, the earliest on a
+    tie, is taken.  The greedy order is kept only if its peak number of
+    state legs is strictly below layer order's."""
+    def after(legs, k):
+        read, outs = gens[k]
+        return [leg for leg in legs if leg not in read] + [c for c in read if c < 0] + outs
+
+    def peak(order):
+        legs, top = [], 0
+        for k in order:
+            legs = after(legs, k)
+            top = max(top, len(legs))
+        return top
+
+    greedy, legs, made = [], [], set()
+    while len(greedy) < len(gens):
+        ready = [k for k in range(len(gens)) if k not in greedy
+                 and all(c < 0 or c in made for c in gens[k][0])]
+        k = min(ready, key=lambda k: (len(after(legs, k)), k))
+        greedy.append(k)
+        legs = after(legs, k)
+        made.update(gens[k][1])
+    layer_order = list(range(len(gens)))
+    return greedy if peak(greedy) < peak(layer_order) else layer_order
+
+
 def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
-    """contract_word as one loop that redoes the leg bookkeeping on every
-    call, with ``lookup`` returning None for a cylinder that only carries
-    its circle; every contraction goes through ``dot``."""
+    """contract_word as one loop that redoes the leg bookkeeping and the
+    planning (``_reference_plan``) on every call, with ``lookup`` returning
+    None for a cylinder that only carries its circle; every contraction
+    goes through ``dot``."""
     n_in = w.arity_in
-    state = None  # None stands for the scalar 1
-    legs = []
+    gens = []  # (tensor, labels read, labels made) per contracted generator
     # an input label in the boundary never has a leg yet, an output always has
     boundary = [~i for i in range(n_in)]
     made = 0
@@ -380,15 +412,20 @@ def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
             circles = boundary[pos:pos + n_gen_in]
             outs = list(range(made, made + n_out))
             made += n_out
-            if state is None:
-                state, legs = gen, circles + outs
-            else:
-                state = dot(state, gen, [legs.index(c) for c in circles if c >= 0],
-                            [k for k, c in enumerate(circles) if c >= 0])
-                legs = ([leg for leg in legs if leg not in circles]
-                        + [c for c in circles if c < 0] + outs)
+            gens.append((gen, circles, outs))
             boundary[pos:pos + n_gen_in] = outs
             pos += n_out
+    state = None  # None stands for the scalar 1
+    legs = []
+    for k in _reference_plan([(circles, outs) for _, circles, outs in gens]):
+        gen, circles, outs = gens[k]
+        if state is None:
+            state, legs = gen, circles + outs
+        else:
+            state = dot(state, gen, [legs.index(c) for c in circles if c >= 0],
+                        [k for k, c in enumerate(circles) if c >= 0])
+            legs = ([leg for leg in legs if leg not in circles]
+                    + [c for c in circles if c < 0] + outs)
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
             ident = pad(~c)
@@ -453,7 +490,9 @@ def test_contract_word_matches_the_loop_reference(monkeypatch):
                                        exact, _recording(ref_calls))
         assert calls == ref_calls
         _assert_identical(t, ref)
-        compared.append((carry, exact, len(calls)))
+        steps = (w.carried_schedule if carry else w.contracted_schedule)[0]
+        order = [step[1:3] for step in steps]  # (layer, place) of each step
+        compared.append((carry, exact, len(calls), order != sorted(order)))
         return t
 
     monkeypatch.setattr(bordism, "contract_word", checked)
@@ -463,9 +502,12 @@ def test_contract_word_matches_the_loop_reference(monkeypatch):
         evaluator(w, target)
         cases += 1
     assert len(compared) == cases
-    # both modes, both scalar kinds, and real contractions in each
-    assert {(carry, exact) for carry, exact, n in compared if n} == {
-        (True, True), (True, False), (False, True), (False, False)}
+    # both modes, both scalar kinds, and real contractions in each, on
+    # words in layer order and on re-planned ones
+    for replanned in (False, True):
+        assert {(carry, exact) for carry, exact, n, r in compared
+                if n and r == replanned} == {
+            (True, True), (True, False), (False, True), (False, False)}
 
 
 def test_one_word_keeps_a_schedule_per_mode():
@@ -576,3 +618,78 @@ def test_the_tracer_sees_every_engine_contraction(monkeypatch):
         sizes.append((int(np.prod(out)), int(np.prod([sa[i] for i in axes_a])),
                       not axes_a))
     assert t.tensordot == sizes
+
+
+def _peak_legs(steps):
+    """The most legs the state holds after any step of a schedule, counted
+    from the steps alone: a generator brings all its legs, and each paired
+    leg leaves on both sides."""
+    legs = peak = 0
+    for g, _, _, _, axes_s, axes_g in steps:
+        legs += sum(ARITY[g]) - len(axes_s) - len(axes_g)
+        peak = max(peak, legs)
+    return peak
+
+
+def _in_layer_order(steps):
+    # the leg count of a step does not depend on where it runs, so layer
+    # order's peak can be counted without scheduling or running it
+    return sorted(steps, key=lambda step: step[1:3])
+
+
+def test_a_wide_word_stays_narrow(monkeypatch):
+    # a balanced tree of 16 caps merged by pants and closed by a cup: a
+    # sphere, whose value over Z(C[S3]) is 1/|S3|
+    widths = (8, 4, 2, 1)
+    w = parse_word(" ; ".join([" * ".join(["cap"] * 16)]
+                              + [" * ".join(["pants"] * k) for k in widths] + ["cup"]))
+    steps = w.carried_schedule[0]
+    assert _peak_legs(steps) <= 5
+    # layer order would hold all 16 caps at once, a 3**16 (43 M) entry
+    # state: counted here, never run
+    assert _peak_legs(_in_layer_order(steps)) == 16
+    center = group_center(symmetric_group(3))
+    sizes = []
+
+    def dot(a, b, axes_a, axes_b):
+        out = tensordot(a, b, axes_a, axes_b)
+        sizes.append(out.nums.size)
+        return out
+
+    monkeypatch.setattr(bordism, "tensordot", dot)
+    assert evaluate(w, center).item() == closed_invariant(center, 0) == Fraction(1, 6)
+    assert len(sizes) == len(steps) - 1 and max(sizes) <= 3 ** 5
+
+
+def test_the_plan_never_peaks_above_layer_order():
+    # on every word of the benchmark's pair pool, in both modes: the plan
+    # leaves layer order exactly when that lowers the peak
+    lowered = 0
+    for p in range(1000):
+        for w in random_equivalent_pair((p % 3, (p // 3) % 3), 8, p):
+            for steps, _, _ in (w.carried_schedule, w.contracted_schedule):
+                layer_order = _in_layer_order(steps)
+                peak, layer_peak = _peak_legs(steps), _peak_legs(layer_order)
+                assert peak <= layer_peak
+                assert (list(steps) != layer_order) == (peak < layer_peak)
+                lowered += peak < layer_peak
+    assert lowered > 500
+
+
+def test_each_word_keeps_its_topological_type(monkeypatch):
+    walks, typed = [], []
+    classify, module_type = bordism._classify, bordism.topological_type
+    monkeypatch.setattr(bordism, "_classify", lambda w: walks.append(w) or classify(w))
+    w1, w2 = random_equivalent_pair((1, 1), 8, 7)
+    assert walks == [w1, w2]  # the pair's own check classified both
+    # equivalent reads the types through the module binding a tracer patches
+    monkeypatch.setattr(bordism, "topological_type",
+                        lambda w: typed.append(w) or module_type(w))
+    for _ in range(3):
+        assert equivalent(w1, w2)
+    assert len(walks) == 2 and len(typed) == 6
+    assert module_type(w1) is module_type(w1)
+    # an equal word built apart is classified once, to an equal type
+    w3 = BordismWord(w1.layers)
+    assert module_type(w3) == module_type(w1) and module_type(w3) is module_type(w3)
+    assert len(walks) == 3

@@ -801,3 +801,30 @@ def test_bundle_file_non_positive_fiber_dimension(keep_blocks):
         lines = [ln for ln in lines if not ln.startswith(("fusion", "fission"))]
     with pytest.raises(BundleError, match=re.escape("'fiber e dim -1'")):
         parse_bundle("\n".join(lines), Z2)
+
+
+def test_closed_surfaces_of_one_genus_share_one_word(monkeypatch):
+    from tqft2d import bordism
+    K, theta = klein_anticommuting_cocycle()
+    B = to_crossed_bundle(from_cocycle(K, theta))
+    crossed._closed_surface_shape.cache_clear()
+    built = []
+    schedule = bordism._schedule
+    monkeypatch.setattr(bordism, "_schedule",
+                        lambda layers, carry: built.append(carry) or schedule(layers, carry))
+    first = closed_surface_word(K, 2, [(1, 2), (3, 3)])
+    second = closed_surface_word(K, 2, [(2, 1), (1, 3)])
+    assert second.word is first.word
+    assert closed_surface_word(K, 1, [(1, 2)]).word is not first.word
+    # each keeps its own labels: those of its word built apart
+    values = set()
+    for b in (first, second):
+        alone = label_word(K, BordismWord(b.word.layers), (), b.annotations)
+        assert (b.boundaries, b.annotations) == (alone.boundaries, alone.annotations)
+        value = holonomy(b, B)
+        assert value == holonomy(alone, B)
+        values.add(value)
+    assert first.annotations != second.annotations and len(values) == 2
+    # one contracted schedule for the shared genus-2 word, one for each
+    # separately built word
+    assert built == [False] * 3

@@ -222,3 +222,20 @@ def test_cocycle_file_defaults():
 def test_cocycle_file_bad_line():
     with pytest.raises(CocycleError):
         parse_cocycle("cocycle over x\nthota e e = 1\n", cyclic_group(2))
+
+
+def test_gerbe_holonomy_builds_the_rank_one_bundle_once(monkeypatch):
+    from tqft2d import gerbe
+    built = []
+    build = gerbe.to_crossed_bundle
+    monkeypatch.setattr(gerbe, "to_crossed_bundle",
+                        lambda sb: built.append(sb) or build(sb))
+    sb = from_cocycle(K, THETA)
+    for genus in range(4):
+        for a in K.elements():
+            handles = [(a, (a + i) % K.order) for i in range(genus)]
+            gerbe_holonomy(sb, genus, handles)
+    assert len(built) == 1 and built[0] is sb
+    other = from_cocycle(K, THETA)
+    assert gerbe_holonomy(other, 1, [(1, 2)]) == gerbe_holonomy(sb, 1, [(1, 2)])
+    assert len(built) == 2 and built[1] is other

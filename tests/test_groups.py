@@ -76,3 +76,23 @@ def test_group_file_errors():
         parse_group("group 2\n0 1\n")  # missing row
     with pytest.raises(GroupError):
         parse_group("group 2\n0 1\n1 0\nlabels onlyone")
+
+
+def test_a_group_equals_itself_without_reading_its_tables():
+    from tqft2d.crossed import evaluate_labeled, from_group_algebra, label_word
+    from tqft2d.bordism import parse_word
+
+    class Unreadable(list):
+        def __eq__(self, other):
+            raise AssertionError("the tables were compared")
+
+    g = symmetric_group(3)
+    bundle = from_group_algebra(g)
+    b = label_word(g, parse_word("pants"), (1, 2))
+    g.table = Unreadable(g.table)
+    assert g == g and not g != g
+    # evaluate_labeled checks the group of the word against the bundle's
+    assert evaluate_labeled(b, bundle).shape == (1, 1, 1)
+    # a different object still has its tables compared
+    with pytest.raises(AssertionError):
+        g == symmetric_group(3)

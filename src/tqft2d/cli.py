@@ -8,6 +8,7 @@ file/parse/usage errors.  The last output line is always
 from __future__ import annotations
 
 import argparse
+import cmath
 import random
 import sys
 from dataclasses import replace
@@ -121,6 +122,9 @@ def cmd_invariant(args, out):
         raise _Exit(2, "invariant needs --algebra")
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     z = frobenius.closed_invariant(algebra, args.genus)
+    if not algebra.exact and not cmath.isfinite(z):
+        raise _Exit(2, "genus %d invariant is not a finite float (%s); "
+                       "rerun with --mode exact" % (args.genus, format_scalar(z)))
     out.write("%s\n" % format_scalar(z))
     return _result(out, True, "genus %d invariant %s" % (args.genus, format_scalar(z)))
 

@@ -746,6 +746,8 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     if n < 2:
         return report
 
+    # the bracketings share subtrees: each is contracted once per call
+    @lru_cache(maxsize=None)
     def mu_tower(tree):
         """Tensor with legs [leaves..., out]; returns (tensor, product)."""
         if isinstance(tree, int):
@@ -761,6 +763,7 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
         perm = list(range(nl)) + list(range(nl + 1, r)) + [nl]
         return permute(t, perm), G.mul(pl, pr)
 
+    @lru_cache(maxsize=None)
     def nu_tower(tree):
         """Tensor with legs [in, leaves...]; returns (tensor, product)."""
         if isinstance(tree, int):

@@ -88,6 +88,13 @@ class FrobeniusAlgebra:
             "comultiplication": comultiplication(self),
         }
 
+    @cached_property
+    def handle(self):
+        """H = mul o delta, built once per algebra (see ``handle_operator``);
+        like ``contraction_tensors``, never cached for a degenerate pairing."""
+        delta = self.contraction_tensors["comultiplication"]
+        return tensordot(delta, self.mul, [1, 2], [0, 1])
+
     def apply_counit(self, v: Tensor):
         return tensordot(v, self.counit, [0], [0]).item()
 
@@ -135,18 +142,28 @@ def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
 
 def handle_operator(algebra: FrobeniusAlgebra) -> Tensor:
     """H = mul o delta as an n x n map (legs: domain, codomain)."""
-    delta = algebra.contraction_tensors["comultiplication"]
-    return tensordot(delta, algebra.mul, [1, 2], [0, 1])
+    return algebra.handle
 
 
 def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
-    """counit(H^genus(unit)) -- the closed genus-g surface invariant."""
+    """counit(H^genus(unit)) -- the closed genus-g surface invariant.
+
+    H^genus is applied by binary powering: one contraction of the vector per
+    set bit of genus and one squaring of H per further bit, so a call costs
+    O(log genus) contractions beside the counit's, with H built once per
+    algebra.  Exact results are those of applying H genus times; float
+    results may differ from that in the last bits, since the products are
+    grouped differently.
+    """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    h = handle_operator(algebra)
-    v = algebra.unit
-    for _ in range(genus):
-        v = tensordot(v, h, [0], [0])
+    v, power = algebra.unit, algebra.handle
+    while genus:
+        if genus & 1:
+            v = tensordot(v, power, [0], [0])
+        genus >>= 1
+        if genus:
+            power = tensordot(power, power, [1], [0])
     return algebra.apply_counit(v)
 
 

@@ -19,7 +19,9 @@ naive contraction are the right trade-off.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +44,13 @@ def parse_scalar(token, exact=True):
 
 
 def format_scalar(value):
+    """Text of a scalar: ``p/q`` or ``p`` for a Fraction, of any length."""
     if isinstance(value, Fraction):
-        return str(value)
+        # Decimal converts ints without Python's digit limit, which stays on
+        # the parsers' int(text)
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else \
+            "%s/%s" % (num, Decimal(value.denominator))
     if isinstance(value, complex) and value.imag == 0:
         return repr(value.real)
     return repr(value)
@@ -154,7 +161,9 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     The steps of ``np.tensordot``, without its argument handling: the paired
     legs go to the end of a and the front of b, both are flattened to
     matrices, and ``np.dot`` multiplies them, so float results are bit for
-    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.
+    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.  The leg
+    dimensions are checked on every call; the transpose orders are laid out
+    once per pattern of ranks and axes (``_layout``).
     """
     _check_modes(a, b)
     if len(axes_a) != len(axes_b):
@@ -170,14 +179,23 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
                 "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
                 % (i, sa[i], j, sb[j]))
         n *= sa[i]
-    keep_a = [k for k in range(len(sa)) if k not in axes_a]
-    keep_b = [k for k in range(len(sb)) if k not in axes_b]
+    keep_a, keep_b, order_a, order_b = _layout(len(sa), len(sb), tuple(axes_a),
+                                               tuple(axes_b))
     out_a = [sa[k] for k in keep_a]
     out_b = [sb[k] for k in keep_b]
-    at = x.transpose(keep_a + list(axes_a)).reshape(math.prod(out_a), n)
-    bt = y.transpose(list(axes_b) + keep_b).reshape(n, math.prod(out_b))
+    at = x.transpose(order_a).reshape(math.prod(out_a), n)
+    bt = y.transpose(order_b).reshape(n, math.prod(out_b))
     return Tensor.from_nums(np.dot(at, bt).reshape(out_a + out_b),
                             a.den * b.den, a.exact)
+
+
+@lru_cache(maxsize=1024)
+def _layout(rank_a, rank_b, axes_a, axes_b):
+    """The kept legs of a and b and their transpose orders for ``tensordot``:
+    the kept legs of a then its paired legs, b's paired legs then its kept."""
+    keep_a = tuple(k for k in range(rank_a) if k not in axes_a)
+    keep_b = tuple(k for k in range(rank_b) if k not in axes_b)
+    return keep_a, keep_b, keep_a + axes_a, axes_b + keep_b
 
 
 def permute(a: Tensor, perm) -> Tensor:

@@ -1,6 +1,7 @@
 import io
 import os
 import shutil
+import sys
 
 import pytest
 
@@ -118,6 +119,42 @@ def test_invariant_prints_value(algebra_file):
     code, text = invoke("invariant", "--algebra", algebra_file, "--genus", "1")
     assert code == 0
     assert text.splitlines()[0] == "2"
+
+
+def test_float_invariant_that_overflows_exits_2():
+    s3 = os.path.join(FIXDIR, "s3_center.fa")
+    code, text = invoke("invariant", "--algebra", s3, "--genus", "198",
+                        "--mode", "float")
+    assert code == 0 and float(text.splitlines()[0]) > 7e306
+    code, text = invoke("invariant", "--algebra", s3, "--genus", "199",
+                        "--mode", "float")
+    assert code == 2 and "PASS" not in text
+    last = text.splitlines()[-1]
+    assert last.startswith("RESULT: FAIL") and "genus 199" in last
+    assert "--mode exact" in last
+
+
+def test_exact_invariant_of_any_length_is_printed():
+    s3 = os.path.join(FIXDIR, "s3_center.fa")
+    code, text = invoke("invariant", "--algebra", s3, "--genus", "3000")
+    assert code == 0
+    value, last = text.splitlines()
+    assert len(value) == 4668 and last == "RESULT: PASS genus 3000 invariant " + value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        # S3's irreps have dimensions 1, 1 and 2
+        assert int(value) == 2 * 6 ** 5998 + 3 ** 5998
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_input_numbers_keep_the_digit_limit(tmp_path):
+    p = tmp_path / "long.fa"
+    p.write_text(format_algebra(dual_numbers()).replace("counit 0 1",
+                                                        "counit 0 1" + "0" * 5000))
+    code, text = invoke("validate", "--algebra", str(p))
+    assert code == 2 and "limit" in text.splitlines()[-1]
 
 
 def test_eval_matrix_output(algebra_file):

@@ -741,6 +741,80 @@ def test_nfold_detects_planted_coassociativity():
     bad = scaled(from_group_algebra(Z3), "fission", (1, 1), -1)
     report = nfold_fission_check(bad, [1, 1, 1, 1])
     assert "higher-coassociativity" in report.failed_axioms()
+    assert report == _reference_nfold_fission_check(bad, [1, 1, 1, 1])
+
+
+def _reference_nfold_fission_check(bundle, gs, contract=tensordot):
+    """nfold_fission_check without shared subtrees: each bracketing's towers
+    are contracted from its leaves up."""
+    gs = list(gs)
+    G, n = bundle.group, len(gs)
+    report = ValidationReport()
+    report.check("higher-associativity")
+    report.check("higher-coassociativity")
+    if n < 2:
+        return report
+
+    def mu_tower(tree):
+        if isinstance(tree, int):
+            return bundle.identities[gs[tree]], gs[tree]
+        (tl, pl), (tr, pr) = mu_tower(tree[0]), mu_tower(tree[1])
+        t = contract(tl, bundle.fusion[pl, pr], [tl.rank - 1], [0])
+        t = contract(t, tr, [tl.rank - 1], [tr.rank - 1])
+        nl = tl.rank - 1
+        perm = list(range(nl)) + list(range(nl + 1, t.rank)) + [nl]
+        return permute(t, perm), G.mul(pl, pr)
+
+    def nu_tower(tree):
+        if isinstance(tree, int):
+            return bundle.identities[gs[tree]], gs[tree]
+        (tl, pl), (tr, pr) = nu_tower(tree[0]), nu_tower(tree[1])
+        t = contract(bundle.fission[pl, pr], tl, [1], [0])
+        return contract(t, tr, [1], [0]), G.mul(pl, pr)
+
+    trees = crossed._binary_trees(0, n)
+    ref_mu, ref_nu = mu_tower(trees[0])[0], nu_tower(trees[0])[0]
+    for i, tree in enumerate(trees[1:], start=1):
+        if not equal(mu_tower(tree)[0], ref_mu, bundle.tol):
+            report.fail("higher-associativity", (tuple(gs), 0, i))
+        if not equal(nu_tower(tree)[0], ref_nu, bundle.tol):
+            report.fail("higher-coassociativity", (tuple(gs), 0, i))
+    return report
+
+
+def test_nfold_shares_subtrees_and_matches_the_reference(monkeypatch):
+    calls, ref_calls = [], []
+
+    def counting(into):
+        def contract(a, b, axes_a, axes_b):
+            into.append(None)
+            return tensordot(a, b, axes_a, axes_b)
+        return contract
+
+    monkeypatch.setattr(crossed, "tensordot", counting(calls))
+    bundles = [from_group_algebra(Z2), from_group_algebra(S3), CONSTANT,
+               scaled(from_group_algebra(Z3), "fission", (1, 1), -1),
+               scaled(from_group_algebra(Z3), "fusion", (1, 2), 2),
+               scaled(from_group_algebra(S3), "fission", (1, 2), -1)]
+    rng = random.Random(11)
+    failed = 0
+    for B in bundles:
+        for n in range(1, 6):
+            for gs in ([1 % B.group.order] * n,
+                       [rng.randrange(B.group.order) for _ in range(n)]):
+                report = nfold_fission_check(B, gs)
+                assert report == _reference_nfold_fission_check(B, gs)
+                failed += not report.passed
+    assert failed > 0  # the planted violations are found, with the same witnesses
+    # each distinct subtree once: 34 internal nodes over 5 leaves, 12 over 4,
+    # two contractions each per tower, against 14 * 4 and 5 * 3 unshared
+    s3 = from_group_algebra(S3)
+    for n, shared, unshared in ((4, 48, 60), (5, 136, 224)):
+        gs = [g % S3.order for g in range(1, n + 1)]
+        del calls[:], ref_calls[:]
+        report = nfold_fission_check(s3, gs)
+        assert report == _reference_nfold_fission_check(s3, gs, counting(ref_calls))
+        assert (len(calls), len(ref_calls)) == (shared, unshared)
 
 
 # --- decomposition invariance of holonomy --------------------------------

@@ -1,6 +1,8 @@
+import cmath
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,8 @@ from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError,
                               standard_algebra, change_of_basis,
                               rescale_counit, parse_algebra, format_algebra,
                               load_algebra)
-from tqft2d.groups import cyclic_group, symmetric_group
+from tqft2d.groups import (cyclic_group, direct_product, klein_four_group,
+                           symmetric_group)
 from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix, permute
 
 
@@ -310,3 +313,92 @@ def test_invariant_matches_word_evaluation():
     for a in LIBRARY:
         t = evaluate(parse_word("cap ; copants ; pants ; cup"), a)
         assert t.item() == closed_invariant(a, 1)
+
+
+# --- closed invariants by binary powering ---------------------------------
+
+def _reference_closed_invariant(algebra, genus):
+    """The g-step loop: H = mul o delta applied to the unit genus times."""
+    h = tensordot(comultiplication(algebra), algebra.mul, [1, 2], [0, 1])
+    v = algebra.unit
+    for _ in range(genus):
+        v = tensordot(v, h, [0], [0])
+    return algebra.apply_counit(v)
+
+
+def test_closed_invariant_matches_the_g_step_loop():
+    for a in LIBRARY:
+        floating = parse_algebra(format_algebra(a), exact=False)
+        for g in range(71):
+            z, want = closed_invariant(a, g), _reference_closed_invariant(a, g)
+            assert z == want and type(z) is type(want), (a.basis, g)
+            # the products are grouped differently, so floats may move in
+            # the last bits: compare relative to the size of the value
+            z = closed_invariant(floating, g)
+            want = _reference_closed_invariant(floating, g)
+            assert type(z) is type(want) is complex
+            if cmath.isfinite(want):
+                assert abs(z - want) <= floating.tol * max(1, abs(want)), (a.basis, g)
+
+
+def test_closed_invariant_contracts_in_log_genus(monkeypatch):
+    calls = []
+
+    def counted(a, b, axes_a, axes_b):
+        calls.append(list(axes_a))
+        return tensordot(a, b, axes_a, axes_b)
+
+    monkeypatch.setattr(frobenius, "tensordot", counted)
+    a = group_center(symmetric_group(3))
+    h = handle_operator(a)
+    assert calls.count([1, 2]) == 1      # H itself: delta legs 1, 2 into mul
+    per_genus = []
+    for g in range(200):
+        del calls[:]
+        closed_invariant(a, g)
+        assert len(calls) <= 2 * g.bit_length() + 1, g
+        assert [1, 2] not in calls       # H is built once per algebra
+        per_genus.append(len(calls))
+    assert handle_operator(a) is h
+    # one product per set bit, one squaring per further bit, one counit
+    assert per_genus == [bin(g).count("1") + max(g.bit_length() - 1, 0) + 1
+                         for g in range(200)]
+    assert sum(per_genus[:41]) == 286    # the g-step loop made 902
+
+
+# --- an independent oracle: Mednykh's homomorphism count ------------------
+
+def hom_count(group, genus):
+    """|Hom(pi_1 of the closed genus-g surface, G)|: the 2g-tuples with
+    [a_1, b_1] ... [a_g, b_g] = e, counted by convolving the distribution of
+    one commutator over G x G genus times."""
+    elements = group.elements()
+    commutators = Counter(group.commutator(a, b) for a in elements for b in elements)
+    dist = {group.identity: 1}
+    for _ in range(genus):
+        step = Counter()
+        for x, m in dist.items():
+            for c, k in commutators.items():
+                step[group.mul(x, c)] += m * k
+        dist = step
+    return dist.get(group.identity, 0)
+
+
+def test_group_center_invariants_count_homomorphisms():
+    # Z(C[G]) on a closed genus-g surface is |Hom(pi_1, G)| / |G|
+    groups = {"Z2": cyclic_group(2), "S3": symmetric_group(3),
+              "K4": klein_four_group(), "S4": symmetric_group(4),
+              "Z3xS3": direct_product(cyclic_group(3), symmetric_group(3))}
+    for name, group in groups.items():
+        center = group_center(group)
+        for g in range(6):
+            assert closed_invariant(center, g) == \
+                Fraction(hom_count(group, g), group.order), (name, g)
+    assert hom_count(symmetric_group(3), 1) == 18  # commuting pairs: 3 classes
+
+
+def test_large_genus_matches_the_irrep_formula():
+    # S3 has irreps of dimension 1, 1 and 2: sum of (6/d)^(2g-2)
+    center = group_center(symmetric_group(3))
+    for g in (64, 100):
+        assert closed_invariant(center, g) == 2 * 6 ** (2 * g - 2) + 3 ** (2 * g - 2)

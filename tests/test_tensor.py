@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqft2d import tensor
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            tensordot, equal, first_difference, invert_matrix,
                            parse_scalar, format_scalar, permute)
@@ -34,6 +36,23 @@ def test_scalar_parse_and_format():
     assert parse_scalar("2/6") == Fraction(1, 3)
     assert format_scalar(Fraction(7, 2)) == "7/2"
     assert format_scalar(Fraction(4)) == "4"
+
+
+def test_format_scalar_prints_exact_values_of_any_length():
+    big = Fraction(-7 ** 6000, 3 ** 9001)      # 5,071 and 4,295 digits
+    text = format_scalar(big)
+    num, den = text.split("/")
+    assert len(num) == 5072 and num.startswith("-") and len(den) == 4295
+    # the parsers keep Python's limit on the digits of input text
+    with pytest.raises(ValueError, match="limit"):
+        parse_scalar(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_scalar(text) == big and text == str(big)
+        assert format_scalar(Fraction(10 ** 5000)) == str(10 ** 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_product_with_scalar_is_identity():
@@ -74,6 +93,26 @@ def test_contract_matrix_vector():
 def test_contract_dimension_mismatch():
     with pytest.raises(ContractionError):
         tensordot(frac_tensor([1, 2]), frac_tensor([1, 2, 3]), [0], [0])
+
+
+def test_a_cached_layout_still_checks_every_call():
+    # the transpose orders are kept per pattern of ranks and axes; the leg
+    # dimensions and axis counts are checked on every call all the same
+    a = frac_tensor([[1, 2, 3], [4, 5, 6]])       # 2 x 3
+    b = frac_tensor([[1, 0], [0, 1], [1, 1]])     # 3 x 2
+    assert tensordot(a, b, [1], [0]).entries() == [4, 5, 10, 11]
+    hits = tensor._layout.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(ContractionError, match="dim 3"):
+            tensordot(a, a, [1], [0])             # a's pattern, legs 3 and 2
+        with pytest.raises(ContractionError, match="dim 2"):
+            tensordot(b, b, [1], [0])
+        with pytest.raises(ContractionError, match="length"):
+            tensordot(a, b, [1], [0, 1])
+        assert tensordot(a, b, (1,), (0,)).entries() == [4, 5, 10, 11]
+        assert tensordot(b, a, [0, 1], [1, 0]).item() == 4 + 11   # trace of a b
+    assert tensor._layout.cache_info().hits >= hits + 3
+    assert tensor._layout.cache_info().maxsize is not None
 
 
 def test_mode_mismatch():

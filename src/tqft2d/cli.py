@@ -13,6 +13,8 @@ import random
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import bordism, crossed, frobenius, gerbe, groups
 from .bordism import ArityError, WordSyntaxError
 from .crossed import BundleError, LabelError
@@ -121,7 +123,8 @@ def cmd_invariant(args, out):
     if not args.algebra:
         raise _Exit(2, "invariant needs --algebra")
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
-    z = frobenius.closed_invariant(algebra, args.genus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = frobenius.closed_invariant(algebra, args.genus)
     if not algebra.exact and not cmath.isfinite(z):
         raise _Exit(2, "genus %d invariant is not a finite float (%s); "
                        "rerun with --mode exact" % (args.genus, format_scalar(z)))

@@ -792,53 +792,37 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
 # closed surfaces
 
 def closed_surface_word(group: FiniteGroup, genus: int, handles=()) -> LabeledBordism:
-    """Closed genus-g surface with handle labels (a_i, b_i).
+    """Closed surface of any genus g with handle labels (a_i, b_i).
 
-    Requires the product of commutators [a_i, b_i] to be the identity.  The
-    word depends only on the genus, so all calls of one genus label one
-    shared ``BordismWord`` and its schedule is planned once.
+    The word is ``cap ; (copants ; id * id ; swap ; pants)^g ; cup``, each
+    handle added in line on one running circle.  Handle i takes that circle
+    from c_i y to y, c_i = [a_i, b_i] and y the product of the later
+    commutators, so c_1 ... c_g must be the identity.  All calls of one
+    genus label one shared ``BordismWord``, whose schedule is planned once.
     """
-    e = group.identity
     handles = [tuple(h) for h in handles]
     if len(handles) != genus:
         raise LabelError("genus %d needs %d handle label pairs" % (genus, genus))
-    commutators = [group.commutator(a, b) for a, b in handles]
-    if group.product(commutators) != e:
+    ys = [group.identity]  # suffix products of the commutators
+    for a, b in reversed(handles):
+        ys.append(group.mul(group.commutator(a, b), ys[-1]))
+    if ys.pop() != group.identity:
         raise LabelError("commutator product is not the identity")
-    w = _closed_surface_shape(genus)
-    if genus == 0:
-        return label_word(group, w, ())
     annots = [(None,)]
-    # copants i splits c_i off the product of the commutators after it
-    for i in range(genus - 1):
-        rest = group.product(commutators[i + 1:])
-        annots.append(tuple([e] * i + [(commutators[i], rest)]))
-    for i in reversed(range(genus)):
-        a, b = handles[i]
-        pad_ann = [e] * i
-        annots.append(tuple(pad_ann + [(group.conj(a, b), group.inverse(b))]))
-        annots.append(tuple(pad_ann + [group.inverse(a), e]))
-        annots += [tuple(pad_ann + [None])] * 3  # swap, pants, cup
-    return label_word(group, w, (), tuple(annots))
+    for (a, b), y in zip(handles, reversed(ys)):
+        # split (a b a^-1, b^-1 y); transport the first circle to y^-1 b y
+        annots += [((group.conj(a, b), group.mul(group.inverse(b), y)),),
+                   (group.mul(group.inverse(y), group.inverse(a)), group.identity),
+                   (None,), (None,)]
+    return label_word(group, _closed_surface_shape(genus), (),
+                      tuple(annots + [(None,)]))
 
 
 @lru_cache(maxsize=32)
 def _closed_surface_shape(genus: int) -> BordismWord:
     """The word of ``closed_surface_word``, one object per genus."""
-    if genus == 0:
-        return BordismWord(((Gen.CAP,), (Gen.CUP,)))
-    layers = [(Gen.CAP,)]
-    # split off circles c_1 .. c_{g-1}, keeping each at position i and
-    # continuing on the last circle, which carries c_g
-    for i in range(genus - 1):
-        layers.append(tuple([Gen.ID] * i + [Gen.COPANTS]))
-    # now the boundary is (c_1, ..., c_g); close each with a handle gadget
-    for i in reversed(range(genus)):
-        pads = [Gen.ID] * i
-        layers += [tuple(pads + [Gen.COPANTS]), tuple(pads + [Gen.ID, Gen.ID]),
-                   tuple(pads + [Gen.SWAP]), tuple(pads + [Gen.PANTS]),
-                   tuple(pads + [Gen.CUP])]
-    return BordismWord(tuple(layers))
+    handle = [(Gen.COPANTS,), (Gen.ID, Gen.ID), (Gen.SWAP,), (Gen.PANTS,)]
+    return BordismWord(tuple([(Gen.CAP,)] + handle * genus + [(Gen.CUP,)]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .bordism import ARITY, Gen
-from .crossed import CrossedBundle, LabeledBordism, LabelError
+from .crossed import (CrossedBundle, LabeledBordism, LabelError,
+                      closed_surface_word, evaluate_labeled)
 from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, Tensor, differences, first_difference,
@@ -245,7 +246,6 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
     and through the general rank-one bundle evaluator, and the two values
     are required to agree.
     """
-    from .crossed import closed_surface_word, evaluate_labeled
     b = closed_surface_word(sb.group, genus, handles)
     direct = scalar_surface_product(b, sb)
     via_bundle = evaluate_labeled(b, sb.crossed_bundle)
@@ -293,7 +293,6 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True,
     one = Fraction(1) if exact else complex(1)
     theta_raw, tau_raw = {}, {}
     counit = one
-    explicit_tau = False
     for ln in lines:
         if ln.startswith("cocycle over"):
             continue
@@ -306,20 +305,11 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True,
             theta_raw[group.index(toks[1]), group.index(toks[2])] = val
         elif len(toks) == 3 and toks[0] == "tau":
             tau_raw[group.index(toks[1]), group.index(toks[2])] = val
-            explicit_tau = True
         elif toks == ["counit"]:
             counit = val
         else:
             raise CocycleError("unexpected line %r" % ln)
-    theta = _complete(group, theta_raw, one)
-    tau = _complete(group, tau_raw, one) if explicit_tau else None
-    rep = check_theta(group, theta, exact, tol)
-    if not rep.passed:
-        raise CocycleError("not a normalized cocycle: %s" % rep.failed_axioms())
-    if tau is None:
-        tau = induced_transport(group, theta)
-    return ScalarBundle(group=group, theta=theta, tau=tau, counit_scalar=counit,
-                        tol=tol)
+    return from_cocycle(group, theta_raw, tau_raw or None, counit, tol)
 
 
 def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:

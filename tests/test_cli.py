@@ -8,11 +8,13 @@ import pytest
 from tqft2d import cli
 from tqft2d.cli import run
 from tqft2d.crossed import from_group_algebra, from_frobenius_algebra, \
-    format_bundle
+    format_bundle, holonomy
 from tqft2d.frobenius import dual_numbers, format_algebra
 from tqft2d.gerbe import klein_anticommuting_cocycle, from_cocycle, \
-    format_cocycle
+    format_cocycle, load_cocycle, to_crossed_bundle
 from tqft2d.groups import cyclic_group, klein_four_group, format_group
+
+from test_crossed import _reference_closed_surface_word
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -121,6 +123,7 @@ def test_invariant_prints_value(algebra_file):
     assert text.splitlines()[0] == "2"
 
 
+@pytest.mark.filterwarnings("error")
 def test_float_invariant_that_overflows_exits_2():
     s3 = os.path.join(FIXDIR, "s3_center.fa")
     code, text = invoke("invariant", "--algebra", s3, "--genus", "198",
@@ -248,6 +251,45 @@ def test_cocycle_command_uses_the_tolerance(tmp_path):
     code, out = invoke("cocycle", "--cocycle", str(near), "--mode", "float",
                        "--tolerance", "1e-6", "--genus", "1", "--labels", "10,01")
     assert code == 0, out
+
+
+def test_cocycle_holonomy_on_a_non_abelian_twisted_bundle():
+    # [r, s] = r2 at both handles, so the circle between them carries r2
+    path = os.path.join(FIXDIR, "d8_twisted.cocycle")
+    sb = load_cocycle(path)
+    r, s = sb.group.index("r"), sb.group.index("s")
+    ref = _reference_closed_surface_word(sb.group, 2, [(r, s), (r, s)])
+    assert holonomy(ref, to_crossed_bundle(sb)) == -1
+    code, text = invoke("cocycle", "--cocycle", path, "--genus", "2",
+                        "--labels", "r,s,r,s")
+    assert (code, text.splitlines()[-2:]) == (0, ["-1", "RESULT: PASS holonomy -1"])
+
+
+def test_an_unnormalized_cocycle_file_exits_2(tmp_path):
+    shutil.copy(os.path.join(FIXDIR, "k4.group"), tmp_path / "k4.group")
+    with open(os.path.join(FIXDIR, "k4_anti.cocycle"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.cocycle"
+    bad.write_text(text + "theta 00 01 = 2\n")
+    code, out = invoke("cocycle", "--cocycle", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1].startswith(
+        "RESULT: FAIL not a normalized cocycle"), out
+
+
+@pytest.mark.parametrize("command, source, labels", [
+    ("holonomy --group", "s3.group", "120,201"),
+    ("cocycle --cocycle", "d8_twisted.cocycle", "r,s"),
+], ids=["holonomy", "cocycle"])
+def test_closed_surfaces_of_genus_64_and_more(command, source, labels):
+    # a closed word keeps at most two circles, so no genus reaches numpy's
+    # limit of 64 legs
+    for genus in (64, 1000):
+        code, text = invoke(*command.split(), os.path.join(FIXDIR, source),
+                            "--genus", str(genus), "--labels",
+                            ",".join([labels] * genus))
+        assert code == 0, text
+        assert text.splitlines()[-1].startswith("RESULT: PASS holonomy"), text
 
 
 def test_cocycle_labels_must_come_in_pairs():

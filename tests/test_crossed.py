@@ -6,6 +6,7 @@ import re
 import shutil
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               format_algebra, load_algebra, rescale_counit,
                               validate)
 from tqft2d.gerbe import (from_cocycle, klein_anticommuting_cocycle,
-                          to_crossed_bundle)
+                          load_cocycle, to_crossed_bundle)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group)
 from tqft2d.report import ValidationReport, Violation
@@ -902,3 +903,140 @@ def test_closed_surfaces_of_one_genus_share_one_word(monkeypatch):
     # one contracted schedule for the shared genus-2 word, one for each
     # separately built word
     assert built == [False] * 3
+
+
+# --- closed surfaces against the split-then-close construction ------------
+
+def _reference_closed_surface_word(group, genus, handles=()):
+    """Closed genus-g surface with handle labels (a_i, b_i).
+
+    Requires the product of commutators [a_i, b_i] to be the identity.  The
+    word depends only on the genus, so all calls of one genus label one
+    shared ``BordismWord`` and its schedule is planned once.
+    """
+    e = group.identity
+    handles = [tuple(h) for h in handles]
+    if len(handles) != genus:
+        raise LabelError("genus %d needs %d handle label pairs" % (genus, genus))
+    commutators = [group.commutator(a, b) for a, b in handles]
+    if group.product(commutators) != e:
+        raise LabelError("commutator product is not the identity")
+    w = _reference_closed_surface_shape(genus)
+    if genus == 0:
+        return label_word(group, w, ())
+    annots = [(None,)]
+    # copants i splits c_i off the product of the commutators after it
+    for i in range(genus - 1):
+        rest = group.product(commutators[i + 1:])
+        annots.append(tuple([e] * i + [(commutators[i], rest)]))
+    for i in reversed(range(genus)):
+        a, b = handles[i]
+        pad_ann = [e] * i
+        annots.append(tuple(pad_ann + [(group.conj(a, b), group.inverse(b))]))
+        annots.append(tuple(pad_ann + [group.inverse(a), e]))
+        annots += [tuple(pad_ann + [None])] * 3  # swap, pants, cup
+    return label_word(group, w, (), tuple(annots))
+
+
+@lru_cache(maxsize=32)
+def _reference_closed_surface_shape(genus):
+    """The word of ``_reference_closed_surface_word``, one object per genus."""
+    if genus == 0:
+        return BordismWord(((Gen.CAP,), (Gen.CUP,)))
+    layers = [(Gen.CAP,)]
+    # split off circles c_1 .. c_{g-1}, keeping each at position i and
+    # continuing on the last circle, which carries c_g
+    for i in range(genus - 1):
+        layers.append(tuple([Gen.ID] * i + [Gen.COPANTS]))
+    # now the boundary is (c_1, ..., c_g); close each with a handle gadget
+    for i in reversed(range(genus)):
+        pads = [Gen.ID] * i
+        layers += [tuple(pads + [Gen.COPANTS]), tuple(pads + [Gen.ID, Gen.ID]),
+                   tuple(pads + [Gen.SWAP]), tuple(pads + [Gen.PANTS]),
+                   tuple(pads + [Gen.CUP])]
+    return BordismWord(tuple(layers))
+
+
+FIXDIR = os.path.dirname(Z2_DUAL_FILE)
+D8_TWISTED = load_cocycle(os.path.join(FIXDIR, "d8_twisted.cocycle"))
+
+
+def _closed_surface_corpus():
+    """Every fixture bundle, the group algebra of S3, and the twisted D8
+    bundle at counit 1 and 2.  D8 is non-abelian and its scalars are not
+    trivial, so the running circle between handles need not be the
+    identity and the holonomy takes both signs."""
+    bundles = [load_bundle(os.path.join(FIXDIR, name))
+               for name in ("z2_dual.bundle", "s3_lines.bundle")]
+    bundles += [to_crossed_bundle(load_cocycle(os.path.join(FIXDIR, name)))
+                for name in ("k4_anti.cocycle", "d8_twisted.cocycle")]
+    bundles += [from_group_algebra(S3),
+                to_crossed_bundle(replace(D8_TWISTED, counit_scalar=Fraction(2)))]
+    return bundles
+
+
+def _closing_handles(group, genus):
+    """Every tuple of handle labels of a genus whose commutators multiply to
+    the identity."""
+    pairs = list(itertools.product(group.elements(), repeat=2))
+    for handles in itertools.product(pairs, repeat=genus):
+        if group.product(group.commutator(a, b) for a, b in handles) == group.identity:
+            yield handles
+
+
+def test_closed_surfaces_of_genus_0_and_1_are_the_reference_words():
+    for bundle in _closed_surface_corpus():
+        G = bundle.group
+        for genus in (0, 1):
+            for handles in _closing_handles(G, genus):
+                b = closed_surface_word(G, genus, handles)
+                ref = _reference_closed_surface_word(G, genus, handles)
+                assert b.word.layers == ref.word.layers
+                assert (b.boundaries, b.annotations) == (ref.boundaries, ref.annotations)
+
+
+def test_closed_surfaces_have_the_reference_holonomy():
+    rng = random.Random(3)
+    moved = spread = 0
+    for bundle in _closed_surface_corpus():
+        G = bundle.group
+        sample = []
+        while len(sample) < 100:  # at genus 3
+            handles = tuple((rng.randrange(G.order), rng.randrange(G.order))
+                            for _ in range(3))
+            if G.product(G.commutator(a, b) for a, b in handles) == G.identity:
+                sample.append(handles)
+        values = {2: set(), 3: set()}
+        for handles in list(_closing_handles(G, 2)) + sample:
+            b = closed_surface_word(G, len(handles), handles)
+            value = holonomy(b, bundle)
+            assert value == holonomy(
+                _reference_closed_surface_word(G, len(handles), handles), bundle)
+            values[len(handles)].add(value)
+            moved += b.boundaries[5] != (G.identity,)
+        spread += sum(len(v) > 1 for v in values.values())
+    # first handles that leave the running circle off the identity, and
+    # genera at which one bundle's holonomy takes more than one value
+    assert moved > 500 and spread == 6
+
+
+def test_a_closed_surface_runs_on_one_circle(monkeypatch):
+    # 4g + 2 contracted generators, so 4g + 1 contractions per holonomy,
+    # and never more than the running circle and one split-off circle
+    from test_bordism import _peak_legs  # not at the top: it imports this module
+    from tqft2d import bordism
+    calls = []
+    real = bordism.tensordot
+    monkeypatch.setattr(bordism, "tensordot",
+                        lambda *args: calls.append(args) or real(*args))
+    G = D8_TWISTED.group
+    B = to_crossed_bundle(D8_TWISTED)
+    r, s = G.index("r"), G.index("s")
+    for genus in (0, 1, 2, 3, 6, 64):
+        # [r, s] = r2 has order 2: pairs of them close, [s, s] = e pads
+        handles = [(r, s)] * (genus - genus % 2) + [(s, s)] * (genus % 2)
+        b = closed_surface_word(G, genus, handles)
+        calls.clear()
+        holonomy(b, B)
+        assert len(calls) == 4 * genus + 1
+        assert _peak_legs(b.word.contracted_schedule[0]) <= 2

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from tqft2d.gerbe import (ScalarBundle, CocycleError, check_theta,
                           to_crossed_bundle, scalar_surface_product,
                           gerbe_holonomy, fusion_lambda_check, parse_cocycle,
                           format_cocycle, load_cocycle)
-from tqft2d.groups import (LoopWord, cyclic_group, symmetric_group,
+from tqft2d.groups import (FiniteGroup, LoopWord, cyclic_group, symmetric_group,
                            klein_four_group, format_group)
 
 K, THETA = klein_anticommuting_cocycle()
@@ -239,3 +240,35 @@ def test_gerbe_holonomy_builds_the_rank_one_bundle_once(monkeypatch):
     other = from_cocycle(K, THETA)
     assert gerbe_holonomy(other, 1, [(1, 2)]) == gerbe_holonomy(sb, 1, [(1, 2)])
     assert len(built) == 2 and built[1] is other
+
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _d8_twisted():
+    """D8 as D16 = {(i mod 8, j mod 2)}, (i,j)(k,l) = (i + (-1)^j k, j + l),
+    over its central <(4,0)>, with the section i in 0..3; theta is -1 where
+    the D16 product of two sections leaves the section."""
+    els = [(i, j) for j in range(2) for i in range(4)]
+
+    def d16(x, y):
+        return (x[0] + (-1) ** x[1] * y[0]) % 8, (x[1] + y[1]) % 2
+
+    index = {x: n for n, x in enumerate(els)}
+    table = [[index[d16(x, y)[0] % 4, d16(x, y)[1]] for y in els] for x in els]
+    G = FiniteGroup(table, ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"])
+    theta = {(index[x], index[y]): Fraction(-1 if d16(x, y)[0] > 3 else 1)
+             for x in els for y in els}
+    return G, from_cocycle(G, theta)
+
+
+def test_twisted_d8_fixture_is_its_definition():
+    G, sb = _d8_twisted()
+    with open(os.path.join(FIXDIR, "d8.group"), encoding="utf-8") as fh:
+        assert fh.read() == format_group(G)
+    with open(os.path.join(FIXDIR, "d8_twisted.cocycle"), encoding="utf-8") as fh:
+        assert fh.read() == format_cocycle(sb, "d8.group")
+    loaded = load_cocycle(os.path.join(FIXDIR, "d8_twisted.cocycle"))
+    assert (loaded.theta, loaded.tau) == (sb.theta, induced_transport(G, sb.theta))
+    assert check_cocycle(loaded).passed
+    assert validate_bundle(to_crossed_bundle(loaded)).passed

@@ -4,6 +4,11 @@ A word is a sequence of layers; a layer is a parallel row of generators.
 Equivalence of words is decided by the complete diffeomorphism invariant of
 compact oriented surfaces: genus plus boundary-circle positions, per
 connected component.
+
+How circles flow through a word is worked out here once: a word keeps the
+circles of each boundary (``widths``) and each generator's first input
+circle (``offsets``), and ``_walk`` follows the circles through the
+generators for both the contraction schedule and the topological type.
 """
 
 from __future__ import annotations
@@ -75,33 +80,55 @@ class BordismWord:
     def __post_init__(self):
         if not self.layers:
             raise ArityError("a word needs at least one layer")
-        for t in range(len(self.layers) - 1):
-            out_a = layer_arity(self.layers[t])[1]
-            in_b = layer_arity(self.layers[t + 1])[0]
-            if out_a != in_b:
+        widths = []
+        for t, layer in enumerate(self.layers):
+            n_in = n_out = 0
+            for g in layer:
+                a, b = ARITY[g]
+                n_in += a
+                n_out += b
+            if not t:
+                widths.append(n_in)
+            elif n_in != widths[t]:
                 raise ArityError(
                     "layer outputs %d circles but next layer expects %d"
-                    % (out_a, in_b), layer=t)
+                    % (widths[t], n_in), layer=t - 1)
+            widths.append(n_out)
+        # widths[t] circles above layer t, widths[-1] below the last layer
+        object.__setattr__(self, "widths", tuple(widths))
 
-    @cached_property
+    @property
     def arity_in(self):
-        return layer_arity(self.layers[0])[0]
+        return self.widths[0]
+
+    @property
+    def arity_out(self):
+        return self.widths[-1]
 
     @cached_property
-    def arity_out(self):
-        return layer_arity(self.layers[-1])[1]
+    def offsets(self):
+        """Per layer, each generator's first input circle in the boundary
+        above the layer, where every labeler reads its input labels."""
+        offsets = []
+        for layer in self.layers:
+            q, row = 0, []
+            for g in layer:
+                row.append(q)
+                q += ARITY[g][0]
+            offsets.append(tuple(row))
+        return tuple(offsets)
 
     # contract_word's steps (see _schedule), built on first use per mode and
     # kept as long as the word: every labeling of a shape shares them
     @cached_property
     def carried_schedule(self):
         """The steps when each ``id`` cylinder only carries its circle."""
-        return _schedule(self.layers, carry=True)
+        return _schedule(self, carry=True)
 
     @cached_property
     def contracted_schedule(self):
         """The steps when each ``id`` cylinder is contracted as a block."""
-        return _schedule(self.layers, carry=False)
+        return _schedule(self, carry=False)
 
     @cached_property
     def topological_type(self):
@@ -231,16 +258,6 @@ def parse_word(text: str) -> BordismWord:
 # ---------------------------------------------------------------------------
 # topological classification
 
-def _generator_slots(layer):
-    """Yield (gen, in_positions, out_positions) with layer-local offsets."""
-    qi = qo = 0
-    for g in layer:
-        a, b = ARITY[g]
-        yield g, list(range(qi, qi + a)), list(range(qo, qo + b))
-        qi += a
-        qo += b
-
-
 @dataclass(frozen=True)
 class TopologicalType:
     """Sorted tuple of (genus, in-positions, out-positions) per component."""
@@ -265,13 +282,14 @@ def topological_type(w: BordismWord) -> TopologicalType:
 
 
 def _classify(w: BordismWord) -> TopologicalType:
-    # one node per word input and per generator but id and swap, which only
-    # carry circles; boundary holds the node each current circle belongs to,
-    # walked as in contract_word
+    # a union-find over the carried walk: one node per word input and per
+    # contracted generator, a generator joining the nodes of the labels it
+    # reads; an id or swap only carries circles and is no node
     n_in = w.arity_in
+    gens, boundary, _ = _walk(w.layers, n_in, carry=True)
     parent = list(range(n_in))
     chi = [0] * n_in
-    boundary = list(range(n_in))
+    maker = []  # the node of each made label
 
     def find(x):
         while parent[x] != x:
@@ -279,31 +297,20 @@ def _classify(w: BordismWord) -> TopologicalType:
             x = parent[x]
         return x
 
-    for layer in w.layers:
-        pos = 0
-        for g in layer:
-            if g is Gen.ID:
-                pos += 1
-                continue
-            if g is Gen.SWAP:
-                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
-                pos += 2
-                continue
-            n_gen_in, n_out = ARITY[g]
-            node = len(parent)
-            parent.append(node)
-            chi.append(EULER[g])
-            for c in boundary[pos:pos + n_gen_in]:
-                parent[find(c)] = node
-            boundary[pos:pos + n_gen_in] = [node] * n_out
-            pos += n_out
+    for g, _, _, _, circles, outs, _, _ in gens:
+        node = len(parent)
+        parent.append(node)
+        chi.append(EULER[g])
+        for c in circles:
+            parent[find(~c if c < 0 else maker[c])] = node
+        maker += [node] * len(outs)
     comps = {}  # root -> [Euler characteristic, inputs, outputs]
     for x, c in enumerate(chi):
         comps.setdefault(find(x), [0, [], []])[0] += c
     for p in range(n_in):
         comps[find(p)][1].append(p)
-    for p, x in enumerate(boundary):
-        comps[find(x)][2].append(p)
+    for p, c in enumerate(boundary):
+        comps[find(~c if c < 0 else maker[c])][2].append(p)
     out = []
     for c, ins, outs in comps.values():
         b = len(ins) + len(outs)
@@ -324,63 +331,65 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-def _schedule(layers, carry):
-    """The steps ``contract_word`` takes through a word with these layers.
+def _walk(layers, n_in, carry):
+    """The circles' walk through ``layers`` from ``n_in`` word inputs.
 
-    A pure function of the layers and of ``carry``, whether an ``id``
-    cylinder only carries its circle or is contracted like any other
-    generator.  Each state leg is labelled ~i (a negative int) for word
-    input i, or k for the k-th generator output in layer order; one walk of
-    the word labels the circles of each boundary the same way, a swap only
-    exchanging two labels, and lists the contracted generators with the
-    labels they read and make.  ``_plan`` then orders them from leg counts
-    alone, never from fiber dimensions, so one schedule serves every
-    algebra and every labeling of the word.  Returns ``(steps, pads,
-    perm)``: ``steps`` holds ``(g, t, j, q, axes_s, axes_g)`` per contracted
-    generator g in the planned order, the j-th of layer t with first input
-    circle q of the boundary above layer t, whose legs ``axes_g`` are
+    A circle is labelled ~i (a negative int) for word input i, or k for the
+    k-th generator output in layer order; a swap exchanges two labels, and
+    with ``carry`` an ``id`` cylinder only carries its label.  Returns
+    ``(gens, boundary, n_made)``: per contracted generator in layer order
+    ``(g, t, j, q, circles, outs, axes_g, grow)``, the j-th of layer t with
+    first input circle q of the boundary above layer t, reading the labels
+    ``circles`` and making ``outs``, whose legs ``axes_g`` meet made labels
+    (state legs; a word input joins the state as a leg of its own) and
+    which changes the number of state legs by ``grow``; the labels of the
+    last boundary; and the number of labels made.
+    """
+    gens = []
+    boundary = [~i for i in range(n_in)]
+    made = 0
+    for t, layer in enumerate(layers):
+        below = []
+        q = 0  # the next generator's first input circle in ``boundary``
+        for j, g in enumerate(layer):
+            n_gen_in, n_out = ARITY[g]
+            circles = boundary[q:q + n_gen_in]
+            if g is Gen.SWAP or (carry and g is Gen.ID):
+                # a swap exchanges its two labels, a carried cylinder keeps its one
+                below += reversed(circles)
+                q += n_gen_in
+                continue
+            outs = list(range(made, made + n_out))
+            made += n_out
+            axes_g = tuple([k for k, c in enumerate(circles) if c >= 0])
+            gens.append((g, t, j, q, circles, outs, axes_g,
+                         n_gen_in + n_out - 2 * len(axes_g)))
+            below += outs
+            q += n_gen_in
+        boundary = below
+    return gens, boundary, made
+
+
+def _schedule(w, carry):
+    """The steps ``contract_word`` takes through the word ``w``, a pure
+    function of its layers and of ``carry``, whether an ``id`` cylinder
+    only carries its circle or is contracted like any other generator.
+
+    The steps are ``_walk``'s contracted generators in ``_plan``'s order,
+    which reads leg counts alone, never fiber dimensions, so one schedule
+    serves every algebra and every labeling of the word.  Returns ``(steps,
+    pads, perm)``: ``steps`` holds ``(g, t, j, q, axes_s, axes_g)`` per
+    step, g, t, j and q as in ``_walk``, whose legs ``axes_g`` are
     contracted against the state's legs ``axes_s`` (the first step's
     generator is the state); ``pads`` the inputs that reach the outputs
     untouched, each of which gets an identity leg pair; ``perm`` the final
     order of the state's legs.
     """
-    n_in = layer_arity(layers[0])[0]
-    # per contracted generator, in layer order: (g, t, j, q, labels read,
-    # labels made, axes_g, the change it makes to the number of state legs)
-    gens = []
-    boundary = [~i for i in range(n_in)]
-    made = n_legs = peak = 0
-    for t, layer in enumerate(layers):
-        pos = 0  # position of the next generator's first input in ``boundary``
-        q = 0    # and in the boundary above the layer
-        for j, g in enumerate(layer):
-            n_gen_in, n_out = ARITY[g]
-            if g is Gen.SWAP:
-                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
-                pos, q = pos + 2, q + 2
-                continue
-            if g is Gen.ID and carry:
-                pos, q = pos + 1, q + 1
-                continue
-            circles = boundary[pos:pos + n_gen_in]
-            outs = list(range(made, made + n_out))
-            made += n_out
-            # a made label is a state leg to contract, a word input joins
-            # the state as a leg of its own
-            axes_g = tuple([k for k, c in enumerate(circles) if c >= 0])
-            grow = n_gen_in + n_out - 2 * len(axes_g)
-            n_legs += grow
-            if n_legs > peak:
-                peak = n_legs
-            gens.append((g, t, j, q, circles, outs, axes_g, grow))
-            boundary[pos:pos + n_gen_in] = outs
-            pos, q = pos + n_out, q + n_gen_in
-    # every order ends at the same final state, so none has a lower peak
-    # than layer order when that state is its peak
-    order = _plan(gens, made, peak) if peak > n_legs else range(len(gens))
+    n_in = w.widths[0]
+    gens, boundary, made = _walk(w.layers, n_in, carry)
     steps = []
     legs = []
-    for k in order:
+    for k in _plan(gens, made):
         g, t, j, q, circles, outs, axes_g, _ = gens[k]
         steps.append((g, t, j, q, tuple([legs.index(c) for c in circles if c >= 0]),
                       axes_g))
@@ -397,22 +406,25 @@ def _schedule(layers, carry):
     return tuple(steps), tuple(pads), perm
 
 
-def _plan(gens, n_made, peak):
+def _plan(gens, n_made):
     """The ready-first order in which to contract ``gens``, as indices into
-    it, or layer order when that order's peak is not below ``peak``.
+    it, or layer order when the greedy would not lower layer order's peak
+    number of state legs.
 
-    ``gens`` is ``_schedule``'s list in layer order, ``n_made`` the number
-    of labels made in all and ``peak`` layer order's peak number of state
-    legs.  Of the generators whose inputs are all made, the greedy takes
-    the one that leaves the fewest state legs, the earliest in layer order
-    on a tie.  Readiness is kept up to date as labels are made, so
-    planning stays near-linear.  The greedy order is kept only if its peak
-    is strictly below ``peak``; the pads come after every generator in
-    either order and leave the comparison alone.
+    ``gens`` is ``_walk``'s list in layer order and ``n_made`` the number
+    of labels made in all.  Of the generators whose inputs are all made,
+    the greedy takes the one that leaves the fewest state legs, the
+    earliest in layer order on a tie.  Readiness is kept up to date as
+    labels are made, so planning stays near-linear.  The greedy order is
+    kept only if its peak is strictly below layer order's; every order ends
+    at the same final state, so none is when that state is layer order's
+    peak.  The pads come after every generator in either order and leave
+    the comparison alone.
     """
     reader = [None] * n_made  # the generator that reads each made label
     waiting = []              # made labels each generator still waits for
     ready = []
+    n_legs = peak = 0         # in layer order
     for k, (_, _, _, _, circles, _, axes_g, grow) in enumerate(gens):
         for c in circles:
             if c >= 0:
@@ -420,6 +432,11 @@ def _plan(gens, n_made, peak):
         waiting.append(len(axes_g))
         if not axes_g:
             ready.append((grow, k))
+        n_legs += grow
+        if n_legs > peak:
+            peak = n_legs
+    if peak == n_legs:
+        return range(len(gens))
     heapq.heapify(ready)
     order = []
     n_legs = 0
@@ -442,17 +459,14 @@ def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
     """The linear map of a word; legs ordered [inputs..., outputs...].
 
     One state tensor is carried through the word, one generator at a time,
-    in the order ``_schedule`` plans: ready first, each step taking a
-    generator whose inputs are made and that leaves the fewest state legs,
-    ties going to layer order, and layer order itself wherever the greedy
-    would not lower the peak.  The plan counts legs only, never fiber
-    dimensions, so a wide layer no longer makes a dim**width state.  It
-    depends only on the word's layers and on ``carry``, so it is made once
-    per word and mode (``BordismWord.carried_schedule`` and
-    ``contracted_schedule``) and serves every algebra and every labeling;
-    this executor only looks up generators and contracts them.  Exact
-    results do not depend on the order; float results may differ from layer
-    order's in the last bits.
+    in the order ``_plan`` gives: ready first, fewest state legs first, and
+    layer order wherever that would not lower the peak.  The plan counts
+    legs only, never fiber dimensions, so a wide layer makes no dim**width
+    state, and the schedule is made once per word and mode
+    (``BordismWord.carried_schedule`` and ``contracted_schedule``) for
+    every algebra and every labeling; this executor only looks up
+    generators and contracts them.  Exact results do not depend on the
+    order; float results may differ from layer order's in the last bits.
 
     ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
     layer t, whose first input is circle q of the boundary above layer t.
@@ -577,18 +591,11 @@ def _insert_layers(w, at, new_layers):
     return BordismWord(w.layers[:at] + tuple(new_layers) + w.layers[at:])
 
 
-def _boundary_arity(w, at):
-    if at == 0:
-        return w.arity_in
-    return layer_arity(w.layers[at - 1])[1]
-
-
 def _rewrite_once(rng, w, max_layers):
     """Apply one equivalence-preserving local rewrite, if room permits."""
     candidates = []
     n_layers = len(w.layers)
-    for at in range(n_layers + 1):
-        a = _boundary_arity(w, at)
+    for at, a in enumerate(w.widths):
         if n_layers + 1 <= max_layers and a > 0:
             candidates.append(("id", at, None))
         if n_layers + 2 <= max_layers and a >= 2:
@@ -600,34 +607,27 @@ def _rewrite_once(rng, w, max_layers):
                 candidates.append(("counit", at, p))
     if n_layers + 1 <= max_layers:
         for t, layer in enumerate(w.layers):
-            for g, ins, _outs in _generator_slots(layer):
+            for g, q in zip(layer, w.offsets[t]):
                 if g is Gen.PANTS:
-                    candidates.append(("comm", t, ins[0]))
+                    candidates.append(("comm", t, q))
     if not candidates:
         return w
     kind, at, p = rng.choice(candidates)
+    a = w.widths[at]
     if kind == "id":
-        a = _boundary_arity(w, at)
         return _insert_layers(w, at, [tuple([Gen.ID] * a)])
-    if kind == "swap2":
-        a = _boundary_arity(w, at)
+    if kind in ("swap2", "comm"):
+        # a swap and its inverse, or a swap before the pants at p
         layer = tuple([Gen.ID] * p + [Gen.SWAP] + [Gen.ID] * (a - p - 2))
-        return _insert_layers(w, at, [layer, layer])
+        return _insert_layers(w, at, [layer, layer] if kind == "swap2" else [layer])
     if kind == "unit":
-        a = _boundary_arity(w, at)
         grow = tuple([Gen.ID] * p + [Gen.CAP] + [Gen.ID] * (a - p))
         shrink = tuple([Gen.ID] * p + [Gen.PANTS] + [Gen.ID] * (a - p - 1))
         return _insert_layers(w, at, [grow, shrink])
     if kind == "counit":
-        a = _boundary_arity(w, at)
         grow = tuple([Gen.ID] * p + [Gen.COPANTS] + [Gen.ID] * (a - p - 1))
         shrink = tuple([Gen.ID] * (p + 1) + [Gen.CUP] + [Gen.ID] * (a - p - 1))
         return _insert_layers(w, at, [grow, shrink])
-    if kind == "comm":
-        t, q = at, p
-        a = _boundary_arity(w, t)
-        layer = tuple([Gen.ID] * q + [Gen.SWAP] + [Gen.ID] * (a - q - 2))
-        return _insert_layers(w, t, [layer])
     return w
 
 

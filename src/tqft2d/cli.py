@@ -146,13 +146,19 @@ def cmd_type(args, out):
 def cmd_fuzz_equiv(args, out):
     if not args.algebra:
         raise _Exit(2, "fuzz-equiv needs --algebra")
+    if args.count < 0:
+        raise _Exit(2, "--count must be at least 0, got %d" % args.count)
+    if args.max_layers < 1:
+        raise _Exit(2, "--max-layers must be at least 1, got %d" % args.max_layers)
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     rng = random.Random(args.seed)
     agree = 0
     first_bad = None
     for i in range(args.count):
-        arity = (rng.randrange(3), rng.randrange(3))
-        w1, w2 = bordism.random_equivalent_pair(arity, args.max_layers,
+        a_in, a_out = rng.randrange(3), rng.randrange(3)
+        # a pair can change the arity by at most one per layer
+        a_out = min(max(a_out, a_in - args.max_layers), a_in + args.max_layers)
+        w1, w2 = bordism.random_equivalent_pair((a_in, a_out), args.max_layers,
                                                 args.seed + i)
         if equal(bordism.evaluate(w1, algebra), bordism.evaluate(w2, algebra),
                  algebra.tol):
@@ -166,6 +172,8 @@ def cmd_fuzz_equiv(args, out):
 
 
 def cmd_roundtrip(args, out):
+    if args.max_gens < 0:
+        raise _Exit(2, "--max-gens must be at least 0, got %d" % args.max_gens)
     bundle = _load_bundle(args)
     words = crossed.enumerate_labeled_words(bundle.group, args.max_gens,
                                             budget_per_shape=args.count)

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bordism import ARITY, BordismWord, Gen, contract_word, layer_arity
+from .bordism import ARITY, BordismWord, Gen, contract_word
 from .frobenius import FrobeniusAlgebra, comultiplication, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
@@ -317,10 +317,6 @@ class LabeledBordism:
     def in_labels(self):
         return self.boundaries[0]
 
-    @property
-    def out_labels(self):
-        return self.boundaries[-1]
-
     def is_closed(self):
         return self.word.arity_in == 0 and self.word.arity_out == 0
 
@@ -346,8 +342,8 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
 
     boundaries = [in_labels]
     norm_annots = []
-    for t, (layer, annot) in enumerate(zip(word.layers, annotations)):
-        labels, norm = _label_layer(group, layer, annot, boundaries[-1], t)
+    for t, annot in enumerate(annotations):
+        labels, norm = _label_layer(group, word, t, annot, boundaries[-1])
         boundaries.append(labels)
         norm_annots.append(norm)
     return LabeledBordism(group=group, word=word,
@@ -355,46 +351,43 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
                           annotations=tuple(norm_annots))
 
 
-def _label_layer(group: FiniteGroup, layer, annot, cur, t):
-    """The labels below layer t, given the labels ``cur`` above it, and the
-    layer's normalized annotations (see ``label_word``), as two tuples."""
+def _label_layer(group: FiniteGroup, word, t, annot, cur):
+    """The labels below layer t of the word, given the labels ``cur`` above
+    it, and the layer's normalized annotations (see ``label_word``), as two
+    tuples."""
     e = group.identity
     nxt = []
     norm = []
-    qi = 0
-    for gen, ann in zip(layer, annot):
-        a_in = ARITY[gen][0]
-        ins = cur[qi:qi + a_in]
-        qi += a_in
+    for gen, ann, q in zip(word.layers[t], annot, word.offsets[t]):
         if gen is Gen.ID:
             k = e if ann is None else int(ann)
-            nxt.append(group.conj(k, ins[0]))
+            nxt.append(group.conj(k, cur[q]))
             norm.append(k)
         elif gen is Gen.SWAP:
-            nxt.extend([ins[1], ins[0]])
+            nxt += (cur[q + 1], cur[q])
             norm.append(None)
         elif gen is Gen.CAP:
             nxt.append(e)
             norm.append(None)
         elif gen is Gen.CUP:
-            if ins[0] != e:
+            if cur[q] != e:
                 raise LabelError(
                     "cup on a non-identity label %r (layer %d)"
-                    % (group.labels[ins[0]], t))
+                    % (group.labels[cur[q]], t))
             norm.append(None)
         elif gen is Gen.PANTS:
-            nxt.append(group.mul(ins[0], ins[1]))
+            nxt.append(group.mul(cur[q], cur[q + 1]))
             norm.append(None)
         elif gen is Gen.COPANTS:
             if ann is None:
                 raise LabelError("copants at layer %d needs a (g,h) split" % t)
             sg, sh = int(ann[0]), int(ann[1])
-            if group.mul(sg, sh) != ins[0]:
+            if group.mul(sg, sh) != cur[q]:
                 raise LabelError(
                     "copants split (%s,%s) does not multiply to %s (layer %d)"
                     % (group.labels[sg], group.labels[sh],
-                       group.labels[ins[0]], t))
-            nxt.extend([sg, sh])
+                       group.labels[cur[q]], t))
+            nxt += (sg, sh)
             norm.append((sg, sh))
     return tuple(nxt), tuple(norm)
 
@@ -417,26 +410,24 @@ def conjugate_labeled(b: LabeledBordism, k) -> LabeledBordism:
     return label_word(G, b.word, new_in, tuple(annots))
 
 
+def _insert_transports(b: LabeledBordism, at: int, ks) -> LabeledBordism:
+    """Insert a layer of cylinders at boundary `at` per k in ks, each
+    transporting every circle by k."""
+    width = b.word.widths[at]
+    layers = (tuple([Gen.ID] * width),) * len(ks)
+    annots = tuple(tuple([k] * width) for k in ks)
+    return label_word(b.group, BordismWord(b.word.layers[:at] + layers + b.word.layers[at:]),
+                      b.in_labels, b.annotations[:at] + annots + b.annotations[at:])
+
+
 def insert_identity_layer(b: LabeledBordism, at: int) -> LabeledBordism:
     """Insert an all-identity-cylinder layer at boundary `at`."""
-    G = b.group
-    width = len(b.boundaries[at])
-    new_layers = b.word.layers[:at] + (tuple([Gen.ID] * width),) + b.word.layers[at:]
-    new_annots = (b.annotations[:at] + (tuple([G.identity] * width),)
-                  + b.annotations[at:])
-    return label_word(G, BordismWord(new_layers), b.in_labels, new_annots)
+    return _insert_transports(b, at, [b.group.identity])
 
 
 def insert_conjugation_pair(b: LabeledBordism, at: int, k) -> LabeledBordism:
     """Insert transport by k then by k^-1 at boundary `at` (a homotopy)."""
-    G = b.group
-    width = len(b.boundaries[at])
-    lay = tuple([Gen.ID] * width)
-    new_layers = b.word.layers[:at] + (lay, lay) + b.word.layers[at:]
-    new_annots = (b.annotations[:at]
-                  + (tuple([k] * width), tuple([G.inverse(k)] * width))
-                  + b.annotations[at:])
-    return label_word(G, BordismWord(new_layers), b.in_labels, new_annots)
+    return _insert_transports(b, at, [k, b.group.inverse(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +517,10 @@ def parse_labeled(text: str, group: FiniteGroup) -> LabeledBordism:
 
     # check assertion-style annotations on later layers
     for t in range(1, len(layers)):
-        qi = 0
-        for gen, args in zip(layers[t], raw[t]):
-            ins = b.boundaries[t][qi:qi + ARITY[gen][0]]
-            qi += ARITY[gen][0]
+        for gen, args, q in zip(layers[t], raw[t], word.offsets[t]):
             if gen in (Gen.PANTS, Gen.SWAP) and args:
-                if tuple(args) != tuple(ins):
+                ins = b.boundaries[t][q:q + 2]
+                if tuple(args) != ins:
                     raise LabelError(
                         "%s[%s] disagrees with propagated labels %s (layer %d)"
                         % (gen.value,
@@ -544,21 +533,19 @@ def format_labeled(b: LabeledBordism) -> str:
     G = b.group
     parts = []
     for t, (layer, ann) in enumerate(zip(b.word.layers, b.annotations)):
-        qi = 0
+        cur = b.boundaries[t]
         factors = []
-        for gen, a in zip(layer, ann):
-            ins = b.boundaries[t][qi:qi + ARITY[gen][0]]
-            qi += ARITY[gen][0]
+        for gen, a, q in zip(layer, ann, b.word.offsets[t]):
             if gen is Gen.ID:
                 if t == 0:
-                    factors.append("id[%s,%s]" % (G.labels[a], G.labels[ins[0]]))
+                    factors.append("id[%s,%s]" % (G.labels[a], G.labels[cur[q]]))
                 else:
                     factors.append("id[%s]" % G.labels[a])
             elif gen is Gen.COPANTS:
                 factors.append("copants[%s,%s]" % (G.labels[a[0]], G.labels[a[1]]))
             elif gen in (Gen.PANTS, Gen.SWAP) and t == 0:
                 factors.append("%s[%s,%s]" % (gen.value,
-                                              G.labels[ins[0]], G.labels[ins[1]]))
+                                              G.labels[cur[q]], G.labels[cur[q + 1]]))
             elif gen is Gen.CAP:
                 factors.append("cap[]")
             elif gen is Gen.CUP:
@@ -855,9 +842,8 @@ def _enumerate_shapes(max_gens):
             results.append(BordismWord(tuple(layers)))
         if used >= max_gens:
             return
-        prev_out = layer_arity(layers[-1])[1] if layers else None
         if layers:
-            candidates = layers_from(prev_out, max_gens - used)
+            candidates = layers_from(results[-1].arity_out, max_gens - used)
         else:
             candidates = []
             for size in range(1, max_gens + 1):
@@ -897,17 +883,15 @@ def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
                 for t, layer in enumerate(shape.layers):
                     cur = boundaries[-1]
                     row = []
-                    qi = 0
-                    for g in layer:
+                    for g, q in zip(layer, shape.offsets[t]):
                         if g is Gen.ID:
                             row.append(next(frees))
                         elif g is Gen.COPANTS:
                             first = next(frees)
-                            row.append((first, group.mul(group.inverse(first), cur[qi])))
+                            row.append((first, group.mul(group.inverse(first), cur[q])))
                         else:
                             row.append(None)
-                        qi += ARITY[g][0]
-                    labels, norm = _label_layer(group, layer, row, cur, t)
+                    labels, norm = _label_layer(group, shape, t, row, cur)
                     boundaries.append(labels)
                     annots.append(norm)
             except LabelError:
@@ -929,7 +913,7 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
     lines = [ln for ln in lines if ln]
     dims = {}
     raw = {family: {} for family in FAMILIES}
-    unit = counit = None
+    ends = {}  # the unit and counit
     for ln in lines:
         if ln.startswith("bundle over"):
             continue
@@ -937,7 +921,13 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
             toks = ln.split()
             if len(toks) != 4 or toks[2] != "dim":
                 raise BundleError("bad fiber line %r" % ln)
-            dims[group.index(toks[1])] = d = int(toks[3])
+            g = group.index(toks[1])
+            if g in dims:
+                raise BundleError("repeated fiber %s in %r" % (toks[1], ln))
+            try:
+                dims[g] = d = int(toks[3])
+            except ValueError:
+                raise BundleError("bad fiber dimension in %r" % ln) from None
             if d < 1:
                 raise BundleError("fiber dimension must be positive in %r" % ln)
             continue
@@ -945,16 +935,17 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         toks = head.split()
         vals = [parse_scalar(t, exact) for t in body.split()]
         if len(toks) == 3 and toks[0] in raw:
-            raw[toks[0]][group.index(toks[1]), group.index(toks[2])] = vals
-        elif toks == ["unit"]:
-            unit = vals
-        elif toks == ["counit"]:
-            counit = vals
+            seen, key = raw[toks[0]], (group.index(toks[1]), group.index(toks[2]))
+        elif toks in (["unit"], ["counit"]):
+            seen, key = ends, toks[0]
         else:
             raise BundleError("unexpected line %r" % ln)
+        if key in seen:
+            raise BundleError("repeated %s in %r" % (" ".join(toks), ln))
+        seen[key] = vals
     if len(dims) != group.order:
         raise BundleError("need a fiber line for every group element")
-    if unit is None or counit is None:
+    if len(ends) != 2:
         raise BundleError("unit and counit blocks are required")
 
     blocks = {family: {} for family in FAMILIES}
@@ -972,8 +963,8 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         blocks[family][key] = Tensor(np.array(vals, dtype=object).reshape(shape),
                                      exact=exact)
     return CrossedBundle(group=group, dims=tuple(dims[g] for g in group.elements()),
-                         unit=Tensor(unit, exact=exact),
-                         counit=Tensor(counit, exact=exact), tol=tol, **blocks)
+                         unit=Tensor(ends["unit"], exact=exact),
+                         counit=Tensor(ends["counit"], exact=exact), tol=tol, **blocks)
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bordism import ARITY, Gen
+from .bordism import Gen
 from .crossed import (CrossedBundle, LabeledBordism, LabelError,
                       closed_surface_word, evaluate_labeled)
 from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
@@ -223,14 +223,12 @@ def scalar_surface_product(b: LabeledBordism, sb: ScalarBundle):
         raise LabelError("holonomy needs a closed labeled surface")
     acc = Fraction(1) if sb.exact else complex(1)
     for t, (layer, ann_row) in enumerate(zip(b.word.layers, b.annotations)):
-        qi = 0
-        for gen, ann in zip(layer, ann_row):
-            ins = b.boundaries[t][qi:qi + ARITY[gen][0]]
-            qi += ARITY[gen][0]
+        cur = b.boundaries[t]
+        for gen, ann, q in zip(layer, ann_row, b.word.offsets[t]):
             if gen is Gen.ID:
-                acc = acc * sb.tau[ann, ins[0]]
+                acc = acc * sb.tau[ann, cur[q]]
             elif gen is Gen.PANTS:
-                acc = acc * sb.theta[ins[0], ins[1]]
+                acc = acc * sb.theta[cur[q], cur[q + 1]]
             elif gen is Gen.COPANTS:
                 acc = acc / (sb.counit_scalar * sb.theta[ann])
             elif gen is Gen.CUP:

@@ -531,9 +531,9 @@ def test_one_word_keeps_a_schedule_per_mode():
 def test_all_labelings_of_a_shape_share_one_schedule(monkeypatch):
     built = []
 
-    def counted(layers, carry):
-        built.append((layers, carry))
-        return schedule(layers, carry)
+    def counted(w, carry):
+        built.append((w, carry))
+        return schedule(w, carry)
 
     schedule = bordism._schedule
     monkeypatch.setattr(bordism, "_schedule", counted)
@@ -547,7 +547,7 @@ def test_all_labelings_of_a_shape_share_one_schedule(monkeypatch):
     assert len(labelings) >= 16
     for b in labelings:
         _assert_identical(evaluate_labeled(b, B), _reference_evaluate_labeled(b, B))
-    assert built == [(labelings[0].word.layers, False)]
+    assert built == [(labelings[0].word, False)]
     for b in words:
         evaluate_labeled(b, B)
     assert len(built) == len(shapes)
@@ -674,6 +674,67 @@ def test_the_plan_never_peaks_above_layer_order():
                 assert (list(steps) != layer_order) == (peak < layer_peak)
                 lowered += peak < layer_peak
     assert lowered > 500
+
+
+def _reference_classify(w):
+    """The topological type by a boundary walk of its own: one node per word
+    input and per generator but id and swap, and the node each current
+    circle belongs to, walked as in contract_word."""
+    n_in = w.arity_in
+    parent = list(range(n_in))
+    chi = [0] * n_in
+    boundary = list(range(n_in))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for layer in w.layers:
+        pos = 0
+        for g in layer:
+            if g is Gen.ID:
+                pos += 1
+                continue
+            if g is Gen.SWAP:
+                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
+                pos += 2
+                continue
+            n_gen_in, n_out = ARITY[g]
+            node = len(parent)
+            parent.append(node)
+            chi.append(bordism.EULER[g])
+            for c in boundary[pos:pos + n_gen_in]:
+                parent[find(c)] = node
+            boundary[pos:pos + n_gen_in] = [node] * n_out
+            pos += n_out
+    comps = {}  # root -> [Euler characteristic, inputs, outputs]
+    for x, c in enumerate(chi):
+        comps.setdefault(find(x), [0, [], []])[0] += c
+    for p in range(n_in):
+        comps[find(p)][1].append(p)
+    for p, x in enumerate(boundary):
+        comps[find(x)][2].append(p)
+    out = []
+    for c, ins, outs in comps.values():
+        genus2 = 2 - c - len(ins) - len(outs)
+        assert genus2 % 2 == 0 and genus2 >= 0
+        out.append((genus2 // 2, tuple(ins), tuple(outs)))
+    return bordism.TopologicalType(tuple(sorted(out)))
+
+
+def test_the_type_and_widths_are_those_of_their_own_walks():
+    # on both words of every pair of the benchmark's pool and the wide words
+    words = [parse_word(text) for text in WIDE_WORDS]
+    for p in range(1000):
+        words += random_equivalent_pair((p % 3, (p // 3) % 3), 8, p)
+    for w in words:
+        assert topological_type(w) == _reference_classify(w)
+        assert len(w.widths) == len(w.layers) + 1
+        for t, layer in enumerate(w.layers):
+            assert bordism.layer_arity(layer) == w.widths[t:t + 2]
+        assert (w.arity_in, w.arity_out) == (w.widths[0], w.widths[-1])
 
 
 def test_each_word_keeps_its_topological_type(monkeypatch):

@@ -187,6 +187,32 @@ def test_fuzz_equiv(algebra_file):
     assert "15/15 agreements" in text
 
 
+def test_fuzz_equiv_rejects_a_negative_count(algebra_file):
+    code, text = invoke("fuzz-equiv", "--algebra", algebra_file, "--count", "-1")
+    assert code == 2
+    assert text.splitlines()[-1] == "RESULT: FAIL --count must be at least 0, got -1", text
+    code, text = invoke("fuzz-equiv", "--algebra", algebra_file, "--count", "0")
+    assert (code, text) == (0, "RESULT: PASS 0/0 agreements\n")
+
+
+def test_fuzz_equiv_fits_its_arities_in_the_layers(algebra_file):
+    # the drawn arities differ by up to 2; one layer changes them by at most 1
+    for seed in range(5):
+        code, text = invoke("fuzz-equiv", "--algebra", algebra_file, "--count", "30",
+                            "--seed", str(seed), "--max-layers", "1")
+        assert (code, text) == (0, "RESULT: PASS 30/30 agreements\n"), text
+    code, text = invoke("fuzz-equiv", "--algebra", algebra_file, "--max-layers", "0")
+    assert code == 2
+    assert text.splitlines()[-1] == "RESULT: FAIL --max-layers must be at least 1, got 0"
+
+
+def test_roundtrip_rejects_a_negative_generator_count():
+    code, text = invoke("roundtrip", "--group", os.path.join(FIXDIR, "z2.group"),
+                        "--max-gens", "-2")
+    assert code == 2
+    assert text.splitlines()[-1] == "RESULT: FAIL --max-gens must be at least 0, got -2", text
+
+
 def test_roundtrip_group(tmp_path):
     g = tmp_path / "z2.group"
     g.write_text(format_group(cyclic_group(2)))
@@ -326,3 +352,32 @@ def test_output_determinism(algebra_file):
     c = invoke("validate", "--algebra", algebra_file)
     d = invoke("validate", "--algebra", algebra_file)
     assert c == d
+
+
+@pytest.mark.parametrize("line, what", [
+    ("fiber e dim 2", "fiber e"),
+    ("fusion e e : 7 0 0 1 0 1 0 0", "fusion e e"),
+    ("transport r1 e : 1 0 0 1", "transport r1 e"),
+    ("unit : 1 0", "unit"),
+    ("counit : 0 1", "counit"),
+], ids=["fiber", "fusion", "transport", "unit", "counit"])
+def test_a_repeated_bundle_line_is_a_parse_error(tmp_path, line, what):
+    shutil.copy(os.path.join(FIXDIR, "z2.group"), tmp_path / "z2.group")
+    with open(os.path.join(FIXDIR, "z2_dual.bundle"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "z2_dual.bundle"
+    bad.write_text(text + line + "\n")
+    code, out = invoke("validate", "--bundle", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL repeated %s in %r" % (what, line), out
+
+
+def test_a_fiber_dimension_that_is_no_integer_names_its_line(tmp_path):
+    shutil.copy(os.path.join(FIXDIR, "z2.group"), tmp_path / "z2.group")
+    with open(os.path.join(FIXDIR, "z2_dual.bundle"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "z2_dual.bundle"
+    bad.write_text(text.replace("fiber e dim 2", "fiber e dim x"))
+    code, out = invoke("validate", "--bundle", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL bad fiber dimension in 'fiber e dim x'", out

@@ -886,7 +886,7 @@ def test_closed_surfaces_of_one_genus_share_one_word(monkeypatch):
     built = []
     schedule = bordism._schedule
     monkeypatch.setattr(bordism, "_schedule",
-                        lambda layers, carry: built.append(carry) or schedule(layers, carry))
+                        lambda w, carry: built.append(carry) or schedule(w, carry))
     first = closed_surface_word(K, 2, [(1, 2), (3, 3)])
     second = closed_surface_word(K, 2, [(2, 1), (1, 3)])
     assert second.word is first.word

@@ -49,6 +49,11 @@ class Gen(enum.Enum):
     PANTS = "pants"
     COPANTS = "copants"
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash serves every ARITY, EULER and _STRUCTURE lookup in place of
+    # Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
 
 ARITY = {
     Gen.ID: (1, 1),
@@ -507,10 +512,9 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     only carries its circle.
     """
     tensors = algebra.contraction_tensors
-    gens = {g: tensors[name] for g, name in _STRUCTURE.items()}
     ident = tensors["identity"]
-    return contract_word(w, lambda g, t, j, q: gens[g], lambda i: ident,
-                         algebra.exact, carry=True)
+    return contract_word(w, lambda g, t, j, q: tensors[_STRUCTURE[g]],
+                         lambda i: ident, algebra.exact, carry=True)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

@@ -320,6 +320,7 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
     counit = vector(lines[3], "counit")
     zero = Fraction(0) if exact else complex(0)
     c = np.full((n, n, n), zero, dtype=object)
+    products = set()
     for ln in lines[4:]:
         if not ln.startswith("mul "):
             raise StructureError("unexpected line %r" % ln)
@@ -333,6 +334,10 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             raise StructureError("bad indices in %r" % ln) from None
         if not (0 <= i < n and 0 <= j < n):
             raise StructureError("index out of range in %r" % ln)
+        if (i, j) in products:
+            raise StructureError("repeated mul %d %d in %r" % (i + 1, j + 1, ln))
+        products.add((i, j))
+        targets = set()
         for term in rhs.split(","):
             term = term.strip()
             if not term:
@@ -344,6 +349,9 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
                 raise StructureError("bad target index in %r" % ln) from None
             if not 0 <= k < n:
                 raise StructureError("index out of range in %r" % ln)
+            if k in targets:
+                raise StructureError("repeated target %d in %r" % (k + 1, ln))
+            targets.add(k)
             c[i, j, k] = parse_scalar(ctok.strip(), exact)
     return FrobeniusAlgebra(dim=n, basis=basis, mul=Tensor(c, exact=exact),
                             unit=Tensor(unit, exact=exact),

@@ -288,9 +288,7 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True,
     """Parse the cocycle format; ``tol`` is the float-mode tolerance."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    one = Fraction(1) if exact else complex(1)
-    theta_raw, tau_raw = {}, {}
-    counit = one
+    raw = {"theta": {}, "tau": {}, "counit": {}}
     for ln in lines:
         if ln.startswith("cocycle over"):
             continue
@@ -299,15 +297,19 @@ def parse_cocycle(text: str, group: FiniteGroup, exact=True,
         if not rhs.strip():
             raise CocycleError("missing value in line %r" % ln)
         val = parse_scalar(rhs.strip(), exact)
-        if len(toks) == 3 and toks[0] == "theta":
-            theta_raw[group.index(toks[1]), group.index(toks[2])] = val
-        elif len(toks) == 3 and toks[0] == "tau":
-            tau_raw[group.index(toks[1]), group.index(toks[2])] = val
+        if len(toks) == 3 and toks[0] in ("theta", "tau"):
+            key = group.index(toks[1]), group.index(toks[2])
         elif toks == ["counit"]:
-            counit = val
+            key = ()
         else:
             raise CocycleError("unexpected line %r" % ln)
-    return from_cocycle(group, theta_raw, tau_raw or None, counit, tol)
+        values = raw[toks[0]]
+        if key in values:
+            raise CocycleError("repeated %s in %r" % (" ".join(toks), ln))
+        values[key] = val
+    one = Fraction(1) if exact else complex(1)
+    return from_cocycle(group, raw["theta"], raw["tau"] or None,
+                        raw["counit"].get((), one), tol)
 
 
 def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:

@@ -192,16 +192,21 @@ def parse_group(text: str) -> FiniteGroup:
         raise GroupError("expected %d table rows" % m)
     table = []
     for ln in lines[1:1 + m]:
-        row = [int(tok) for tok in ln.split()]
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise GroupError("table row %r has an entry that is no integer"
+                             % ln) from None
         if len(row) != m:
             raise GroupError("table row %r has wrong length" % ln)
         table.append(row)
     labels = None
     for ln in lines[1 + m:]:
-        if ln.startswith("labels "):
-            labels = tuple(ln.split()[1:])
-        else:
+        if not ln.startswith("labels "):
             raise GroupError("unexpected line %r" % ln)
+        if labels is not None:
+            raise GroupError("repeated labels in %r" % ln)
+        labels = tuple(ln.split()[1:])
     return FiniteGroup(table, labels=labels)
 
 

@@ -4,7 +4,7 @@ An exact tensor holds ``nums``, a numpy object array of Python ints, over
 ``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
 numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
 multiplies the dens and contracts the ints at integer speed, and ``equal``
-compares the dens and then the integer arrays.  A float tensor holds its
+compares the dens and then the flat lists of numerators.  A float tensor holds its
 complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
 code path.  A tensor carries no tolerance: the algebra, bundle or oracle that
 owns it does, and passes it to the comparisons (``differences``,
@@ -161,41 +161,47 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     The steps of ``np.tensordot``, without its argument handling: the paired
     legs go to the end of a and the front of b, both are flattened to
     matrices, and ``np.dot`` multiplies them, so float results are bit for
-    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.  The leg
-    dimensions are checked on every call; the transpose orders are laid out
-    once per pattern of ranks and axes (``_layout``).
+    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.  The axis
+    counts and leg dimensions are checked, and the layout worked out, once
+    per pattern of both shapes and both axis lists (``_layout``); a pattern
+    is cached only once it has passed, so every call is checked.
     """
     _check_modes(a, b)
-    if len(axes_a) != len(axes_b):
-        raise ContractionError("axis lists differ in length")
     x, y = a.nums, b.nums
-    if not axes_a:
+    if not axes_a and not axes_b:
         return Tensor.from_nums(np.multiply.outer(x, y), a.den * b.den, a.exact)
-    sa, sb = x.shape, y.shape
-    n = 1
-    for i, j in zip(axes_a, axes_b):
-        if sa[i] != sb[j]:
-            raise ContractionError(
-                "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
-                % (i, sa[i], j, sb[j]))
-        n *= sa[i]
-    keep_a, keep_b, order_a, order_b = _layout(len(sa), len(sb), tuple(axes_a),
-                                               tuple(axes_b))
-    out_a = [sa[k] for k in keep_a]
-    out_b = [sb[k] for k in keep_b]
-    at = x.transpose(order_a).reshape(math.prod(out_a), n)
-    bt = y.transpose(order_b).reshape(n, math.prod(out_b))
-    return Tensor.from_nums(np.dot(at, bt).reshape(out_a + out_b),
-                            a.den * b.den, a.exact)
+    order_a, mat_a, order_b, mat_b, out = _layout(x.shape, y.shape, tuple(axes_a),
+                                                  tuple(axes_b))
+    return Tensor.from_nums(
+        np.dot(x.transpose(order_a).reshape(mat_a),
+               y.transpose(order_b).reshape(mat_b)).reshape(out),
+        a.den * b.den, a.exact)
 
 
 @lru_cache(maxsize=1024)
-def _layout(rank_a, rank_b, axes_a, axes_b):
-    """The kept legs of a and b and their transpose orders for ``tensordot``:
-    the kept legs of a then its paired legs, b's paired legs then its kept."""
-    keep_a = tuple(k for k in range(rank_a) if k not in axes_a)
-    keep_b = tuple(k for k in range(rank_b) if k not in axes_b)
-    return keep_a, keep_b, keep_a + axes_a, axes_b + keep_b
+def _layout(shape_a, shape_b, axes_a, axes_b):
+    """How ``tensordot`` contracts a of ``shape_a`` with b of ``shape_b``:
+    a's transpose order (kept legs, then paired) and matrix shape, b's
+    (paired legs, then kept) and matrix shape, and the output shape.
+
+    Raises ContractionError when the axis lists differ in length or a
+    paired leg's dimensions differ; an error is never cached.
+    """
+    if len(axes_a) != len(axes_b):
+        raise ContractionError("axis lists differ in length")
+    n = 1
+    for i, j in zip(axes_a, axes_b):
+        if shape_a[i] != shape_b[j]:
+            raise ContractionError(
+                "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
+                % (i, shape_a[i], j, shape_b[j]))
+        n *= shape_a[i]
+    keep_a = tuple(k for k in range(len(shape_a)) if k not in axes_a)
+    keep_b = tuple(k for k in range(len(shape_b)) if k not in axes_b)
+    out_a = tuple(shape_a[k] for k in keep_a)
+    out_b = tuple(shape_b[k] for k in keep_b)
+    return (keep_a + axes_a, (math.prod(out_a), n),
+            axes_b + keep_b, (n, math.prod(out_b)), out_a + out_b)
 
 
 def permute(a: Tensor, perm) -> Tensor:
@@ -226,12 +232,16 @@ def first_difference(a: Tensor, b: Tensor, tol):
 
 
 def equal(a: Tensor, b: Tensor, tol=DEFAULT_TOL) -> bool:
-    """Same shape and mode, and no entry differs (see ``differences``)."""
-    if a.shape != b.shape or a.exact != b.exact:
+    """Same shape and mode, and no entry differs (see ``differences``).
+
+    Exact tensors are in lowest terms, so equal ones share their den and
+    their numerators, which are compared as flat lists of ints."""
+    x, y = a.nums, b.nums
+    if x.shape != y.shape or a.exact != b.exact:
         return False
-    if a.exact and a.den != b.den:  # lowest terms: equal tensors share den
-        return False
-    return first_difference(a, b, tol) is None
+    if not a.exact:
+        return first_difference(a, b, tol) is None
+    return a.den == b.den and x.ravel().tolist() == y.ravel().tolist()
 
 
 def invert_matrix(a: Tensor, tol=DEFAULT_TOL):

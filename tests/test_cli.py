@@ -381,3 +381,53 @@ def test_a_fiber_dimension_that_is_no_integer_names_its_line(tmp_path):
     code, out = invoke("validate", "--bundle", str(bad))
     assert code == 2
     assert out.splitlines()[-1] == "RESULT: FAIL bad fiber dimension in 'fiber e dim x'", out
+
+
+@pytest.mark.parametrize("lines, what", [
+    (["tau 10 01 = 1"], "tau 10 01"),
+    (["theta 01 10 = 1"], "theta 01 10"),
+    (["counit = 1", "counit = 2"], "counit"),
+], ids=["tau", "theta", "counit"])
+def test_a_repeated_cocycle_line_is_a_parse_error(tmp_path, lines, what):
+    shutil.copy(os.path.join(FIXDIR, "k4.group"), tmp_path / "k4.group")
+    with open(os.path.join(FIXDIR, "k4_anti.cocycle"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "k4_anti.cocycle"
+    bad.write_text(text + "\n".join(lines) + "\n")
+    code, out = invoke("cocycle", "--cocycle", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == \
+        "RESULT: FAIL repeated %s in %r" % (what, lines[-1]), out
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mul 1 1 -> 1:1", "mul 1 1 -> 1:1\nmul 1 1 -> 1:2",
+     "repeated mul 1 1 in 'mul 1 1 -> 1:2'"),
+    ("mul 1 2 -> 2:1", "mul 1 2 -> 2:1, 2:0",
+     "repeated target 2 in 'mul 1 2 -> 2:1, 2:0'"),
+], ids=["mul", "target"])
+def test_a_repeated_product_is_a_parse_error(tmp_path, old, new, message):
+    with open(os.path.join(FIXDIR, "dual_numbers.fa"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "dual_numbers.fa"
+    bad.write_text(text.replace(old, new))
+    code, out = invoke("validate", "--algebra", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL " + message, out
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("labels 00 10 01 11", "labels 00 10 01 11\nlabels 00 01 10 11",
+     "repeated labels in 'labels 00 01 10 11'"),
+    ("1 0 3 2", "1 0 3 x",
+     "table row '1 0 3 x' has an entry that is no integer"),
+], ids=["labels", "entry"])
+def test_a_bad_group_line_is_a_parse_error_naming_it(tmp_path, old, new, message):
+    with open(os.path.join(FIXDIR, "k4.group"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "k4.group"
+    bad.write_text(text.replace(old, new))
+    code, out = invoke("holonomy", "--group", str(bad), "--surface",
+                       os.path.join(FIXDIR, "k4_torus.surface"))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL " + message, out

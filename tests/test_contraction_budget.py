@@ -1,8 +1,8 @@
-"""How many contractions one pass of the structure-checks workload makes.
+"""How many contractions one pass of a benchmark workload makes.
 
-The pass is the list of calls in perfbench/workloads.py, run under
-perfbench's tracer, which counts every call that reaches tensor.tensordot
-through any module binding; only perfbench/ is read.
+A pass is the list of calls in perfbench/workloads.py, run under perfbench's
+tracer, which counts every call that reaches tensor.tensordot through any
+module binding and the multiply-adds each one does; only perfbench/ is read.
 """
 
 import importlib
@@ -18,18 +18,44 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 # closed labeled surface split into g circles; it now makes 658
 BUDGET = 700
 
+# a fuzz-pairs pass contracts its 400 words in the planned order; a faster
+# kernel must come from cheaper calls, not from another schedule
+FUZZ_CALLS = 1603
+FUZZ_MADDS = 143653
 
-def test_a_structure_checks_pass_stays_within_its_contraction_budget():
+
+def _perfbench(name):
     sys.path.insert(0, PERFBENCH)
-    workloads = importlib.import_module("workloads")
-    tracer = importlib.import_module("tracer")
-    cases = workloads.structure_cases(tqft2d)
-    t = tracer.Tracer()
+    return importlib.import_module(name)
+
+
+def _traced(calls):
+    """The results of ``calls`` and the tracer's per-layer metrics."""
+    t = _perfbench("tracer").Tracer()
     t.install()
     try:
-        passed = [call()[0] for _, call in cases]
+        results = [call() for call in calls]
     finally:
         t.uninstall()
-    assert all(passed)
-    calls = sum(span[0] == "tensor.tensordot" for span in t.spans)
+    return results, t.metrics(0.0)
+
+
+def test_a_structure_checks_pass_stays_within_its_contraction_budget():
+    cases = _perfbench("workloads").structure_cases(tqft2d)
+    results, metrics = _traced([call for _, call in cases])
+    assert all(passed for passed, _ in results)
+    calls = metrics["tensor.tensordot.calls"]
     assert 0 < calls <= BUDGET, calls
+
+
+def test_a_fuzz_pairs_pass_stays_within_its_contraction_budget():
+    workloads = _perfbench("workloads")
+    items = workloads.fuzz_corpus(tqft2d)
+    results, metrics = _traced(
+        [lambda item=item: workloads.fuzz_output(tqft2d, item[1], item[3])
+         for item in items])
+    assert all(passed for passed, _ in results)
+    calls = metrics["tensor.tensordot.calls"]
+    madds = metrics["tensor.tensordot.madds"]
+    assert 0 < calls <= FUZZ_CALLS, calls
+    assert 0 < madds <= FUZZ_MADDS, madds

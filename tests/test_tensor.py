@@ -113,6 +113,18 @@ def test_a_cached_layout_still_checks_every_call():
         assert tensordot(b, a, [0, 1], [1, 0]).item() == 4 + 11   # trace of a b
     assert tensor._layout.cache_info().hits >= hits + 3
     assert tensor._layout.cache_info().maxsize is not None
+    # the same ranks and axes over other dimensions are other patterns, laid
+    # out from their own shapes
+    c = frac_tensor([[1, 2], [3, 4], [5, 6]])     # 3 x 2
+    d = frac_tensor([[1, 1, 0], [0, 1, 1]])       # 2 x 3
+    for _ in range(2):
+        assert tensordot(a, b, [1], [0]).entries() == [4, 5, 10, 11]
+        assert tensordot(c, d, [1], [0]).entries() == [1, 3, 2, 3, 7, 4, 5, 11, 6]
+        assert tensordot(a, c, [1], [0]).entries() == [22, 28, 49, 64]
+        assert tensordot(d, a, [0], [0]).entries() == [1, 2, 3, 5, 7, 9, 4, 5, 6]
+        assert tensordot(b, d, [0, 1], [1, 0]).item() == 1 + 1 + 1
+        with pytest.raises(ContractionError, match="dim 2"):
+            tensordot(c, c, [1], [0])
 
 
 def test_mode_mismatch():
@@ -267,6 +279,54 @@ def test_contraction_commutes_with_disjoint_product(xs, ys):
     lhs = outer(trace(m, 0, 1), v)
     rhs = trace(outer(m, v), 0, 1)
     assert equal(lhs, rhs)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact tensors of one shape: b is a copy of a, a copy with one
+    entry changed, or a rescaled copy (which moves the den), and both are
+    sometimes read through one transposed view."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    n = math.prod(shape)
+    xs = draw(st.lists(small_fracs, min_size=n, max_size=n))
+    ys = list(xs)
+    how = draw(st.sampled_from(["copy", "entry", "rescale"]))
+    if how == "entry":
+        ys[draw(st.integers(0, n - 1))] = draw(small_fracs)
+    elif how == "rescale":
+        k = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), -1]))
+        ys = [y * k for y in ys]
+    a = Tensor(np.array(xs, dtype=object).reshape(shape))
+    b = Tensor(np.array(ys, dtype=object).reshape(shape))
+    if shape and draw(st.booleans()):
+        perm = draw(st.permutations(range(len(shape))))
+        a, b = permute(a, perm), permute(b, perm)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_pairs())
+def test_exact_equal_is_no_first_difference(pair):
+    a, b = pair
+    assert equal(a, b) == (first_difference(a, b, 0.0) is None)
+    assert equal(b, a) == equal(a, b)
+    assert equal(a, a) and equal(b, b)
+
+
+small_complex = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                   allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_complex, min_size=1, max_size=6), st.data())
+def test_float_equal_is_no_first_difference_at_the_tolerance(xs, data):
+    tol = data.draw(st.sampled_from([1e-12, 1e-9, 1e-3]))
+    step = data.draw(st.sampled_from([0.0, 0.5, 0.999, 2.0])) * tol
+    ys = list(xs)
+    ys[data.draw(st.integers(0, len(xs) - 1))] += step
+    a, b = Tensor(xs, exact=False), Tensor(ys, exact=False)
+    assert equal(a, b, tol) == (first_difference(a, b, tol) is None)
+    assert equal(a, a, tol)
 
 
 def _assert_lowest_terms(t):

@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .frobenius import FrobeniusAlgebra
-from .tensor import Tensor, tensordot
+from .tensor import InputError, Tensor, tensordot
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputError):
     def __init__(self, message, position=None):
         if position is not None:
             message = "%s (at position %d)" % (message, position)
@@ -33,7 +33,7 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-class ArityError(ValueError):
+class ArityError(InputError):
     def __init__(self, message, layer=None):
         if layer is not None:
             message = "%s (between layers %d and %d)" % (message, layer, layer + 1)
@@ -375,6 +375,9 @@ def _walk(layers, n_in, carry):
     return gens, boundary, made
 
 
+_MAX_LEGS = 32  # numpy's limit on the legs of an array it iterates over
+
+
 def _schedule(w, carry):
     """The steps ``contract_word`` takes through the word ``w``, a pure
     function of its layers and of ``carry``, whether an ``id`` cylinder
@@ -388,18 +391,21 @@ def _schedule(w, carry):
     contracted against the state's legs ``axes_s`` (the first step's
     generator is the state); ``pads`` the inputs that reach the outputs
     untouched, each of which gets an identity leg pair; ``perm`` the final
-    order of the state's legs.
+    order of the state's legs.  Raises ArityError when the state would
+    hold more legs than a numpy array can.
     """
     n_in = w.widths[0]
     gens, boundary, made = _walk(w.layers, n_in, carry)
     steps = []
     legs = []
+    peak = 0
     for k in _plan(gens, made):
         g, t, j, q, circles, outs, axes_g, _ = gens[k]
         steps.append((g, t, j, q, tuple([legs.index(c) for c in circles if c >= 0]),
                       axes_g))
         legs = ([leg for leg in legs if leg not in circles]
                 + [c for c in circles if c < 0] + outs)
+        peak = max(peak, len(legs))
     pads = []
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
@@ -407,6 +413,10 @@ def _schedule(w, carry):
             legs += [c, made]
             boundary[p] = made
             made += 1
+    peak = max(peak, len(legs))
+    if peak > _MAX_LEGS:
+        raise ArityError("evaluating the word needs a state of %d legs, more than "
+                         "numpy's %d" % (peak, _MAX_LEGS))
     perm = tuple(legs.index(leg) for leg in [~i for i in range(n_in)] + boundary)
     return tuple(steps), tuple(pads), perm
 
@@ -564,7 +574,7 @@ def _random_word(rng, arity, max_layers):
     a_in, a_out = arity
     d = abs(a_in - a_out)
     if d > max_layers:
-        raise ValueError("arity change %d cannot fit in %d layers" % (d, max_layers))
+        raise InputError("arity change %d cannot fit in %d layers" % (d, max_layers))
     layers = []
     cur = a_in
     free = max_layers - d
@@ -638,7 +648,7 @@ def _rewrite_once(rng, w, max_layers):
 def random_equivalent_pair(arity, max_layers, seed):
     """Two topologically equal words, deterministic in the seed."""
     if max_layers < 1:
-        raise ValueError("max_layers must be >= 1")
+        raise InputError("max_layers must be >= 1")
     rng = random.Random(seed)
     w1 = _random_word(rng, arity, max_layers)
     w2 = w1

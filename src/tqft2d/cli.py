@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import random
 import sys
 from dataclasses import replace
@@ -16,21 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bordism, crossed, frobenius, gerbe, groups
-from .bordism import ArityError, WordSyntaxError
-from .crossed import BundleError, LabelError
-from .frobenius import StructureError
-from .gerbe import CocycleError
-from .groups import GroupError
-from .tensor import DEFAULT_TOL, equal, format_scalar
-
-PARSE_ERRORS = (WordSyntaxError, ArityError, StructureError, GroupError,
-                BundleError, LabelError, CocycleError, OSError, ValueError)
-
-
-class _Exit(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+from .tensor import DEFAULT_TOL, InputError, equal, format_scalar, read_text
 
 
 def _result(out, ok, details=""):
@@ -42,22 +29,15 @@ def _result(out, ok, details=""):
 def _mode(args):
     """Keywords for the algebra, bundle and cocycle loaders: the scalar
     mode, and --tolerance as the float-mode tolerance."""
+    if not (cmath.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError("--tolerance must be finite and >= 0, got %s" % args.tolerance)
     exact = args.mode == "exact"
     return {"exact": exact, "tol": DEFAULT_TOL if exact else args.tolerance}
 
 
 def _load_word(source):
     """--word accepts either a literal word or a path to a file holding one."""
-    import os
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    return bordism.parse_word(source)
-
-
-def _load_group(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return groups.parse_group(fh.read())
+    return bordism.parse_word(read_text(source) if os.path.exists(source) else source)
 
 
 def _load_bundle(args):
@@ -68,15 +48,16 @@ def _load_bundle(args):
         return crossed.load_bundle(args.bundle, **mode)
     if args.group:
         field = replace(frobenius.ground_field(mode["exact"]), tol=mode["tol"])
-        return crossed.from_frobenius_algebra(_load_group(args.group), field)
-    raise _Exit(2, "%s needs --bundle or --group" % args.command)
+        return crossed.from_frobenius_algebra(groups.parse_group(read_text(args.group)),
+                                              field)
+    raise InputError("%s needs --bundle or --group" % args.command)
 
 
 def _handles(G, labels):
     """--labels a1,b1,a2,b2,... as the handle pairs [(a1, b1), ...] of G."""
     names = [s for s in labels.split(",") if s]
     if len(names) % 2:
-        raise _Exit(2, "--labels wants pairs a1,b1,a2,b2,...")
+        raise InputError("--labels wants pairs a1,b1,a2,b2,...")
     return [(G.index(a), G.index(b)) for a, b in zip(names[::2], names[1::2])]
 
 
@@ -102,7 +83,7 @@ def cmd_validate(args, out):
         algebra = frobenius.load_algebra(args.algebra, **_mode(args))
         report = frobenius.validate(algebra)
     else:
-        raise _Exit(2, "validate needs --algebra or --bundle")
+        raise InputError("validate needs --algebra or --bundle")
     _report_lines(out, report)
     return _result(out, report.passed,
                    "%d axioms checked, %d violations"
@@ -111,7 +92,7 @@ def cmd_validate(args, out):
 
 def cmd_eval(args, out):
     if not args.algebra or not args.word:
-        raise _Exit(2, "eval needs --algebra and --word")
+        raise InputError("eval needs --algebra and --word")
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     w = _load_word(args.word)
     t = bordism.evaluate(w, algebra)
@@ -121,20 +102,20 @@ def cmd_eval(args, out):
 
 def cmd_invariant(args, out):
     if not args.algebra:
-        raise _Exit(2, "invariant needs --algebra")
+        raise InputError("invariant needs --algebra")
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     with np.errstate(over="ignore", invalid="ignore"):
         z = frobenius.closed_invariant(algebra, args.genus)
     if not algebra.exact and not cmath.isfinite(z):
-        raise _Exit(2, "genus %d invariant is not a finite float (%s); "
-                       "rerun with --mode exact" % (args.genus, format_scalar(z)))
+        raise InputError("genus %d invariant is not a finite float (%s); "
+                         "rerun with --mode exact" % (args.genus, format_scalar(z)))
     out.write("%s\n" % format_scalar(z))
     return _result(out, True, "genus %d invariant %s" % (args.genus, format_scalar(z)))
 
 
 def cmd_type(args, out):
     if not args.word:
-        raise _Exit(2, "type needs --word")
+        raise InputError("type needs --word")
     w = _load_word(args.word)
     tt = bordism.topological_type(w)
     for genus, ins, outs in tt.components:
@@ -145,11 +126,11 @@ def cmd_type(args, out):
 
 def cmd_fuzz_equiv(args, out):
     if not args.algebra:
-        raise _Exit(2, "fuzz-equiv needs --algebra")
+        raise InputError("fuzz-equiv needs --algebra")
     if args.count < 0:
-        raise _Exit(2, "--count must be at least 0, got %d" % args.count)
+        raise InputError("--count must be at least 0, got %d" % args.count)
     if args.max_layers < 1:
-        raise _Exit(2, "--max-layers must be at least 1, got %d" % args.max_layers)
+        raise InputError("--max-layers must be at least 1, got %d" % args.max_layers)
     algebra = frobenius.load_algebra(args.algebra, **_mode(args))
     rng = random.Random(args.seed)
     agree = 0
@@ -173,7 +154,7 @@ def cmd_fuzz_equiv(args, out):
 
 def cmd_roundtrip(args, out):
     if args.max_gens < 0:
-        raise _Exit(2, "--max-gens must be at least 0, got %d" % args.max_gens)
+        raise InputError("--max-gens must be at least 0, got %d" % args.max_gens)
     bundle = _load_bundle(args)
     words = crossed.enumerate_labeled_words(bundle.group, args.max_gens,
                                             budget_per_shape=args.count)
@@ -186,12 +167,11 @@ def cmd_holonomy(args, out):
     bundle = _load_bundle(args)
     G = bundle.group
     if args.surface:
-        with open(args.surface, "r", encoding="utf-8") as fh:
-            b = crossed.parse_labeled(fh.read(), G)
+        b = crossed.parse_labeled(read_text(args.surface), G)
     elif args.labels is not None:
         b = crossed.closed_surface_word(G, args.genus, _handles(G, args.labels))
     else:
-        raise _Exit(2, "holonomy needs --surface or --genus/--labels")
+        raise InputError("holonomy needs --surface or --genus/--labels")
     z = crossed.holonomy(b, bundle)
     out.write("%s\n" % format_scalar(z))
     return _result(out, True, "holonomy %s" % format_scalar(z))
@@ -199,7 +179,7 @@ def cmd_holonomy(args, out):
 
 def cmd_cocycle(args, out):
     if not args.cocycle:
-        raise _Exit(2, "cocycle needs --cocycle <file>")
+        raise InputError("cocycle needs --cocycle <file>")
     sb = gerbe.load_cocycle(args.cocycle, **_mode(args))
     report = gerbe.check_cocycle(sb)
     _report_lines(out, report)
@@ -224,8 +204,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tqft2d",
         description="Evaluate bordism words against Frobenius algebras and "
                     "graded Frobenius bundles over a finite group.")
@@ -257,18 +244,13 @@ def run(argv, out=None) -> int:
     out = out or sys.stdout
     try:
         args = PARSER.parse_args(argv)
-    except SystemExit:
-        return 2
-    try:
         return COMMANDS[args.command](args, out)
-    except _Exit as exc:
-        out.write("error: %s\n" % exc)
-        out.write("RESULT: FAIL %s\n" % exc)
-        return exc.code
-    except PARSE_ERRORS as exc:
+    except (InputError, OSError) as exc:
         out.write("error: %s\n" % exc)
         out.write("RESULT: FAIL %s\n" % exc)
         return 2
+    except SystemExit as exc:  # --help printed the usage
+        return exc.code
 
 
 def entry():

@@ -28,19 +28,20 @@ from .bordism import ARITY, BordismWord, Gen, contract_word
 from .frobenius import FrobeniusAlgebra, comultiplication, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, differences, equal, first_difference,
-                     invert_matrix, parse_scalar, format_scalar, permute, tensordot)
+from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
+                     equal, first_difference, invert_matrix, parse_int, parse_scalar,
+                     format_scalar, permute, tensordot)
 
 
-class BundleError(ValueError):
+class BundleError(InputError):
     """Structural problem with bundle data (shapes, missing blocks)."""
 
 
-class LabelError(ValueError):
+class LabelError(InputError):
     """Inconsistent G-labels on a bordism word."""
 
 
-class ExtractionError(ValueError):
+class ExtractionError(InputError):
     """The oracle violates a field-theory axiom during bundle extraction."""
 
 
@@ -441,91 +442,68 @@ def parse_labeled(text: str, group: FiniteGroup) -> LabeledBordism:
     the product), `id[k,g]` gives conjugator and input, `id[g]` means plain
     cylinder on label g.  In later layers labels propagate; `id[k]` is the
     conjugating cylinder and `pants[g,h]` / `swap[g,h]` act as assertions.
+    `cap` and `cup` take no labels.
     """
-    src = " ".join(ln.split("#", 1)[0] for ln in text.splitlines())
-    layer_texts = [lt.strip() for lt in src.split(";")]
-    layers = []
-    raw = []
-    for lt in layer_texts:
-        if not lt:
+    e = group.identity
+    layers, in_labels, annotations = [], [], []
+    asserted = []  # (layer, position, generator, labels) of later pants and swaps
+    src = " ".join(line for _, line in content_lines(text))
+    for t, layer_text in enumerate(src.split(";")):
+        if not layer_text.strip():
             raise LabelError("empty layer in labeled word")
-        factors = [f.strip() for f in lt.split("*")]
-        gens = []
-        anns = []
-        for f in factors:
+        gens, row = [], []
+        for f in layer_text.split("*"):
+            f = f.strip()
             name, bracket, rest = f.partition("[")
-            name = name.strip()
-            args = []
+            name, args = name.strip(), ()
             if bracket:
                 if not rest.endswith("]"):
                     raise LabelError("missing ']' in %r" % f)
                 body = rest[:-1].strip()
-                if body:
-                    args = [group.index(tok.strip()) for tok in body.split(",")]
-            try:
-                gen = {g.value: g for g in Gen}[name]
-            except KeyError:
-                raise LabelError("unknown generator %r" % name) from None
-            gens.append(gen)
-            anns.append(tuple(args))
-        layers.append(tuple(gens))
-        raw.append(tuple(anns))
-    word = BordismWord(tuple(layers))
-
-    # first-layer annotations fix the word inputs
-    in_labels = []
-    e = group.identity
-    for gen, args in zip(layers[0], raw[0]):
-        if gen is Gen.ID:
-            if len(args) == 2:
-                in_labels.append(args[1])
-            elif len(args) == 1:
-                in_labels.append(args[0])
-            else:
-                raise LabelError("first-layer id needs [k,g] or [g]")
-        elif gen in (Gen.PANTS, Gen.SWAP):
-            if len(args) != 2:
-                raise LabelError("first-layer %s needs [g,h]" % gen.value)
-            in_labels.extend(args)
-        elif gen is Gen.COPANTS:
-            if len(args) != 2:
-                raise LabelError("copants needs a [g,h] split")
-            in_labels.append(group.mul(args[0], args[1]))
-        elif gen is Gen.CUP:
-            in_labels.append(e)
-        # CAP adds no inputs
-
-    annotations = []
-    for t, (layer, anns) in enumerate(zip(layers, raw)):
-        row = []
-        for gen, args in zip(layer, anns):
-            if gen is Gen.ID:
-                if t == 0:
-                    row.append(args[0] if len(args) == 2 else e)
-                else:
-                    if len(args) > 1:
-                        raise LabelError("id takes at most one conjugator")
-                    row.append(args[0] if args else e)
+                args = tuple(group.index(s.strip()) for s in body.split(",")) if body else ()
+            gen = next((g for g in Gen if g.value == name), None)
+            if gen is None:
+                raise LabelError("unknown generator %r" % name)
+            ann = None
+            if gen is Gen.ID and t == 0:
+                if len(args) not in (1, 2):
+                    raise LabelError("first-layer id needs [k,g] or [g]")
+                in_labels.append(args[-1])
+                ann = args[0] if len(args) == 2 else e
+            elif gen is Gen.ID:
+                if len(args) > 1:
+                    raise LabelError("id takes at most one conjugator")
+                ann = args[0] if args else e
             elif gen is Gen.COPANTS:
                 if len(args) != 2:
                     raise LabelError("copants needs a [g,h] split")
-                row.append((args[0], args[1]))
-            else:
-                row.append(None)
+                if t == 0:
+                    in_labels.append(group.mul(*args))
+                ann = args
+            elif gen in (Gen.CAP, Gen.CUP):
+                if args:
+                    raise LabelError("%s takes no labels in %r" % (gen.value, f))
+                if gen is Gen.CUP and t == 0:
+                    in_labels.append(e)
+            elif t == 0:  # pants or swap
+                if len(args) != 2:
+                    raise LabelError("first-layer %s needs [g,h]" % gen.value)
+                in_labels.extend(args)
+            elif args:
+                asserted.append((t, len(gens), gen, args))
+            gens.append(gen)
+            row.append(ann)
+        layers.append(tuple(gens))
         annotations.append(tuple(row))
+    word = BordismWord(tuple(layers))
     b = label_word(group, word, tuple(in_labels), tuple(annotations))
-
-    # check assertion-style annotations on later layers
-    for t in range(1, len(layers)):
-        for gen, args, q in zip(layers[t], raw[t], word.offsets[t]):
-            if gen in (Gen.PANTS, Gen.SWAP) and args:
-                ins = b.boundaries[t][q:q + 2]
-                if tuple(args) != ins:
-                    raise LabelError(
-                        "%s[%s] disagrees with propagated labels %s (layer %d)"
-                        % (gen.value,
-                           ",".join(group.labels[a] for a in args),
-                           tuple(group.labels[i] for i in ins), t))
+    for t, j, gen, args in asserted:
+        q = word.offsets[t][j]
+        ins = b.boundaries[t][q:q + 2]
+        if args != ins:
+            raise LabelError("%s[%s] disagrees with propagated labels %s (layer %d)"
+                             % (gen.value, ",".join(group.labels[a] for a in args),
+                                tuple(group.labels[i] for i in ins), t))
     return b
 
 
@@ -702,7 +680,7 @@ def rotation_transport(w: LoopWord, j: int, bundle: CrossedBundle) -> Tensor:
     """Transport realizing rotation of the loop word by j positions."""
     n = len(w)
     if not 0 <= j <= n:
-        raise ValueError("rotation offset %d out of range for length %d" % (j, n))
+        raise InputError("rotation offset %d out of range for length %d" % (j, n))
     G = bundle.group
     k = G.inverse(w.prefix_product(G, j))
     return bundle.transport[k, w.evaluate(G)]
@@ -725,7 +703,7 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     gs = list(gs)
     n = len(gs)
     if n > 5:
-        raise ValueError("towers are checked for n <= 5")
+        raise InputError("towers are checked for n <= 5")
     G = bundle.group
     report = ValidationReport()
     report.check("higher-associativity")
@@ -864,7 +842,7 @@ def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
     generators; deterministic order.  ``budget_per_shape`` must be at least
     1."""
     if budget_per_shape < 1:
-        raise ValueError("need a labeling budget of at least 1 per shape, got %d"
+        raise InputError("need a labeling budget of at least 1 per shape, got %d"
                          % budget_per_shape)
     out = []
     for shape in _enumerate_shapes(max_gens):
@@ -909,62 +887,66 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
                  tol=DEFAULT_TOL) -> CrossedBundle:
     """Parse the bundle block format against a known group; ``tol`` is the
     bundle's float-mode tolerance."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
     dims = {}
     raw = {family: {} for family in FAMILIES}
     ends = {}  # the unit and counit
-    for ln in lines:
-        if ln.startswith("bundle over"):
-            continue
-        if ln.startswith("fiber "):
-            toks = ln.split()
-            if len(toks) != 4 or toks[2] != "dim":
-                raise BundleError("bad fiber line %r" % ln)
-            g = group.index(toks[1])
-            if g in dims:
-                raise BundleError("repeated fiber %s in %r" % (toks[1], ln))
-            try:
-                dims[g] = d = int(toks[3])
-            except ValueError:
-                raise BundleError("bad fiber dimension in %r" % ln) from None
-            if d < 1:
-                raise BundleError("fiber dimension must be positive in %r" % ln)
-            continue
-        head, _, body = ln.partition(":")
-        toks = head.split()
-        vals = [parse_scalar(t, exact) for t in body.split()]
-        if len(toks) == 3 and toks[0] in raw:
-            seen, key = raw[toks[0]], (group.index(toks[1]), group.index(toks[2]))
-        elif toks in (["unit"], ["counit"]):
-            seen, key = ends, toks[0]
-        else:
-            raise BundleError("unexpected line %r" % ln)
-        if key in seen:
-            raise BundleError("repeated %s in %r" % (" ".join(toks), ln))
-        seen[key] = vals
+    try:
+        for number, line in content_lines(text):
+            if line.startswith("bundle over"):
+                continue
+            if line.startswith("fiber "):
+                toks = line.split()
+                if len(toks) != 4 or toks[2] != "dim":
+                    raise BundleError("bad fiber line")
+                g = group.index(toks[1])
+                if g in dims:
+                    raise BundleError("repeated fiber %s" % toks[1])
+                dims[g] = d = parse_int(toks[3], "fiber dimension")
+                if d < 1:
+                    raise BundleError("fiber dimension must be positive")
+                continue
+            head, _, body = line.partition(":")
+            toks = head.split()
+            vals = [parse_scalar(t, exact) for t in body.split()]
+            if len(toks) == 3 and toks[0] in raw:
+                seen, key = raw[toks[0]], (group.index(toks[1]), group.index(toks[2]))
+            elif toks in (["unit"], ["counit"]):
+                seen, key = ends, toks[0]
+            else:
+                raise BundleError("unexpected line")
+            if key in seen:
+                raise BundleError("repeated %s" % " ".join(toks))
+            seen[key] = number, line, vals
+    except InputError as exc:
+        raise exc.at_line(number, line)
     if len(dims) != group.order:
         raise BundleError("need a fiber line for every group element")
     if len(ends) != 2:
         raise BundleError("unit and counit blocks are required")
 
+    def block(entry, shape):
+        number, line, vals = entry
+        if len(vals) != math.prod(shape):
+            raise BundleError("want %d entries, got %d" % (math.prod(shape), len(vals))) \
+                .at_line(number, line)
+        return Tensor(np.array(vals, dtype=object).reshape(shape), exact=exact)
+
     blocks = {family: {} for family in FAMILIES}
     for family, key, shape in _block_shapes(group, dims):
-        vals = raw[family].get(key)
-        if vals is None:
-            # omitted fusion and fission blocks are zero
-            if family == "transport":
-                raise BundleError("missing required block %s" % (key,))
+        if key in raw[family]:
+            blocks[family][key] = block(raw[family][key], shape)
+        elif family == "transport":
+            raise BundleError("missing required block %s" % (key,))
+        elif math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy's "array is too big"
+            raise BundleError("omitted %s %s %s block of shape %s is too big"
+                              % (family, group.labels[key[0]], group.labels[key[1]],
+                                 shape))
+        else:  # omitted fusion and fission blocks are zero
             blocks[family][key] = Tensor.zeros(shape, exact=exact)
-            continue
-        if len(vals) != int(np.prod(shape)):
-            raise BundleError("block %s has %d entries, want %d"
-                              % (key, len(vals), int(np.prod(shape))))
-        blocks[family][key] = Tensor(np.array(vals, dtype=object).reshape(shape),
-                                     exact=exact)
+    e = (dims[group.identity],)
     return CrossedBundle(group=group, dims=tuple(dims[g] for g in group.elements()),
-                         unit=Tensor(ends["unit"], exact=exact),
-                         counit=Tensor(ends["counit"], exact=exact), tol=tol, **blocks)
+                         unit=block(ends["unit"], e), counit=block(ends["counit"], e),
+                         tol=tol, **blocks)
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
@@ -988,7 +970,5 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
 def load_bundle(path: str, exact=True, tol=DEFAULT_TOL):
     """Load a bundle file; the header references the group file by path.
     ``tol`` is the bundle's float-mode tolerance."""
-    text, group = load_over(path, "bundle")
-    if group is None:
-        raise BundleError("bundle file must start with 'bundle over <groupfile>'")
+    text, group = load_over(path, "bundle", BundleError)
     return parse_bundle(text, group, exact=exact, tol=tol)

@@ -15,15 +15,16 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, equal, first_difference, format_scalar,
-                     invert_matrix, parse_scalar, permute, tensordot)
+from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, equal,
+                     first_difference, format_scalar, invert_matrix, parse_int,
+                     parse_scalar, permute, read_text, tensordot)
 
 
-class StructureError(ValueError):
+class StructureError(InputError):
     """Shapes or required data malformed (raised before axiom checks)."""
 
 
-class DegeneratePairingError(ValueError):
+class DegeneratePairingError(InputError):
     """The counit pairing is singular; fission cannot be derived."""
 
 
@@ -156,7 +157,7 @@ def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
     grouped differently.
     """
     if genus < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InputError("genus must be nonnegative")
     v, power = algebra.unit, algebra.handle
     while genus:
         if genus & 1:
@@ -289,73 +290,52 @@ def rescale_counit(algebra: FrobeniusAlgebra, factor) -> FrobeniusAlgebra:
 def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
     """Parse the line-oriented algebra file format (see README); ``tol`` is
     the algebra's float-mode tolerance."""
-    lines = []
-    for raw in text.splitlines():
-        ln = raw.split("#", 1)[0].strip()
-        if ln:
-            lines.append(ln)
+    lines = content_lines(text)
     if len(lines) < 4:
         raise StructureError("algebra file needs dim/basis/unit/counit lines")
-    if not lines[0].startswith("dim "):
-        raise StructureError("first line must be 'dim <n>'")
+    number, line = lines[0]
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise StructureError("bad dim line %r" % lines[0]) from None
-    if not lines[1].startswith("basis "):
-        raise StructureError("second line must be 'basis ...'")
-    basis = tuple(lines[1].split()[1:])
-    if len(basis) != n:
-        raise StructureError("expected %d basis labels" % n)
-
-    def vector(line, tag):
-        if not line.startswith(tag + " "):
-            raise StructureError("expected '%s ...' line" % tag)
-        toks = line.split()[1:]
-        if len(toks) != n:
-            raise StructureError("%s needs %d entries" % (tag, n))
-        return [parse_scalar(t, exact) for t in toks]
-
-    unit = vector(lines[2], "unit")
-    counit = vector(lines[3], "counit")
-    zero = Fraction(0) if exact else complex(0)
-    c = np.full((n, n, n), zero, dtype=object)
-    products = set()
-    for ln in lines[4:]:
-        if not ln.startswith("mul "):
-            raise StructureError("unexpected line %r" % ln)
-        head, _, rhs = ln.partition("->")
-        toks = head.split()[1:]
-        if len(toks) != 2:
-            raise StructureError("bad mul line %r" % ln)
-        try:
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-        except ValueError:
-            raise StructureError("bad indices in %r" % ln) from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise StructureError("index out of range in %r" % ln)
-        if (i, j) in products:
-            raise StructureError("repeated mul %d %d in %r" % (i + 1, j + 1, ln))
-        products.add((i, j))
-        targets = set()
-        for term in rhs.split(","):
-            term = term.strip()
-            if not term:
-                continue
-            ktok, _, ctok = term.partition(":")
-            try:
-                k = int(ktok) - 1
-            except ValueError:
-                raise StructureError("bad target index in %r" % ln) from None
-            if not 0 <= k < n:
-                raise StructureError("index out of range in %r" % ln)
-            if k in targets:
-                raise StructureError("repeated target %d in %r" % (k + 1, ln))
-            targets.add(k)
-            c[i, j, k] = parse_scalar(ctok.strip(), exact)
+        if not line.startswith("dim "):
+            raise StructureError("first line must be 'dim <n>'")
+        n = parse_int(line[4:], "dimension")
+        number, line = lines[1]
+        basis = tuple(line.split()[1:])
+        if not line.startswith("basis ") or len(basis) != n or len(set(basis)) != n:
+            raise StructureError("second line must be 'basis' and %d distinct labels" % n)
+        vectors = []
+        for (number, line), tag in zip(lines[2:4], ("unit", "counit")):
+            toks = line.split()
+            if toks[0] != tag or len(toks) != n + 1:
+                raise StructureError("expected '%s' and %d entries" % (tag, n))
+            vectors.append([parse_scalar(t, exact) for t in toks[1:]])
+        c = np.full((n, n, n), Fraction(0) if exact else complex(0), dtype=object)
+        products = set()
+        for number, line in lines[4:]:
+            head, _, rhs = line.partition("->")
+            toks = head.split()
+            if toks[:1] != ["mul"] or len(toks) != 3:
+                raise StructureError("expected 'mul <i> <j> -> <k>:<c>, ...'")
+            i, j = parse_int(toks[1], "index") - 1, parse_int(toks[2], "index") - 1
+            if not (0 <= i < n and 0 <= j < n):
+                raise StructureError("index out of range")
+            if (i, j) in products:
+                raise StructureError("repeated mul %d %d" % (i + 1, j + 1))
+            products.add((i, j))
+            targets = set()
+            for term in filter(None, (term.strip() for term in rhs.split(","))):
+                ktok, _, ctok = term.partition(":")
+                k = parse_int(ktok, "target index") - 1
+                if not 0 <= k < n:
+                    raise StructureError("index out of range")
+                if k in targets:
+                    raise StructureError("repeated target %d" % (k + 1))
+                targets.add(k)
+                c[i, j, k] = parse_scalar(ctok.strip(), exact)
+    except InputError as exc:
+        raise exc.at_line(number, line)
     return FrobeniusAlgebra(dim=n, basis=basis, mul=Tensor(c, exact=exact),
-                            unit=Tensor(unit, exact=exact),
-                            counit=Tensor(counit, exact=exact), tol=tol)
+                            unit=Tensor(vectors[0], exact=exact),
+                            counit=Tensor(vectors[1], exact=exact), tol=tol)
 
 
 def format_algebra(algebra: FrobeniusAlgebra) -> str:
@@ -383,8 +363,7 @@ def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
     ``tol`` is the algebra's float-mode tolerance."""
     import os
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse_algebra(fh.read(), exact=exact, tol=tol)
+        return parse_algebra(read_text(path_or_name), exact=exact, tol=tol)
     if path_or_name in _LIBRARY_NAMES:
         return replace(standard_algebra(path_or_name, exact=exact), tol=tol)
     raise StructureError("no such algebra file: %s" % path_or_name)

@@ -19,11 +19,11 @@ from .crossed import (CrossedBundle, LabeledBordism, LabelError,
                       closed_surface_word, evaluate_labeled)
 from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, Tensor, differences, first_difference,
-                     parse_scalar, format_scalar)
+from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
+                     first_difference, parse_scalar, format_scalar)
 
 
-class CocycleError(ValueError):
+class CocycleError(InputError):
     """Malformed cocycle data (missing entries, zero values, bad file)."""
 
 
@@ -133,7 +133,7 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     unit = _mismatches(t[e], dt, np.ones(G.order, dtype=object), 1, exact, tol)
     for k in els:
         for g in els:
-            if unit[g]:
+            if k == e and unit[g]:
                 report.fail("transport-flatness", (e, g))
             for h in np.flatnonzero(compat[k, g]):
                 report.fail("transport-compatibility", (k, g, int(h)))
@@ -264,7 +264,7 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
     G = sb.group
     pts = [w.evaluate(G) if isinstance(w, LoopWord) else w for w in words]
     if len(pts) != 4:
-        raise ValueError("need exactly four loop words")
+        raise InputError("need exactly four loop words")
     report = ValidationReport()
     report.check("lambda-associativity")
 
@@ -286,27 +286,28 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
 def parse_cocycle(text: str, group: FiniteGroup, exact=True,
                   tol=DEFAULT_TOL) -> ScalarBundle:
     """Parse the cocycle format; ``tol`` is the float-mode tolerance."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
     raw = {"theta": {}, "tau": {}, "counit": {}}
-    for ln in lines:
-        if ln.startswith("cocycle over"):
-            continue
-        head, _, rhs = ln.partition("=")
-        toks = head.split()
-        if not rhs.strip():
-            raise CocycleError("missing value in line %r" % ln)
-        val = parse_scalar(rhs.strip(), exact)
-        if len(toks) == 3 and toks[0] in ("theta", "tau"):
-            key = group.index(toks[1]), group.index(toks[2])
-        elif toks == ["counit"]:
-            key = ()
-        else:
-            raise CocycleError("unexpected line %r" % ln)
-        values = raw[toks[0]]
-        if key in values:
-            raise CocycleError("repeated %s in %r" % (" ".join(toks), ln))
-        values[key] = val
+    try:
+        for number, line in content_lines(text):
+            if line.startswith("cocycle over"):
+                continue
+            head, _, rhs = line.partition("=")
+            toks = head.split()
+            val = parse_scalar(rhs.strip(), exact)
+            if len(toks) == 3 and toks[0] in ("theta", "tau"):
+                key = group.index(toks[1]), group.index(toks[2])
+            elif toks == ["counit"]:
+                key = ()
+            else:
+                raise CocycleError("unexpected line")
+            values = raw[toks[0]]
+            if key in values:
+                raise CocycleError("repeated %s" % " ".join(toks))
+            if val == 0:
+                raise CocycleError("%s must be nonzero" % toks[0])
+            values[key] = val
+    except InputError as exc:
+        raise exc.at_line(number, line)
     one = Fraction(1) if exact else complex(1)
     return from_cocycle(group, raw["theta"], raw["tau"] or None,
                         raw["counit"].get((), one), tol)
@@ -334,7 +335,5 @@ def format_cocycle(sb: ScalarBundle, group_filename: str) -> str:
 
 def load_cocycle(path: str, exact=True, tol=DEFAULT_TOL):
     """Load a cocycle file; ``tol`` is the float-mode tolerance."""
-    text, group = load_over(path, "cocycle")
-    if group is None:
-        raise CocycleError("cocycle file must start with 'cocycle over <groupfile>'")
+    text, group = load_over(path, "cocycle", CocycleError)
     return parse_cocycle(text, group, exact=exact, tol=tol)

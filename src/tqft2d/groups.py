@@ -10,8 +10,10 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
+from .tensor import InputError, content_lines, parse_int, read_text
 
-class GroupError(ValueError):
+
+class GroupError(InputError):
     """Raised when a multiplication table is not a group."""
 
 
@@ -100,10 +102,9 @@ class FiniteGroup:
         return classes
 
     def index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise GroupError("unknown element label %r" % label) from None
+        if label not in self.labels:
+            raise GroupError("unknown element label %r" % label)
+        return self.labels.index(label)
 
     def __eq__(self, other):
         if self is other:
@@ -180,33 +181,32 @@ class LoopWord:
 
 def parse_group(text: str) -> FiniteGroup:
     """Parse the line-oriented group file format."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("group "):
+    lines = content_lines(text)
+    if not lines or not lines[0][1].startswith("group "):
         raise GroupError("group file must start with 'group <m>'")
+    number, line = lines[0]
+    table, labels = [], None
     try:
-        m = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise GroupError("bad group header %r" % lines[0]) from None
-    if len(lines) < 1 + m:
-        raise GroupError("expected %d table rows" % m)
-    table = []
-    for ln in lines[1:1 + m]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise GroupError("table row %r has an entry that is no integer"
-                             % ln) from None
-        if len(row) != m:
-            raise GroupError("table row %r has wrong length" % ln)
-        table.append(row)
-    labels = None
-    for ln in lines[1 + m:]:
-        if not ln.startswith("labels "):
-            raise GroupError("unexpected line %r" % ln)
-        if labels is not None:
-            raise GroupError("repeated labels in %r" % ln)
-        labels = tuple(ln.split()[1:])
+        m = parse_int(line.split()[1], "group order")
+        if m < 1:
+            raise GroupError("group order must be positive")
+        if len(lines) < 1 + m:
+            raise GroupError("expected %d table rows" % m)
+        for number, line in lines[1:1 + m]:
+            row = [parse_int(tok, "table entry") for tok in line.split()]
+            if len(row) != m or not all(0 <= x < m for x in row):
+                raise GroupError("table row needs %d entries from 0 to %d" % (m, m - 1))
+            table.append(row)
+        for number, line in lines[1 + m:]:
+            if not line.startswith("labels "):
+                raise GroupError("unexpected line")
+            if labels is not None:
+                raise GroupError("repeated labels")
+            labels = tuple(line.split()[1:])
+            if len(labels) != m or len(set(labels)) != m:
+                raise GroupError("need %d distinct labels" % m)
+    except InputError as exc:
+        raise exc.at_line(number, line)
     return FiniteGroup(table, labels=labels)
 
 
@@ -218,21 +218,18 @@ def format_group(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_over(path: str, kind: str):
+def load_over(path: str, kind: str, error):
     """Read a file whose header line is ``<kind> over <groupfile>``.
 
     Returns the file's text and the group the header names, with a relative
-    group path taken from the file's directory; the group is None when no
-    line starts with ``<kind> over``.
+    group path taken from the file's directory; raises ``error`` when no
+    line starts with ``<kind> over`` and a file name.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     header = kind + " over"
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln.startswith(header):
-            gpath = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                 ln[len(header):].strip())
-            with open(gpath, "r", encoding="utf-8") as fh:
-                return text, parse_group(fh.read())
-    return text, None
+    for _, line in content_lines(text):
+        name = line[len(header):].strip()
+        if line.startswith(header) and name:
+            gpath = os.path.join(os.path.dirname(os.path.abspath(path)), name)
+            return text, parse_group(read_text(gpath))
+    raise error("%s file must start with '%s over <groupfile>'" % (kind, kind))

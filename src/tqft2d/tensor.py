@@ -18,6 +18,7 @@ naive contraction are the right trade-off.
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -36,11 +37,55 @@ class ContractionError(ValueError):
     """Raised on malformed contraction requests (bad legs, dim mismatch)."""
 
 
+class InputError(ValueError):
+    """Bad input (a file, word or option); the command line exits 2 on it."""
+
+    def at_line(self, number, line):
+        """This error, its message now naming line ``number`` and its text."""
+        self.args = ("line %d: %s in %r" % (number, self, line),)
+        return self
+
+
+def content_lines(text):
+    """(number, text without its ``#`` comment) of each line that has any."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
+def read_text(path):
+    """The text of the UTF-8 file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is no UTF-8 text: %s" % (path, exc)) from None
+
+
+def _read(convert, token, what):
+    """``convert(token)``, or an InputError naming ``what`` (and Python's
+    limit on the digits of an int when that is what failed)."""
+    try:
+        return convert(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        limit = str(exc).startswith("Exceeds the limit")
+        raise InputError("bad %s%s" % (what, ": %s" % exc if limit else "")) from None
+
+
+def parse_int(token, what):
+    """Parse integer text; ``what`` names the number in an InputError."""
+    return _read(int, token, what)
+
+
 def parse_scalar(token, exact=True):
-    """Parse ``p/q`` or integer/decimal text into a Fraction (or complex)."""
+    """Parse ``p/q`` or integer/decimal text into a Fraction (or a finite
+    complex)."""
     if exact:
-        return Fraction(token)
-    return complex(Fraction(token)) if "/" in str(token) else complex(token)
+        return _read(Fraction, token, "number")
+    value = _read(complex if "/" not in str(token) else
+                  lambda t: complex(Fraction(t)), token, "number")
+    if not cmath.isfinite(value):
+        raise InputError("bad number")
+    return value
 
 
 def format_scalar(value):
@@ -161,7 +206,7 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     The steps of ``np.tensordot``, without its argument handling: the paired
     legs go to the end of a and the front of b, both are flattened to
     matrices, and ``np.dot`` multiplies them, so float results are bit for
-    bit ``np.tensordot``'s.  Axes are leg indices 0..rank-1.  The axis
+    bit ``np.tensordot``'s.  Axes are distinct leg indices 0..rank-1.  The axis
     counts and leg dimensions are checked, and the layout worked out, once
     per pattern of both shapes and both axis lists (``_layout``); a pattern
     is cached only once it has passed, so every call is checked.
@@ -184,11 +229,17 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
     a's transpose order (kept legs, then paired) and matrix shape, b's
     (paired legs, then kept) and matrix shape, and the output shape.
 
-    Raises ContractionError when the axis lists differ in length or a
-    paired leg's dimensions differ; an error is never cached.
+    Raises ContractionError when the axis lists differ in length, an axis
+    is negative, repeated or past its tensor's last leg, or a paired leg's
+    dimensions differ; an error is never cached.
     """
     if len(axes_a) != len(axes_b):
         raise ContractionError("axis lists differ in length")
+    for axes, rank in ((axes_a, len(shape_a)), (axes_b, len(shape_b))):
+        for k, i in enumerate(axes):
+            if not 0 <= i < rank or i in axes[:k]:
+                raise ContractionError("bad axis %d in %s for a tensor with %d legs"
+                                       % (i, list(axes), rank))
     n = 1
     for i, j in zip(axes_a, axes_b):
         if shape_a[i] != shape_b[j]:

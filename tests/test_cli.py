@@ -327,12 +327,12 @@ def test_cocycle_labels_must_come_in_pairs():
         "RESULT: FAIL --labels wants pairs"), text
 
 
-@pytest.mark.parametrize("command, fixture, group, line", [
-    ("validate --bundle", "z2_dual.bundle", "z2.group", ": 1"),
-    ("cocycle --cocycle", "k4_anti.cocycle", "k4.group", "= 1"),
+@pytest.mark.parametrize("command, fixture, group, line, number", [
+    ("validate --bundle", "z2_dual.bundle", "z2.group", ": 1", 18),
+    ("cocycle --cocycle", "k4_anti.cocycle", "k4.group", "= 1", 12),
 ], ids=["bundle", "cocycle"])
 def test_line_without_a_keyword_is_a_parse_error(tmp_path, command, fixture,
-                                                  group, line):
+                                                  group, line, number):
     shutil.copy(os.path.join(FIXDIR, group), tmp_path / group)
     with open(os.path.join(FIXDIR, fixture), encoding="utf-8") as fh:
         text = fh.read()
@@ -340,7 +340,8 @@ def test_line_without_a_keyword_is_a_parse_error(tmp_path, command, fixture,
     bad.write_text(text + line + "\n")
     code, out = invoke(*command.split(), str(bad))
     assert code == 2
-    assert out.splitlines()[-1] == "RESULT: FAIL unexpected line %r" % line, out
+    assert out.splitlines()[-1] == \
+        "RESULT: FAIL line %d: unexpected line in %r" % (number, line), out
 
 
 def test_output_determinism(algebra_file):
@@ -369,7 +370,8 @@ def test_a_repeated_bundle_line_is_a_parse_error(tmp_path, line, what):
     bad.write_text(text + line + "\n")
     code, out = invoke("validate", "--bundle", str(bad))
     assert code == 2
-    assert out.splitlines()[-1] == "RESULT: FAIL repeated %s in %r" % (what, line), out
+    assert out.splitlines()[-1] == \
+        "RESULT: FAIL line 18: repeated %s in %r" % (what, line), out
 
 
 def test_a_fiber_dimension_that_is_no_integer_names_its_line(tmp_path):
@@ -380,15 +382,16 @@ def test_a_fiber_dimension_that_is_no_integer_names_its_line(tmp_path):
     bad.write_text(text.replace("fiber e dim 2", "fiber e dim x"))
     code, out = invoke("validate", "--bundle", str(bad))
     assert code == 2
-    assert out.splitlines()[-1] == "RESULT: FAIL bad fiber dimension in 'fiber e dim x'", out
+    assert out.splitlines()[-1] == \
+        "RESULT: FAIL line 2: bad fiber dimension in 'fiber e dim x'", out
 
 
-@pytest.mark.parametrize("lines, what", [
-    (["tau 10 01 = 1"], "tau 10 01"),
-    (["theta 01 10 = 1"], "theta 01 10"),
-    (["counit = 1", "counit = 2"], "counit"),
+@pytest.mark.parametrize("lines, what, number", [
+    (["tau 10 01 = 1"], "tau 10 01", 12),
+    (["theta 01 10 = 1"], "theta 01 10", 12),
+    (["counit = 1", "counit = 2"], "counit", 13),
 ], ids=["tau", "theta", "counit"])
-def test_a_repeated_cocycle_line_is_a_parse_error(tmp_path, lines, what):
+def test_a_repeated_cocycle_line_is_a_parse_error(tmp_path, lines, what, number):
     shutil.copy(os.path.join(FIXDIR, "k4.group"), tmp_path / "k4.group")
     with open(os.path.join(FIXDIR, "k4_anti.cocycle"), encoding="utf-8") as fh:
         text = fh.read()
@@ -397,14 +400,14 @@ def test_a_repeated_cocycle_line_is_a_parse_error(tmp_path, lines, what):
     code, out = invoke("cocycle", "--cocycle", str(bad))
     assert code == 2
     assert out.splitlines()[-1] == \
-        "RESULT: FAIL repeated %s in %r" % (what, lines[-1]), out
+        "RESULT: FAIL line %d: repeated %s in %r" % (number, what, lines[-1]), out
 
 
 @pytest.mark.parametrize("old, new, message", [
     ("mul 1 1 -> 1:1", "mul 1 1 -> 1:1\nmul 1 1 -> 1:2",
-     "repeated mul 1 1 in 'mul 1 1 -> 1:2'"),
+     "line 6: repeated mul 1 1 in 'mul 1 1 -> 1:2'"),
     ("mul 1 2 -> 2:1", "mul 1 2 -> 2:1, 2:0",
-     "repeated target 2 in 'mul 1 2 -> 2:1, 2:0'"),
+     "line 6: repeated target 2 in 'mul 1 2 -> 2:1, 2:0'"),
 ], ids=["mul", "target"])
 def test_a_repeated_product_is_a_parse_error(tmp_path, old, new, message):
     with open(os.path.join(FIXDIR, "dual_numbers.fa"), encoding="utf-8") as fh:
@@ -418,9 +421,8 @@ def test_a_repeated_product_is_a_parse_error(tmp_path, old, new, message):
 
 @pytest.mark.parametrize("old, new, message", [
     ("labels 00 10 01 11", "labels 00 10 01 11\nlabels 00 01 10 11",
-     "repeated labels in 'labels 00 01 10 11'"),
-    ("1 0 3 2", "1 0 3 x",
-     "table row '1 0 3 x' has an entry that is no integer"),
+     "line 7: repeated labels in 'labels 00 01 10 11'"),
+    ("1 0 3 2", "1 0 3 x", "line 3: bad table entry in '1 0 3 x'"),
 ], ids=["labels", "entry"])
 def test_a_bad_group_line_is_a_parse_error_naming_it(tmp_path, old, new, message):
     with open(os.path.join(FIXDIR, "k4.group"), encoding="utf-8") as fh:
@@ -431,3 +433,105 @@ def test_a_bad_group_line_is_a_parse_error_naming_it(tmp_path, old, new, message
                        os.path.join(FIXDIR, "k4_torus.surface"))
     assert code == 2
     assert out.splitlines()[-1] == "RESULT: FAIL " + message, out
+
+
+@pytest.mark.parametrize("fixture, old, new, number, argv", [
+    ("dual_numbers.fa", "unit 1 0", "unit 1/0 0", 3, ["validate", "--algebra"]),
+    ("z2_dual.bundle", "counit : 0 1", "counit : 0 1/0", 17, ["validate", "--bundle"]),
+    ("k4_anti.cocycle", "tau 10 11 = -1", "tau 10 11 = 1/0", 7, ["cocycle", "--cocycle"]),
+    ("dual_numbers.fa", "counit 0 1", "counit 0 nan", 4,
+     ["validate", "--mode", "float", "--algebra"]),
+], ids=["algebra", "bundle", "cocycle", "float-nan"])
+def test_a_number_that_does_not_read_names_its_line(tmp_path, fixture, old, new,
+                                                     number, argv):
+    for name in ("z2.group", "k4.group"):
+        shutil.copy(os.path.join(FIXDIR, name), tmp_path / name)
+    with open(os.path.join(FIXDIR, fixture), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / fixture
+    bad.write_text(text.replace(old, new))
+    code, out = invoke(*argv, str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL line %d: bad number in %r" % (number, new), out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--genus", "x"], "argument --genus: invalid int value: 'x'"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-command", "no-command"])
+def test_usage_errors_end_in_a_result_line(argv, message):
+    code, out = invoke(*argv)
+    assert code == 2
+    assert out.splitlines()[-1].startswith("RESULT: FAIL " + message), out
+
+
+def test_help_does_not_raise_out_of_run(capsys):
+    assert invoke("--help") == (0, "")
+    assert capsys.readouterr().out.startswith("usage: tqft2d")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_a_tolerance_that_is_not_finite_and_at_least_0_exits_2(tmp_path, tolerance):
+    # in float mode this algebra fails all four axioms, but at a nan or an
+    # infinite tolerance only nondegeneracy would
+    with open(os.path.join(FIXDIR, "dual_numbers.fa"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.fa"
+    bad.write_text(text.replace("mul 1 2 -> 2:1", "mul 1 2 -> 2:5")
+                   .replace("counit 0 1", "counit 1 0"))
+    assert invoke("validate", "--algebra", str(bad), "--mode", "float")[1] \
+        .splitlines()[-1] == "RESULT: FAIL 4 axioms checked, 4 violations"
+    for algebra in (str(bad), os.path.join(FIXDIR, "dual_numbers.fa")):
+        code, out = invoke("validate", "--algebra", algebra, "--mode", "float",
+                           "--tolerance=" + tolerance)
+        assert code == 2
+        assert out.splitlines()[-1] == "RESULT: FAIL --tolerance must be finite " \
+            "and >= 0, got %s" % float(tolerance), out
+    code, out = invoke("validate", "--algebra", str(bad), "--mode", "float",
+                       "--tolerance", "0")
+    assert code == 1
+
+
+@pytest.mark.parametrize("word, code, legs", [
+    (" * ".join(["cap"] * 32), 0, 32),
+    (" * ".join(["cap"] * 33), 2, 33),
+    (" * ".join(["cap"] * 70), 2, 70),
+    (" * ".join(["id"] * 17), 2, 34),
+], ids=["32-caps", "33-caps", "70-caps", "17-cylinders"])
+def test_a_word_beyond_numpys_legs_is_an_arity_error(word, code, legs):
+    # numpy holds arrays of up to 64 legs but iterates over at most 32
+    code_, out = invoke("eval", "--algebra", "ground_field", "--word", word)
+    assert code_ == code, out
+    if code:
+        assert out.splitlines()[-1] == "RESULT: FAIL evaluating the word needs a " \
+            "state of %d legs, more than numpy's 32" % legs
+
+
+def test_an_omitted_block_too_big_to_allocate_names_the_block(tmp_path):
+    shutil.copy(os.path.join(FIXDIR, "z2.group"), tmp_path / "z2.group")
+    with open(os.path.join(FIXDIR, "z2_dual.bundle"), encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "big.bundle"
+    bad.write_text(text.replace("fiber e dim 2", "fiber e dim 100000000")
+                   .replace("fusion e e : 1 0 0 1 0 1 0 0\n", ""))
+    code, out = invoke("validate", "--bundle", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL omitted fusion e e block of shape " \
+        "(100000000, 100000000, 100000000) is too big", out
+
+
+def test_labels_on_cap_and_cup_exit_2_naming_the_factor(tmp_path):
+    s = tmp_path / "sphere.surface"
+    s.write_text("cap[r1] ; cup[r1]\n")
+    code, out = invoke("holonomy", "--group", os.path.join(FIXDIR, "z2.group"),
+                       "--surface", str(s))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL cap takes no labels in 'cap[r1]'", out
+
+
+def test_a_file_that_is_no_utf8_text_exits_2(tmp_path):
+    bad = tmp_path / "latin1.fa"
+    bad.write_bytes("dim 1\nbasis \xe9\n".encode("latin-1"))
+    code, out = invoke("validate", "--algebra", str(bad))
+    assert code == 2 and "is no UTF-8 text" in out.splitlines()[-1], out

@@ -485,6 +485,20 @@ def test_unclosed_bracket_rejected():
         parse_labeled("cap[] ; cup[", Z2)
 
 
+@pytest.mark.parametrize("text, factor", [
+    ("cap[r1] ; cup", "cap[r1]"),
+    ("cap[] ; cup[r1]", "cup[r1]"),
+    ("id[e] * cap[e] ; pants ; cup", "cap[e]"),
+    ("cup[e]", "cup[e]"),
+], ids=["cap", "later-cup", "first-layer-cap", "first-layer-cup"])
+def test_labels_on_cap_and_cup_are_rejected(text, factor):
+    with pytest.raises(LabelError, match=re.escape("takes no labels in %r" % factor)):
+        parse_labeled(text, Z2)
+    # format_labeled writes them bare, so its words read back
+    b = parse_labeled(text.replace(factor, factor.partition("[")[0] + "[]"), Z2)
+    assert parse_labeled(format_labeled(b), Z2) == b
+
+
 def test_label_assertion_mismatch_rejected():
     with pytest.raises(LabelError):
         parse_labeled("pants[r1,r1] ; copants[r1,r1] ; pants[e,e]", Z2)

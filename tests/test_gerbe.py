@@ -86,7 +86,7 @@ def _reference_check_cocycle(sb):
         if differ(theta[g, h] * theta[G.mul(g, h), k], theta[h, k] * theta[g, G.mul(h, k)]):
             out.append(("cocycle", (g, h, k)))
     for k, g in itertools.product(G.elements(), repeat=2):
-        if differ(tau[e, g], 1):
+        if k == e and differ(tau[e, g], 1):
             out.append(("transport-flatness", (e, g)))
         for h in G.elements():
             lhs = tau[k, g] * tau[k, h] * theta[G.conj(k, g), G.conj(k, h)]
@@ -113,6 +113,12 @@ def test_check_cocycle_reports_what_the_loops_report():
                                   counit_scalar=cast(1))
                 got = [(v.axiom, v.witness) for v in check_cocycle(sb).violations]
                 assert got == _reference_check_cocycle(sb)
+
+
+def test_check_cocycle_reports_a_transport_unit_witness_once():
+    sb = from_cocycle(cyclic_group(3), {}, tau={(0, 1): Fraction(2)})
+    got = [str(v) for v in check_cocycle(sb).violations]
+    assert got.count("transport-flatness at (0, 1)") == 1
 
 
 def test_zero_scalar_rejected():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tqft2d import tensor
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
+                           InputError, content_lines, parse_int,
                            tensordot, equal, first_difference, invert_matrix,
                            parse_scalar, format_scalar, permute)
 
@@ -55,6 +56,31 @@ def test_format_scalar_prints_exact_values_of_any_length():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("token, exact", [
+    ("1/0", True), (":", True), ("x", True), ("1/0", False), ("e", False),
+    ("nan", False), ("inf", False), ("1e999", False)])
+def test_a_number_that_does_not_read_is_an_input_error(token, exact):
+    with pytest.raises(InputError, match="^bad number$"):
+        parse_scalar(token, exact)
+
+
+def test_the_readers_keep_the_digit_limit_and_name_the_integer():
+    with pytest.raises(InputError, match="^bad number: Exceeds the limit"):
+        parse_scalar("1" * 5000)
+    with pytest.raises(InputError, match="^bad row: Exceeds the limit"):
+        parse_int("1" * 5000, "row")
+    with pytest.raises(InputError, match="^bad row$"):
+        parse_int("1/2", "row")
+    assert parse_int(" -7", "row") == -7
+
+
+def test_content_lines_number_the_lines_that_have_text():
+    text = "# head\nfiber e dim 2  # a comment\n\n   \nunit : 1 0\n#\n"
+    assert content_lines(text) == [(2, "fiber e dim 2"), (5, "unit : 1 0")]
+    error = InputError("bad number").at_line(5, "unit : 1/0")
+    assert str(error) == "line 5: bad number in 'unit : 1/0'"
+
+
 def test_product_with_scalar_is_identity():
     t = frac_tensor([1, 2, 3])
     s = Tensor.scalar(1)
@@ -93,6 +119,19 @@ def test_contract_matrix_vector():
 def test_contract_dimension_mismatch():
     with pytest.raises(ContractionError):
         tensordot(frac_tensor([1, 2]), frac_tensor([1, 2, 3]), [0], [0])
+
+
+@pytest.mark.parametrize("axes_a, axes_b, axis", [
+    ([-1], [0], -1), ([0, 0], [0, 1], 0), ([2], [0], 2), ([1], [-2], -2),
+    ([0, 1], [1, 1], 1)], ids=["negative", "repeated", "past-rank", "negative-b",
+                               "repeated-b"])
+def test_a_bad_axis_is_a_contraction_error_that_is_never_cached(axes_a, axes_b, axis):
+    a = frac_tensor([[1, 2], [3, 4]])
+    size = tensor._layout.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ContractionError, match="^bad axis %d in " % axis):
+            tensordot(a, a, axes_a, axes_b)
+    assert tensor._layout.cache_info().currsize == size
 
 
 def test_a_cached_layout_still_checks_every_call():

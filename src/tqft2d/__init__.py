@@ -14,9 +14,8 @@ from .groups import (FiniteGroup, GroupError, LoopWord, trivial_group,
                      klein_four_group, parse_group, format_group)
 from .frobenius import (FrobeniusAlgebra, StructureError,
                         DegeneratePairingError, validate, pairing,
-                        comultiplication, handle_operator, closed_invariant,
-                        ground_field, dual_numbers, diagonal, group_center,
-                        standard_algebra, change_of_basis,
+                        comultiplication, closed_invariant, ground_field,
+                        dual_numbers, diagonal, group_center, change_of_basis,
                         rescale_counit, parse_algebra, format_algebra,
                         load_algebra)
 from .bordism import (Gen, BordismWord, TopologicalType, WordSyntaxError,

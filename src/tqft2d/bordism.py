@@ -205,58 +205,51 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def word(self) -> BordismWord:
-        w = self.layer()
-        while self.peek() == ";":
-            self.next()
-            w = seq(w, self.layer())
-        return w
-
-    def layer(self) -> BordismWord:
-        w = self.factor()
-        while self.peek() == "*":
-            self.next()
-            w = par(w, self.factor())
-        return w
-
-    def factor(self) -> BordismWord:
-        if self.peek() is None:
-            raise WordSyntaxError("unexpected end of input",
-                                  position=self.tokens[-1][1] if self.tokens else 0)
-        tok, at = self.next()
-        if tok == "(":
-            w = self.word()
-            if self.peek() != ")":
-                raise WordSyntaxError("missing ')'", position=at)
-            self.next()
-            return w
-        if tok in _NAMES:
-            return word([_NAMES[tok]])
-        raise WordSyntaxError("unknown generator %r" % tok, position=at)
-
-
 def parse_word(text: str) -> BordismWord:
+    """Parse a word in one pass over its tokens.
+
+    ``;`` composes layers through ``seq`` and binds looser than ``*``, which
+    sets factors side by side through ``par``.  Each open ``(`` keeps the
+    word and layer around it on a stack instead of the call stack, so no
+    depth of nesting can overflow it.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise WordSyntaxError("empty word", position=0)
-    parser = _Parser(tokens)
-    w = parser.word()
-    if parser.peek() is not None:
-        raise WordSyntaxError("trailing input %r" % parser.peek(),
-                              position=parser.tokens[parser.pos][1])
+    groups = []  # per open '(': its position and the word and layer around it
+    w = layer = None  # the word and the open layer of the innermost group
+    want_factor = True
+    for tok, at in tokens:
+        if want_factor:
+            if tok == "(":
+                groups.append((at, w, layer))
+                w = layer = None
+                continue
+            if tok not in _NAMES:
+                raise WordSyntaxError("unknown generator %r" % tok, position=at)
+            factor = word([_NAMES[tok]])
+        elif tok == "*":
+            want_factor = True
+            continue
+        else:
+            w = layer if w is None else seq(w, layer)
+            layer = None
+            if tok == ";":
+                want_factor = True
+                continue
+            if not groups:
+                raise WordSyntaxError("trailing input %r" % tok, position=at)
+            if tok != ")":
+                raise WordSyntaxError("missing ')'", position=groups[-1][0])
+            factor = w
+            _, w, layer = groups.pop()
+        layer = factor if layer is None else par(layer, factor)
+        want_factor = False
+    if want_factor:
+        raise WordSyntaxError("unexpected end of input", position=tokens[-1][1])
+    w = layer if w is None else seq(w, layer)
+    if groups:
+        raise WordSyntaxError("missing ')'", position=groups[-1][0])
     return w
 
 
@@ -539,12 +532,13 @@ def as_matrix(t: Tensor, arity_in: int, dim: int):
 # ---------------------------------------------------------------------------
 # random equivalent pairs (fuzz driver for diffeomorphism invariance)
 
-def _random_layer(rng, arity_in, widen_bias=0.0, max_width=4):
+def _random_layer(rng, arity_in, widen_bias=0.0):
     # max_width caps the boundary this layer makes, so random words stay
     # small; it is not a bound on the word's width, since the unit and counit
     # rewrites of _rewrite_once add a circle beside it (pair seed 143 reaches
     # 6 circles).  evaluate's cost grows with its state tensor, at most
     # dim ** (inputs + boundary circles), not with the width of a layer.
+    max_width = 4
     layer = []
     remaining = arity_in
     outs = 0

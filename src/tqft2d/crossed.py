@@ -25,11 +25,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bordism import ARITY, BordismWord, Gen, contract_word
-from .frobenius import FrobeniusAlgebra, comultiplication, ground_field
+from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     equal, first_difference, invert_matrix, parse_int, parse_scalar,
+                     equal, invert_matrix, parse_int, parse_scalar,
                      format_scalar, permute, tensordot)
 
 
@@ -267,8 +267,8 @@ def from_group_algebra(group: FiniteGroup, exact=True) -> CrossedBundle:
 def from_frobenius_algebra(group: FiniteGroup, algebra: FrobeniusAlgebra) -> CrossedBundle:
     """Constant bundle: every fiber is the given algebra, transport identity."""
     n = algebra.dim
-    delta = comultiplication(algebra)
-    ident = Tensor.identity(n, exact=algebra.exact)
+    blocks = algebra.contraction_tensors
+    delta, ident = blocks["comultiplication"], blocks["identity"]
     els = list(group.elements())
     fusion = {(g, h): algebra.mul for g in els for h in els}
     fission = {(g, h): delta for g in els for h in els}
@@ -593,9 +593,9 @@ def _single(group, gens, in_labels, annots):
     return label_word(group, BordismWord((tuple(gens),)), in_labels, (tuple(annots),))
 
 
-def tft_to_bundle(oracle: TftOracle, group: FiniteGroup = None) -> CrossedBundle:
+def tft_to_bundle(oracle: TftOracle) -> CrossedBundle:
     """Extract fusion, fission, transport and (co)units from an oracle."""
-    G = oracle.group if group is None else group
+    G = oracle.group
     e = G.identity
     for g in G.elements():
         t = oracle.evaluate(_single(G, [Gen.ID], (g,), [e]))
@@ -658,21 +658,17 @@ def frobenius_action(bundle: CrossedBundle, g):
     act, coact = bundle.fusion[e, g], bundle.fission[e, g]
     mu_e, nu_e = bundle.fusion[e, e], bundle.fission[e, e]
     report = ValidationReport()
-
-    def check(axiom, lhs, rhs):
-        report.check(axiom)
-        idx = first_difference(lhs, rhs, bundle.tol)
-        if idx is not None:
-            report.fail(axiom, (g,) + idx)
-
+    tol, at = bundle.tol, (g,)
     rhs = tensordot(act, act, [2], [1])                # (y, v, x, o)
-    check("module", tensordot(mu_e, act, [2], [0]), permute(rhs, (2, 0, 1, 3)))
+    report.compare("module", tensordot(mu_e, act, [2], [0]),
+                   permute(rhs, (2, 0, 1, 3)), tol, at)
     lhs = tensordot(coact, coact, [2], [0])            # (v, x, y, o)
     rhs = tensordot(coact, nu_e, [1], [0])             # (v, o, x, y)
-    check("comodule", lhs, permute(rhs, (0, 2, 3, 1)))
+    report.compare("comodule", lhs, permute(rhs, (0, 2, 3, 1)), tol, at)
     lhs = tensordot(act, coact, [2], [0])              # (x, v, y, o)
     rhs = tensordot(coact, mu_e, [1], [1])             # (v, o, x, y)
-    check("compatibility-square", lhs, permute(rhs, (2, 0, 3, 1)))
+    report.compare("compatibility-square", lhs, permute(rhs, (2, 0, 3, 1)),
+                   tol, at)
     return act, coact, report
 
 

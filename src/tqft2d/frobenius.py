@@ -16,8 +16,8 @@ import numpy as np
 from .groups import FiniteGroup
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, equal,
-                     first_difference, format_scalar, invert_matrix, parse_int,
-                     parse_scalar, permute, read_text, tensordot)
+                     format_scalar, invert_matrix, parse_int, parse_scalar,
+                     permute, read_text, tensordot)
 
 
 class StructureError(InputError):
@@ -74,7 +74,7 @@ class FrobeniusAlgebra:
 
     @cached_property
     def contraction_tensors(self):
-        """The tensors ``bordism.evaluate`` and ``handle_operator`` contract,
+        """The tensors ``bordism.evaluate`` and ``handle`` contract,
         built once per algebra so that the comultiplication is derived once.
 
         Maps "identity", "unit", "counit", "mul" and "comultiplication" to
@@ -91,13 +91,11 @@ class FrobeniusAlgebra:
 
     @cached_property
     def handle(self):
-        """H = mul o delta, built once per algebra (see ``handle_operator``);
-        like ``contraction_tensors``, never cached for a degenerate pairing."""
+        """H = mul o delta as an n x n map (legs: domain, codomain), built
+        once per algebra; like ``contraction_tensors``, never cached for a
+        degenerate pairing."""
         delta = self.contraction_tensors["comultiplication"]
         return tensordot(delta, self.mul, [1, 2], [0, 1])
-
-    def apply_counit(self, v: Tensor):
-        return tensordot(v, self.counit, [0], [0]).item()
 
 
 def pairing(algebra: FrobeniusAlgebra) -> Tensor:
@@ -112,19 +110,12 @@ def validate(algebra: FrobeniusAlgebra) -> ValidationReport:
     """
     mul, tol = algebra.mul, algebra.tol
     report = ValidationReport()
-
-    def check(axiom, lhs, rhs):
-        report.check(axiom)
-        idx = first_difference(lhs, rhs, tol)
-        if idx is not None:
-            report.fail(axiom, idx)
-
     # (e_i e_j) e_k = e_i (e_j e_k), legs (i, j, k, l) on both sides
-    check("associativity", tensordot(mul, mul, [2], [0]),
-          permute(tensordot(mul, mul, [2], [1]), (2, 0, 1, 3)))
-    check("commutativity", mul, permute(mul, (1, 0, 2)))
-    check("unit", tensordot(algebra.unit, mul, [0], [0]),
-          Tensor.identity(algebra.dim, exact=algebra.exact))
+    report.compare("associativity", tensordot(mul, mul, [2], [0]),
+                   permute(tensordot(mul, mul, [2], [1]), (2, 0, 1, 3)), tol)
+    report.compare("commutativity", mul, permute(mul, (1, 0, 2)), tol)
+    report.compare("unit", tensordot(algebra.unit, mul, [0], [0]),
+                   Tensor.identity(algebra.dim, exact=algebra.exact), tol)
 
     report.check("nondegeneracy")
     if invert_matrix(pairing(algebra), tol) is None:
@@ -139,11 +130,6 @@ def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
         raise DegeneratePairingError("pairing matrix is singular")
     # delta[k,i,j] = sum_a mul[k,a,i] ginv[a,j]
     return tensordot(algebra.mul, ginv, [1], [0])
-
-
-def handle_operator(algebra: FrobeniusAlgebra) -> Tensor:
-    """H = mul o delta as an n x n map (legs: domain, codomain)."""
-    return algebra.handle
 
 
 def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
@@ -165,7 +151,7 @@ def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
         genus >>= 1
         if genus:
             power = tensordot(power, power, [1], [0])
-    return algebra.apply_counit(v)
+    return tensordot(v, algebra.counit, [0], [0]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +196,12 @@ def diagonal(weights, exact=True):
         counit=Tensor(weights, exact=exact))
 
 
-def group_center(group: FiniteGroup, normalization=None):
+def group_center(group: FiniteGroup):
     """Center of the group algebra on conjugacy-class sums.
 
-    The default counit is (coefficient of the identity) / |G|, which makes
-    the genus-g invariant match sum over irreps of (|G|/dim)^(2g-2).  Pass a
-    nonzero `normalization` to rescale the counit.
+    The counit is (coefficient of the identity) / |G|, which makes the
+    genus-g invariant match sum over irreps of (|G|/dim)^(2g-2); rescale it
+    with ``rescale_counit``.
     """
     classes = group.conjugacy_classes()
     n = len(classes)
@@ -235,32 +221,14 @@ def group_center(group: FiniteGroup, normalization=None):
                         counts[class_of[p]] += 1
             for k in range(n):
                 c[i, j, k] = counts[k]
-    if normalization is None:
-        normalization = Fraction(1, group.order)
-    else:
-        normalization = Fraction(normalization)
-        if normalization == 0:
-            raise StructureError("normalization must be nonzero")
     e_class = class_of[group.identity]
     eps = [0] * n
-    eps[e_class] = normalization
+    eps[e_class] = Fraction(1, group.order)
     unit = [0] * n
     unit[e_class] = 1
     labels = tuple("C%s" % group.labels[r] for r in rep)
     return FrobeniusAlgebra(dim=n, basis=labels,
                             mul=Tensor(c), unit=Tensor(unit), counit=Tensor(eps))
-
-
-def standard_algebra(name, **params) -> FrobeniusAlgebra:
-    if name == "ground_field":
-        return ground_field(**params)
-    if name == "dual_numbers":
-        return dual_numbers(**params)
-    if name == "diagonal":
-        return diagonal(**params)
-    if name == "group_center":
-        return group_center(**params)
-    raise StructureError("unknown standard algebra %r" % name)
 
 
 def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
@@ -355,7 +323,7 @@ def format_algebra(algebra: FrobeniusAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LIBRARY_NAMES = {"ground_field", "dual_numbers"}
+_LIBRARY = {"ground_field": ground_field, "dual_numbers": dual_numbers}
 
 
 def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
@@ -364,6 +332,6 @@ def load_algebra(path_or_name, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
     import os
     if os.path.exists(path_or_name):
         return parse_algebra(read_text(path_or_name), exact=exact, tol=tol)
-    if path_or_name in _LIBRARY_NAMES:
-        return replace(standard_algebra(path_or_name, exact=exact), tol=tol)
+    if path_or_name in _LIBRARY:
+        return replace(_LIBRARY[path_or_name](exact), tol=tol)
     raise StructureError("no such algebra file: %s" % path_or_name)

@@ -223,7 +223,8 @@ def load_over(path: str, kind: str, error):
 
     Returns the file's text and the group the header names, with a relative
     group path taken from the file's directory; raises ``error`` when no
-    line starts with ``<kind> over`` and a file name.
+    line starts with ``<kind> over`` and a file name.  An error in the group
+    file names that file before its line.
     """
     text = read_text(path)
     header = kind + " over"
@@ -231,5 +232,9 @@ def load_over(path: str, kind: str, error):
         name = line[len(header):].strip()
         if line.startswith(header) and name:
             gpath = os.path.join(os.path.dirname(os.path.abspath(path)), name)
-            return text, parse_group(read_text(gpath))
+            try:
+                return text, parse_group(read_text(gpath))
+            except InputError as exc:
+                exc.args = ("group file %s: %s" % (name, exc),)
+                raise
     raise error("%s file must start with '%s over <groupfile>'" % (kind, kind))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .tensor import first_difference
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -32,6 +34,14 @@ class ValidationReport:
     def fail(self, axiom: str, witness: tuple = ()):
         self.check(axiom)
         self.violations.append(Violation(axiom, witness))
+
+    def compare(self, axiom: str, lhs, rhs, tol, at: tuple = ()):
+        """Check ``axiom`` as lhs == rhs at ``tol``; on failure the witness
+        is ``at`` followed by the first index where the tensors differ."""
+        self.check(axiom)
+        idx = first_difference(lhs, rhs, tol)
+        if idx is not None:
+            self.fail(axiom, at + idx)
 
     def failed_axioms(self):
         return sorted({v.axiom for v in self.violations})

@@ -22,9 +22,9 @@ from tqft2d.crossed import (CrossedBundle, validate_bundle,
                             insert_conjugation_pair, enumerate_labeled_words,
                             label_word)
 from tqft2d.frobenius import (FrobeniusAlgebra, validate, pairing,
-                              comultiplication, handle_operator,
-                              closed_invariant, ground_field, dual_numbers,
-                              diagonal, group_center, change_of_basis)
+                              comultiplication, closed_invariant, ground_field,
+                              dual_numbers, diagonal, group_center,
+                              change_of_basis)
 from tqft2d.gerbe import (check_theta, check_cocycle, from_cocycle,
                           coboundary, klein_anticommuting_cocycle,
                           to_crossed_bundle, scalar_surface_product,

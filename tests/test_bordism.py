@@ -1,5 +1,6 @@
 import importlib
 import os
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from tqft2d.bordism import (ARITY, Gen, BordismWord, WordSyntaxError, ArityError,
-                            parse_word, identity_word, seq, par,
+                            parse_word, word, identity_word, seq, par,
                             topological_type, equivalent, evaluate, as_matrix,
                             random_equivalent_pair)
 from tqft2d import bordism, crossed, frobenius
@@ -68,6 +69,107 @@ def test_pretty_then_parse_is_identity():
                  "cap ; copants ; pants ; cup"):
         w = parse_word(text)
         assert parse_word(w.pretty()) == w
+
+
+def _reference_parse_word(text):
+    """parse_word by recursive descent over the grammar word := layer
+    (';' layer)*, layer := factor ('*' factor)*, factor := '(' word ')' |
+    generator; the reference the one-pass parser must agree with.  Each
+    '(' costs three Python frames, so deep nesting overflows the stack."""
+    tokens = bordism._tokenize(text)
+    if not tokens:
+        raise WordSyntaxError("empty word", position=0)
+    pos = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse_word_():
+        w = parse_layer()
+        while peek() == ";":
+            take()
+            w = seq(w, parse_layer())
+        return w
+
+    def parse_layer():
+        w = parse_factor()
+        while peek() == "*":
+            take()
+            w = par(w, parse_factor())
+        return w
+
+    def parse_factor():
+        if peek() is None:
+            raise WordSyntaxError("unexpected end of input", position=tokens[-1][1])
+        tok, at = take()
+        if tok == "(":
+            w = parse_word_()
+            if peek() != ")":
+                raise WordSyntaxError("missing ')'", position=at)
+            take()
+            return w
+        if tok in bordism._NAMES:
+            return word([bordism._NAMES[tok]])
+        raise WordSyntaxError("unknown generator %r" % tok, position=at)
+
+    w = parse_word_()
+    if peek() is not None:
+        raise WordSyntaxError("trailing input %r" % peek(), position=tokens[pos][1])
+    return w
+
+
+def _parse_outcome(parse, text):
+    """The layers ``parse`` makes of ``text``, or the class and message of
+    the input error it raises."""
+    try:
+        return parse(text).layers
+    except (WordSyntaxError, ArityError) as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_word_matches_the_recursive_reference():
+    # both words of 300 random pairs, 600 of them with up to three random
+    # token spans parenthesized, and 2,000 random token strings: shallow
+    # enough for the reference, and every error of the grammar shows up
+    rng = random.Random(2010)
+    texts = []
+    for seed in range(300):
+        for w in random_equivalent_pair((seed % 3, seed // 3 % 3), 6, seed):
+            texts.append(w.pretty())
+    for _ in range(600):
+        toks = [tok for tok, _ in bordism._tokenize(rng.choice(texts[:600]))]
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.randrange(len(toks) + 1) for _ in range(2))
+            toks = toks[:i] + ["("] + toks[i:j] + [")"] + toks[j:]
+        texts.append(" ".join(toks))
+    pool = [g.value for g in Gen] + [";", "*", "(", ")", "x", "&"]
+    for _ in range(2000):
+        texts.append(" ".join(rng.choice(pool) for _ in range(rng.randint(0, 12))))
+    errors = []
+    for text in texts:
+        got = _parse_outcome(parse_word, text)
+        assert got == _parse_outcome(_reference_parse_word, text), text
+        if isinstance(got[0], type):
+            errors.append(got[1])
+    assert len(errors) < len(texts)
+    for kind in ("empty word", "unexpected end of input", "missing ')'",
+                 "unknown generator", "trailing input", "unexpected character",
+                 "cannot compose"):
+        assert any(e.startswith(kind) for e in errors), kind
+
+
+def test_parse_word_nests_deeper_than_the_call_stack():
+    text = "(" * 3000 + "cap ; (copants)" + ")" * 3000
+    with pytest.raises(RecursionError):
+        _reference_parse_word(text)
+    assert parse_word(text) == parse_word("cap ; copants")
+    with pytest.raises(WordSyntaxError, match=r"missing '\)' \(at position 2999\)"):
+        parse_word("(" * 3000 + "id")
 
 
 def test_topological_type_cylinder():

@@ -1,5 +1,6 @@
 import io
 import os
+import shlex
 import shutil
 import sys
 
@@ -8,15 +9,17 @@ import pytest
 from tqft2d import cli
 from tqft2d.cli import run
 from tqft2d.crossed import from_group_algebra, from_frobenius_algebra, \
-    format_bundle, holonomy
+    format_bundle, holonomy, load_bundle
 from tqft2d.frobenius import dual_numbers, format_algebra
 from tqft2d.gerbe import klein_anticommuting_cocycle, from_cocycle, \
     format_cocycle, load_cocycle, to_crossed_bundle
-from tqft2d.groups import cyclic_group, klein_four_group, format_group
+from tqft2d.groups import cyclic_group, klein_four_group, format_group, parse_group
+from tqft2d.tensor import InputError
 
 from test_crossed import _reference_closed_surface_word
 
-FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXDIR = os.path.join(ROOT, "fixtures")
 
 
 def invoke(*argv):
@@ -178,6 +181,12 @@ def test_type_command():
     code, text = invoke("type", "--word", "cap ; copants ; pants ; cup")
     assert code == 0
     assert "component genus 1 in [] out []" in text
+
+
+def test_type_of_a_word_nested_3000_deep():
+    code, text = invoke("type", "--word", "(" * 3000 + "id" + ")" * 3000)
+    assert code == 0
+    assert text.splitlines()[-1] == "RESULT: PASS 1 components", text
 
 
 def test_fuzz_equiv(algebra_file):
@@ -435,6 +444,31 @@ def test_a_bad_group_line_is_a_parse_error_naming_it(tmp_path, old, new, message
     assert out.splitlines()[-1] == "RESULT: FAIL " + message, out
 
 
+@pytest.mark.parametrize("argv, fixture, group, old, new", [
+    (["validate", "--bundle"], "z2_dual.bundle", "z2.group", "\n1 0\n", "\n1 x\n"),
+    (["cocycle", "--cocycle"], "k4_anti.cocycle", "k4.group", "1 0 3 2", "1 0 3 x"),
+], ids=["bundle", "cocycle"])
+def test_a_bad_group_file_under_a_header_is_named(tmp_path, argv, fixture, group,
+                                                  old, new):
+    shutil.copy(os.path.join(FIXDIR, fixture), tmp_path / fixture)
+    with open(os.path.join(FIXDIR, group), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    (tmp_path / group).write_text(text.replace(old, new))
+    message = "group file %s: line 3: bad table entry in %r" % (group, new.strip())
+    code, out = invoke(*argv, str(tmp_path / fixture))
+    assert code == 2
+    assert out.splitlines()[-1] == "RESULT: FAIL " + message, out
+    # the error keeps the class the group parser raises
+    with pytest.raises(InputError) as direct:
+        parse_group(text.replace(old, new))
+    with pytest.raises(InputError) as err:
+        (load_bundle if fixture.endswith(".bundle") else load_cocycle)(
+            str(tmp_path / fixture))
+    assert type(err.value) is type(direct.value)
+    assert str(err.value) == "group file %s: %s" % (group, direct.value) == message
+
+
 @pytest.mark.parametrize("fixture, old, new, number, argv", [
     ("dual_numbers.fa", "unit 1 0", "unit 1/0 0", 3, ["validate", "--algebra"]),
     ("z2_dual.bundle", "counit : 0 1", "counit : 0 1/0", 17, ["validate", "--bundle"]),
@@ -535,3 +569,23 @@ def test_a_file_that_is_no_utf8_text_exits_2(tmp_path):
     bad.write_bytes("dim 1\nbasis \xe9\n".encode("latin-1"))
     code, out = invoke("validate", "--algebra", str(bad))
     assert code == 2 and "is no UTF-8 text" in out.splitlines()[-1], out
+
+
+def _readme_commands():
+    """Each line of the fenced block under the README's Command line
+    heading, split as a shell would."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_pass(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert argv[0] == "tqft2d", argv
+        code, out = invoke(*argv[1:])
+        assert code == 0, (argv, out)
+        assert out.splitlines()[-1].startswith("RESULT: PASS"), (argv, out)

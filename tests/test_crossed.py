@@ -24,7 +24,7 @@ from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             insert_identity_layer, insert_conjugation_pair,
                             enumerate_labeled_words, parse_bundle,
                             format_bundle, load_bundle)
-from tqft2d import crossed
+from tqft2d import crossed, frobenius
 from tqft2d.cli import run
 from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               comultiplication, group_center, change_of_basis,
@@ -599,6 +599,66 @@ def test_roundtrip_check_bundles():
         words = enumerate_labeled_words(B.group, 3, budget_per_shape=budget)
         report = roundtrip_check(B, words)
         assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("block, key, witness", [
+    ("fusion", (1, 1), ("fusion", 1, 1)),
+    ("transport", (1, 0), ("transport", 1, 0)),
+    ("unit", None, ("unit",)),
+    ("counit", None, ("counit",)),
+], ids=["fusion", "transport", "unit", "counit"])
+def test_roundtrip_check_names_a_planted_block(monkeypatch, block, key, witness):
+    monkeypatch.setattr(crossed, "tft_to_bundle",
+                        lambda oracle: scaled(CONSTANT, block, key, 3))
+    report = roundtrip_check(CONSTANT, [])
+    assert report.checked == ["bundle-reconstruction", "evaluator-agreement"]
+    assert report.violations == [Violation("bundle-reconstruction", witness)]
+
+
+def test_roundtrip_check_names_planted_dims(monkeypatch):
+    # a rebuilt bundle of other fiber dimensions differs in every block too
+    monkeypatch.setattr(crossed, "tft_to_bundle",
+                        lambda oracle: from_group_algebra(Z2))
+    report = roundtrip_check(CONSTANT, [])
+    blocks = [(family,) + key
+              for family, key, _ in crossed._block_shapes(Z2, CONSTANT.dims)]
+    assert report.violations == [
+        Violation("bundle-reconstruction", w)
+        for w in [("dims",)] + blocks + [("unit",), ("counit",)]]
+
+
+def test_roundtrip_check_names_the_words_the_evaluators_disagree_on(monkeypatch):
+    cylinders = [label_word(Z2, parse_word("id"), (g,), ((k,),))
+                 for g in Z2.elements() for k in Z2.elements()]
+    evaluate = crossed.evaluate_labeled
+
+    def planted(b, bundle):
+        # the rebuilt bundle, and only it, maps cylinders 1 and 3 wrong
+        t = evaluate(b, bundle)
+        if bundle is not CONSTANT and b in (cylinders[1], cylinders[3]):
+            return tensordot(Tensor.scalar(3), t, [], [])
+        return t
+
+    monkeypatch.setattr(crossed, "evaluate_labeled", planted)
+    report = roundtrip_check(CONSTANT, cylinders)
+    assert report.violations == [Violation("evaluator-agreement", (1,)),
+                                 Violation("evaluator-agreement", (3,))]
+
+
+def test_constant_bundle_reuses_the_algebras_comultiplication(monkeypatch):
+    derived = []
+    comultiply = frobenius.comultiplication
+    monkeypatch.setattr(frobenius, "comultiplication",
+                        lambda a: derived.append(a) or comultiply(a))
+    a = group_center(S3)
+    evaluate(parse_word("copants"), a)
+    assert derived == [a]
+    b = from_frobenius_algebra(S3, a)
+    assert derived == [a]   # the comultiplication evaluate derived
+    delta, ident = comultiply(a), Tensor.identity(a.dim)
+    assert all(equal(t, delta) for t in b.fission.values())
+    assert all(equal(t, ident) for t in b.transport.values())
+    assert all(t is a.mul for t in b.fusion.values())
 
 
 def _reference_evaluate_labeled(b, bundle):

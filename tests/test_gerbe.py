@@ -14,6 +14,7 @@ from tqft2d.gerbe import (ScalarBundle, CocycleError, check_theta,
                           format_cocycle, load_cocycle)
 from tqft2d.groups import (FiniteGroup, LoopWord, cyclic_group, symmetric_group,
                            klein_four_group, format_group)
+from tqft2d.report import Violation
 
 K, THETA = klein_anticommuting_cocycle()
 ANTI = from_cocycle(K, THETA)
@@ -203,6 +204,29 @@ def test_fusion_lambda_square():
     sb = from_cocycle(g, trivial_theta(g))
     assert fusion_lambda_check(sb, [LoopWord((1, 2)), LoopWord((3,)),
                                     LoopWord(()), LoopWord((4, 5))]).passed
+
+
+def test_fusion_lambda_square_fails_on_a_theta_that_is_no_cocycle():
+    # theta(10, 11) flipped breaks the identity at (a, b, c) = (10, 11, 01),
+    # the pairwise ratios of the loop words e, 10, 01, e
+    theta = dict(THETA)
+    u, v, w = K.index("10"), K.index("01"), K.index("11")
+    theta[u, w] = -theta[u, w]
+    broken = ScalarBundle(group=K, theta=theta, tau=dict(ANTI.tau))
+    words = [LoopWord(()), LoopWord((u,)), LoopWord((v,)), LoopWord(())]
+    assert fusion_lambda_check(ANTI, words).passed
+    report = fusion_lambda_check(broken, words)
+    assert report.checked == ["lambda-associativity"]
+    assert report.violations == [Violation("lambda-associativity",
+                                           (K.identity, u, v, K.identity))]
+
+
+def test_gerbe_holonomy_raises_when_the_walk_disagrees(monkeypatch):
+    from tqft2d import gerbe
+    monkeypatch.setattr(gerbe, "scalar_surface_product", lambda b, sb: Fraction(3))
+    with pytest.raises(CocycleError) as err:
+        gerbe_holonomy(ANTI, 1, [(1, 2)])
+    assert str(err.value) == "scalar walk 3 disagrees with the evaluator -1"
 
 
 def test_lambda_check_wants_four_words():

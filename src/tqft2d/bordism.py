@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .frobenius import FrobeniusAlgebra
-from .tensor import InputError, Tensor, tensordot
+from .tensor import InputError, Tensor, permute, tensordot
 
 
 class WordSyntaxError(InputError):
@@ -495,8 +495,8 @@ def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
         state = ident if state is None else tensordot(state, ident, (), ())
     if state is None:
         return Tensor.scalar(1, exact=exact)
-    # a fresh array: the state may still be a generator tensor itself
-    return Tensor._of(state.nums.transpose(perm).copy(), state.den, exact)
+    # permute gives a fresh array: the state may still be a generator tensor
+    return permute(state, perm)
 
 
 # the structure tensor each generator but the cylinder is contracted as

@@ -7,12 +7,13 @@ evaluators live here: `evaluate_labeled` turns a bundle into an evaluator,
 `tft_to_bundle` extracts a bundle from an evaluator oracle.
 
 `validate_bundle` does not walk the gradings one by one.  It stacks each
-family of blocks once into a zero-padded object array of numerators, of
+family of blocks once into a zero-padded tensor (``tensor.stack``), of
 shape (|G|, |G|, D, D, D) for fusion and fission and (|G|, |G|, D, D) for
 transport, D being the largest fiber dimension, and checks each axiom over
-all its gradings in one gathered ``np.einsum`` contraction.  Padding is zero
-on both sides of every comparison, so each failing grading reports the same
-first witness as a block-by-block check; the tests hold it to that loop.
+all its gradings in one gathered contraction through ``tensor.einsum``.
+Padding is zero on both sides of every comparison, so each failing grading
+reports the same first witness as a block-by-block check; the tests hold it
+to that loop.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     equal, invert_matrix, parse_int, parse_scalar,
-                     format_scalar, permute, tensordot)
+                     einsum, equal, invert_matrix, parse_int, parse_scalar,
+                     format_scalar, permute, stack, tensordot)
 
 
 class BundleError(InputError):
@@ -65,8 +66,8 @@ class CrossedBundle:
             raise BundleError("unit must live in the identity fiber")
         if self.counit.shape != (self.dims[e],):
             raise BundleError("counit must live on the identity fiber")
-        # validate_bundle contracts stacked numerators, past tensordot's
-        # mode check, so every block must share the unit's mode
+        # every block must share the unit's mode; tensor.stack would reject
+        # a mixed family too, but without naming the block
         mode = {True: "exact", False: "float"}
         if self.counit.exact != self.exact:
             raise BundleError("mixed scalar modes: the counit is %s, the unit %s"
@@ -123,58 +124,40 @@ def _block_shapes(group: FiniteGroup, dims):
 # ---------------------------------------------------------------------------
 # validation
 
-def _stacked(blocks, lead, width, exact):
-    """The tensors of ``blocks`` (index tuple over ``lead`` -> Tensor, all
-    of one rank) as one object array of shape ``lead + (width,) * rank``:
-    each block's numerators over the blocks' common den, zero-padded to
-    ``width`` on every leg.  Returns (numerators, den)."""
-    den = math.lcm(*(t.den for t in blocks.values()))
-    full = (width,) * next(iter(blocks.values())).rank
-    out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
-    for key, t in blocks.items():
-        nums = t.nums if t.den == den else t.nums * (den // t.den)
-        if nums.shape == full:
-            out[key] = nums
-        else:
-            out[key + tuple(map(slice, nums.shape))] = nums
-    return out, den
-
-
 def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     """Enumerate every defining condition over all gradings.
 
-    Each family of blocks is stacked once (see ``_stacked``), padded to the
+    Each family of blocks is stacked once (``tensor.stack``), padded to the
     largest fiber dimension D, and each axiom is one contraction over all
     its gradings at once: both sides are gathered from the stacks through
     the group's multiplication and conjugation tables and contracted with
-    ``np.einsum`` on the object arrays, pairwise in the order of the
-    definition.  A grading fails when its two padded blocks differ
-    (``tensor.differences``).  Padding is zero on both sides, so the first
-    row-major differing index of a padded block is that of the block
-    itself: the witnesses are those of comparing block by block, also for
-    unequal fiber dimensions.  Violations come grading by grading in
-    row-major order, with the axioms of one loop over gradings interleaved
-    in the order they are checked below.  The largest intermediate holds
-    |G|^3 D^4 entries.
+    ``tensor.einsum``, pairwise in the order of the definition.  A grading
+    fails when its two padded blocks differ (``tensor.differences``).
+    Padding is zero on both sides, so the first row-major differing index
+    of a padded block is that of the block itself: the witnesses are those
+    of comparing block by block, also for unequal fiber dimensions.
+    Violations come grading by grading in row-major order, with the axioms
+    of one loop over gradings interleaved in the order they are checked
+    below.  The largest intermediate holds |G|^3 D^4 entries.
     """
-    G, dims, exact, tol = bundle.group, bundle.dims, bundle.exact, bundle.tol
+    G, dims, tol = bundle.group, bundle.dims, bundle.tol
     n, w, e = G.order, max(dims), G.identity
-    mu, dmu = _stacked(bundle.fusion, (n, n), w, exact)
-    nu, dnu = _stacked(bundle.fission, (n, n), w, exact)
-    P, dP = _stacked(bundle.transport, (n, n), w, exact)
-    u, du = _stacked({(): bundle.unit}, (), w, exact)
-    eps, deps = _stacked({(): bundle.counit}, (), w, exact)
-    ident, _ = _stacked({(g,): t for g, t in enumerate(bundle.identities)},
-                        (n,), w, exact)
+    mu = stack(bundle.fusion, (n, n), w)
+    nu = stack(bundle.fission, (n, n), w)
+    P = stack(bundle.transport, (n, n), w)
+    # the unit, the counit and the identity at every grading
+    unit_at = stack({(g,): bundle.unit for g in range(n)}, (n,), w)
+    counit_at = stack({(g,): bundle.counit for g in range(n)}, (n,), w)
+    ident = stack({(g,): t for g, t in enumerate(bundle.identities)}, (n,), w)
+    u, eps = unit_at[0], counit_at[0]
     mul = np.array(G.table)
     conj = np.array([[G.conj(k, g) for g in range(n)] for k in range(n)])
-    ein = np.einsum
+    ein = einsum
     report = ValidationReport()
 
-    def witnesses(lhs, lhs_den, rhs, rhs_den):
+    def witnesses(lhs, rhs):
         """{i: first index where the blocks lhs[i] and rhs[i] differ}."""
-        bad = differences(Tensor.from_nums(lhs, lhs_den, exact),
-                          Tensor.from_nums(rhs, rhs_den, exact), tol)
+        bad = differences(lhs, rhs, tol)
         bad = bad.reshape(len(bad), -1)
         return {int(i): tuple(int(x) for x in
                               np.unravel_index(int(bad[i].argmax()), lhs.shape[1:]))
@@ -198,11 +181,11 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k), legs (a, b, y)
     lhs = ein("nabx,nxy->naby", mu[g, h], P[k, gh])
     rhs = ein("nbj,najy->naby", P[k, h], ein("nai,nijy->najy", P[k, g], mu[gc, hc]))
-    fusion = witnesses(lhs, dmu * dP, rhs, dP * dP * dmu)
+    fusion = witnesses(lhs, rhs)
     # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}, legs (x, i, j)
     lhs = ein("nxy,nyij->nxij", P[k, gh], nu[gc, hc])
     rhs = ein("nxbi,nbj->nxij", ein("nxab,nai->nxbi", nu[g, h], P[k, g]), P[k, h])
-    fission = witnesses(lhs, dP * dnu, rhs, dnu * dP * dP)
+    fission = witnesses(lhs, rhs)
     fail(triples, [("fusion-transport", (), fusion),
                    ("fission-transport", (), fission)])
 
@@ -212,33 +195,31 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     g, h, k = triples
     gh, hk = mul[g, h], mul[h, k]
     # legs (a, b, c, d)
-    assoc = witnesses(ein("nabx,nxcd->nabcd", mu[g, h], mu[gh, k]), dmu * dmu,
-                      ein("nbcx,naxd->nabcd", mu[h, k], mu[g, hk]), dmu * dmu)
+    assoc = witnesses(ein("nabx,nxcd->nabcd", mu[g, h], mu[gh, k]),
+                      ein("nbcx,naxd->nabcd", mu[h, k], mu[g, hk]))
     # legs (x, a, b, c)
-    coassoc = witnesses(ein("nxyc,nyab->nxabc", nu[gh, k], nu[g, h]), dnu * dnu,
-                        ein("nxay,nybc->nxabc", nu[g, hk], nu[h, k]), dnu * dnu)
+    coassoc = witnesses(ein("nxyc,nyab->nxabc", nu[gh, k], nu[g, h]),
+                        ein("nxay,nybc->nxabc", nu[g, hk], nu[h, k]))
     # nu_{g,hk} . mu_{gh,k} = (id x mu_{h,k}) . (nu_{g,h} x id), legs (p, q, r, s)
-    frob = witnesses(ein("npqz,nzrs->npqrs", mu[gh, k], nu[g, hk]), dmu * dnu,
-                     ein("nprz,nzqs->npqrs", nu[g, h], mu[h, k]), dnu * dmu)
+    frob = witnesses(ein("npqz,nzrs->npqrs", mu[gh, k], nu[g, hk]),
+                     ein("nprz,nzqs->npqrs", nu[g, h], mu[h, k]))
     # nu_{gh,k} . mu_{g,hk} = (mu_{g,h} x id) . (id x nu_{h,k}), legs (p, q, r, s)
-    frob_rev = witnesses(ein("npqz,nzrs->npqrs", mu[g, hk], nu[gh, k]), dmu * dnu,
-                         ein("nqzs,npzr->npqrs", nu[h, k], mu[g, h]), dnu * dmu)
+    frob_rev = witnesses(ein("npqz,nzrs->npqrs", mu[g, hk], nu[gh, k]),
+                         ein("nqzs,npzr->npqrs", nu[h, k], mu[g, h]))
     fail(triples, [("associativity", (), assoc), ("coassociativity", (), coassoc),
                    ("frobenius", (), frob), ("frobenius", ("rev",), frob_rev)])
 
     singles = np.arange(n)[None]
     report.check("unit-transport")
-    units = witnesses(ein("x,nxy->ny", u, P[:, e]), du * dP,
-                      np.broadcast_to(u, (n, w)), du)
-    counits = witnesses(ein("nxy,y->nx", P[:, e], eps), dP * deps,
-                        np.broadcast_to(eps, (n, w)), deps)
+    units = witnesses(ein("x,nxy->ny", u, P[:, e]), unit_at)
+    counits = witnesses(ein("nxy,y->nx", P[:, e], eps), counit_at)
     fail(singles, [("unit-transport", (), units),
                    ("unit-transport", ("counit",), counits)])
 
     report.check("unit")
     report.check("counit")
-    units = witnesses(ein("nayb,y->nab", mu[:, e], u), dmu * du, ident, 1)
-    counits = witnesses(ein("naby,y->nab", nu[:, e], eps), dnu * deps, ident, 1)
+    units = witnesses(ein("nayb,y->nab", mu[:, e], u), ident)
+    counits = witnesses(ein("naby,y->nab", nu[:, e], eps), ident)
     fail(singles, [("unit", (), units), ("counit", (), counits)])
 
     report.check("nondegeneracy")
@@ -248,10 +229,10 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
 
     report.check("flatness")
     fail(np.stack([np.full(n, e), np.arange(n)]),
-         [("flatness", (), witnesses(P[e], dP, ident, 1))])
+         [("flatness", (), witnesses(P[e], ident))])
     k, l, g = triples
     fail(triples, [("flatness", (), witnesses(
-        ein("nay,nyb->nab", P[l, g], P[k, conj[l, g]]), dP * dP, P[mul[k, l], g], dP))])
+        ein("nay,nyb->nab", P[l, g], P[k, conj[l, g]]), P[mul[k, l], g]))])
     return report
 
 
@@ -524,10 +505,8 @@ def format_labeled(b: LabeledBordism) -> str:
             elif gen in (Gen.PANTS, Gen.SWAP) and t == 0:
                 factors.append("%s[%s,%s]" % (gen.value,
                                               G.labels[cur[q]], G.labels[cur[q + 1]]))
-            elif gen is Gen.CAP:
-                factors.append("cap[]")
-            elif gen is Gen.CUP:
-                factors.append("cup[]")
+            elif gen in (Gen.CAP, Gen.CUP):
+                factors.append(gen.value + "[]")
             else:
                 factors.append(gen.value)
         parts.append(" * ".join(factors))
@@ -603,18 +582,13 @@ def tft_to_bundle(oracle: TftOracle) -> CrossedBundle:
             raise ExtractionError(
                 "identity-preservation fails: the plain cylinder on label %r "
                 "is not the identity map" % G.labels[g])
-    transport = {}
-    for k in G.elements():
-        for g in G.elements():
-            transport[k, g] = oracle.evaluate(_single(G, [Gen.ID], (g,), [k]))
-    fusion = {}
-    fission = {}
-    for g in G.elements():
-        for h in G.elements():
-            fusion[g, h] = oracle.evaluate(
-                _single(G, [Gen.PANTS], (g, h), [None]))
-            fission[g, h] = oracle.evaluate(
-                _single(G, [Gen.COPANTS], (G.mul(g, h),), [(g, h)]))
+    pairs = list(itertools.product(G.elements(), repeat=2))
+    transport = {(k, g): oracle.evaluate(_single(G, [Gen.ID], (g,), [k]))
+                 for k, g in pairs}
+    fusion = {(g, h): oracle.evaluate(_single(G, [Gen.PANTS], (g, h), [None]))
+              for g, h in pairs}
+    fission = {(g, h): oracle.evaluate(_single(G, [Gen.COPANTS], (G.mul(g, h),), [(g, h)]))
+               for g, h in pairs}
     unit = oracle.evaluate(_single(G, [Gen.CAP], (), [None]))
     counit = oracle.evaluate(_single(G, [Gen.CUP], (e,), [None]))
     try:
@@ -686,12 +660,8 @@ def _binary_trees(lo, hi):
     """All binary trees over leaves lo..hi-1, as nested tuples."""
     if hi - lo == 1:
         return [lo]
-    out = []
-    for mid in range(lo + 1, hi):
-        for left in _binary_trees(lo, mid):
-            for right in _binary_trees(mid, hi):
-                out.append((left, right))
-    return out
+    return [(left, right) for mid in range(lo + 1, hi)
+            for left in _binary_trees(lo, mid) for right in _binary_trees(mid, hi)]
 
 
 def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
@@ -719,9 +689,8 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
         t = tensordot(tl, mu, [tl.rank - 1], [0])        # [leavesL, b, c]
         t = tensordot(t, tr, [tl.rank - 1], [tr.rank - 1])
         # legs now [leavesL, c, leavesR]; move c to the end
-        r = t.rank
         nl = tl.rank - 1
-        perm = list(range(nl)) + list(range(nl + 1, r)) + [nl]
+        perm = list(range(nl)) + list(range(nl + 1, t.rank)) + [nl]
         return permute(t, perm), G.mul(pl, pr)
 
     @lru_cache(maxsize=None)
@@ -761,6 +730,8 @@ def closed_surface_word(group: FiniteGroup, genus: int, handles=()) -> LabeledBo
     commutators, so c_1 ... c_g must be the identity.  All calls of one
     genus label one shared ``BordismWord``, whose schedule is planned once.
     """
+    if genus < 0:
+        raise LabelError("genus must be nonnegative")
     handles = [tuple(h) for h in handles]
     if len(handles) != genus:
         raise LabelError("genus %d needs %d handle label pairs" % (genus, genus))
@@ -819,10 +790,8 @@ def _enumerate_shapes(max_gens):
         if layers:
             candidates = layers_from(results[-1].arity_out, max_gens - used)
         else:
-            candidates = []
-            for size in range(1, max_gens + 1):
-                for combo in itertools.product(Gen, repeat=size):
-                    candidates.append(tuple(combo))
+            candidates = [combo for size in range(1, max_gens + 1)
+                          for combo in itertools.product(Gen, repeat=size)]
         for layer in candidates:
             if len(layer) + used > max_gens:
                 continue
@@ -952,10 +921,10 @@ def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:
         lines.append("fiber %s dim %d" % (G.labels[g], bundle.dims[g]))
 
     for family, key, _ in _block_shapes(G, bundle.dims):
-        t = getattr(bundle, family)[key]
+        entries = getattr(bundle, family)[key].entries()
         # zero fusion and fission blocks are left out; they read back as zero
-        if family == "transport" or any(t.nums.flat):
-            vals = " ".join(format_scalar(x) for x in t.entries())
+        if family == "transport" or any(entries):
+            vals = " ".join(format_scalar(x) for x in entries)
             lines.append("%s %s %s : %s" % (family, G.labels[key[0]],
                                             G.labels[key[1]], vals))
     lines.append("unit : " + " ".join(format_scalar(x) for x in bundle.unit.entries()))

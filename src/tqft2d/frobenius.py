@@ -168,10 +168,8 @@ def ground_field(exact=True):
 
 def dual_numbers(exact=True):
     """k[x]/(x^2) with counit picking the x coefficient."""
-    one = 1 if exact else complex(1)
-    zero = 0 if exact else complex(0)
-    c = Tensor.zeros((2, 2, 2), exact=exact)
-    c.nums[0, 0, 0] = c.nums[0, 1, 1] = c.nums[1, 0, 1] = one
+    one, zero = (1, 0) if exact else (complex(1), complex(0))
+    c = Tensor([[[one, zero], [zero, one]], [[zero, one], [zero, zero]]], exact=exact)
     return FrobeniusAlgebra(
         dim=2, basis=("1", "x"), mul=c,
         unit=Tensor([one, zero], exact=exact),
@@ -186,10 +184,9 @@ def diagonal(weights, exact=True):
         raise StructureError("diagonal algebra needs at least one weight")
     if any(w == 0 if exact else abs(w) <= DEFAULT_TOL for w in weights):
         raise StructureError("zero weight makes the pairing degenerate")
-    one = 1 if exact else complex(1)
-    c = Tensor.zeros((n, n, n), exact=exact)
-    for i in range(n):
-        c.nums[i, i, i] = one
+    one, zero = (1, 0) if exact else (complex(1), complex(0))
+    c = Tensor([[[one if i == j == k else zero for k in range(n)] for j in range(n)]
+                for i in range(n)], exact=exact)
     return FrobeniusAlgebra(
         dim=n, basis=tuple("e%d" % i for i in range(n)), mul=c,
         unit=Tensor([one] * n, exact=exact),
@@ -210,17 +207,14 @@ def group_center(group: FiniteGroup):
         for g in cls:
             class_of[g] = ci
     rep = [cls[0] for cls in classes]
-    c = np.zeros((n, n, n), dtype=object)
+    c = [[[0] * n for _ in classes] for _ in classes]
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
-            counts = [0] * n
             for g in ci:
                 for h in cj:
                     p = group.mul(g, h)
                     if p == rep[class_of[p]]:
-                        counts[class_of[p]] += 1
-            for k in range(n):
-                c[i, j, k] = counts[k]
+                        c[i][j][class_of[p]] += 1
     e_class = class_of[group.identity]
     eps = [0] * n
     eps[e_class] = Fraction(1, group.order)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .crossed import (CrossedBundle, LabeledBordism, LabelError,
 from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     first_difference, parse_scalar, format_scalar)
+                     einsum, first_difference, parse_scalar, format_scalar)
 
 
 class CocycleError(InputError):
@@ -28,18 +28,17 @@ class CocycleError(InputError):
 
 
 def _table(group, values, exact):
-    """A (g, h) -> scalar dict as (numerators, den) of the tensor [g, h]."""
+    """A (g, h) -> scalar dict as the tensor [g, h]."""
     els = group.elements()
-    t = Tensor([[values[g, h] for h in els] for g in els], exact=exact)
-    return t.nums, t.den
+    return Tensor([[values[g, h] for h in els] for g in els], exact=exact)
 
 
-def _mismatches(lhs, lhs_den, rhs, rhs_den, exact, tol):
-    """Where lhs / lhs_den and rhs / rhs_den differ, for arrays of int
-    numerators (complex entries over 1 in float mode); see
-    ``tensor.differences``."""
-    return differences(Tensor.from_nums(lhs, lhs_den, exact),
-                       Tensor.from_nums(rhs, rhs_den, exact), tol)
+def _ones(group, exact):
+    """The tensor of 1 at every group element."""
+    return Tensor([1 if exact else complex(1)] * group.order, exact=exact)
+
+
+_times = partial(einsum, "...,...->...")  # entrywise, shapes broadcast
 
 
 def _complete(group, data, default):
@@ -92,10 +91,9 @@ def check_theta(group: FiniteGroup, theta, exact=True,
     report.check("cocycle")
     report.check("normalization")
     e, els = group.identity, group.elements()
-    t, d = _table(group, theta, exact)
-    ones = np.ones(group.order, dtype=object)
-    right = _mismatches(t[:, e], d, ones, 1, exact, tol)
-    left = _mismatches(t[e], d, ones, 1, exact, tol)
+    t, ones = _table(group, theta, exact), _ones(group, exact)
+    right = differences(t[:, e], ones, tol)
+    left = differences(t[e], ones, tol)
     for g in els:
         if right[g]:
             report.fail("normalization", (g, e))
@@ -104,8 +102,8 @@ def check_theta(group: FiniteGroup, theta, exact=True,
     # theta(g,h) theta(gh,k) = theta(h,k) theta(g,hk) on axes (g, h, k)
     mul = np.array(group.table)
     x, y, z = np.ix_(els, els, els)
-    bad = _mismatches(t[x, y] * t[mul[x, y], z], d * d,
-                      t[y, z] * t[x, mul[y, z]], d * d, exact, tol)
+    bad = differences(_times(t[x, y], t[mul[x, y], z]),
+                      _times(t[y, z], t[x, mul[y, z]]), tol)
     for idx in np.argwhere(bad):
         report.fail("cocycle", tuple(int(i) for i in idx))
     return report
@@ -119,18 +117,16 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     report = check_theta(G, sb.theta, exact, tol)
     report.check("transport-compatibility")
     report.check("transport-flatness")
-    s, ds = _table(G, sb.theta, exact)
-    t, dt = _table(G, sb.tau, exact)
+    s, t = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
     mul = np.array(G.table)
     conj = np.array([[G.conj(k, g) for g in els] for k in els])
     x, y, z = np.ix_(els, els, els)
     # tau(k,g) tau(k,h) theta(kgk^-1,khk^-1) = tau(k,gh) theta(g,h) on axes (k, g, h)
-    compat = _mismatches(t[x, y] * t[x, z] * s[conj[x, y], conj[x, z]], dt * dt * ds,
-                         t[x, mul[y, z]] * s[y, z], dt * ds, exact, tol)
+    compat = differences(_times(_times(t[x, y], t[x, z]), s[conj[x, y], conj[x, z]]),
+                         _times(t[x, mul[y, z]], s[y, z]), tol)
     # tau(kl,g) = tau(k,lgl^-1) tau(l,g) on axes (k, l, g)
-    flat = _mismatches(t[mul[x, y], z], dt, t[x, conj[y, z]] * t[y, z], dt * dt,
-                       exact, tol)
-    unit = _mismatches(t[e], dt, np.ones(G.order, dtype=object), 1, exact, tol)
+    flat = differences(t[mul[x, y], z], _times(t[x, conj[y, z]], t[y, z]), tol)
+    unit = differences(t[e], _ones(G, exact), tol)
     for k in els:
         for g in els:
             if k == e and unit[g]:
@@ -204,11 +200,8 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     c = sb.counit_scalar
     exact = sb.exact
 
-    def t3(x):
-        return Tensor([[[x]]], exact=exact)
-
-    fusion = {k: t3(v) for k, v in sb.theta.items()}
-    fission = {k: t3(1 / (c * v)) for k, v in sb.theta.items()}
+    fusion = {k: Tensor([[[v]]], exact=exact) for k, v in sb.theta.items()}
+    fission = {k: Tensor([[[1 / (c * v)]]], exact=exact) for k, v in sb.theta.items()}
     transport = {k: Tensor([[v]], exact=exact) for k, v in sb.tau.items()}
     one = 1 if exact else complex(1)
     return CrossedBundle(group=G, dims=(1,) * G.order,

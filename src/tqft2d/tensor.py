@@ -4,10 +4,13 @@ An exact tensor holds ``nums``, a numpy object array of Python ints, over
 ``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
 numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
 multiplies the dens and contracts the ints at integer speed, and ``equal``
-compares the dens and then the flat lists of numerators.  A float tensor holds its
-complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
-code path.  A tensor carries no tolerance: the algebra, bundle or oracle that
-owns it does, and passes it to the comparisons (``differences``,
+compares the dens and then the flat lists of numerators.  A float tensor
+holds its complex entries in ``nums`` with ``den`` fixed at 1, so both modes
+share one code path.  Only this module reads numerators and dens: other
+modules stack blocks (``stack``), gather entries (``t[idx]``), contract
+(``tensordot``, ``einsum``) and compare, each result in lowest terms.  A
+tensor carries no tolerance: the algebra, bundle or oracle that owns it
+does, and passes it to the comparisons (``differences``,
 ``first_difference``, ``equal``) and to ``invert_matrix``'s pivoting.
 ``Fraction``s appear only at the edges: the ``Tensor`` constructor and
 ``parse_scalar`` take them in, ``item()`` and ``entries()`` give them out.
@@ -154,9 +157,7 @@ class Tensor:
     @classmethod
     def identity(cls, n, exact=True):
         t = cls.zeros((n, n), exact=exact)
-        one = 1 if exact else complex(1)
-        for i in range(n):
-            t.nums[i, i] = one
+        t.nums[range(n), range(n)] = 1 if exact else complex(1)
         return t
 
     @property
@@ -179,6 +180,10 @@ class Tensor:
             return list(self.nums.flat)
         den = self.den
         return [Fraction(n, den) for n in self.nums.flat]
+
+    def __getitem__(self, idx):
+        """Numpy indexing, gathers included; a part may need a smaller den."""
+        return Tensor.from_nums(self.nums[idx], self.den, self.exact)
 
     def __repr__(self):
         return "Tensor(shape=%r, exact=%r)" % (self.shape, self.exact)
@@ -256,8 +261,47 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
 
 
 def permute(a: Tensor, perm) -> Tensor:
-    """Reorder legs: new leg i is old leg perm[i]."""
-    return Tensor._of(np.transpose(a.nums, perm), a.den, a.exact)
+    """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
+    return Tensor._of(a.nums.transpose(perm).copy(), a.den, a.exact)
+
+
+def _common_mode(tensors):
+    """The mode shared by ``tensors``; ModeMismatchError when they mix."""
+    exact = tensors[0].exact
+    for t in tensors:
+        if t.exact != exact:
+            raise ModeMismatchError("cannot mix exact and approximate tensors")
+    return exact
+
+
+def stack(blocks, lead, width) -> Tensor:
+    """``blocks`` (index tuple over ``lead`` -> Tensor, all of one rank and
+    mode) as one tensor of shape ``lead + (width,) * rank``, each block
+    zero-padded to ``width`` on every leg."""
+    tensors = list(blocks.values())
+    exact = _common_mode(tensors)
+    # a prime of the lcm divides some block's den fully, and that block has a
+    # numerator the prime does not divide: in lowest terms with no gcd
+    den = math.lcm(*(t.den for t in tensors))
+    full = (width,) * tensors[0].rank
+    out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
+    for key, t in blocks.items():
+        nums = t.nums if t.den == den else t.nums * (den // t.den)
+        if nums.shape == full:
+            out[key] = nums
+        else:
+            out[key + tuple(map(slice, nums.shape))] = nums
+    return Tensor._of(out, den, exact)
+
+
+def einsum(spec, *operands) -> Tensor:
+    """``np.einsum`` of tensors of one mode, over the product of their dens;
+    ``"...,...->..."`` multiplies entries with numpy broadcasting.  Contract
+    two at a time: unoptimized, numpy loops over all indices at once."""
+    exact, den = _common_mode(operands), 1
+    for t in operands:
+        den *= t.den
+    return Tensor.from_nums(np.einsum(spec, *[t.nums for t in operands]), den, exact)
 
 
 def differences(a: Tensor, b: Tensor, tol):

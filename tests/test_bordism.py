@@ -856,3 +856,11 @@ def test_each_word_keeps_its_topological_type(monkeypatch):
     w3 = BordismWord(w1.layers)
     assert module_type(w3) == module_type(w1) and module_type(w3) is module_type(w3)
     assert len(walks) == 3
+
+
+def test_evaluate_returns_a_fresh_array():
+    # a one-generator word's state is the generator tensor itself, which the
+    # result must not share
+    a = dual_numbers()
+    t = evaluate(parse_word("pants"), a)
+    assert equal(t, a.mul) and not np.shares_memory(t.nums, a.mul.nums)

@@ -589,3 +589,15 @@ def test_readme_commands_pass(monkeypatch):
         code, out = invoke(*argv[1:])
         assert code == 0, (argv, out)
         assert out.splitlines()[-1].startswith("RESULT: PASS"), (argv, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("holonomy", "--bundle", os.path.join(FIXDIR, "z2_dual.bundle"),
+     "--genus", "-1", "--labels", ","),
+    ("cocycle", "--cocycle", os.path.join(FIXDIR, "k4_anti.cocycle"),
+     "--genus", "-2", "--labels", ","),
+])
+def test_a_negative_genus_is_rejected_by_name(argv):
+    code, text = invoke(*argv)
+    assert code == 2
+    assert text.splitlines()[-1] == "RESULT: FAIL genus must be nonnegative"

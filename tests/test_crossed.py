@@ -1114,3 +1114,10 @@ def test_a_closed_surface_runs_on_one_circle(monkeypatch):
         holonomy(b, B)
         assert len(calls) == 4 * genus + 1
         assert _peak_legs(b.word.contracted_schedule[0]) <= 2
+
+
+def test_evaluate_labeled_returns_a_fresh_array():
+    bundle = load_bundle(os.path.join(FIXDIR, "z2_dual.bundle"))
+    block = bundle.transport[1, 0]
+    t = evaluate_labeled(parse_labeled("id[r1,e]", bundle.group), bundle)
+    assert equal(t, block) and not np.shares_memory(t.nums, block.nums)

@@ -49,3 +49,19 @@ def test_tolerance_is_not_carried_by_tensors():
     assert with_tol <= {"differences", "first_difference", "equal", "invert_matrix"}
     assert "invert_matrix" in with_tol  # the scan sees the module's functions
     assert "tol" not in inspect.signature(contract_word).parameters
+
+
+def test_only_tensor_reads_the_exact_number_format():
+    # numerators over one den are tensor's own format: every other module
+    # stacks, indexes, contracts and compares through the tensor operations
+    format_names = {"nums", "den", "_of", "from_nums"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "tensor.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d .%s" % (os.path.basename(path), node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in format_names]
+    assert found == []

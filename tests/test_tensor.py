@@ -436,3 +436,68 @@ def test_float_contractions_match_numpy_bit_for_bit():
             want = np.asarray(np.tensordot(a.nums, b.nums, (axes_a, axes_b)), dtype=complex)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _lowest_terms_blocks(draw):
+    """One to four rank-2 tensors of shapes up to 3x3 with random dens."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=4))
+    return [Tensor(np.array(draw(st.lists(_fractions, min_size=r * c, max_size=r * c)),
+                            dtype=object).reshape(r, c)) for r, c in shapes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lowest_terms_blocks())
+def test_stack_pads_each_block_with_zeros_and_stays_in_lowest_terms(blocks):
+    s = tensor.stack({(i,): t for i, t in enumerate(blocks)}, (len(blocks),), 3)
+    assert s.shape == (len(blocks), 3, 3)
+    for i, t in enumerate(blocks):
+        r, c = t.shape
+        padded = np.array(s[i].entries(), dtype=object).reshape(3, 3)
+        assert padded[:r, :c].ravel().tolist() == t.entries()
+        padded[:r, :c] = 0
+        assert all(x == 0 for x in padded.flat)
+    assert math.gcd(s.den, *s.nums.flat) == 1
+
+
+def _seeded_operands(exact):
+    rng = np.random.default_rng(5)
+
+    def draw(shape):
+        n = math.prod(shape)
+        if exact:
+            vals = [Fraction(int(p), int(q)) for p, q in
+                    zip(rng.integers(-9, 10, n), rng.integers(1, 7, n))]
+        else:
+            vals = [complex(x, y) for x, y in rng.normal(size=(n, 2))]
+        return Tensor(np.array(vals, dtype=object).reshape(shape), exact=exact)
+    return draw((2, 3, 4)), draw((4, 3, 2))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_einsum_is_tensordot_then_permute(exact):
+    a, b = _seeded_operands(exact)
+    got = tensor.einsum("abc,cbd->da", a, b)
+    assert equal(got, permute(tensordot(a, b, [1, 2], [1, 0]), (1, 0)))
+    # "...,...->..." is the entrywise product, broadcast as numpy does
+    x, y = a[:, :1, 0], b[0, 0, None, :]       # shapes (2, 1) and (1, 2)
+    assert equal(tensor.einsum("...,...->...", x, y),
+                 tensordot(a[:, 0, 0], b[0, 0, :], [], []))
+
+
+def test_indexing_reduces_to_the_smaller_den():
+    t = Tensor([Fraction(1, 2), 1])
+    assert t[1].den == 1 and t[1].item() == 1
+    assert t[[0, 0]].entries() == [Fraction(1, 2)] * 2
+
+
+def test_stack_and_einsum_reject_mixed_modes():
+    exact, approx = Tensor([1]), Tensor([complex(1)], exact=False)
+    with pytest.raises(ModeMismatchError):
+        tensor.stack({(0,): exact, (1,): approx}, (2,), 1)
+    with pytest.raises(ModeMismatchError):
+        tensor.einsum("i,i->i", exact, approx)

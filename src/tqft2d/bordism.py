@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .frobenius import FrobeniusAlgebra
-from .tensor import InputError, Tensor, permute, tensordot
+from .tensor import InputError, Tensor, permute, tensordot, with_identities
 
 
 class WordSyntaxError(InputError):
@@ -481,21 +481,22 @@ def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
     The tensor, legs [inputs..., outputs...], is contracted against the legs
     of its input circles.  With ``carry`` an ``id`` cylinder only carries its
     circle and ``lookup`` is not asked for it; ``lookup`` is never asked for
-    ``swap``, which relabels two circles.  ``pad(i)`` gives the identity on
-    input i's fiber, for an input that reaches the outputs untouched.  In
-    exact mode every contraction runs on integer numerators (see ``tensor``).
+    ``swap``, which relabels two circles.  ``pad(i)`` gives the fiber
+    dimension of input i, for an input that reaches the outputs untouched:
+    its identity leg pair is written straight into the output, with no
+    multiplication (``tensor.with_identities``).  In exact mode every
+    contraction runs on integer numerators (see ``tensor``).
     """
     steps, pads, perm = w.carried_schedule if carry else w.contracted_schedule
     state = None  # None stands for the scalar 1
     for g, t, j, q, axes_s, axes_g in steps:
         gen = lookup(g, t, j, q)
         state = gen if state is None else tensordot(state, gen, axes_s, axes_g)
-    for i in pads:
-        ident = pad(i)
-        state = ident if state is None else tensordot(state, ident, (), ())
     if state is None:
-        return Tensor.scalar(1, exact=exact)
-    # permute gives a fresh array: the state may still be a generator tensor
+        state = Tensor.scalar(1, exact=exact)
+    # both give a fresh array: the state may still be a generator tensor
+    if pads:
+        return with_identities(state, [pad(i) for i in pads], perm)
     return permute(state, perm)
 
 
@@ -515,9 +516,9 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     only carries its circle.
     """
     tensors = algebra.contraction_tensors
-    ident = tensors["identity"]
+    dim = algebra.dim
     return contract_word(w, lambda g, t, j, q: tensors[_STRUCTURE[g]],
-                         lambda i: ident, algebra.exact, carry=True)
+                         lambda i: dim, algebra.exact, carry=True)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

@@ -537,8 +537,8 @@ def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
             return bundle.fission[b.annotations[t][j]]
         return bundle.unit if g is Gen.CAP else bundle.counit
 
-    identities = bundle.identities
-    return contract_word(b.word, lookup, lambda i: identities[b.in_labels[i]],
+    dims = bundle.dims
+    return contract_word(b.word, lookup, lambda i: dims[b.in_labels[i]],
                          bundle.exact, carry=False)
 
 

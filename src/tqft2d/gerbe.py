@@ -160,10 +160,13 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
     theta = _complete(group, theta, one)
     rep = check_theta(group, theta, exact, tol)
     if not rep.passed:
-        raise CocycleError(
-            "not a normalized cocycle (%s); dividing by the coboundary of "
-            "beta(g) = theta(g,e) normalizes the unit values"
-            % ", ".join(rep.failed_axioms()))
+        first = rep.violations[0]
+        hint = ("; dividing by the coboundary of beta(g) = theta(g,e) "
+                "normalizes the unit values"
+                if "normalization" in rep.failed_axioms() else "")
+        raise CocycleError("not a normalized cocycle: %s fails at grading (%s)%s"
+                           % (first.axiom, ", ".join(group.labels[g]
+                                                     for g in first.witness), hint))
     if tau is None:
         tau = induced_transport(group, theta)
     else:

@@ -8,7 +8,8 @@ compares the dens and then the flat lists of numerators.  A float tensor
 holds its complex entries in ``nums`` with ``den`` fixed at 1, so both modes
 share one code path.  Only this module reads numerators and dens: other
 modules stack blocks (``stack``), gather entries (``t[idx]``), contract
-(``tensordot``, ``einsum``) and compare, each result in lowest terms.  A
+(``tensordot``, ``einsum``), lay identity legs beside a tensor
+(``with_identities``) and compare, each result in lowest terms.  A
 tensor carries no tolerance: the algebra, bundle or oracle that owns it
 does, and passes it to the comparisons (``differences``,
 ``first_difference``, ``equal``) and to ``invert_matrix``'s pivoting.
@@ -112,10 +113,13 @@ class Tensor:
 
     def __init__(self, entries, exact=True):
         """The tensor of ``entries``: ints or Fractions in exact mode,
-        complex numbers in float mode."""
+        numbers stored as Python complex in float mode."""
         nums = np.asarray(entries, dtype=object)
         den = 1
-        if exact:
+        if not exact:
+            nums = np.array([complex(x) for x in nums.flat],
+                            dtype=object).reshape(nums.shape)
+        else:
             vals = [x if isinstance(x, (int, Fraction)) else Fraction(x)
                     for x in nums.flat]
             # over the lcm of reduced denominators the numerators share no
@@ -263,6 +267,50 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
     return Tensor._of(a.nums.transpose(perm).copy(), a.den, a.exact)
+
+
+def with_identities(a: Tensor, dims, perm) -> Tensor:
+    """``permute(a ⊗ I_dims[0] ⊗ ... ⊗ I_dims[-1], perm)`` into a fresh
+    array, with no multiplication: the output is allocated once in its
+    final leg order, zero-filled, and a's numerators are copied onto the
+    diagonal of each identity's leg pair.  The den stays a's, still in
+    lowest terms.  The flat output positions are worked out once per
+    pattern of a's shape, ``dims`` and ``perm`` (``_diagonal``)."""
+    idx, shape = _diagonal(a.nums.shape, tuple(dims), tuple(perm))
+    # np.zeros fills an object array with the int 0, and twice as fast
+    out = np.zeros(shape, dtype=object) if a.exact else \
+        np.full(shape, complex(0), dtype=object)
+    # written through a flat view, so the tensor keeps no view of its own
+    out.reshape(-1)[idx] = a.nums.reshape(-1, 1)
+    return Tensor._of(out, a.den, a.exact)
+
+
+@lru_cache(maxsize=1024)
+def _diagonal(shape, dims, perm):
+    """Where ``with_identities`` writes a's entries: a read-only int array
+    whose row i holds the flat output positions of a's i-th entry
+    (row-major), one per diagonal entry of the identities' product, and the
+    output shape.
+
+    Raises ContractionError when ``perm`` is no order of the legs of a
+    followed by one (input, output) leg pair per identity, or a dim is
+    below 1; an error is never cached.
+    """
+    full = shape + tuple(d for d in dims for _ in (0, 1))
+    if sorted(perm) != list(range(len(full))):
+        raise ContractionError("bad leg order %s for %d legs" % (list(perm), len(full)))
+    if any(d < 1 for d in dims):
+        raise ContractionError("identity dimensions must be positive: %s" % list(dims))
+    out_shape = tuple(full[k] for k in perm)
+    # each output position, its legs put back in the order of ``full``
+    pos = np.arange(math.prod(out_shape)).reshape(out_shape)
+    pos = pos.transpose(np.argsort(perm))
+    rank = len(shape)
+    for _ in dims:  # the diagonal of each identity's leg pair, moved last
+        pos = np.diagonal(pos, axis1=rank, axis2=rank + 1)
+    idx = np.ascontiguousarray(pos).reshape(math.prod(shape), -1)
+    idx.setflags(write=False)  # shared by every call of the pattern
+    return idx, out_shape
 
 
 def _common_mode(tensors):

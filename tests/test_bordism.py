@@ -491,7 +491,10 @@ def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
     """contract_word as one loop that redoes the leg bookkeeping and the
     planning (``_reference_plan``) on every call, with ``lookup`` returning
     None for a cylinder that only carries its circle; every contraction
-    goes through ``dot``."""
+    goes through ``dot``.  An input that reaches the outputs untouched gets
+    its identity (``pad`` gives its dimension) by an outer product, the
+    independent check of ``with_identities``; those products go through
+    plain ``tensordot``, so ``dot`` sees only contractions."""
     n_in = w.arity_in
     gens = []  # (tensor, labels read, labels made) per contracted generator
     # an input label in the boundary never has a leg yet, an output always has
@@ -530,8 +533,8 @@ def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
                     + [c for c in circles if c < 0] + outs)
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
-            ident = pad(~c)
-            state = ident if state is None else dot(state, ident, [], [])
+            ident = Tensor.identity(pad(~c), exact=exact)
+            state = ident if state is None else tensordot(state, ident, [], [])
             legs += [c, made]
             boundary[p] = made
             made += 1
@@ -676,6 +679,31 @@ def test_schedule_edge_cases():
     b = label_word(T, w, (T.identity,))
     _assert_identical(evaluate_labeled(b, from_frobenius_algebra(T, half)),
                       Tensor.identity(2))
+
+
+def test_a_word_of_pads_alone_gives_complex_entries_in_float_mode():
+    # swap and a carried id contract nothing: the output is the scalar 1
+    # with identity leg pairs written in, and a float one holds complex
+    # entries as every other float output does
+    a = dual_numbers(exact=False)
+    z2_dual = load_bundle(os.path.join(FIXTURES, "z2_dual.bundle"), exact=False,
+                          tol=1e-6)
+    e, r = z2_dual.group.identity, z2_dual.group.index("r1")
+    cases = [evaluate(parse_word(text), a) for text in ("id", "swap", "id * swap")]
+    cases.append(evaluate(identity_word(0), a))
+    for labels in ((e, e), (e, r), (r, r)):
+        b = label_word(z2_dual.group, parse_word("swap"), labels)
+        assert b.word.contracted_schedule[0] == ()
+        t = evaluate_labeled(b, z2_dual)
+        _assert_identical(t, _reference_evaluate_labeled(b, z2_dual))
+        cases.append(t)
+    for t in cases:
+        assert not t.exact and all(type(x) is complex for x in t.entries())
+    assert cases[3].item() == 1
+    # swap on legs [in0, in1, out0, out1]: 1 where out0 = in1 and out1 = in0
+    assert cases[1].entries() == [
+        complex(i == n and j == m)
+        for i in range(2) for j in range(2) for m in range(2) for n in range(2)]
 
 
 def test_the_tracer_sees_every_engine_contraction(monkeypatch):

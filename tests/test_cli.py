@@ -312,6 +312,32 @@ def test_an_unnormalized_cocycle_file_exits_2(tmp_path):
         "RESULT: FAIL not a normalized cocycle"), out
 
 
+def _k4_cocycle(tmp_path, thetas):
+    shutil.copy(os.path.join(FIXDIR, "k4.group"), tmp_path / "k4.group")
+    path = tmp_path / "theta.cocycle"
+    path.write_text("cocycle over k4.group\n" + "".join(
+        "theta %s = %s\n" % pair for pair in thetas))
+    return invoke("cocycle", "--cocycle", str(path))
+
+
+def test_a_theta_off_the_cocycle_identity_names_its_grading_without_a_hint(tmp_path):
+    # normalized, but theta(10,10) theta(00,01) = 1 while
+    # theta(10,01) theta(10,11) = 1/2
+    code, out = _k4_cocycle(tmp_path, [("01 10", "1/2"), ("10 01", "1/2"),
+                                       ("01 01", "1/3")])
+    assert (code, out.splitlines()[-1]) == (
+        2, "RESULT: FAIL not a normalized cocycle: cocycle fails at grading "
+           "(10, 10, 01)"), out
+
+
+def test_an_unnormalized_theta_names_its_grading_and_gets_the_hint(tmp_path):
+    code, out = _k4_cocycle(tmp_path, [("00 01", "2")])
+    assert (code, out.splitlines()[-1]) == (
+        2, "RESULT: FAIL not a normalized cocycle: normalization fails at grading "
+           "(00, 01); dividing by the coboundary of beta(g) = theta(g,e) "
+           "normalizes the unit values"), out
+
+
 @pytest.mark.parametrize("command, source, labels", [
     ("holonomy --group", "s3.group", "120,201"),
     ("cocycle --cocycle", "d8_twisted.cocycle", "r,s"),

@@ -11,7 +11,7 @@ from tqft2d import tensor
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            InputError, content_lines, parse_int,
                            tensordot, equal, first_difference, invert_matrix,
-                           parse_scalar, format_scalar, permute)
+                           parse_scalar, format_scalar, permute, with_identities)
 
 
 def outer(a, b):
@@ -263,6 +263,17 @@ def test_float_tensors_keep_their_entries():
     assert type(tensordot(t, t, [0], [0]).item()) is complex
 
 
+def test_float_tensors_hold_complex_entries():
+    # an int given to a float tensor is stored as a complex, so it prints as
+    # a float
+    one = Tensor.scalar(1, exact=False)
+    assert type(one.item()) is complex and format_scalar(one.item()) == "1.0"
+    t = Tensor([1, Fraction(1, 2), 2.5, complex(0, 1)], exact=False)
+    assert all(type(x) is complex for x in t.entries())
+    assert t.entries() == [1, 0.5, 2.5, 1j] and t.den == 1
+    assert Tensor(np.zeros((2, 0), dtype=object), exact=False).shape == (2, 0)
+
+
 def test_first_difference_reports_the_first_row_major_index():
     a = frac_tensor([[1, 2], [3, 4]])
     assert first_difference(a, a, 0) is None
@@ -501,3 +512,51 @@ def test_stack_and_einsum_reject_mixed_modes():
         tensor.stack({(0,): exact, (1,): approx}, (2,), 1)
     with pytest.raises(ModeMismatchError):
         tensor.einsum("i,i->i", exact, approx)
+
+
+@st.composite
+def _padded(draw):
+    """A tensor (exact with dens, or float), identity dims and a leg order
+    of the tensor's legs followed by one leg pair per identity."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    dims = draw(st.lists(st.integers(1, 3), max_size=3))
+    n = math.prod(shape)
+    exact = draw(st.booleans())
+    xs = draw(st.lists(small_fracs if exact else small_complex, min_size=n, max_size=n))
+    a = Tensor(np.array(xs, dtype=object).reshape(shape), exact=exact)
+    perm = draw(st.permutations(range(len(shape) + 2 * len(dims))))
+    return a, dims, perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(_padded())
+def test_with_identities_is_the_permuted_outer_product(case):
+    a, dims, perm = case
+    want = a
+    for d in dims:
+        want = tensordot(want, Tensor.identity(d, exact=a.exact), [], [])
+    want = permute(want, perm)
+    got = with_identities(a, dims, perm)
+    assert got.shape == want.shape and got.exact == a.exact
+    if a.exact:  # bit for bit: the same den and the same ints
+        assert got.den == want.den == a.den
+        assert all(type(x) is int for x in got.nums.flat)
+        assert got.nums.ravel().tolist() == want.nums.ravel().tolist()
+    else:        # zeros may differ in sign from products with 0j
+        assert all(type(x) is complex for x in got.nums.flat)
+        assert got.nums.ravel().tolist() == want.nums.ravel().tolist()
+    assert not np.shares_memory(got.nums, a.nums)
+
+
+def test_with_identities_checks_its_leg_order_and_dims_on_every_call():
+    a = Tensor([[1, 2], [3, 4]])
+    for _ in range(2):  # an error is never cached
+        with pytest.raises(ContractionError, match="leg order"):
+            with_identities(a, [2], [0, 1, 2])
+        with pytest.raises(ContractionError, match="leg order"):
+            with_identities(a, [2], [0, 1, 2, 2])
+        with pytest.raises(ContractionError, match="positive"):
+            with_identities(a, [0], [0, 1, 2, 3])
+    one = with_identities(Tensor.scalar(Fraction(1, 3)), [2, 1], [0, 2, 1, 3])
+    assert one.shape == (2, 1, 2, 1) and one.entries() == [
+        Fraction(1, 3), 0, 0, Fraction(1, 3)]

@@ -19,7 +19,7 @@ from .frobenius import (FrobeniusAlgebra, StructureError,
                         rescale_counit, parse_algebra, format_algebra,
                         load_algebra)
 from .bordism import (Gen, BordismWord, TopologicalType, WordSyntaxError,
-                      ArityError, parse_word, word, identity_word, seq, par,
+                      ArityError, parse_word, word, seq, par,
                       topological_type, equivalent, evaluate, as_matrix,
                       random_equivalent_pair)
 from .crossed import (CrossedBundle, BundleError, LabelError, ExtractionError,

@@ -50,7 +50,7 @@ class Gen(enum.Enum):
     COPANTS = "copants"
 
     # members are singletons compared by identity, so the C-level identity
-    # hash serves every ARITY, EULER and _STRUCTURE lookup in place of
+    # hash serves every ARITY, EULER and structure-tensor lookup in place of
     # Enum's Python-level hash of the name
     __hash__ = object.__hash__
 
@@ -85,11 +85,13 @@ class BordismWord:
     def __post_init__(self):
         if not self.layers:
             raise ArityError("a word needs at least one layer")
-        widths = []
+        widths, offsets = [], []
         for t, layer in enumerate(self.layers):
             n_in = n_out = 0
+            row = []
             for g in layer:
                 a, b = ARITY[g]
+                row.append(n_in)
                 n_in += a
                 n_out += b
             if not t:
@@ -99,8 +101,12 @@ class BordismWord:
                     "layer outputs %d circles but next layer expects %d"
                     % (widths[t], n_in), layer=t - 1)
             widths.append(n_out)
-        # widths[t] circles above layer t, widths[-1] below the last layer
+            offsets.append(tuple(row))
+        # widths[t] circles above layer t, widths[-1] below the last layer;
+        # offsets[t] each generator's first input circle in the boundary
+        # above layer t, where every labeler reads its input labels
         object.__setattr__(self, "widths", tuple(widths))
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @property
     def arity_in(self):
@@ -109,19 +115,6 @@ class BordismWord:
     @property
     def arity_out(self):
         return self.widths[-1]
-
-    @cached_property
-    def offsets(self):
-        """Per layer, each generator's first input circle in the boundary
-        above the layer, where every labeler reads its input labels."""
-        offsets = []
-        for layer in self.layers:
-            q, row = 0, []
-            for g in layer:
-                row.append(q)
-                q += ARITY[g][0]
-            offsets.append(tuple(row))
-        return tuple(offsets)
 
     # contract_word's steps (see _schedule), built on first use per mode and
     # kept as long as the word: every labeling of a shape shares them
@@ -141,10 +134,6 @@ class BordismWord:
         through the module function ``topological_type``."""
         return _classify(self)
 
-    @property
-    def euler_characteristic(self):
-        return sum(EULER[g] for layer in self.layers for g in layer)
-
     def pretty(self):
         return " ; ".join(" * ".join(g.value for g in layer) for layer in self.layers)
 
@@ -155,10 +144,6 @@ class BordismWord:
 def word(*layer_specs) -> BordismWord:
     """Build a word from layers given as iterables of Gen."""
     return BordismWord(tuple(tuple(layer) for layer in layer_specs))
-
-
-def identity_word(arity: int) -> BordismWord:
-    return word([Gen.ID] * arity) if arity > 0 else word([])
 
 
 def seq(a: BordismWord, b: BordismWord) -> BordismWord:
@@ -284,7 +269,7 @@ def _classify(w: BordismWord) -> TopologicalType:
     # contracted generator, a generator joining the nodes of the labels it
     # reads; an id or swap only carries circles and is no node
     n_in = w.arity_in
-    gens, boundary, _ = _walk(w.layers, n_in, carry=True)
+    gens, boundary, _ = _walk(w, carry=True)
     parent = list(range(n_in))
     chi = [0] * n_in
     maker = []  # the node of each made label
@@ -329,33 +314,34 @@ def equivalent(w1: BordismWord, w2: BordismWord) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation against a Frobenius algebra
 
-def _walk(layers, n_in, carry):
-    """The circles' walk through ``layers`` from ``n_in`` word inputs.
+def _walk(w, carry):
+    """The circles' walk through the layers of the word ``w``.
 
     A circle is labelled ~i (a negative int) for word input i, or k for the
     k-th generator output in layer order; a swap exchanges two labels, and
     with ``carry`` an ``id`` cylinder only carries its label.  Returns
     ``(gens, boundary, n_made)``: per contracted generator in layer order
     ``(g, t, j, q, circles, outs, axes_g, grow)``, the j-th of layer t with
-    first input circle q of the boundary above layer t, reading the labels
-    ``circles`` and making ``outs``, whose legs ``axes_g`` meet made labels
-    (state legs; a word input joins the state as a leg of its own) and
-    which changes the number of state legs by ``grow``; the labels of the
-    last boundary; and the number of labels made.
+    first input circle q of the boundary above layer t (``w.offsets``),
+    reading the labels ``circles`` and making ``outs``, whose legs
+    ``axes_g`` meet made labels (state legs; a word input joins the state
+    as a leg of its own) and which changes the number of state legs by
+    ``grow``; the labels of the last boundary; and the number of labels
+    made.
     """
     gens = []
-    boundary = [~i for i in range(n_in)]
+    boundary = [~i for i in range(w.widths[0])]
     made = 0
-    for t, layer in enumerate(layers):
+    for t, layer in enumerate(w.layers):
         below = []
-        q = 0  # the next generator's first input circle in ``boundary``
+        starts = w.offsets[t]
         for j, g in enumerate(layer):
+            q = starts[j]
             n_gen_in, n_out = ARITY[g]
             circles = boundary[q:q + n_gen_in]
             if g is Gen.SWAP or (carry and g is Gen.ID):
                 # a swap exchanges its two labels, a carried cylinder keeps its one
                 below += reversed(circles)
-                q += n_gen_in
                 continue
             outs = list(range(made, made + n_out))
             made += n_out
@@ -363,7 +349,6 @@ def _walk(layers, n_in, carry):
             gens.append((g, t, j, q, circles, outs, axes_g,
                          n_gen_in + n_out - 2 * len(axes_g)))
             below += outs
-            q += n_gen_in
         boundary = below
     return gens, boundary, made
 
@@ -388,7 +373,7 @@ def _schedule(w, carry):
     hold more legs than a numpy array can.
     """
     n_in = w.widths[0]
-    gens, boundary, made = _walk(w.layers, n_in, carry)
+    gens, boundary, made = _walk(w, carry)
     steps = []
     legs = []
     peak = 0
@@ -500,24 +485,17 @@ def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
     return permute(state, perm)
 
 
-# the structure tensor each generator but the cylinder is contracted as
-_STRUCTURE = {
-    Gen.CAP: "unit",
-    Gen.CUP: "counit",
-    Gen.PANTS: "mul",
-    Gen.COPANTS: "comultiplication",
-}
-
-
 def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     """Linear map A^(x)in -> A^(x)out; legs ordered [inputs..., outputs...].
 
-    ``contract_word`` over the algebra's ``contraction_tensors``; a cylinder
+    ``contract_word`` over the algebra's unit, counit, mul and ``delta``
+    (read first, so a degenerate pairing fails every word); a cylinder
     only carries its circle.
     """
-    tensors = algebra.contraction_tensors
+    tensors = {Gen.COPANTS: algebra.delta, Gen.CAP: algebra.unit,
+               Gen.CUP: algebra.counit, Gen.PANTS: algebra.mul}
     dim = algebra.dim
-    return contract_word(w, lambda g, t, j, q: tensors[_STRUCTURE[g]],
+    return contract_word(w, lambda g, t, j, q: tensors[g],
                          lambda i: dim, algebra.exact, carry=True)
 
 

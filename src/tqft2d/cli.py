@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import bordism, crossed, frobenius, gerbe, groups
-from .tensor import DEFAULT_TOL, InputError, equal, format_scalar, read_text
+from .tensor import (DEFAULT_TOL, InputError, content_lines, equal, format_scalar,
+                     read_text)
 
 
 def _result(out, ok, details=""):
@@ -36,8 +37,11 @@ def _mode(args):
 
 
 def _load_word(source):
-    """--word accepts either a literal word or a path to a file holding one."""
-    return bordism.parse_word(read_text(source) if os.path.exists(source) else source)
+    """--word accepts either a literal word or a path to a file holding one,
+    whose ``#`` comments are dropped and whose lines are joined."""
+    if os.path.exists(source):
+        source = " ".join(line for _, line in content_lines(read_text(source)))
+    return bordism.parse_word(source)
 
 
 def _load_bundle(args):
@@ -62,17 +66,22 @@ def _handles(G, labels):
 
 
 def _print_matrix(out, t, arity_in, dim):
-    rows, cols = dim ** (t.rank - arity_in), dim ** arity_in
     mat = bordism.as_matrix(t, arity_in, dim)
-    out.write("%d x %d\n" % (rows, cols))
-    for i in range(rows):
-        out.write(" ".join(format_scalar(mat[i, j]) for j in range(cols)) + "\n")
+    out.write("%d x %d\n" % mat.shape)
+    for row in mat:
+        out.write(" ".join(format_scalar(x) for x in row) + "\n")
 
 
 def _report_lines(out, report):
     out.write("checked: %s\n" % ", ".join(report.checked))
     for v in report.violations:
         out.write("violation: %s\n" % v)
+
+
+def _axioms_result(out, report):
+    """The RESULT line of a validator's report, with its counts."""
+    return _result(out, report.passed, "%d axioms checked, %d violations"
+                   % (len(report.checked), len(report.violations)))
 
 
 def cmd_validate(args, out):
@@ -85,9 +94,7 @@ def cmd_validate(args, out):
     else:
         raise InputError("validate needs --algebra or --bundle")
     _report_lines(out, report)
-    return _result(out, report.passed,
-                   "%d axioms checked, %d violations"
-                   % (len(report.checked), len(report.violations)))
+    return _axioms_result(out, report)
 
 
 def cmd_eval(args, out):
@@ -187,9 +194,7 @@ def cmd_cocycle(args, out):
         z = gerbe.gerbe_holonomy(sb, args.genus, _handles(sb.group, args.labels))
         out.write("%s\n" % format_scalar(z))
         return _result(out, True, "holonomy %s" % format_scalar(z))
-    return _result(out, report.passed,
-                   "%d axioms checked, %d violations"
-                   % (len(report.checked), len(report.violations)))
+    return _axioms_result(out, report)
 
 
 COMMANDS = {

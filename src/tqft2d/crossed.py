@@ -93,16 +93,28 @@ class CrossedBundle:
         """The identity map of each fiber, by group element, built once."""
         return tuple(Tensor.identity(d, exact=self.exact) for d in self.dims)
 
+    def differences(self, other):
+        """Yield where this bundle and ``other`` differ at the larger
+        tolerance: ``("group",)`` alone for other groups; else ``("dims",)``
+        for other fiber dimensions, then each differing block's ``(family,
+        g, h)`` in ``_block_shapes`` order, ``("unit",)`` and ``("counit",)``."""
+        if self.group != other.group:
+            yield ("group",)
+            return
+        if self.dims != other.dims:
+            yield ("dims",)
+        tol = max(self.tol, other.tol)
+        for family, key, _ in _block_shapes(self.group, self.dims):
+            if not equal(getattr(self, family)[key], getattr(other, family)[key], tol):
+                yield (family,) + key
+        for end in ("unit", "counit"):
+            if not equal(getattr(self, end), getattr(other, end), tol):
+                yield (end,)
+
     def __eq__(self, other):
         if not isinstance(other, CrossedBundle):
             return NotImplemented
-        if self.group != other.group or self.dims != other.dims:
-            return False
-        tol = max(self.tol, other.tol)
-        return (all(equal(getattr(self, family)[key], getattr(other, family)[key], tol)
-                    for family, key, _ in _block_shapes(self.group, self.dims))
-                and equal(self.unit, other.unit, tol)
-                and equal(self.counit, other.counit, tol))
+        return next(self.differences(other), None) is None
 
 
 FAMILIES = ("fusion", "fission", "transport")
@@ -248,11 +260,10 @@ def from_group_algebra(group: FiniteGroup, exact=True) -> CrossedBundle:
 def from_frobenius_algebra(group: FiniteGroup, algebra: FrobeniusAlgebra) -> CrossedBundle:
     """Constant bundle: every fiber is the given algebra, transport identity."""
     n = algebra.dim
-    blocks = algebra.contraction_tensors
-    delta, ident = blocks["comultiplication"], blocks["identity"]
+    ident = Tensor.identity(n, exact=algebra.exact)
     els = list(group.elements())
     fusion = {(g, h): algebra.mul for g in els for h in els}
-    fission = {(g, h): delta for g in els for h in els}
+    fission = {(g, h): algebra.delta for g in els for h in els}
     transport = {(k, g): ident for k in els for g in els}
     return CrossedBundle(group=group, dims=(n,) * group.order,
                          fusion=fusion, fission=fission, transport=transport,
@@ -383,7 +394,7 @@ def conjugate_labeled(b: LabeledBordism, k) -> LabeledBordism:
         row = []
         for gen, a in zip(layer, ann):
             if gen is Gen.ID:
-                row.append(G.mul(G.mul(k, a), G.inverse(k)))
+                row.append(G.conj(k, a))
             elif gen is Gen.COPANTS:
                 row.append((G.conj(k, a[0]), G.conj(k, a[1])))
             else:
@@ -576,15 +587,15 @@ def tft_to_bundle(oracle: TftOracle) -> CrossedBundle:
     """Extract fusion, fission, transport and (co)units from an oracle."""
     G = oracle.group
     e = G.identity
+    pairs = list(itertools.product(G.elements(), repeat=2))
+    transport = {(k, g): oracle.evaluate(_single(G, [Gen.ID], (g,), [k]))
+                 for k, g in pairs}
     for g in G.elements():
-        t = oracle.evaluate(_single(G, [Gen.ID], (g,), [e]))
+        t = transport[e, g]
         if not equal(t, Tensor.identity(oracle.dims[g], exact=t.exact), oracle.tol):
             raise ExtractionError(
                 "identity-preservation fails: the plain cylinder on label %r "
                 "is not the identity map" % G.labels[g])
-    pairs = list(itertools.product(G.elements(), repeat=2))
-    transport = {(k, g): oracle.evaluate(_single(G, [Gen.ID], (g,), [k]))
-                 for k, g in pairs}
     fusion = {(g, h): oracle.evaluate(_single(G, [Gen.PANTS], (g, h), [None]))
               for g, h in pairs}
     fission = {(g, h): oracle.evaluate(_single(G, [Gen.COPANTS], (G.mul(g, h),), [(g, h)]))
@@ -606,17 +617,9 @@ def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
     report = ValidationReport()
     report.check("bundle-reconstruction")
     report.check("evaluator-agreement")
-    oracle = TftOracle.from_bundle(bundle)
-    rebuilt = tft_to_bundle(oracle)
-    if rebuilt.dims != bundle.dims:
-        report.fail("bundle-reconstruction", ("dims",))
-    for family, key, _ in _block_shapes(bundle.group, bundle.dims):
-        if not equal(getattr(rebuilt, family)[key], getattr(bundle, family)[key], tol):
-            report.fail("bundle-reconstruction", (family,) + key)
-    if not equal(rebuilt.unit, bundle.unit, tol):
-        report.fail("bundle-reconstruction", ("unit",))
-    if not equal(rebuilt.counit, bundle.counit, tol):
-        report.fail("bundle-reconstruction", ("counit",))
+    rebuilt = tft_to_bundle(TftOracle.from_bundle(bundle))
+    for where in rebuilt.differences(bundle):
+        report.fail("bundle-reconstruction", where)
     for i, b in enumerate(test_words):
         if not equal(evaluate_labeled(b, rebuilt), evaluate_labeled(b, bundle), tol):
             report.fail("evaluator-agreement", (i,))
@@ -793,8 +796,6 @@ def _enumerate_shapes(max_gens):
             candidates = [combo for size in range(1, max_gens + 1)
                           for combo in itertools.product(Gen, repeat=size)]
         for layer in candidates:
-            if len(layer) + used > max_gens:
-                continue
             extend(layers + [layer], used + len(layer))
 
     extend([], 0)

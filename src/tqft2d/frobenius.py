@@ -15,9 +15,9 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, equal,
-                     format_scalar, invert_matrix, parse_int, parse_scalar,
-                     permute, read_text, tensordot)
+from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
+                     equal, format_scalar, invert_matrix, parse_int,
+                     parse_scalar, permute, read_text, tensordot)
 
 
 class StructureError(InputError):
@@ -73,29 +73,18 @@ class FrobeniusAlgebra:
         return self.mul.exact
 
     @cached_property
-    def contraction_tensors(self):
-        """The tensors ``bordism.evaluate`` and ``handle`` contract,
-        built once per algebra so that the comultiplication is derived once.
-
-        Maps "identity", "unit", "counit", "mul" and "comultiplication" to
-        their tensors.  Nothing is cached when the pairing is degenerate, so
-        every access raises again.
-        """
-        return {
-            "identity": Tensor.identity(self.dim, exact=self.exact),
-            "unit": self.unit,
-            "counit": self.counit,
-            "mul": self.mul,
-            "comultiplication": comultiplication(self),
-        }
+    def delta(self):
+        """The comultiplication, derived once per algebra for ``evaluate``,
+        ``handle`` and the constant bundles; never cached for a degenerate
+        pairing, so every access raises again."""
+        return comultiplication(self)
 
     @cached_property
     def handle(self):
         """H = mul o delta as an n x n map (legs: domain, codomain), built
-        once per algebra; like ``contraction_tensors``, never cached for a
-        degenerate pairing."""
-        delta = self.contraction_tensors["comultiplication"]
-        return tensordot(delta, self.mul, [1, 2], [0, 1])
+        once per algebra; like ``delta``, never cached for a degenerate
+        pairing."""
+        return tensordot(self.delta, self.mul, [1, 2], [0, 1])
 
 
 def pairing(algebra: FrobeniusAlgebra) -> Tensor:
@@ -158,39 +147,35 @@ def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
 # standard library of algebras
 
 def ground_field(exact=True):
-    one = 1 if exact else complex(1)
     return FrobeniusAlgebra(
         dim=1, basis=("1",),
-        mul=Tensor([[[one]]], exact=exact),
-        unit=Tensor([one], exact=exact),
-        counit=Tensor([one], exact=exact))
+        mul=Tensor([[[1]]], exact=exact),
+        unit=Tensor([1], exact=exact),
+        counit=Tensor([1], exact=exact))
 
 
 def dual_numbers(exact=True):
     """k[x]/(x^2) with counit picking the x coefficient."""
-    one, zero = (1, 0) if exact else (complex(1), complex(0))
-    c = Tensor([[[one, zero], [zero, one]], [[zero, one], [zero, zero]]], exact=exact)
+    c = Tensor([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], exact=exact)
     return FrobeniusAlgebra(
         dim=2, basis=("1", "x"), mul=c,
-        unit=Tensor([one, zero], exact=exact),
-        counit=Tensor([zero, one], exact=exact))
+        unit=Tensor([1, 0], exact=exact),
+        counit=Tensor([0, 1], exact=exact))
 
 
 def diagonal(weights, exact=True):
     """k^n with e_i e_j = delta_ij e_i and counit(e_i) = weights[i]."""
-    weights = [Fraction(w) if exact else complex(w) for w in weights]
     n = len(weights)
     if n == 0:
         raise StructureError("diagonal algebra needs at least one weight")
-    if any(w == 0 if exact else abs(w) <= DEFAULT_TOL for w in weights):
+    counit = Tensor(weights, exact=exact)
+    if not differences(counit, Tensor.zeros((n,), exact=exact), DEFAULT_TOL).all():
         raise StructureError("zero weight makes the pairing degenerate")
-    one, zero = (1, 0) if exact else (complex(1), complex(0))
-    c = Tensor([[[one if i == j == k else zero for k in range(n)] for j in range(n)]
+    c = Tensor([[[int(i == j == k) for k in range(n)] for j in range(n)]
                 for i in range(n)], exact=exact)
     return FrobeniusAlgebra(
         dim=n, basis=tuple("e%d" % i for i in range(n)), mul=c,
-        unit=Tensor([one] * n, exact=exact),
-        counit=Tensor(weights, exact=exact))
+        unit=Tensor([1] * n, exact=exact), counit=counit)
 
 
 def group_center(group: FiniteGroup):
@@ -241,8 +226,7 @@ def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:
 
 
 def rescale_counit(algebra: FrobeniusAlgebra, factor) -> FrobeniusAlgebra:
-    factor = Tensor.scalar(factor if algebra.exact else complex(factor),
-                           exact=algebra.exact)
+    factor = Tensor.scalar(factor, exact=algebra.exact)
     return replace(algebra, counit=tensordot(factor, algebra.counit, [], []))
 
 
@@ -270,7 +254,7 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             if toks[0] != tag or len(toks) != n + 1:
                 raise StructureError("expected '%s' and %d entries" % (tag, n))
             vectors.append([parse_scalar(t, exact) for t in toks[1:]])
-        c = np.full((n, n, n), Fraction(0) if exact else complex(0), dtype=object)
+        c = np.full((n, n, n), 0, dtype=object)
         products = set()
         for number, line in lines[4:]:
             head, _, rhs = line.partition("->")

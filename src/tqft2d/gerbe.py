@@ -33,11 +33,6 @@ def _table(group, values, exact):
     return Tensor([[values[g, h] for h in els] for g in els], exact=exact)
 
 
-def _ones(group, exact):
-    """The tensor of 1 at every group element."""
-    return Tensor([1 if exact else complex(1)] * group.order, exact=exact)
-
-
 _times = partial(einsum, "...,...->...")  # entrywise, shapes broadcast
 
 
@@ -91,7 +86,7 @@ def check_theta(group: FiniteGroup, theta, exact=True,
     report.check("cocycle")
     report.check("normalization")
     e, els = group.identity, group.elements()
-    t, ones = _table(group, theta, exact), _ones(group, exact)
+    t, ones = _table(group, theta, exact), Tensor([1] * group.order, exact=exact)
     right = differences(t[:, e], ones, tol)
     left = differences(t[e], ones, tol)
     for g in els:
@@ -126,7 +121,7 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
                          _times(t[x, mul[y, z]], s[y, z]), tol)
     # tau(kl,g) = tau(k,lgl^-1) tau(l,g) on axes (k, l, g)
     flat = differences(t[mul[x, y], z], _times(t[x, conj[y, z]], t[y, z]), tol)
-    unit = differences(t[e], _ones(G, exact), tol)
+    unit = differences(t[e], Tensor([1] * G.order, exact=exact), tol)
     for k in els:
         for g in els:
             if k == e and unit[g]:
@@ -206,10 +201,9 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     fusion = {k: Tensor([[[v]]], exact=exact) for k, v in sb.theta.items()}
     fission = {k: Tensor([[[1 / (c * v)]]], exact=exact) for k, v in sb.theta.items()}
     transport = {k: Tensor([[v]], exact=exact) for k, v in sb.tau.items()}
-    one = 1 if exact else complex(1)
     return CrossedBundle(group=G, dims=(1,) * G.order,
                          fusion=fusion, fission=fission, transport=transport,
-                         unit=Tensor([one], exact=exact),
+                         unit=Tensor([1], exact=exact),
                          counit=Tensor([c], exact=exact), tol=sb.tol)
 
 

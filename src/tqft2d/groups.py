@@ -83,9 +83,6 @@ class FiniteGroup:
     def elements(self):
         return range(self.order)
 
-    def commutes(self, a, b):
-        return self.mul(a, b) == self.mul(b, a)
-
     def commutator(self, a, b):
         """a b a^-1 b^-1."""
         return self.mul(self.mul(a, b), self.mul(self.inv[a], self.inv[b]))

@@ -45,10 +45,3 @@ class ValidationReport:
 
     def failed_axioms(self):
         return sorted({v.axiom for v in self.violations})
-
-    def summary(self) -> str:
-        lines = ["checked %d axioms" % len(self.checked)]
-        for v in self.violations:
-            lines.append("violation: %s" % v)
-        lines.append("pass" if self.passed else "fail")
-        return "\n".join(lines)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tqft2d.bordism import (ARITY, Gen, BordismWord, WordSyntaxError, ArityError,
-                            parse_word, word, identity_word, seq, par,
+                            parse_word, word, seq, par,
                             topological_type, equivalent, evaluate, as_matrix,
                             random_equivalent_pair)
 from tqft2d import bordism, crossed, frobenius
@@ -430,7 +430,7 @@ def test_evaluate_matches_layer_definition_on_wide_words():
 
 def test_evaluate_edge_cases():
     a = dual_numbers()
-    empty = evaluate(identity_word(0), a)
+    empty = evaluate(word([]), a)
     assert empty.shape == () and empty.item() == 1
     # a closed word ending in an empty layer
     closed = evaluate(BordismWord(((Gen.CAP,), (Gen.CUP,), ())), a)
@@ -450,7 +450,7 @@ def test_evaluate_float_mode_carries_tolerance():
         assert t.exact is False
         assert equal(t, _reference_evaluate(w, a), a.tol)
     assert a.tol == 1e-6  # evaluating leaves the algebra's tolerance alone
-    empty = evaluate(identity_word(0), a)
+    empty = evaluate(word([]), a)
     assert (empty.exact, empty.item()) == (False, 1)
     # an empty layer must not bring an exact scalar into a float word
     sphere = evaluate(BordismWord(((), (Gen.CAP,), (Gen.CUP,))), a)
@@ -662,7 +662,7 @@ def test_schedule_edge_cases():
     a = dual_numbers()
     T = trivial_group()
     B = from_frobenius_algebra(T, a)
-    empty = identity_word(0)
+    empty = word([])
     # the empty word and a closed word ending in an empty layer: scalars
     for w, value in ((empty, 1), (BordismWord(((Gen.CAP,), (Gen.CUP,), ())), 0),
                      (parse_word("cap ; cup"), 0)):
@@ -690,7 +690,7 @@ def test_a_word_of_pads_alone_gives_complex_entries_in_float_mode():
                           tol=1e-6)
     e, r = z2_dual.group.identity, z2_dual.group.index("r1")
     cases = [evaluate(parse_word(text), a) for text in ("id", "swap", "id * swap")]
-    cases.append(evaluate(identity_word(0), a))
+    cases.append(evaluate(word([]), a))
     for labels in ((e, e), (e, r), (r, r)):
         b = label_word(z2_dual.group, parse_word("swap"), labels)
         assert b.word.contracted_schedule[0] == ()

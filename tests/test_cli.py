@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import shlex
 import shutil
@@ -615,6 +616,32 @@ def test_readme_commands_pass(monkeypatch):
         code, out = invoke(*argv[1:])
         assert code == 0, (argv, out)
         assert out.splitlines()[-1].startswith("RESULT: PASS"), (argv, out)
+
+
+def test_readme_commands_print_the_pinned_output(monkeypatch):
+    # the whole output of each README command in both scalar modes, kept in
+    # readme_outputs.json: a change meant to keep every output bit-identical
+    # must reproduce it byte for byte
+    with open(os.path.join(os.path.dirname(__file__), "readme_outputs.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    commands = [shlex.join(argv[1:]) for argv in _readme_commands()]
+    for mode in ("exact", "float"):
+        assert sorted(pinned[mode]) == sorted(commands), mode
+        for command in commands:
+            code, out = invoke(*shlex.split(command), "--mode", mode)
+            want = pinned[mode][command]
+            assert (code, out) == (want["code"], want["stdout"]), (mode, command)
+
+
+def test_a_word_file_takes_comments(tmp_path, algebra_file):
+    path = tmp_path / "w.word"
+    path.write_text("# a pair of pants\npants ; copants  # then split\n")
+    for argv in (("type",), ("eval", "--algebra", algebra_file)):
+        code, out = invoke(*argv, "--word", str(path))
+        assert code == 0, out
+        assert (code, out) == invoke(*argv, "--word", "pants ; copants")
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from tqft2d.bordism import (ARITY, BordismWord, Gen, evaluate, parse_word,
+from tqft2d.bordism import (ARITY, EULER, BordismWord, Gen, evaluate, parse_word,
                             random_equivalent_pair)
 from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             ExtractionError, TftOracle, validate_bundle,
@@ -62,7 +62,7 @@ def scaled(bundle, block, key, factor):
 def test_group_algebra_bundles_validate():
     for g in (trivial_group(), Z2, S3):
         report = validate_bundle(from_group_algebra(g))
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
         assert len(report.checked) == 10
 
 
@@ -441,7 +441,7 @@ def test_validator_contractions_do_not_grow_with_the_group(monkeypatch):
     for group in (S3, symmetric_group(4)):
         calls.clear()
         report = validate_bundle(from_group_algebra(group))
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -540,7 +540,7 @@ def test_closed_surface_euler_characteristic():
     e = Z2.identity
     for g in range(4):
         w = closed_surface_word(Z2, g, [(e, e)] * g)
-        assert w.word.euler_characteristic == 2 - 2 * g
+        assert sum(EULER[gen] for layer in w.word.layers for gen in layer) == 2 - 2 * g
         assert w.is_closed()
 
 
@@ -598,7 +598,7 @@ def test_roundtrip_check_bundles():
                       (CONSTANT, 60)):
         words = enumerate_labeled_words(B.group, 3, budget_per_shape=budget)
         report = roundtrip_check(B, words)
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
 
 
 @pytest.mark.parametrize("block, key, witness", [
@@ -625,6 +625,54 @@ def test_roundtrip_check_names_planted_dims(monkeypatch):
     assert report.violations == [
         Violation("bundle-reconstruction", w)
         for w in [("dims",)] + blocks + [("unit",), ("counit",)]]
+
+
+def test_bundle_differences_are_the_places_roundtrip_check_reports(monkeypatch):
+    # one fusion block, one transport block and the counit differ, planted
+    # in the reverse of the order they are reported in
+    other = scaled(scaled(scaled(CONSTANT, "counit", None, 3), "transport", (1, 0), 5),
+                   "fusion", (1, 1), 7)
+    places = [("fusion", 1, 1), ("transport", 1, 0), ("counit",)]
+    assert list(CONSTANT.differences(other)) == places
+    assert list(other.differences(CONSTANT)) == places
+    assert not CONSTANT == other and CONSTANT != other
+    assert list(CONSTANT.differences(scaled(CONSTANT, "unit", None, 1))) == []
+    assert list(CONSTANT.differences(from_frobenius_algebra(Z3, dual_numbers()))) \
+        == [("group",)]
+    monkeypatch.setattr(crossed, "tft_to_bundle", lambda oracle: other)
+    report = roundtrip_check(CONSTANT, [])
+    assert report.violations == [Violation("bundle-reconstruction", w) for w in places]
+
+
+def test_tft_to_bundle_evaluates_each_plain_cylinder_once():
+    B = from_group_algebra(S3)
+    base = TftOracle.from_bundle(B)
+    seen = []
+
+    def counting(b):
+        seen.append((b.word.layers, b.boundaries, b.annotations))
+        return base.evaluate(b)
+
+    assert tft_to_bundle(TftOracle(group=S3, dims=B.dims, evaluate=counting)) == B
+    e = S3.identity
+    plain = [s for s in seen if s[0] == ((Gen.ID,),) and s[2] == ((e,),)]
+    assert len(plain) == S3.order
+    assert len(set(seen)) == len(seen) == 3 * S3.order ** 2 + 2
+
+    # a broken cylinder is named by its first label before any other
+    # generator is evaluated
+    def broken(b):
+        seen.append(b.word.layers)
+        t = base.evaluate(b)
+        if b.word.layers == ((Gen.ID,),) and b.in_labels[0] >= 2:
+            t = tensordot(Tensor.scalar(2), t, [], [])
+        return t
+
+    seen.clear()
+    with pytest.raises(ExtractionError, match="the plain cylinder on label %r "
+                                              % S3.labels[2]):
+        tft_to_bundle(TftOracle(group=S3, dims=B.dims, evaluate=broken))
+    assert set(seen) == {((Gen.ID,),)}
 
 
 def test_roundtrip_check_names_the_words_the_evaluators_disagree_on(monkeypatch):
@@ -749,7 +797,7 @@ def test_frobenius_action_on_group_algebra():
     B = from_group_algebra(S3)
     for g in S3.elements():
         act, coact, report = frobenius_action(B, g)
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
         assert act.entries() == [1]
 
 
@@ -809,7 +857,7 @@ def test_nfold_towers():
         for n in (2, 4, 5):
             gs = [rng.randrange(m) for _ in range(n)]
             report = nfold_fission_check(B, gs)
-            assert report.passed, report.summary()
+            assert report.passed, report.violations
 
 
 def test_nfold_detects_planted_coassociativity():
@@ -905,7 +953,7 @@ def test_holonomy_decomposition_invariance():
     for G, B in bundles:
         e = G.identity
         pairs = [(a, b) for a in G.elements() for b in G.elements()
-                 if G.commutes(a, b)][:3]
+                 if G.mul(a, b) == G.mul(b, a)][:3]
         for a, b in pairs:
             base = closed_surface_word(G, 1, [(a, b)])
             variants = [base,

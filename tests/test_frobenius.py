@@ -11,7 +11,7 @@ import pytest
 from tqft2d import frobenius
 from tqft2d.bordism import parse_word, evaluate
 from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError,
-                              validate, pairing, comultiplication,
+                              StructureError, validate, pairing, comultiplication,
                               closed_invariant, ground_field, dual_numbers,
                               diagonal, group_center, change_of_basis,
                               rescale_counit, parse_algebra, format_algebra,
@@ -46,7 +46,7 @@ def _copy_with(algebra, **kw):
 def test_library_validates():
     for a in LIBRARY:
         report = validate(a)
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
         assert set(report.checked) == {"associativity", "commutativity",
                                        "unit", "nondegeneracy"}
 
@@ -153,6 +153,32 @@ def test_handle_operator_inverts_the_pairing_once_per_algebra(monkeypatch):
             closed_invariant(bad, 0)
 
 
+def test_float_library_algebras_hold_python_complex_entries():
+    for a in (ground_field(False), dual_numbers(False),
+              diagonal([2, Fraction(1, 3)], False),
+              rescale_counit(dual_numbers(False), 2)):
+        entries = a.mul.entries() + a.unit.entries() + a.counit.entries()
+        assert {type(x) for x in entries} == {complex}, a
+
+
+def test_diagonal_rejects_a_zero_weight_in_either_mode():
+    for weights, exact in (([1, 0], True), ([1, 1e-12], False)):
+        with pytest.raises(StructureError, match="^zero weight makes the pairing "
+                                                 "degenerate$"):
+            diagonal(weights, exact)
+    a = diagonal([1, 1e-6], False)
+    assert a.counit.entries() == [complex(1), complex(1e-6)]
+
+
+def test_evaluate_refuses_a_degenerate_pairing_for_every_word():
+    # the comultiplication is read before any contraction, copants or not
+    d = dual_numbers()
+    bad = FrobeniusAlgebra(dim=2, basis=d.basis, mul=d.mul, unit=d.unit, counit=d.unit)
+    for text in ("cap ; cup", "id", "pants", "copants"):
+        with pytest.raises(DegeneratePairingError):
+            evaluate(parse_word(text), bad)
+
+
 def test_closed_invariants_dual_numbers():
     a = dual_numbers()
     assert [closed_invariant(a, g) for g in range(4)] == [0, 2, 0, 0]
@@ -247,7 +273,7 @@ def test_random_basis_changes_stay_valid():
         a = diagonal(weights)
         b = change_of_basis(a, _random_invertible(rng, n))
         report = validate(b)
-        assert report.passed, report.summary()
+        assert report.passed, report.violations
         assert closed_invariant(b, 1) == n
 
 

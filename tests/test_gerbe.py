@@ -152,6 +152,17 @@ def test_bridge_with_crossed_validator():
     assert not validate_bundle(to_crossed_bundle(broken)).passed
 
 
+def test_float_bridge_holds_python_complex_entries():
+    theta = {k: complex(v) for k, v in THETA.items()}
+    B = to_crossed_bundle(from_cocycle(K, theta, counit_scalar=complex(1)))
+    assert not B.exact
+    entries = B.unit.entries() + B.counit.entries()
+    for family in ("fusion", "fission", "transport"):
+        for block in getattr(B, family).values():
+            entries += block.entries()
+    assert {type(x) for x in entries} == {complex}
+
+
 def test_torus_holonomy_minus_one():
     u, v = K.index("10"), K.index("01")
     assert gerbe_holonomy(ANTI, 1, [(u, v)]) == -1

@@ -65,3 +65,20 @@ def test_only_tensor_reads_the_exact_number_format():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in format_names]
     assert found == []
+
+
+def test_only_tensor_and_gerbe_call_complex():
+    # the Tensor constructor turns ints and Fractions into the entries of its
+    # mode, so no module picks a typed one or zero by mode; gerbe's scalar
+    # bundles keep raw Python values and so keep their typed ones
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) in ("tensor.py", "gerbe.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "complex"]
+    assert found == []

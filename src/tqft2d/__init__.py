@@ -25,7 +25,7 @@ from .bordism import (Gen, BordismWord, TopologicalType, WordSyntaxError,
 from .crossed import (CrossedBundle, BundleError, LabelError, ExtractionError,
                       LabeledBordism, TftOracle, validate_bundle,
                       from_group_algebra, from_frobenius_algebra,
-                      derive_fission, label_word, parse_labeled,
+                      label_word, parse_labeled,
                       format_labeled, evaluate_labeled, holonomy,
                       tft_to_bundle, roundtrip_check, frobenius_action,
                       rotation_transport, nfold_fission_check,
@@ -37,7 +37,7 @@ from .gerbe import (ScalarBundle, CocycleError, check_theta, check_cocycle,
                     induced_transport, from_cocycle, coboundary,
                     klein_anticommuting_cocycle, to_crossed_bundle,
                     scalar_surface_product, gerbe_holonomy,
-                    fusion_lambda_check, parse_cocycle, format_cocycle,
+                    parse_cocycle, format_cocycle,
                     load_cocycle)
 
 __version__ = "0.1.0"

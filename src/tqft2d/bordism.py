@@ -55,6 +55,13 @@ class Gen(enum.Enum):
     __hash__ = object.__hash__
 
 
+# the members bound to plain names once: on Python 3.11 each read of
+# ``Gen.X`` is a Python-level descriptor call, and the engine's lookups make
+# one per contracted generator
+ID, SWAP, CAP, CUP, PANTS, COPANTS = (Gen.ID, Gen.SWAP, Gen.CAP, Gen.CUP,
+                                      Gen.PANTS, Gen.COPANTS)
+
+
 ARITY = {
     Gen.ID: (1, 1),
     Gen.SWAP: (2, 2),
@@ -339,7 +346,7 @@ def _walk(w, carry):
             q = starts[j]
             n_gen_in, n_out = ARITY[g]
             circles = boundary[q:q + n_gen_in]
-            if g is Gen.SWAP or (carry and g is Gen.ID):
+            if g is SWAP or (carry and g is ID):
                 # a swap exchanges its two labels, a carried cylinder keeps its one
                 below += reversed(circles)
                 continue
@@ -492,8 +499,8 @@ def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     (read first, so a degenerate pairing fails every word); a cylinder
     only carries its circle.
     """
-    tensors = {Gen.COPANTS: algebra.delta, Gen.CAP: algebra.unit,
-               Gen.CUP: algebra.counit, Gen.PANTS: algebra.mul}
+    tensors = {COPANTS: algebra.delta, CAP: algebra.unit,
+               CUP: algebra.counit, PANTS: algebra.mul}
     dim = algebra.dim
     return contract_word(w, lambda g, t, j, q: tensors[g],
                          lambda i: dim, algebra.exact, carry=True)

@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bordism import ARITY, BordismWord, Gen, contract_word
+from .bordism import (ARITY, CAP, COPANTS, ID, PANTS, BordismWord, Gen,
+                      contract_word)
 from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
@@ -268,31 +269,6 @@ def from_frobenius_algebra(group: FiniteGroup, algebra: FrobeniusAlgebra) -> Cro
     return CrossedBundle(group=group, dims=(n,) * group.order,
                          fusion=fusion, fission=fission, transport=transport,
                          unit=algebra.unit, counit=algebra.counit, tol=algebra.tol)
-
-
-def derive_fission(bundle: CrossedBundle) -> dict:
-    """Derive fission from fusion and the graded pairing, when invertible.
-
-    Returns a fission dict; raises BundleError if some needed pairing block
-    between A_h and A_{h^-1} is singular.
-    """
-    G = bundle.group
-    out = {}
-    copair = {}
-    for h in G.elements():
-        hi = G.inverse(h)
-        # pairing A_{h^-1} x A_h -> k through mu and counit
-        pair = tensordot(bundle.fusion[hi, h], bundle.counit, [2], [0])
-        inv = invert_matrix(pair, bundle.tol)
-        if inv is None:
-            raise BundleError("pairing between fibers %d and %d is singular" % (hi, h))
-        copair[h] = inv
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            # nu[g,h][x,i,j] = sum_a mu_{gh,h^-1}[x,a,i] copair_h[a,j]
-            out[g, h] = tensordot(bundle.fusion[gh, G.inverse(h)], copair[h], [1], [0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +516,13 @@ def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
 
     def lookup(g, t, j, q):
         labels = b.boundaries[t]
-        if g is Gen.ID:
+        if g is ID:
             return bundle.transport[b.annotations[t][j], labels[q]]
-        if g is Gen.PANTS:
+        if g is PANTS:
             return bundle.fusion[labels[q], labels[q + 1]]
-        if g is Gen.COPANTS:
+        if g is COPANTS:
             return bundle.fission[b.annotations[t][j]]
-        return bundle.unit if g is Gen.CAP else bundle.counit
+        return bundle.unit if g is CAP else bundle.counit
 
     dims = bundle.dims
     return contract_word(b.word, lookup, lambda i: dims[b.in_labels[i]],

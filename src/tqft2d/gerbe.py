@@ -17,7 +17,7 @@ import numpy as np
 from .bordism import Gen
 from .crossed import (CrossedBundle, LabeledBordism, LabelError,
                       closed_surface_word, evaluate_labeled)
-from .groups import FiniteGroup, LoopWord, klein_four_group, load_over
+from .groups import FiniteGroup, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
                      einsum, first_difference, parse_scalar, format_scalar)
@@ -242,30 +242,6 @@ def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):
         raise CocycleError("scalar walk %s disagrees with the evaluator %s"
                            % (direct, via_bundle.item()))
     return direct
-
-
-def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
-    """Associativity of the fusion scalars between four loop words.
-
-    Word i fuses with word j through the scalar on the grading
-    (w_i w_j^-1, w_j w_k^-1); the square lambda_134 . lambda_123 =
-    lambda_124 . lambda_234 is exactly one instance of the cocycle identity.
-    """
-    G = sb.group
-    pts = [w.evaluate(G) if isinstance(w, LoopWord) else w for w in words]
-    if len(pts) != 4:
-        raise InputError("need exactly four loop words")
-    report = ValidationReport()
-
-    def lam(i, j, k):
-        g = G.mul(pts[i], G.inverse(pts[j]))
-        h = G.mul(pts[j], G.inverse(pts[k]))
-        return sb.theta[g, h]
-
-    lhs = Tensor.scalar(lam(0, 2, 3) * lam(0, 1, 2), sb.exact)
-    rhs = Tensor.scalar(lam(0, 1, 3) * lam(1, 2, 3), sb.exact)
-    report.compare("lambda-associativity", lhs, rhs, sb.tol, at=tuple(pts))
-    return report
 
 
 # ---------------------------------------------------------------------------

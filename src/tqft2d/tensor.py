@@ -1,23 +1,31 @@
 """Dense tensors over exact rationals or complex floats.
 
-An exact tensor holds ``nums``, a numpy object array of Python ints, over
+An exact tensor holds ``nums``, an integer array of numerators, over
 ``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
 numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
-multiplies the dens and contracts the ints at integer speed, and ``equal``
-compares the dens and then the flat lists of numerators.  A float tensor
-holds its complex entries in ``nums`` with ``den`` fixed at 1, so both modes
-share one code path.  Only this module reads numerators and dens: other
-modules stack blocks (``stack``), gather entries (``t[idx]``), contract
-(``tensordot``, ``einsum``), lay identity legs beside a tensor
-(``with_identities``) and compare, each result in lowest terms.  A
-tensor carries no tolerance: the algebra, bundle or oracle that owns it
-does, and passes it to the comparisons (``differences``,
-``first_difference``, ``equal``) and to ``invert_matrix``'s pivoting.
-``Fraction``s appear only at the edges: the ``Tensor`` constructor and
-``parse_scalar`` take them in, ``item()`` and ``entries()`` give them out.
+multiplies the dens and contracts the numerators, and ``equal`` compares the
+dens and then the flat lists of numerators.  A float tensor holds its
+complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
+code path.  Only this module reads numerators and dens: other modules stack
+blocks (``stack``), gather entries (``t[idx]``), contract (``tensordot``,
+``einsum``), lay identity legs beside a tensor (``with_identities``) and
+compare, each result in lowest terms.  A tensor carries no tolerance: the
+algebra, bundle or oracle that owns it does, and passes it to the
+comparisons (``differences``, ``first_difference``, ``equal``) and to
+``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
+``Tensor`` constructor and ``parse_scalar`` take them in, ``item()`` and
+``entries()`` give them out, over Python ints.
 
-All shapes in this project are tiny (dimensions <= ~12), so dense storage and
-naive contraction are the right trade-off.
+The numerators come in two tiers, chosen by a bound the tensor carries in
+``top``.  When every numerator is known to lie within ``top`` < 2**62 they
+are an ``int64`` array, and numpy multiplies and sums them in machine
+integers; otherwise they are an object array of Python ints and ``top`` is
+infinite.  Each operation works out the bound of its result from those of
+its operands, with no scan of the entries: a contraction summing n products
+is bounded by ``top_a * top_b * n``.  When that bound reaches 2**62 one
+operand becomes objects first, numpy multiplies int64 by objects as objects,
+and the result stays in objects from there.  Float tensors keep object
+complex entries and an infinite ``top``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,13 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# an int64 tensor's numerators lie within a bound below _LIMIT, so a sum of
+# products that the bounds keep below _LIMIT cannot wrap
+_LIMIT = 1 << 62
+# the bound of an object array: none below _LIMIT is known.  A product with
+# it is infinite, or nan for a zero factor, and either fails ``< _LIMIT``
+_UNBOUNDED = math.inf
 
 
 class ModeMismatchError(TypeError):
@@ -107,46 +122,60 @@ def format_scalar(value):
 
 class Tensor:
     """Immutable-by-convention dense tensor, row-major: entry i is
-    ``nums[i] / den``."""
+    ``nums[i] / den``, every numerator within ``top`` (see the module
+    docstring)."""
 
-    __slots__ = ("nums", "den", "exact")
+    __slots__ = ("nums", "den", "exact", "top")
 
     def __init__(self, entries, exact=True):
         """The tensor of ``entries``: ints or Fractions in exact mode,
         numbers stored as Python complex in float mode."""
         nums = np.asarray(entries, dtype=object)
-        den = 1
+        den, top = 1, _UNBOUNDED
         if not exact:
             nums = np.array([complex(x) for x in nums.flat],
                             dtype=object).reshape(nums.shape)
         else:
-            vals = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+            # a numpy scalar becomes a Python number first: a Fraction of it
+            # would keep a numerator that wraps around
+            vals = [x if isinstance(x, (int, Fraction)) else
+                    Fraction(x.item() if isinstance(x, np.generic) else x)
                     for x in nums.flat]
             # over the lcm of reduced denominators the numerators share no
             # factor with it, so this is already lowest terms
             den = math.lcm(1, *(x.denominator for x in vals))
-            nums = np.array([x.numerator * (den // x.denominator) for x in vals],
-                            dtype=object).reshape(nums.shape)
-        self.nums, self.den, self.exact = nums, den, exact
+            ints = [x.numerator * (den // x.denominator) for x in vals]
+            top = max(map(abs, ints), default=0)
+            if top < _LIMIT:
+                nums = np.array(ints, dtype=np.int64).reshape(nums.shape)
+            else:
+                nums = np.array(ints, dtype=object).reshape(nums.shape)
+                top = _UNBOUNDED
+        self.nums, self.den, self.exact, self.top = nums, den, exact, top
 
     @classmethod
-    def from_nums(cls, nums, den=1, exact=True):
-        """The tensor ``nums / den`` in lowest terms, for an object array of
-        Python ints and a positive int den; in float mode ``nums`` holds the
-        complex entries and den is 1."""
-        # numpy gives a bare Python scalar for some 0-d object results
-        nums = np.asarray(nums, dtype=object)
+    def _reduced(cls, nums, den, top, exact):
+        """The tensor ``nums / den`` in lowest terms, for numerators of the
+        tier ``top`` names: int64 within ``top``, or objects."""
         if den != 1:
-            g = math.gcd(den, *nums.flat)
+            g = math.gcd(den, *nums.ravel().tolist())  # Python ints from either tier
             if g != 1:
-                nums, den = np.asarray(nums // g, dtype=object), den // g
-        return cls._of(nums, den, exact)
+                if top < _LIMIT:
+                    # a g past _LIMIT divides only zeros, which it leaves as they are
+                    if g < _LIMIT:
+                        nums = np.asarray(nums // g)  # a 0-d quotient is a scalar
+                    top //= g
+                else:
+                    nums = np.asarray(nums // g, dtype=object)
+                den //= g
+        return cls._of(nums, den, top, exact)
 
     @classmethod
-    def _of(cls, nums, den, exact):
-        """A tensor of numerators ``nums`` over ``den`` already in lowest terms."""
+    def _of(cls, nums, den, top, exact):
+        """A tensor of numerators ``nums`` within ``top`` over ``den``,
+        already in lowest terms."""
         t = cls.__new__(cls)
-        t.nums, t.den, t.exact = nums, den, exact
+        t.nums, t.den, t.top, t.exact = nums, den, top, exact
         return t
 
     @classmethod
@@ -155,13 +184,16 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, exact=True):
-        return cls._of(np.full(shape, 0 if exact else complex(0), dtype=object),
-                       1, exact)
+        if exact:
+            return cls._of(np.zeros(shape, dtype=np.int64), 1, 0, True)
+        return cls._of(np.full(shape, complex(0), dtype=object), 1, _UNBOUNDED, False)
 
     @classmethod
     def identity(cls, n, exact=True):
-        t = cls.zeros((n, n), exact=exact)
-        t.nums[range(n), range(n)] = 1 if exact else complex(1)
+        if exact:
+            return cls._of(np.eye(n, dtype=np.int64), 1, 1, True)
+        t = cls.zeros((n, n), exact=False)
+        t.nums[range(n), range(n)] = complex(1)
         return t
 
     @property
@@ -175,19 +207,24 @@ class Tensor:
     def item(self):
         if self.nums.ndim != 0:
             raise ContractionError("item() on a tensor with %d legs" % self.nums.ndim)
-        n = self.nums[()]
+        n = self.nums.item()  # a Python int or complex, from either tier
         return Fraction(n, self.den) if self.exact else n
 
     def entries(self):
-        """Row-major flat list of entries: Fractions in exact mode."""
+        """Row-major flat list of entries: Fractions of Python ints in exact
+        mode."""
+        nums = self.nums.ravel().tolist()
         if not self.exact:
-            return list(self.nums.flat)
+            return nums
         den = self.den
-        return [Fraction(n, den) for n in self.nums.flat]
+        return [Fraction(n, den) for n in nums]
 
     def __getitem__(self, idx):
         """Numpy indexing, gathers included; a part may need a smaller den."""
-        return Tensor.from_nums(self.nums[idx], self.den, self.exact)
+        nums = self.nums
+        # a single entry comes back as a scalar, made a 0-d array again
+        return Tensor._reduced(np.asarray(nums[idx], dtype=nums.dtype), self.den,
+                               self.top, self.exact)
 
     def __repr__(self):
         return "Tensor(shape=%r, exact=%r)" % (self.shape, self.exact)
@@ -200,7 +237,7 @@ class Tensor:
     def __hash__(self):
         if not self.exact:  # equal within a tolerance: only the shape is sure
             return hash(self.shape)
-        return hash((self.shape, self.den, tuple(self.nums.flat)))
+        return hash((self.shape, self.den, tuple(self.nums.ravel().tolist())))
 
 
 def _check_modes(a, b):
@@ -219,24 +256,47 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     counts and leg dimensions are checked, and the layout worked out, once
     per pattern of both shapes and both axis lists (``_layout``); a pattern
     is cached only once it has passed, so every call is checked.
+
+    Each entry sums ``n`` products, n the size of the paired legs (1 for
+    the outer product), so it lies within ``a.top * b.top * n``: int64
+    operands under that bound contract in int64, and otherwise in objects.
     """
     _check_modes(a, b)
     x, y = a.nums, b.nums
-    if not axes_a and not axes_b:
-        return Tensor.from_nums(np.multiply.outer(x, y), a.den * b.den, a.exact)
-    order_a, mat_a, order_b, mat_b, out = _layout(x.shape, y.shape, tuple(axes_a),
-                                                  tuple(axes_b))
-    return Tensor.from_nums(
-        np.dot(x.transpose(order_a).reshape(mat_a),
-               y.transpose(order_b).reshape(mat_b)).reshape(out),
-        a.den * b.den, a.exact)
+    paired = axes_a or axes_b
+    if paired:
+        order_a, mat_a, order_b, mat_b, out, n = _layout(x.shape, y.shape,
+                                                         tuple(axes_a), tuple(axes_b))
+    top = a.top * b.top * (n if paired else 1)
+    if not top < _LIMIT:  # nan too, a zero bound times objects
+        if top < _UNBOUNDED:  # two int64 operands whose sums may not fit
+            x = x.astype(object)
+        top = _UNBOUNDED
+    if paired:  # each step that would leave its array as it is is None
+        if order_a is not None:
+            x = x.transpose(order_a)
+        if mat_a is not None:
+            x = x.reshape(mat_a)
+        if order_b is not None:
+            y = y.transpose(order_b)
+        if mat_b is not None:
+            y = y.reshape(mat_b)
+        r = np.dot(x, y)
+        if out is not None:
+            r = r.reshape(out)
+    else:
+        r = np.multiply.outer(x, y)
+        if type(r) is not np.ndarray:  # a scalar times a scalar
+            r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
+    return Tensor._reduced(r, a.den * b.den, top, a.exact)
 
 
 @lru_cache(maxsize=1024)
 def _layout(shape_a, shape_b, axes_a, axes_b):
     """How ``tensordot`` contracts a of ``shape_a`` with b of ``shape_b``:
     a's transpose order (kept legs, then paired) and matrix shape, b's
-    (paired legs, then kept) and matrix shape, and the output shape.
+    (paired legs, then kept) and matrix shape, the output shape, each None
+    where it would leave its array as it is, and the size of the paired legs.
 
     Raises ContractionError when the axis lists differ in length, an axis
     is negative, repeated or past its tensor's last leg, or a paired leg's
@@ -260,13 +320,21 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
     keep_b = tuple(k for k in range(len(shape_b)) if k not in axes_b)
     out_a = tuple(shape_a[k] for k in keep_a)
     out_b = tuple(shape_b[k] for k in keep_b)
-    return (keep_a + axes_a, (math.prod(out_a), n),
-            axes_b + keep_b, (n, math.prod(out_b)), out_a + out_b)
+    order_a, order_b = keep_a + axes_a, axes_b + keep_b
+    mat_a, mat_b = (math.prod(out_a), n), (n, math.prod(out_b))
+
+    def step(value, unchanged):
+        return None if value == unchanged else value
+    return (step(order_a, tuple(range(len(shape_a)))),
+            step(mat_a, tuple(shape_a[k] for k in order_a)),
+            step(order_b, tuple(range(len(shape_b)))),
+            step(mat_b, tuple(shape_b[k] for k in order_b)),
+            step(out_a + out_b, (mat_a[0], mat_b[1])), n)
 
 
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
-    return Tensor._of(a.nums.transpose(perm).copy(), a.den, a.exact)
+    return Tensor._of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
 
 
 def with_identities(a: Tensor, dims, perm) -> Tensor:
@@ -277,12 +345,13 @@ def with_identities(a: Tensor, dims, perm) -> Tensor:
     lowest terms.  The flat output positions are worked out once per
     pattern of a's shape, ``dims`` and ``perm`` (``_diagonal``)."""
     idx, shape = _diagonal(a.nums.shape, tuple(dims), tuple(perm))
-    # np.zeros fills an object array with the int 0, and twice as fast
-    out = np.zeros(shape, dtype=object) if a.exact else \
+    # np.zeros fills a's tier with 0 (the int 0 for objects), and twice as
+    # fast as np.full
+    out = np.zeros(shape, dtype=a.nums.dtype) if a.exact else \
         np.full(shape, complex(0), dtype=object)
     # written through a flat view, so the tensor keeps no view of its own
     out.reshape(-1)[idx] = a.nums.reshape(-1, 1)
-    return Tensor._of(out, a.den, a.exact)
+    return Tensor._of(out, a.den, a.top, a.exact)
 
 
 @lru_cache(maxsize=1024)
@@ -331,25 +400,66 @@ def stack(blocks, lead, width) -> Tensor:
     # a prime of the lcm divides some block's den fully, and that block has a
     # numerator the prime does not divide: in lowest terms with no gcd
     den = math.lcm(*(t.den for t in tensors))
+    # a block brought to den by a factor k is within max(top, 1) * k, a
+    # bound that int64 holds only if it holds k as well
+    top = max(max(t.top, 1) * (den // t.den) for t in tensors)
     full = (width,) * tensors[0].rank
-    out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
+    if top < _LIMIT:
+        out = np.zeros(lead + full, dtype=np.int64)
+    else:
+        top = _UNBOUNDED
+        out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
     for key, t in blocks.items():
-        nums = t.nums if t.den == den else t.nums * (den // t.den)
+        nums = np.asarray(t.nums, dtype=out.dtype)
+        if t.den != den:
+            nums = nums * (den // t.den)
         if nums.shape == full:
             out[key] = nums
         else:
             out[key + tuple(map(slice, nums.shape))] = nums
-    return Tensor._of(out, den, exact)
+    return Tensor._of(out, den, top, exact)
 
 
 def einsum(spec, *operands) -> Tensor:
     """``np.einsum`` of tensors of one mode, over the product of their dens;
     ``"...,...->..."`` multiplies entries with numpy broadcasting.  Contract
-    two at a time: unoptimized, numpy loops over all indices at once."""
+    two at a time: unoptimized, numpy loops over all indices at once.
+    Each entry sums ``_summed`` products, which bounds it with the operands'
+    bounds as in ``tensordot``."""
     exact, den = _common_mode(operands), 1
+    top = _summed(spec, tuple(t.nums.shape for t in operands))
+    arrays = []
     for t in operands:
         den *= t.den
-    return Tensor.from_nums(np.einsum(spec, *[t.nums for t in operands]), den, exact)
+        top *= t.top
+        arrays.append(t.nums)
+    if not top < _LIMIT:  # nan too, a zero bound times objects
+        if top < _UNBOUNDED:  # int64 operands whose sums may not fit
+            arrays[0] = arrays[0].astype(object)
+        top = _UNBOUNDED
+    r = np.einsum(spec, *arrays)
+    if type(r) is not np.ndarray:  # numpy gives a scalar for a 0-d result
+        r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
+    return Tensor._reduced(r, den, top, exact)
+
+
+@lru_cache(maxsize=1024)
+def _summed(spec, shapes):
+    """How many products an entry of ``np.einsum(spec)`` over operands of
+    ``shapes`` sums, at most: the product of the dimensions of the indices
+    missing from the output, and of every broadcast leg when the output has
+    no ``...`` (with no ``->``, of every index and leg)."""
+    ins, _, out = spec.partition("->")
+    n, dims = 1, {}
+    for term, shape in zip(ins.split(","), shapes):
+        head, dots, tail = term.partition("...")
+        rest = len(shape) - len(tail)
+        if dots and "..." not in out:
+            n *= math.prod(shape[len(head):rest])
+        # a leg of size 1 broadcasts against a longer one of its label
+        for c, d in zip(head + tail, shape[:len(head)] + shape[rest:]):
+            dims[c] = max(dims.get(c, 1), d)
+    return n * math.prod(d for c, d in dims.items() if c not in out)
 
 
 def differences(a: Tensor, b: Tensor, tol):
@@ -360,9 +470,13 @@ def differences(a: Tensor, b: Tensor, tol):
         raise ContractionError("cannot compare shapes %s and %s" % (a.shape, b.shape))
     if not a.exact:
         return np.asarray(abs(a.nums - b.nums) > tol)
+    x, y = a.nums, b.nums
     if a.den == b.den:
-        return np.asarray(a.nums != b.nums)
-    return np.asarray(a.nums * b.den != b.nums * a.den)
+        return np.asarray(x != y)
+    # each side times the other's den, which int64 must hold as well
+    if not max(a.top, b.top, 1) * max(a.den, b.den) < _LIMIT:
+        x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
+    return np.asarray(x * b.den != y * a.den)
 
 
 def first_difference(a: Tensor, b: Tensor, tol):

@@ -33,6 +33,8 @@ from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group)
 from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix
 
+from test_tensor import _of_objects
+
 Z2 = cyclic_group(2)
 S3 = symmetric_group(3)
 
@@ -64,11 +66,11 @@ def test_criterion_01_axiom_suite():
         assert validate(a).passed
     # planted single-entry corruptions, one per axiom
     base = diagonal([Fraction(1)] * 3)
-    mul = Tensor.from_nums(base.mul.nums.copy())
+    mul = _of_objects(base.mul.nums.copy())
     mul.nums[1, 2, 0] = 1
     mul.nums[2, 1, 0] = 1
     assert "associativity" in validate(_copy_algebra(base, mul=mul)).failed_axioms()
-    mul = Tensor.from_nums(base.mul.nums.copy())
+    mul = _of_objects(base.mul.nums.copy())
     mul.nums[0, 1, 1] = 2
     assert "commutativity" in validate(_copy_algebra(base, mul=mul)).failed_axioms()
     unit = Tensor(np.array([Fraction(2), Fraction(1), Fraction(1)], dtype=object))
@@ -235,7 +237,7 @@ def test_criterion_08_frobenius_action():
     data = dict(group=Z2, dims=B.dims, fusion=B.fusion,
                 fission=dict(B.fission), transport=B.transport,
                 unit=B.unit, counit=B.counit)
-    data["fission"][0, 1] = Tensor.from_nums(delta.nums[:, ::-1, :].copy(), delta.den)
+    data["fission"][0, 1] = _of_objects(delta.nums[:, ::-1, :].copy(), delta.den)
     _, _, report = frobenius_action(CrossedBundle(**data), 1)
     assert report.failed_axioms() == ["compatibility-square"]
     _done(8, "module/comodule/square on all fibers; targeted break", t0)

@@ -332,10 +332,11 @@ def _reference_generators(a):
     ident = Tensor.identity(a.dim, exact=a.exact)
     # swap[i, j, k, l] = 1 when the first output k carries the second input j
     # and the second output l the first input i
-    swap = Tensor.zeros((a.dim,) * 4, exact=a.exact)
+    swap = np.zeros((a.dim,) * 4, dtype=object)
     for i in range(a.dim):
         for j in range(a.dim):
-            swap.nums[i, j, j, i] = ident.nums[0, 0]
+            swap[i, j, j, i] = 1
+    swap = Tensor(swap, exact=a.exact)
     return {Gen.ID: ident, Gen.SWAP: swap, Gen.CAP: a.unit, Gen.CUP: a.counit,
             Gen.PANTS: a.mul, Gen.COPANTS: comultiplication(a)}
 
@@ -541,7 +542,7 @@ def _reference_contract_word(w, lookup, pad, exact, dot=tensordot):
     if state is None:
         return Tensor.scalar(1, exact=exact)
     perm = [legs.index(leg) for leg in [~i for i in range(n_in)] + boundary]
-    return Tensor._of(np.transpose(state.nums, perm).copy(), state.den, exact)
+    return permute(state, perm)
 
 
 def _recording(calls):

@@ -9,7 +9,10 @@ import importlib
 import os
 import sys
 
+import numpy as np
+
 import tqft2d
+from tqft2d import tensor
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -77,3 +80,48 @@ def test_a_labeled_roundtrip_pass_takes_no_identity_outer_products():
     outer = metrics["tensor.tensordot.outer_entries"]
     assert 0 < calls <= LABELED_CALLS, calls
     assert 0 < outer <= LABELED_OUTER_ENTRIES, outer
+
+
+def _tiers(monkeypatch, calls):
+    """The results of ``calls`` and, for each tensordot call they make,
+    whether its two operands and its result hold int64 numerators."""
+    original, tiers = tensor.tensordot, []
+
+    def dot(a, b, axes_a, axes_b):
+        out = original(a, b, axes_a, axes_b)
+        tiers.append(tuple(t.nums.dtype == np.int64 for t in (a, b, out)))
+        return out
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "tqft2d" or name.startswith("tqft2d.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, dot)
+    return [call() for call in calls], tiers
+
+
+def test_a_fuzz_pairs_pass_contracts_in_int64_throughout(monkeypatch):
+    # the bounds of its words' numerators stay below 2**62, so no contraction
+    # of a pass falls back to Python ints
+    workloads = _perfbench("workloads")
+    items = workloads.fuzz_corpus(tqft2d)
+    results, tiers = _tiers(monkeypatch, [
+        lambda item=item: workloads.fuzz_output(tqft2d, item[1], item[3])
+        for item in items])
+    assert all(passed for passed, _ in results)
+    assert 0 < len(tiers) <= FUZZ_CALLS
+    assert tiers == [(True, True, True)] * len(tiers)
+
+
+def test_a_structure_checks_pass_promotes_its_high_genus_invariants(monkeypatch):
+    # powers of the handle operator outgrow the int64 bound: a contraction
+    # of two int64 operands then gives Python ints
+    cases = _perfbench("workloads").structure_cases(tqft2d)
+    promoted = set()
+    for name, call in cases:
+        (result,), tiers = _tiers(monkeypatch, [call])
+        assert result[0], name
+        if (True, True, False) in tiers:
+            promoted.add(name)
+        monkeypatch.undo()
+    assert "closed_invariant Z(S3) g=40" in promoted
+    assert "closed_invariant Z(S3) g=0" not in promoted

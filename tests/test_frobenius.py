@@ -20,6 +20,8 @@ from tqft2d.groups import (cyclic_group, direct_product, klein_four_group,
                            symmetric_group)
 from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix, permute
 
+from test_tensor import _of_objects
+
 
 def values(t):
     """The entries of t as an array of its shape."""
@@ -67,7 +69,7 @@ def test_degenerate_counit_fails_nondegeneracy():
 
 def test_planted_associativity_failure():
     a = diagonal([Fraction(1)] * 3)
-    mul = Tensor.from_nums(a.mul.nums.copy())
+    mul = _of_objects(a.mul.nums.copy())
     # add a symmetric product e1*e2 = e0 so commutativity survives but
     # (e1 e1) e2 = e0 while e1 (e1 e2) = e1 e0 = 0
     mul.nums[1, 2, 0] = 1
@@ -80,7 +82,7 @@ def test_planted_associativity_failure():
 
 def test_planted_commutativity_failure():
     a = diagonal([Fraction(1), Fraction(1)])
-    mul = Tensor.from_nums(a.mul.nums.copy())
+    mul = _of_objects(a.mul.nums.copy())
     mul.nums[0, 1, 0] = 1
     bad = _copy_with(a, mul=mul)
     assert "commutativity" in validate(bad).failed_axioms()
@@ -256,7 +258,7 @@ def test_validate_reports_the_first_witness_the_loops_find():
     rng = random.Random(3)
     for _ in range(40):
         a = rng.choice(LIBRARY[2:])
-        mul = Tensor.from_nums(a.mul.nums.copy(), a.mul.den)
+        mul = _of_objects(a.mul.nums.copy(), a.mul.den)
         for _ in range(rng.randint(1, 3)):
             mul.nums[tuple(rng.randrange(a.dim) for _ in range(3))] = rng.choice([-1, 2, 3])
         bad = _copy_with(a, mul=mul)

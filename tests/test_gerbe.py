@@ -10,14 +10,40 @@ from tqft2d.gerbe import (ScalarBundle, CocycleError, check_theta,
                           check_cocycle, induced_transport, from_cocycle,
                           coboundary, klein_anticommuting_cocycle,
                           to_crossed_bundle, scalar_surface_product,
-                          gerbe_holonomy, fusion_lambda_check, parse_cocycle,
+                          gerbe_holonomy, parse_cocycle,
                           format_cocycle, load_cocycle)
 from tqft2d.groups import (FiniteGroup, LoopWord, cyclic_group, symmetric_group,
                            klein_four_group, format_group)
-from tqft2d.report import Violation
+from tqft2d.report import ValidationReport, Violation
+from tqft2d.tensor import InputError, Tensor
 
 K, THETA = klein_anticommuting_cocycle()
 ANTI = from_cocycle(K, THETA)
+
+
+def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
+    """Associativity of the fusion scalars between four loop words.
+
+    Word i fuses with word j through the scalar on the grading
+    (w_i w_j^-1, w_j w_k^-1); the square lambda_134 . lambda_123 =
+    lambda_124 . lambda_234 is exactly one instance of the cocycle identity,
+    which ``check_theta`` checks at every grading; kept here as a reference.
+    """
+    G = sb.group
+    pts = [w.evaluate(G) if isinstance(w, LoopWord) else w for w in words]
+    if len(pts) != 4:
+        raise InputError("need exactly four loop words")
+    report = ValidationReport()
+
+    def lam(i, j, k):
+        g = G.mul(pts[i], G.inverse(pts[j]))
+        h = G.mul(pts[j], G.inverse(pts[k]))
+        return sb.theta[g, h]
+
+    lhs = Tensor.scalar(lam(0, 2, 3) * lam(0, 1, 2), sb.exact)
+    rhs = Tensor.scalar(lam(0, 1, 3) * lam(1, 2, 3), sb.exact)
+    report.compare("lambda-associativity", lhs, rhs, sb.tol, at=tuple(pts))
+    return report
 
 
 def trivial_theta(group):

@@ -52,9 +52,10 @@ def test_tolerance_is_not_carried_by_tensors():
 
 
 def test_only_tensor_reads_the_exact_number_format():
-    # numerators over one den are tensor's own format: every other module
-    # stacks, indexes, contracts and compares through the tensor operations
-    format_names = {"nums", "den", "_of", "from_nums"}
+    # numerators over one den, int64 within a bound or Python ints, are
+    # tensor's own format: every other module stacks, indexes, contracts and
+    # compares through the tensor operations
+    format_names = {"nums", "den", "top", "_of", "_reduced"}
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         if os.path.basename(path) == "tensor.py":

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from tqft2d import tensor
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            InputError, content_lines, parse_int,
-                           tensordot, equal, first_difference, invert_matrix,
-                           parse_scalar, format_scalar, permute, with_identities)
+                           tensordot, equal, differences, first_difference,
+                           invert_matrix, parse_scalar, format_scalar, permute,
+                           with_identities)
 
 
 def outer(a, b):
@@ -21,6 +22,18 @@ def outer(a, b):
 def trace(t, i, j):
     """Trace over legs i and j of t: a contraction with the identity."""
     return tensordot(t, Tensor.identity(t.shape[i], exact=t.exact), [i, j], [0, 1])
+
+
+def _assert_numerators(t):
+    """The numerators are int64 within the carried bound, which is below
+    2**62, or an object array of Python ints with no bound."""
+    if t.nums.dtype == object:
+        assert t.top == math.inf
+        assert all(type(n) is int for n in t.nums.flat)
+    else:
+        assert t.nums.dtype == np.int64
+        assert type(t.top) is int and 0 <= t.top < 2 ** 62
+        assert all(abs(n) <= t.top for n in t.nums.ravel().tolist())
 
 
 def frac_tensor(values):
@@ -214,16 +227,19 @@ def test_tensordot_empty_axes_is_outer_product():
 def test_exact_tensor_holds_numerators_over_the_least_common_denominator():
     t = Tensor([[Fraction(1, 2), Fraction(-1, 3)], [2, 0]])
     assert t.den == 6
-    assert [type(x) for x in t.nums.flat] == [int] * 4
-    assert list(t.nums.flat) == [3, -2, 12, 0]
+    _assert_numerators(t)
+    # the constructor takes its bound from the numerators it builds
+    assert (t.nums.dtype, t.top) == (np.int64, 12)
+    assert t.nums.ravel().tolist() == [3, -2, 12, 0]
     assert (t.shape, t.exact) == ((2, 2), True)
     assert t.entries() == [Fraction(1, 2), Fraction(-1, 3), 2, 0]
     assert all(type(x) is Fraction for x in t.entries())
-    # from_nums brings numerators over any den to lowest terms
-    same = Tensor.from_nums(np.array([[6, -4], [24, 0]], dtype=object), 12)
-    assert (same.den, list(same.nums.flat)) == (6, [3, -2, 12, 0])
+    # numerators over any den come to lowest terms
+    same = _of_objects(np.array([[6, -4], [24, 0]], dtype=object), 12)
+    assert (same.den, same.nums.ravel().tolist()) == (6, [3, -2, 12, 0])
+    _assert_numerators(same)
     assert equal(same, t) and hash(same) == hash(t)
-    zero = Tensor.from_nums(np.zeros((2,), dtype=object), 5)
+    zero = _of_objects(np.zeros((2,), dtype=object), 5)
     assert (zero.den, zero.entries()) == (1, [0, 0])
 
 
@@ -381,8 +397,8 @@ def test_float_equal_is_no_first_difference_at_the_tolerance(xs, data):
 
 def _assert_lowest_terms(t):
     assert t.exact and type(t.den) is int and t.den > 0
-    assert all(type(n) is int for n in t.nums.flat)
-    assert math.gcd(t.den, *t.nums.flat) == 1
+    _assert_numerators(t)
+    assert math.gcd(t.den, *t.nums.ravel().tolist()) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -538,9 +554,10 @@ def test_with_identities_is_the_permuted_outer_product(case):
     want = permute(want, perm)
     got = with_identities(a, dims, perm)
     assert got.shape == want.shape and got.exact == a.exact
-    if a.exact:  # bit for bit: the same den and the same ints
+    if a.exact:  # bit for bit: the same den and the same ints, in a's tier
         assert got.den == want.den == a.den
-        assert all(type(x) is int for x in got.nums.flat)
+        _assert_numerators(got)
+        assert (got.nums.dtype, got.top) == (a.nums.dtype, a.top)
         assert got.nums.ravel().tolist() == want.nums.ravel().tolist()
     else:        # zeros may differ in sign from products with 0j
         assert all(type(x) is complex for x in got.nums.flat)
@@ -560,3 +577,118 @@ def test_with_identities_checks_its_leg_order_and_dims_on_every_call():
     one = with_identities(Tensor.scalar(Fraction(1, 3)), [2, 1], [0, 2, 1, 3])
     assert one.shape == (2, 1, 2, 1) and one.entries() == [
         Fraction(1, 3), 0, 0, Fraction(1, 3)]
+
+
+def _of_objects(nums, den=1, exact=True):
+    """The tensor ``nums / den`` in lowest terms, its numerators held as an
+    object array of Python ints whatever their size (in float mode, ``nums``
+    holds the complex entries)."""
+    return Tensor._reduced(np.asarray(nums, dtype=object), den, math.inf, exact)
+
+
+# numerators on both sides of the int64 tier's bound of 2**62: products of
+# two of them, or short sums, wrap in int64 unless the bounds send them to
+# objects first
+_EDGE = [2 ** 30, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 61, 2 ** 62 - 1, 2 ** 62,
+         2 ** 62 + 1, 2 ** 64]
+_NUMERATORS = {"small": st.integers(-9, 9),
+               "mid": st.integers(2 ** 30 - 9, 2 ** 31 + 9),
+               "edge": st.sampled_from(_EDGE + [-m for m in _EDGE] + [0, 1])}
+
+
+@st.composite
+def _tier_operands(draw):
+    """Exact tensors a (p x q), b (q x r) and c (p x q), each with small
+    numerators, ones near 2**31 or ones planted at 2**62 and beyond, over a
+    den that may share factors with them."""
+    p, q, r = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def tensor_of(shape):
+        n = math.prod(shape)
+        ints = draw(st.lists(_NUMERATORS[draw(st.sampled_from(sorted(_NUMERATORS)))],
+                             min_size=n, max_size=n))
+        den = draw(st.sampled_from([1, 2, 6, 2 ** 40]))
+        return Tensor(np.array([Fraction(k, den) for k in ints], dtype=object)
+                      .reshape(shape))
+    return tensor_of((p, q)), tensor_of((q, r)), tensor_of((p, q))
+
+
+_TIER_OPS = {
+    "tensordot": lambda a, b, c: tensordot(a, b, [1], [0]),
+    "outer": lambda a, b, c: tensordot(a, b, [], []),
+    "full contraction": lambda a, b, c: tensordot(a, c, [1, 0], [1, 0]),
+    "einsum": lambda a, b, c: tensor.einsum("pq,qr->rp", a, b),
+    "einsum to a scalar": lambda a, b, c: tensor.einsum("pq,pq->", a, c),
+    "entrywise": lambda a, b, c: tensor.einsum("...,...->...", a, c),
+    # j has size 1 in the second operand and broadcasts against the first's
+    "broadcast": lambda a, b, c: tensor.einsum("jk,ij->ik", b, a[:, :1]),
+    "stack": lambda a, b, c: tensor.stack({(0,): a, (1,): b, (2,): c}, (3,), 3),
+    "gather": lambda a, b, c: a[[0, -1, 0]],
+    "entry": lambda a, b, c: b[0, -1],
+    "with_identities": lambda a, b, c: with_identities(a, [2], [2, 0, 3, 1]),
+    "permute": lambda a, b, c: permute(b, [1, 0]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tier_operands())
+def test_both_tiers_give_the_same_numbers(operands):
+    # each operation on int64 numerators, or on a mix, gives the numerators
+    # and den it gives on the same tensors held as Python ints; a bound too
+    # low would show here as a product that wrapped around
+    as_objects = [_of_objects(t.nums, t.den, t.exact) for t in operands]
+    for name, op in _TIER_OPS.items():
+        got, want = op(*operands), op(*as_objects)
+        assert want.nums.dtype == object, name
+        assert isinstance(got.nums, np.ndarray), name
+        _assert_lowest_terms(got)
+        assert (got.shape, got.den) == (want.shape, want.den), name
+        assert got.nums.ravel().tolist() == want.nums.ravel().tolist(), name
+        assert equal(got, want) and equal(want, got), name
+        assert hash(got) == hash(want), name
+        for f in got.entries() + ([got.item()] if got.shape == () else []):
+            assert type(f.numerator) is int and type(f.denominator) is int, name
+        mixed = op(operands[0], *as_objects[1:])
+        assert mixed.nums.ravel().tolist() == want.nums.ravel().tolist(), name
+    a, b, c = operands
+    assert np.array_equal(differences(a, c, 0), differences(*as_objects[::2], 0))
+    assert equal(a, c) == equal(as_objects[0], as_objects[2])
+    # a contraction the bounds keep below 2**62 stays in int64
+    if max(a.top, b.top) < 2 ** 62 and a.top * b.top * a.shape[1] < 2 ** 62:
+        assert tensordot(a, b, [1], [0]).nums.dtype == np.int64
+
+
+def test_a_sum_that_would_wrap_is_made_in_objects():
+    # 3 * 2**60 stays in int64; 2 * 2**62 = 2**63 would wrap to -2**63
+    under = Tensor([2 ** 30] * 3)
+    assert (under.nums.dtype, under.top) == (np.int64, 2 ** 30)
+    s = tensordot(under, under, [0], [0])
+    assert s.nums.dtype == np.int64 and s.item() == 3 * 2 ** 60
+    over = Tensor([2 ** 31] * 2)
+    s = tensordot(over, over, [0], [0])
+    assert s.nums.dtype == object and s.item() == 2 ** 63
+    assert tensordot(over, over, [], []).entries() == [2 ** 62] * 4
+    assert tensor.einsum("i,i->", over, over).item() == 2 ** 63
+    # a label of size 1 broadcasts: four products of about 2**62 are summed
+    near = Tensor([[2 ** 31 - 1]] * 4)
+    s = tensor.einsum("jk,ij->ik", near, Tensor([[2 ** 31 - 1]]))
+    assert s.nums.dtype == object and s.entries() == [4 * (2 ** 31 - 1) ** 2]
+    # the edge of the tier: 2**62 - 1 is held in int64, 2**62 in objects
+    assert Tensor([np.int64(2 ** 62), Fraction(1, 3)]).entries() == [
+        2 ** 62, Fraction(1, 3)]
+    assert Tensor([2 ** 62 - 1, 0]).nums.dtype == np.int64
+    assert Tensor([-(2 ** 62), 0]).nums.dtype == object
+    # brought over a common den, 2**30 becomes 2**70
+    tiny, big = Tensor([Fraction(1, 2 ** 40)]), Tensor([2 ** 30])
+    s = tensor.stack({(0,): tiny, (1,): big}, (2,), 1)
+    assert s.nums.dtype == object and s.entries() == [Fraction(1, 2 ** 40), 2 ** 30]
+    assert differences(tiny, big, 0).tolist() == [True]
+    assert not differences(big, Tensor([Fraction(2 ** 70, 2 ** 40)]), 0).any()
+    zero = Tensor.zeros((1,))
+    assert differences(zero, tiny, 0).tolist() == [True]
+    # zeros over a den past int64 reduce to den 1; a zero bound times an
+    # unbounded one is no bound
+    s = tensordot(Tensor([Fraction(1, 2 ** 70)]), zero, [0], [0])
+    assert (s.nums.dtype, s.den, s.item()) == (np.int64, 1, 0)
+    s = tensordot(zero, Tensor([2 ** 64]), [], [])
+    assert (s.nums.dtype, s.entries()) == (object, [0])

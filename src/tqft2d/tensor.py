@@ -4,9 +4,9 @@ An exact tensor holds ``nums``, an integer array of numerators, over
 ``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
 numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
 multiplies the dens and contracts the numerators, and ``equal`` compares the
-dens and then the flat lists of numerators.  A float tensor holds its
-complex entries in ``nums`` with ``den`` fixed at 1, so both modes share one
-code path.  Only this module reads numerators and dens: other modules stack
+dens and then the numerators.  A float tensor holds its complex entries in
+``nums`` with ``den`` fixed at 1, so both modes share one code path.  Only
+this module reads numerators and dens: other modules stack
 blocks (``stack``), gather entries (``t[idx]``), contract (``tensordot``,
 ``einsum``), lay identity legs beside a tensor (``with_identities``) and
 compare, each result in lowest terms.  A tensor carries no tolerance: the
@@ -25,7 +25,10 @@ its operands, with no scan of the entries: a contraction summing n products
 is bounded by ``top_a * top_b * n``.  When that bound reaches 2**62 one
 operand becomes objects first, numpy multiplies int64 by objects as objects,
 and the result stays in objects from there.  Float tensors keep object
-complex entries and an infinite ``top``.
+complex entries and an infinite ``top``.  ``equal`` compares two int64
+tiers as raw bytes, one C comparison, since ``.tolist()`` would box every
+entry into a new Python int; when either side holds objects it compares
+flat lists of ints, which agree across tiers.
 """
 
 from __future__ import annotations
@@ -492,13 +495,21 @@ def equal(a: Tensor, b: Tensor, tol=DEFAULT_TOL) -> bool:
     """Same shape and mode, and no entry differs (see ``differences``).
 
     Exact tensors are in lowest terms, so equal ones share their den and
-    their numerators, which are compared as flat lists of ints."""
+    their numerators.  Two int64 tiers compare their raw numerator bytes in
+    row-major order, one C comparison: ``.tolist()`` would box every entry
+    into a new Python int first.  When either side holds objects the
+    numerators are compared as flat lists of ints, which holds across tiers.
+    """
     x, y = a.nums, b.nums
     if x.shape != y.shape or a.exact != b.exact:
         return False
     if not a.exact:
         return first_difference(a, b, tol) is None
-    return a.den == b.den and x.ravel().tolist() == y.ravel().tolist()
+    if a.den != b.den:
+        return False
+    if max(a.top, b.top) < _LIMIT:  # both int64
+        return x.tobytes() == y.tobytes()
+    return x.ravel().tolist() == y.ravel().tolist()
 
 
 def invert_matrix(a: Tensor, tol=DEFAULT_TOL):

@@ -692,3 +692,75 @@ def test_a_sum_that_would_wrap_is_made_in_objects():
     assert (s.nums.dtype, s.den, s.item()) == (np.int64, 1, 0)
     s = tensordot(zero, Tensor([2 ** 64]), [], [])
     assert (s.nums.dtype, s.entries()) == (object, [0])
+
+
+def _held(t, how):
+    """The int64 tensor t as it is, as a transposed view of a Fortran-order
+    copy, as a basic-slice gather ``wide[..., 0]`` that keeps a strided
+    view, or as objects."""
+    nums = t.nums
+    if how == "transposed":
+        return Tensor._of(nums.T.copy().T, t.den, t.top, True)
+    if how == "sliced":
+        return Tensor._of(np.stack([nums, -nums], axis=-1), t.den, t.top, True)[..., 0]
+    return _of_objects(nums, t.den) if how == "objects" else t
+
+
+# from a scalar to 4,352 entries
+_EQUAL_SHAPES = [(), (1,), (5,), (2, 3), (3, 1, 4), (8, 8, 8), (4096,), (64, 64),
+                 (16, 16, 17)]
+
+
+@st.composite
+def _equal_operands(draw):
+    """Two exact tensors of one shape, each held in any way of ``_held``: b's
+    numerators are a's, or a's with one planted difference at the first
+    entry, at the last, in the high bits only (2**40 against 2**40 + 2**32)
+    or in the sign."""
+    shape = draw(st.sampled_from(_EQUAL_SHAPES))
+    n = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    lim = draw(st.sampled_from([9, 2 ** 41]))
+    x = np.array(rng.integers(-lim, lim + 1, size=shape), dtype=np.int64)
+    y = x.copy()
+    plant = draw(st.sampled_from(["none", "first", "last", "high bits", "sign"]))
+    k = {"first": 0, "last": n - 1}.get(plant, draw(st.integers(0, n - 1)))
+    if plant in ("first", "last"):
+        y.flat[k] += 1
+    elif plant == "high bits":
+        x.flat[k], y.flat[k] = 2 ** 40, 2 ** 40 + 2 ** 32
+    elif plant == "sign":
+        x.flat[k] = -y.flat[k] or 1
+    den = draw(st.sampled_from([1, 1, 6]))
+
+    def exact(nums):
+        return Tensor._reduced(nums, den, int(np.abs(nums).max()), True)
+    how = st.sampled_from(["contiguous", "transposed", "sliced", "objects"])
+    return tuple(_held(exact(nums), draw(how)) for nums in (x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_equal_operands())
+def test_exact_equal_is_equal_entries_in_every_tier_and_layout(pair):
+    a, b = pair
+    same = a.entries() == b.entries()
+    assert equal(a, b) == equal(b, a) == same
+    assert equal(a, a) and equal(b, b)
+    if same:  # the hash reads lists, so it does not depend on the tier
+        assert hash(a) == hash(b)
+
+
+class _Unboxable(np.ndarray):
+    """An int64 array whose entries cannot be listed as Python ints."""
+
+    def tolist(self):
+        raise AssertionError("tolist() boxes every numerator")
+
+
+def test_equal_on_two_int64_tensors_never_boxes_the_numerators():
+    def unboxable(nums):
+        nums = np.asarray(nums, dtype=np.int64)
+        return Tensor._of(nums.view(_Unboxable), 3, int(np.abs(nums).max()), True)
+    a = unboxable(np.arange(-6, 6).reshape(3, 4))
+    assert equal(a, unboxable(np.arange(-6, 6).reshape(3, 4)))
+    assert not equal(a, unboxable(np.arange(-6, 6).reshape(3, 4) * [1, 1, 1, -1]))

@@ -545,8 +545,6 @@ def _random_layer(rng, arity_in, widen_bias=0.0):
         outs += ARITY[g][1]
     if (not layer or rng.random() < widen_bias) and outs < max_width:
         layer.insert(rng.randrange(len(layer) + 1), Gen.CAP)
-    if not layer:
-        layer = [Gen.CAP]
     return tuple(layer)
 
 

@@ -163,8 +163,7 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     counit_at = stack({(g,): bundle.counit for g in range(n)}, (n,), w)
     ident = stack({(g,): t for g, t in enumerate(bundle.identities)}, (n,), w)
     u, eps = unit_at[0], counit_at[0]
-    mul = np.array(G.table)
-    conj = np.array([[G.conj(k, g) for g in range(n)] for k in range(n)])
+    mul, conj = G.mul_table, G.conj_table
     ein = einsum
     report = ValidationReport()
 
@@ -664,13 +663,9 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
             return bundle.identities[gs[tree]], gs[tree]
         tl, pl = mu_tower(tree[0])
         tr, pr = mu_tower(tree[1])
-        mu = bundle.fusion[pl, pr]
-        t = tensordot(tl, mu, [tl.rank - 1], [0])        # [leavesL, b, c]
-        t = tensordot(t, tr, [tl.rank - 1], [tr.rank - 1])
-        # legs now [leavesL, c, leavesR]; move c to the end
-        nl = tl.rank - 1
-        perm = list(range(nl)) + list(range(nl + 1, t.rank)) + [nl]
-        return permute(t, perm), G.mul(pl, pr)
+        t = tensordot(tr, bundle.fusion[pl, pr], [tr.rank - 1], [1])  # [leavesR, a, c]
+        t = tensordot(tl, t, [tl.rank - 1], [tr.rank - 1])      # [leavesL, leavesR, c]
+        return t, G.mul(pl, pr)
 
     @lru_cache(maxsize=None)
     def nu_tower(tree):
@@ -739,42 +734,34 @@ def _closed_surface_shape(genus: int) -> BordismWord:
 # ---------------------------------------------------------------------------
 # enumeration of small labeled words
 
+def _layers(need, budget, layer=()):
+    """Every layer of at most ``budget`` generators that reads ``need``
+    circles, extending ``layer``; depth first in ``Gen`` order."""
+    if need == 0 and layer:
+        yield layer
+    if len(layer) < budget:
+        for g in Gen:
+            if ARITY[g][0] <= need:
+                yield from _layers(need - ARITY[g][0], budget, layer + (g,))
+
+
 def _enumerate_shapes(max_gens):
-    all_gens = list(Gen)
-
-    def layers_from(prev_out, budget):
-        """All single layers with the given input arity and size <= budget."""
-        out = []
-
-        def build(layer, need):
-            if need == 0 and layer:
-                out.append(tuple(layer))
-            if len(layer) >= budget:
-                return
-            for g in all_gens:
-                a = ARITY[g][0]
-                if a <= need:
-                    build(layer + [g], need - a)
-
-        build([], prev_out)
-        return out
-
+    """Every word of at most ``max_gens`` generators, depth first: first
+    layers by size, then in ``itertools.product`` order; later layers in
+    ``_layers`` order."""
     results = []
 
     def extend(layers, used):
         if layers:
-            results.append(BordismWord(tuple(layers)))
-        if used >= max_gens:
-            return
-        if layers:
-            candidates = layers_from(results[-1].arity_out, max_gens - used)
+            results.append(BordismWord(layers))
+            candidates = _layers(results[-1].arity_out, max_gens - used)
         else:
-            candidates = [combo for size in range(1, max_gens + 1)
-                          for combo in itertools.product(Gen, repeat=size)]
+            candidates = (combo for size in range(1, max_gens + 1)
+                          for combo in itertools.product(Gen, repeat=size))
         for layer in candidates:
-            extend(layers + [layer], used + len(layer))
+            extend(layers + (layer,), used + len(layer))
 
-    extend([], 0)
+    extend((), 0)
     return results
 
 

@@ -187,27 +187,23 @@ def group_center(group: FiniteGroup):
     """
     classes = group.conjugacy_classes()
     n = len(classes)
-    class_of = {}
+    class_of = np.empty(group.order, dtype=np.intp)
     for ci, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = ci
+        class_of[list(cls)] = ci
     rep = [cls[0] for cls in classes]
-    c = [[[0] * n for _ in classes] for _ in classes]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            for g in ci:
-                for h in cj:
-                    p = group.mul(g, h)
-                    if p == rep[class_of[p]]:
-                        c[i][j][class_of[p]] += 1
-    e_class = class_of[group.identity]
+    # c[i, j, k] counts the pairs (g, h) in C_i x C_j with gh = rep_k
+    p = group.mul_table
+    g, h = np.nonzero(p == np.array(rep)[class_of[p]])
+    c = np.zeros((n, n, n), dtype=np.int64)
+    np.add.at(c, (class_of[g], class_of[h], class_of[p[g, h]]), 1)
+    e_class = int(class_of[group.identity])
     eps = [0] * n
     eps[e_class] = Fraction(1, group.order)
     unit = [0] * n
     unit[e_class] = 1
     labels = tuple("C%s" % group.labels[r] for r in rep)
     return FrobeniusAlgebra(dim=n, basis=labels,
-                            mul=Tensor(c), unit=Tensor(unit), counit=Tensor(eps))
+                            mul=Tensor(c.tolist()), unit=Tensor(unit), counit=Tensor(eps))
 
 
 def change_of_basis(algebra: FrobeniusAlgebra, s: Tensor) -> FrobeniusAlgebra:

@@ -95,7 +95,7 @@ def check_theta(group: FiniteGroup, theta, exact=True,
         if left[g]:
             report.fail("normalization", (e, g))
     # theta(g,h) theta(gh,k) = theta(h,k) theta(g,hk) on axes (g, h, k)
-    mul = np.array(group.table)
+    mul = group.mul_table
     x, y, z = np.ix_(els, els, els)
     bad = differences(_times(t[x, y], t[mul[x, y], z]),
                       _times(t[y, z], t[x, mul[y, z]]), tol)
@@ -113,8 +113,7 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     report.check("transport-compatibility")
     report.check("transport-flatness")
     s, t = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
-    mul = np.array(G.table)
-    conj = np.array([[G.conj(k, g) for g in els] for k in els])
+    mul, conj = G.mul_table, G.conj_table
     x, y, z = np.ix_(els, els, els)
     # tau(k,g) tau(k,h) theta(kgk^-1,khk^-1) = tau(k,gh) theta(g,h) on axes (k, g, h)
     compat = differences(_times(_times(t[x, y], t[x, z]), s[conj[x, y], conj[x, z]]),

@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .tensor import InputError, content_lines, parse_int, read_text
 
 
@@ -18,7 +20,14 @@ class GroupError(InputError):
 
 
 class FiniteGroup:
-    """A finite group on elements 0..order-1 with an explicit table."""
+    """A finite group on elements 0..order-1 with an explicit table.
+
+    Besides the table it keeps two read-only integer arrays, built once:
+    ``mul_table[a, b] = ab`` and ``conj_table[k, g] = k g k^-1``.  Every
+    gather over gradings (the validators, ``direct_product``,
+    ``group_center``) indexes these; ``mul`` and ``conj`` stay scalar
+    lookups for one product at a time.
+    """
 
     def __init__(self, table, labels=None):
         table = tuple(tuple(row) for row in table)
@@ -38,6 +47,9 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self.inv = self._find_inverses()
         self._verify_associativity()
+        self.mul_table = np.array(table, dtype=np.intp)
+        self.conj_table = self.mul_table[self.mul_table, np.array(self.inv)[:, None]]
+        self.mul_table.flags.writeable = self.conj_table.flags.writeable = False
 
     def _find_identity(self):
         for e in range(self.order):
@@ -93,7 +105,7 @@ class FiniteGroup:
         for g in range(self.order):
             if g in seen:
                 continue
-            cls = sorted({self.conj(k, g) for k in range(self.order)})
+            cls = sorted(set(self.conj_table[:, g].tolist()))
             seen.update(cls)
             classes.append(tuple(cls))
         return classes
@@ -133,17 +145,11 @@ def symmetric_group(n):
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup):
-    m1, m2 = g1.order, g2.order
-    table = []
-    for a1 in range(m1):
-        for a2 in range(m2):
-            row = []
-            for b1 in range(m1):
-                for b2 in range(m2):
-                    row.append(g1.table[a1][b1] * m2 + g2.table[a2][b2])
-            table.append(row)
+    # (a1, a2)(b1, b2) = (a1 b1, a2 b2), element (x, y) numbered x * |g2| + y
+    m = g1.order * g2.order
+    table = g1.mul_table[:, None, :, None] * g2.order + g2.mul_table[None, :, None, :]
     labels = ["%s.%s" % (la, lb) for la in g1.labels for lb in g2.labels]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(table.reshape(m, m).tolist(), labels=labels)
 
 
 def klein_four_group():

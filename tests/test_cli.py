@@ -635,6 +635,22 @@ def test_readme_commands_print_the_pinned_output(monkeypatch):
             assert (code, out) == (want["code"], want["stdout"]), (mode, command)
 
 
+def test_fixture_commands_print_the_pinned_output(monkeypatch):
+    # fixtures the README leaves out: a non-abelian conjugation table,
+    # non-trivial transport and failing checks, pinned in both scalar modes
+    # in fixture_outputs.json
+    with open(os.path.join(os.path.dirname(__file__), "fixture_outputs.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    assert sorted(pinned) == ["exact", "float"]
+    assert len(pinned["exact"]) == 11 and sorted(pinned["float"]) == sorted(pinned["exact"])
+    for mode, outputs in pinned.items():
+        for command, want in outputs.items():
+            code, out = invoke(*shlex.split(command), "--mode", mode)
+            assert (code, out) == (want["code"], want["stdout"]), (mode, command)
+
+
 def test_a_word_file_takes_comments(tmp_path, algebra_file):
     path = tmp_path / "w.word"
     path.write_text("# a pair of pants\npants ; copants  # then split\n")

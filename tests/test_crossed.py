@@ -821,6 +821,55 @@ def test_enumeration_is_deterministic():
     assert w1 == w2 and len(w1) > 0
 
 
+def _reference_enumerate_shapes(max_gens):
+    """_enumerate_shapes with a closure filling a list of layers."""
+    all_gens = list(Gen)
+
+    def layers_from(prev_out, budget):
+        """All single layers with the given input arity and size <= budget."""
+        out = []
+
+        def build(layer, need):
+            if need == 0 and layer:
+                out.append(tuple(layer))
+            if len(layer) >= budget:
+                return
+            for g in all_gens:
+                a = ARITY[g][0]
+                if a <= need:
+                    build(layer + [g], need - a)
+
+        build([], prev_out)
+        return out
+
+    results = []
+
+    def extend(layers, used):
+        if layers:
+            results.append(BordismWord(tuple(layers)))
+        if used >= max_gens:
+            return
+        if layers:
+            candidates = layers_from(results[-1].arity_out, max_gens - used)
+        else:
+            candidates = [combo for size in range(1, max_gens + 1)
+                          for combo in itertools.product(Gen, repeat=size)]
+        for layer in candidates:
+            extend(layers + [layer], used + len(layer))
+
+    extend([], 0)
+    return results
+
+
+def test_shapes_come_in_the_order_of_the_list_reference():
+    counts = []
+    for max_gens in range(5):
+        shapes = [w.layers for w in crossed._enumerate_shapes(max_gens)]
+        assert shapes == [w.layers for w in _reference_enumerate_shapes(max_gens)]
+        counts.append(len(shapes))
+    assert counts == [0, 6, 56, 393, 2587]
+
+
 # --- Frobenius actions, rotations, towers --------------------------------
 
 def test_frobenius_action_on_group_algebra():

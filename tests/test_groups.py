@@ -1,8 +1,16 @@
+import os
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
+from tqft2d.frobenius import FrobeniusAlgebra, group_center
 from tqft2d.groups import (FiniteGroup, GroupError, LoopWord, trivial_group,
                            cyclic_group, symmetric_group, direct_product,
                            klein_four_group, parse_group, format_group)
+from tqft2d.tensor import Tensor
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_cyclic_basics():
@@ -96,3 +104,101 @@ def test_a_group_equals_itself_without_reading_its_tables():
     # a different object still has its tables compared
     with pytest.raises(AssertionError):
         g == symmetric_group(3)
+
+
+def _groups():
+    """Every group the tests build, by name."""
+    with open(os.path.join(FIXDIR, "d8.group"), encoding="utf-8") as fh:
+        d8 = parse_group(fh.read())
+    groups = {"Z%d" % n: cyclic_group(n) for n in range(1, 7)}
+    groups.update(trivial=trivial_group(), S3=symmetric_group(3),
+                  S4=symmetric_group(4), K4=klein_four_group(),
+                  Z3xS3=direct_product(cyclic_group(3), symmetric_group(3)), D8=d8)
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(_groups()))
+def test_the_group_arrays_are_its_products_and_conjugates(name):
+    g = _groups()[name]
+    for table in (g.mul_table, g.conj_table):
+        assert table.shape == (g.order, g.order)
+        assert np.issubdtype(table.dtype, np.integer)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    for a in g.elements():
+        for b in g.elements():
+            assert g.mul_table[a, b] == g.mul(a, b)
+            assert g.conj_table[a, b] == g.conj(a, b)
+
+
+def _reference_direct_product(g1, g2):
+    """direct_product walking both tables entry by entry."""
+    m1, m2 = g1.order, g2.order
+    table = []
+    for a1 in range(m1):
+        for a2 in range(m2):
+            row = []
+            for b1 in range(m1):
+                for b2 in range(m2):
+                    row.append(g1.mul(a1, b1) * m2 + g2.mul(a2, b2))
+            table.append(row)
+    labels = ["%s.%s" % (la, lb) for la in g1.labels for lb in g2.labels]
+    return FiniteGroup(table, labels=labels)
+
+
+def test_direct_product_matches_the_entrywise_table():
+    groups = _groups()
+    for n1 in ("trivial", "Z2", "Z5", "S3", "K4", "D8"):
+        for n2 in ("Z1", "Z3", "S3", "K4"):
+            got = direct_product(groups[n1], groups[n2])
+            want = _reference_direct_product(groups[n1], groups[n2])
+            assert got == want, (n1, n2)
+            # plain Python ints, as a table read from a file holds
+            assert all(type(x) is int for row in got.table for x in row)
+
+
+def _reference_group_center(group):
+    """group_center counting class products pair by pair."""
+    classes = group.conjugacy_classes()
+    n = len(classes)
+    class_of = {}
+    for ci, cls in enumerate(classes):
+        for g in cls:
+            class_of[g] = ci
+    rep = [cls[0] for cls in classes]
+    c = [[[0] * n for _ in classes] for _ in classes]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            for g in ci:
+                for h in cj:
+                    p = group.mul(g, h)
+                    if p == rep[class_of[p]]:
+                        c[i][j][class_of[p]] += 1
+    e_class = class_of[group.identity]
+    eps = [0] * n
+    eps[e_class] = Fraction(1, group.order)
+    unit = [0] * n
+    unit[e_class] = 1
+    labels = tuple("C%s" % group.labels[r] for r in rep)
+    return FrobeniusAlgebra(dim=n, basis=labels,
+                            mul=Tensor(c), unit=Tensor(unit), counit=Tensor(eps))
+
+
+def test_group_center_matches_the_pairwise_count():
+    groups = dict(_groups(), S5=symmetric_group(5))
+    for name, group in groups.items():
+        got, want = group_center(group), _reference_group_center(group)
+        assert got == want, name
+        assert hash(got) == hash(want), name
+
+
+def test_conjugacy_classes_match_the_scalar_orbits():
+    for name, g in _groups().items():
+        seen, classes = set(), []
+        for x in g.elements():
+            if x not in seen:
+                cls = tuple(sorted({g.conj(k, x) for k in g.elements()}))
+                seen.update(cls)
+                classes.append(cls)
+        assert g.conjugacy_classes() == classes, name

@@ -83,3 +83,18 @@ def test_only_tensor_and_gerbe_call_complex():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "complex"]
     assert found == []
+
+
+def test_only_groups_reads_the_multiplication_table():
+    # FiniteGroup owns its tables: a gather over gradings indexes its
+    # mul_table and conj_table, and a single product calls mul or conj
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "groups.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "table"]
+    assert found == []

@@ -254,11 +254,6 @@ class TopologicalType:
 
     components: tuple
 
-    def __str__(self):
-        parts = ["genus=%d in=%s out=%s" % (g, list(i), list(o))
-                 for g, i, o in self.components]
-        return "; ".join(parts) if parts else "empty"
-
 
 def topological_type(w: BordismWord) -> TopologicalType:
     """The complete invariant of the surface a word describes: per connected
@@ -616,11 +611,10 @@ def _rewrite_once(rng, w, max_layers):
         grow = tuple([Gen.ID] * p + [Gen.CAP] + [Gen.ID] * (a - p))
         shrink = tuple([Gen.ID] * p + [Gen.PANTS] + [Gen.ID] * (a - p - 1))
         return _insert_layers(w, at, [grow, shrink])
-    if kind == "counit":
-        grow = tuple([Gen.ID] * p + [Gen.COPANTS] + [Gen.ID] * (a - p - 1))
-        shrink = tuple([Gen.ID] * (p + 1) + [Gen.CUP] + [Gen.ID] * (a - p - 1))
-        return _insert_layers(w, at, [grow, shrink])
-    return w
+    # kind == "counit"
+    grow = tuple([Gen.ID] * p + [Gen.COPANTS] + [Gen.ID] * (a - p - 1))
+    shrink = tuple([Gen.ID] * (p + 1) + [Gen.CUP] + [Gen.ID] * (a - p - 1))
+    return _insert_layers(w, at, [grow, shrink])
 
 
 def random_equivalent_pair(arity, max_layers, seed):

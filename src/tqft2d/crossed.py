@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bordism import (ARITY, CAP, COPANTS, ID, PANTS, BordismWord, Gen,
+from .bordism import (_NAMES, ARITY, CAP, COPANTS, ID, PANTS, BordismWord, Gen,
                       contract_word)
 from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
@@ -145,10 +145,11 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     its gradings at once: both sides are gathered from the stacks through
     the group's multiplication and conjugation tables and contracted with
     ``tensor.einsum``, pairwise in the order of the definition.  A grading
-    fails when its two padded blocks differ (``tensor.differences``).
-    Padding is zero on both sides, so the first row-major differing index
-    of a padded block is that of the block itself: the witnesses are those
-    of comparing block by block, also for unequal fiber dimensions.
+    fails when its two padded blocks differ (``tensor.differences``), and
+    its two blocks go to ``ValidationReport.compare``.  Padding is zero on
+    both sides, so the first row-major differing index of a padded block is
+    that of the block itself: the witnesses are those of comparing block by
+    block, also for unequal fiber dimensions.
     Violations come grading by grading in row-major order, with the axioms
     of one loop over gradings interleaved in the order they are checked
     below.  The largest intermediate holds |G|^3 D^4 entries.
@@ -167,83 +168,69 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     ein = einsum
     report = ValidationReport()
 
-    def witnesses(lhs, rhs):
-        """{i: first index where the blocks lhs[i] and rhs[i] differ}."""
-        bad = differences(lhs, rhs, tol)
-        bad = bad.reshape(len(bad), -1)
-        return {int(i): tuple(int(x) for x in
-                              np.unravel_index(int(bad[i].argmax()), lhs.shape[1:]))
-                for i in np.flatnonzero(bad.any(axis=1))}
-
     def fail(gradings, checks):
-        """Report each (axiom, tag, witnesses) of ``checks`` at grading
-        ``gradings[:, i] + tag``, grading by grading, in the order given."""
-        for i in sorted(set().union(*(wit for _, _, wit in checks))):
-            grading = tuple(int(x) for x in gradings[:, i])
-            for axiom, tag, wit in checks:
-                if i in wit:
-                    report.fail(axiom, grading + tag + wit[i])
+        """Check each (axiom, tag, sides) of ``checks`` at every grading
+        ``gradings[:, i]``, ``sides()`` giving the stacked lhs and rhs: one
+        check's sides at a time, keeping only their failing blocks.  Each
+        failing grading then reports, in row-major order and the checks in
+        the order given, through ``report.compare`` at ``grading + tag``."""
+        failing = {}
+        for j, (axiom, tag, sides) in enumerate(checks):
+            report.check(axiom)
+            lhs, rhs = sides()
+            bad = differences(lhs, rhs, tol).reshape(lhs.shape[0], -1).any(axis=1)
+            for i in np.flatnonzero(bad).tolist():
+                failing[i, j] = axiom, tag, lhs[i], rhs[i]
+            del lhs, rhs  # before the next check's sides are built
+        for (i, _), (axiom, tag, lhs, rhs) in sorted(failing.items()):
+            report.compare(axiom, lhs, rhs, tol,
+                           tuple(int(x) for x in gradings[:, i]) + tag)
 
     triples = np.indices((n, n, n)).reshape(3, -1)
 
-    report.check("fusion-transport")
-    report.check("fission-transport")
     k, g, h = triples
     gh, gc, hc = mul[g, h], conj[k, g], conj[k, h]
-    # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k), legs (a, b, y)
-    lhs = ein("nabx,nxy->naby", mu[g, h], P[k, gh])
-    rhs = ein("nbj,najy->naby", P[k, h], ein("nai,nijy->najy", P[k, g], mu[gc, hc]))
-    fusion = witnesses(lhs, rhs)
-    # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}, legs (x, i, j)
-    lhs = ein("nxy,nyij->nxij", P[k, gh], nu[gc, hc])
-    rhs = ein("nxbi,nbj->nxij", ein("nxab,nai->nxbi", nu[g, h], P[k, g]), P[k, h])
-    fission = witnesses(lhs, rhs)
-    fail(triples, [("fusion-transport", (), fusion),
-                   ("fission-transport", (), fission)])
+    fail(triples, [
+        # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k), legs (a, b, y)
+        ("fusion-transport", (), lambda: (
+            ein("nabx,nxy->naby", mu[g, h], P[k, gh]),
+            ein("nbj,najy->naby", P[k, h], ein("nai,nijy->najy", P[k, g], mu[gc, hc])))),
+        # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}, legs (x, i, j)
+        ("fission-transport", (), lambda: (
+            ein("nxy,nyij->nxij", P[k, gh], nu[gc, hc]),
+            ein("nxbi,nbj->nxij", ein("nxab,nai->nxbi", nu[g, h], P[k, g]), P[k, h])))])
 
-    report.check("associativity")
-    report.check("coassociativity")
-    report.check("frobenius")
     g, h, k = triples
     gh, hk = mul[g, h], mul[h, k]
-    # legs (a, b, c, d)
-    assoc = witnesses(ein("nabx,nxcd->nabcd", mu[g, h], mu[gh, k]),
-                      ein("nbcx,naxd->nabcd", mu[h, k], mu[g, hk]))
-    # legs (x, a, b, c)
-    coassoc = witnesses(ein("nxyc,nyab->nxabc", nu[gh, k], nu[g, h]),
-                        ein("nxay,nybc->nxabc", nu[g, hk], nu[h, k]))
-    # nu_{g,hk} . mu_{gh,k} = (id x mu_{h,k}) . (nu_{g,h} x id), legs (p, q, r, s)
-    frob = witnesses(ein("npqz,nzrs->npqrs", mu[gh, k], nu[g, hk]),
-                     ein("nprz,nzqs->npqrs", nu[g, h], mu[h, k]))
-    # nu_{gh,k} . mu_{g,hk} = (mu_{g,h} x id) . (id x nu_{h,k}), legs (p, q, r, s)
-    frob_rev = witnesses(ein("npqz,nzrs->npqrs", mu[g, hk], nu[gh, k]),
-                         ein("nqzs,npzr->npqrs", nu[h, k], mu[g, h]))
-    fail(triples, [("associativity", (), assoc), ("coassociativity", (), coassoc),
-                   ("frobenius", (), frob), ("frobenius", ("rev",), frob_rev)])
+    fail(triples, [
+        # legs (a, b, c, d)
+        ("associativity", (), lambda: (ein("nabx,nxcd->nabcd", mu[g, h], mu[gh, k]),
+                                       ein("nbcx,naxd->nabcd", mu[h, k], mu[g, hk]))),
+        # legs (x, a, b, c)
+        ("coassociativity", (), lambda: (ein("nxyc,nyab->nxabc", nu[gh, k], nu[g, h]),
+                                         ein("nxay,nybc->nxabc", nu[g, hk], nu[h, k]))),
+        # nu_{g,hk} . mu_{gh,k} = (id x mu_{h,k}) . (nu_{g,h} x id), legs (p, q, r, s)
+        ("frobenius", (), lambda: (ein("npqz,nzrs->npqrs", mu[gh, k], nu[g, hk]),
+                                   ein("nprz,nzqs->npqrs", nu[g, h], mu[h, k]))),
+        # nu_{gh,k} . mu_{g,hk} = (mu_{g,h} x id) . (id x nu_{h,k}), legs (p, q, r, s)
+        ("frobenius", ("rev",), lambda: (ein("npqz,nzrs->npqrs", mu[g, hk], nu[gh, k]),
+                                         ein("nqzs,npzr->npqrs", nu[h, k], mu[g, h])))])
 
     singles = np.arange(n)[None]
-    report.check("unit-transport")
-    units = witnesses(ein("x,nxy->ny", u, P[:, e]), unit_at)
-    counits = witnesses(ein("nxy,y->nx", P[:, e], eps), counit_at)
-    fail(singles, [("unit-transport", (), units),
-                   ("unit-transport", ("counit",), counits)])
-
-    report.check("unit")
-    report.check("counit")
-    units = witnesses(ein("nayb,y->nab", mu[:, e], u), ident)
-    counits = witnesses(ein("naby,y->nab", nu[:, e], eps), ident)
-    fail(singles, [("unit", (), units), ("counit", (), counits)])
+    fail(singles, [("unit-transport", (), lambda: (ein("x,nxy->ny", u, P[:, e]), unit_at)),
+                   ("unit-transport", ("counit",),
+                    lambda: (ein("nxy,y->nx", P[:, e], eps), counit_at))])
+    fail(singles, [("unit", (), lambda: (ein("nayb,y->nab", mu[:, e], u), ident)),
+                   ("counit", (), lambda: (ein("naby,y->nab", nu[:, e], eps), ident))])
 
     report.check("nondegeneracy")
     pair = tensordot(bundle.fusion[e, e], bundle.counit, [2], [0])
     if invert_matrix(pair, tol) is None:
         report.fail("nondegeneracy", ())
 
-    report.check("flatness")
-    fail(np.stack([np.full(n, e), np.arange(n)]),
-         [("flatness", (), witnesses(P[e], ident))])
+    fail(np.stack([np.full(n, e), np.arange(n)]), [("flatness", (), lambda: (P[e], ident))])
     k, l, g = triples
-    fail(triples, [("flatness", (), witnesses(
+    fail(triples, [("flatness", (), lambda: (
         ein("nay,nyb->nab", P[l, g], P[k, conj[l, g]]), P[mul[k, l], g]))])
     return report
 
@@ -428,7 +415,7 @@ def parse_labeled(text: str, group: FiniteGroup) -> LabeledBordism:
                     raise LabelError("missing ']' in %r" % f)
                 body = rest[:-1].strip()
                 args = tuple(group.index(s.strip()) for s in body.split(",")) if body else ()
-            gen = next((g for g in Gen if g.value == name), None)
+            gen = _NAMES.get(name)
             if gen is None:
                 raise LabelError("unknown generator %r" % name)
             ann = None
@@ -777,10 +764,14 @@ def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
     for shape in _enumerate_shapes(max_gens):
         n_in = shape.arity_in
         n_free = sum(g in (Gen.ID, Gen.COPANTS) for layer in shape.layers for g in layer)
-        total = group.order ** (n_in + n_free)
+        width = n_in + n_free
+        total = group.order ** width
         step = max(1, -(-total // budget_per_shape))
-        labelings = itertools.product(group.elements(), repeat=n_in + n_free)
-        for combo in itertools.islice(labelings, 0, None, step):
+        powers = [group.order ** p for p in reversed(range(width))]
+        for index in range(0, total, step):
+            # the index-th labeling in itertools.product order: the base-|G|
+            # digits of index, most significant first
+            combo = tuple([index // p % group.order for p in powers])
             # a free value is the conjugator of an id, or the first label of
             # a copants split, whose second label it then fixes
             frees = iter(combo[n_in:])

@@ -306,6 +306,43 @@ def test_random_pairs_evaluate_equal():
         assert equal(evaluate(w1, a), evaluate(w2, a))
 
 
+def _normal_form(w, a):
+    """The folk theorem's value of a plain word, read off its topological
+    type alone: per component a multiplication chain over its inputs (the
+    unit when it has none), the handle operator once per genus, and a
+    comultiplication chain onto its outputs (the counit when it has none);
+    the components tensored together, legs [inputs..., outputs...]."""
+    state, legs = Tensor.scalar(1, exact=a.exact), []
+    for genus, ins, outs in topological_type(w).components:
+        # the last leg is the running circle
+        t = Tensor.identity(a.dim, exact=a.exact) if ins else a.unit
+        for _ in ins[1:]:
+            t = tensordot(t, a.mul, [t.rank - 1], [0])
+        for _ in range(genus):
+            t = tensordot(t, a.handle, [t.rank - 1], [0])
+        for _ in outs[1:]:
+            t = tensordot(t, a.delta, [t.rank - 1], [0])
+        if not outs:
+            t = tensordot(t, a.counit, [t.rank - 1], [0])
+        state = tensordot(state, t, [], [])
+        legs += list(ins) + [w.arity_in + p for p in outs]
+    return permute(state, [legs.index(i) for i in range(len(legs))])
+
+
+def test_contraction_equals_the_normal_form_of_the_topological_type():
+    # an oracle independent of the pairs: a bug that changes both words of a
+    # pair alike still changes the contraction against the normal form
+    algebras = [dual_numbers(), group_center(symmetric_group(3)),
+                diagonal([Fraction(2), Fraction(1, 3)]), dual_numbers(False)]
+    compared = 0
+    for seed in range(600):
+        for w in random_equivalent_pair((seed % 3, (seed // 3) % 3), 8, seed):
+            for a in algebras:
+                assert equal(_normal_form(w, a), evaluate(w, a), a.tol), (seed, w, a)
+                compared += 1
+    assert compared == 4800
+
+
 def test_nfold_bracketings_agree():
     # all bracketings of a 4-fold multiplication tower
     towers = [

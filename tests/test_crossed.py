@@ -33,7 +33,8 @@ from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
 from tqft2d.gerbe import (from_cocycle, klein_anticommuting_cocycle,
                           load_cocycle, to_crossed_bundle)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
-                           symmetric_group, klein_four_group, format_group)
+                           symmetric_group, klein_four_group, format_group,
+                           parse_group)
 from tqft2d.report import ValidationReport, Violation
 from tqft2d.tensor import (Tensor, equal, first_difference, invert_matrix,
                            permute, tensordot)
@@ -819,6 +820,60 @@ def test_enumeration_is_deterministic():
     w1 = enumerate_labeled_words(Z2, 2, budget_per_shape=10)
     w2 = enumerate_labeled_words(Z2, 2, budget_per_shape=10)
     assert w1 == w2 and len(w1) > 0
+
+
+def _reference_enumerate_labeled_words(group, max_gens, budget_per_shape=50):
+    """enumerate_labeled_words stepping through every labeling of a shape,
+    in ``itertools.product`` order, to keep one in ``step``."""
+    out = []
+    for shape in crossed._enumerate_shapes(max_gens):
+        n_in = shape.arity_in
+        n_free = sum(g in (Gen.ID, Gen.COPANTS) for layer in shape.layers for g in layer)
+        total = group.order ** (n_in + n_free)
+        step = max(1, -(-total // budget_per_shape))
+        labelings = itertools.product(group.elements(), repeat=n_in + n_free)
+        for combo in itertools.islice(labelings, 0, None, step):
+            frees = iter(combo[n_in:])
+            boundaries = [combo[:n_in]]
+            annots = []
+            try:
+                for t, layer in enumerate(shape.layers):
+                    cur = boundaries[-1]
+                    row = []
+                    for g, q in zip(layer, shape.offsets[t]):
+                        if g is Gen.ID:
+                            row.append(next(frees))
+                        elif g is Gen.COPANTS:
+                            first = next(frees)
+                            row.append((first, group.mul(group.inverse(first), cur[q])))
+                        else:
+                            row.append(None)
+                    labels, norm = crossed._label_layer(group, shape, t, row, cur)
+                    boundaries.append(labels)
+                    annots.append(norm)
+            except LabelError:
+                continue
+            out.append(crossed.LabeledBordism(group=group, word=shape,
+                                              boundaries=tuple(boundaries),
+                                              annotations=tuple(annots)))
+    return out
+
+
+def test_labelings_are_those_of_the_stepping_reference():
+    with open(os.path.join(FIXDIR, "d8.group"), encoding="utf-8") as fh:
+        D8 = parse_group(fh.read())
+    cases = [(Z2, 1000), (Z2, 5), (S3, 12), (S3, 50), (klein_four_group(), 12),
+             (klein_four_group(), 50), (D8, 12), (D8, 50)]
+    for group, budget in cases:
+        words = enumerate_labeled_words(group, 3, budget_per_shape=budget)
+        assert words == _reference_enumerate_labeled_words(group, 3, budget)
+        assert all(isinstance(label, int) for b in words for label in b.in_labels)
+
+
+def test_labelings_are_decoded_without_walking_the_skipped_ones():
+    # S4 at three generators has shapes of 24^6 labelings; stepping through
+    # them all took over a minute
+    assert len(enumerate_labeled_words(symmetric_group(4), 3, budget_per_shape=12)) == 3594
 
 
 def _reference_enumerate_shapes(max_gens):

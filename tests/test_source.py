@@ -8,7 +8,10 @@ import sys
 from tqft2d import tensor
 from tqft2d.bordism import contract_word
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tqft2d")
+from mutants import MUTANTS
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "tqft2d")
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
@@ -98,3 +101,36 @@ def test_only_groups_reads_the_multiplication_table():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "table"]
     assert found == []
+
+
+def test_only_tensor_locates_a_difference():
+    # the first row-major index where two tensors differ is
+    # tensor.first_difference's to find; a validator reports a failing
+    # grading through ValidationReport.compare, which calls it
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "tensor.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "unravel_index"
+                  or isinstance(node, ast.Name) and node.id == "unravel_index"]
+    assert found == []
+
+
+def test_every_planted_fault_still_applies():
+    # tests/run_mutants.py plants each fault of tests/mutants.py by text, so
+    # its old text must occur exactly once and each named killer must exist
+    for path, old, new, killers in MUTANTS:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            assert fh.read().count(old) == 1, (path, old)
+        assert old != new and killers, (path, old)
+        for killer in killers:
+            test_file, _, name = killer.partition("::")
+            with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=test_file)
+            defined = {node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef)}
+            assert name.partition("[")[0] in defined, killer

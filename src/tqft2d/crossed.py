@@ -171,16 +171,20 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     def fail(gradings, checks):
         """Check each (axiom, tag, sides) of ``checks`` at every grading
         ``gradings[:, i]``, ``sides()`` giving the stacked lhs and rhs: one
-        check's sides at a time, keeping only their failing blocks.  Each
-        failing grading then reports, in row-major order and the checks in
-        the order given, through ``report.compare`` at ``grading + tag``."""
+        check's sides at a time, gathering their failing blocks into fresh
+        arrays so that the stacks are dropped.  Each failing grading then
+        reports, in row-major order and the checks in the order given,
+        through ``report.compare`` at ``grading + tag``."""
         failing = {}
         for j, (axiom, tag, sides) in enumerate(checks):
             report.check(axiom)
             lhs, rhs = sides()
-            bad = differences(lhs, rhs, tol).reshape(lhs.shape[0], -1).any(axis=1)
-            for i in np.flatnonzero(bad).tolist():
-                failing[i, j] = axiom, tag, lhs[i], rhs[i]
+            bad = np.flatnonzero(
+                differences(lhs, rhs, tol).reshape(lhs.shape[0], -1).any(axis=1))
+            if bad.size:  # copies: a block alone would be a view of the stack
+                lhs, rhs = lhs[bad], rhs[bad]
+                for m, i in enumerate(bad.tolist()):
+                    failing[i, j] = axiom, tag, lhs[m], rhs[m]
             del lhs, rhs  # before the next check's sides are built
         for (i, _), (axiom, tag, lhs, rhs) in sorted(failing.items()):
             report.compare(axiom, lhs, rhs, tol,

@@ -48,8 +48,8 @@ MUTANTS = [
       "tests/test_acceptance.py::test_criterion_07_bundle_validator_completeness"]),
     # validate_bundle reports only the first failing check at a grading
     ("src/tqft2d/crossed.py",
-     "                failing[i, j] = axiom, tag, lhs[i], rhs[i]\n",
-     "                failing.setdefault((i, 0), (axiom, tag, lhs[i], rhs[i]))\n",
+     "                    failing[i, j] = axiom, tag, lhs[m], rhs[m]\n",
+     "                    failing.setdefault((i, 0), (axiom, tag, lhs[m], rhs[m]))\n",
      ["tests/test_crossed.py::test_validate_bundle_matches_the_loop_reference",
       "tests/test_crossed.py::test_cli_validate_bundle_reports_the_reference_violations"]),
     # enumerate_labeled_words decodes a labeling's digits least significant
@@ -58,7 +58,7 @@ MUTANTS = [
      "        powers = [group.order ** p for p in reversed(range(width))]\n",
      "        powers = [group.order ** p for p in range(width)]\n",
      ["tests/test_crossed.py::test_labelings_are_those_of_the_stepping_reference",
-      "tests/test_crossed.py::test_labelings_are_decoded_without_walking_the_skipped_ones",
+      "tests/test_crossed.py::test_s4_at_three_generators_lists_its_3594_words",
       "tests/test_cli.py::test_fixture_commands_print_the_pinned_output"]),
     # the schedule puts a word's outputs in reverse order
     ("src/tqft2d/bordism.py",

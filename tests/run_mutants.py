@@ -1,7 +1,7 @@
 """Plant each fault of ``tests/mutants.py`` in a copy of the repository and
 run the tests named to catch it.
 
-    python tests/run_mutants.py [SUBSTRING]
+    python tests/run_mutants.py
 
 Each mutant gets a fresh copy under a temporary directory, with its ``old``
 text replaced by its ``new`` text, and pytest runs only its killers there.
@@ -9,8 +9,6 @@ A mutant is killed when every one of its killers fails, so a later change
 that weakens any of them shows here; a killer that passes or does not run
 leaves it a survivor.  Prints one line per mutant, with the killers that
 did not fail, and ``killed/total``; exits 1 when any mutant survives.
-Only mutants whose file, old or new text contains SUBSTRING run, if it is
-given.
 """
 
 import os
@@ -48,10 +46,9 @@ def run_mutant(path, old, new, killers):
     return [k for k in killers if k not in failed]
 
 
-def main(argv):
-    chosen = [m for m in MUTANTS if not argv or any(argv[0] in s for s in m[:3])]
+def main():
     killed = 0
-    for path, old, new, killers in chosen:
+    for path, old, new, killers in MUTANTS:
         start = time.perf_counter()
         alive = run_mutant(path, old, new, killers)
         killed += not alive
@@ -60,9 +57,9 @@ def main(argv):
                                               old.strip(), new.strip()))
         for killer in alive:
             print("    did not fail: %s" % killer)
-    print("%d/%d killed" % (killed, len(chosen)))
-    return 0 if killed == len(chosen) else 1
+    print("%d/%d killed" % (killed, len(MUTANTS)))
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -483,7 +483,7 @@ def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
         state = Tensor.scalar(1, exact=exact)
     # both give a fresh array: the state may still be a generator tensor
     if pads:
-        return with_identities(state, [pad(i) for i in pads], perm)
+        return with_identities(state, tuple(map(pad, pads)), perm)
     return permute(state, perm)
 
 

@@ -501,21 +501,23 @@ def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
     by k, ``pants`` is fusion, ``copants`` fission, and ``cap``/``cup`` are
     the unit/counit.
     """
-    if b.group != bundle.group:
+    if b.group is not bundle.group and b.group != bundle.group:
         raise BundleError("bordism and bundle are over different groups")
+    boundaries, annotations = b.boundaries, b.annotations
+    transport, fusion, fission = bundle.transport, bundle.fusion, bundle.fission
 
     def lookup(g, t, j, q):
-        labels = b.boundaries[t]
         if g is ID:
-            return bundle.transport[b.annotations[t][j], labels[q]]
+            return transport[annotations[t][j], boundaries[t][q]]
         if g is PANTS:
-            return bundle.fusion[labels[q], labels[q + 1]]
+            labels = boundaries[t]
+            return fusion[labels[q], labels[q + 1]]
         if g is COPANTS:
-            return bundle.fission[b.annotations[t][j]]
+            return fission[annotations[t][j]]
         return bundle.unit if g is CAP else bundle.counit
 
-    dims = bundle.dims
-    return contract_word(b.word, lookup, lambda i: dims[b.in_labels[i]],
+    dims, in_labels = bundle.dims, boundaries[0]
+    return contract_word(b.word, lookup, lambda i: dims[in_labels[i]],
                          bundle.exact, carry=False)
 
 

@@ -14,7 +14,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bordism import Gen
+from .bordism import COPANTS, CUP, ID, PANTS
 from .crossed import (CrossedBundle, LabeledBordism, LabelError,
                       closed_surface_word, evaluate_labeled)
 from .groups import FiniteGroup, klein_four_group, load_over
@@ -77,6 +77,11 @@ class ScalarBundle:
         per scalar bundle for ``gerbe_holonomy``'s cross-check."""
         return to_crossed_bundle(self)
 
+    @cached_property
+    def theta_report(self):
+        """``check_theta`` of theta, for ``from_cocycle`` and ``check_cocycle``."""
+        return check_theta(self.group, self.theta, self.exact, self.tol)
+
 
 def check_theta(group: FiniteGroup, theta, exact=True,
                 tol=DEFAULT_TOL) -> ValidationReport:
@@ -109,7 +114,8 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     G = sb.group
     e, els = G.identity, G.elements()
     exact, tol = sb.exact, sb.tol
-    report = check_theta(G, sb.theta, exact, tol)
+    theta = sb.theta_report  # the report grows here, so it is copied
+    report = ValidationReport(list(theta.violations), list(theta.checked))
     report.check("transport-compatibility")
     report.check("transport-flatness")
     s, t = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
@@ -149,10 +155,15 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
     complex, and values within ``tol`` count as equal in the cocycle check
     and in the bundle's own checks.
     """
-    exact = not isinstance(counit_scalar, complex)
-    one = Fraction(1) if exact else complex(1)
+    one = complex(1) if isinstance(counit_scalar, complex) else Fraction(1)
     theta = _complete(group, theta, one)
-    rep = check_theta(group, theta, exact, tol)
+    for key, value in theta.items():  # before the induced transport divides by it
+        if value == 0:
+            raise CocycleError("theta(%d,%d) is zero" % key)
+    tau = induced_transport(group, theta) if tau is None else _complete(group, tau, one)
+    sb = ScalarBundle(group=group, theta=theta, tau=tau,
+                      counit_scalar=counit_scalar, tol=tol)
+    rep = sb.theta_report
     if not rep.passed:
         first = rep.violations[0]
         hint = ("; dividing by the coboundary of beta(g) = theta(g,e) "
@@ -161,12 +172,7 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
         raise CocycleError("not a normalized cocycle: %s fails at grading (%s)%s"
                            % (first.axiom, ", ".join(group.labels[g]
                                                      for g in first.witness), hint))
-    if tau is None:
-        tau = induced_transport(group, theta)
-    else:
-        tau = _complete(group, tau, one)
-    return ScalarBundle(group=group, theta=theta, tau=tau,
-                        counit_scalar=counit_scalar, tol=tol)
+    return sb
 
 
 def coboundary(group: FiniteGroup, theta, beta) -> dict:
@@ -207,23 +213,31 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
 
 
 def scalar_surface_product(b: LabeledBordism, sb: ScalarBundle):
-    """Holonomy of a closed labeled surface as a plain product of scalars."""
+    """Holonomy of a closed labeled surface as a plain product of scalars,
+    in exact mode of Python ints over Python ints, one Fraction at the end."""
     if not b.is_closed():
         raise LabelError("holonomy needs a closed labeled surface")
-    acc = Fraction(1) if sb.exact else complex(1)
+    exact, acc, num, den = sb.exact, complex(1), 1, 1
     for t, (layer, ann_row) in enumerate(zip(b.word.layers, b.annotations)):
         cur = b.boundaries[t]
         for gen, ann, q in zip(layer, ann_row, b.word.offsets[t]):
-            if gen is Gen.ID:
-                acc = acc * sb.tau[ann, cur[q]]
-            elif gen is Gen.PANTS:
-                acc = acc * sb.theta[cur[q], cur[q + 1]]
-            elif gen is Gen.COPANTS:
-                acc = acc / (sb.counit_scalar * sb.theta[ann])
-            elif gen is Gen.CUP:
-                acc = acc * sb.counit_scalar
-            # CAP and SWAP contribute 1
-    return acc
+            over = gen is COPANTS  # divides by the factor
+            if gen is ID:
+                x = sb.tau[ann, cur[q]]
+            elif gen is PANTS:
+                x = sb.theta[cur[q], cur[q + 1]]
+            elif over:
+                x = sb.counit_scalar * sb.theta[ann]
+            elif gen is CUP:
+                x = sb.counit_scalar
+            else:  # CAP and SWAP contribute 1
+                continue
+            if exact:
+                n, d = x.numerator, x.denominator
+                num, den = (num * d, den * n) if over else (num * n, den * d)
+            else:
+                acc = acc / x if over else acc * x
+    return Fraction(num, den) if exact else acc
 
 
 def gerbe_holonomy(sb: ScalarBundle, genus: int, handles=()):

@@ -49,6 +49,7 @@ _LIMIT = 1 << 62
 # the bound of an object array: none below _LIMIT is known.  A product with
 # it is infinite, or nan for a zero factor, and either fails ``< _LIMIT``
 _UNBOUNDED = math.inf
+_new = object.__new__
 
 
 class ModeMismatchError(TypeError):
@@ -171,14 +172,17 @@ class Tensor:
                 else:
                     nums = np.asarray(nums // g, dtype=object)
                 den //= g
-        return cls._of(nums, den, top, exact)
+        return _of(nums, den, top, exact)
 
-    @classmethod
-    def _of(cls, nums, den, top, exact):
+    @staticmethod
+    def _of(nums, den, top, exact):
         """A tensor of numerators ``nums`` within ``top`` over ``den``,
         already in lowest terms."""
-        t = cls.__new__(cls)
-        t.nums, t.den, t.top, t.exact = nums, den, top, exact
+        t = _new(Tensor)
+        t.nums = nums
+        t.den = den
+        t.top = top
+        t.exact = exact
         return t
 
     @classmethod
@@ -188,13 +192,13 @@ class Tensor:
     @classmethod
     def zeros(cls, shape, exact=True):
         if exact:
-            return cls._of(np.zeros(shape, dtype=np.int64), 1, 0, True)
-        return cls._of(np.full(shape, complex(0), dtype=object), 1, _UNBOUNDED, False)
+            return _of(np.zeros(shape, dtype=np.int64), 1, 0, True)
+        return _of(np.full(shape, complex(0), dtype=object), 1, _UNBOUNDED, False)
 
     @classmethod
     def identity(cls, n, exact=True):
         if exact:
-            return cls._of(np.eye(n, dtype=np.int64), 1, 1, True)
+            return _of(np.eye(n, dtype=np.int64), 1, 1, True)
         t = cls.zeros((n, n), exact=False)
         t.nums[range(n), range(n)] = complex(1)
         return t
@@ -243,9 +247,9 @@ class Tensor:
         return hash((self.shape, self.den, tuple(self.nums.ravel().tolist())))
 
 
-def _check_modes(a, b):
-    if a.exact != b.exact:
-        raise ModeMismatchError("cannot mix exact and approximate tensors")
+# bound once, so a contraction looks up neither the class nor numpy
+_of = Tensor._of
+_dot, _outer = np.dot, np.multiply.outer
 
 
 def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
@@ -263,8 +267,11 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     Each entry sums ``n`` products, n the size of the paired legs (1 for
     the outer product), so it lies within ``a.top * b.top * n``: int64
     operands under that bound contract in int64, and otherwise in objects.
+    A den of 1 is lowest terms as it is; only a larger den is reduced.
     """
-    _check_modes(a, b)
+    exact = a.exact
+    if exact != b.exact:
+        raise ModeMismatchError("cannot mix exact and approximate tensors")
     x, y = a.nums, b.nums
     paired = axes_a or axes_b
     if paired:
@@ -284,14 +291,17 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
             y = y.transpose(order_b)
         if mat_b is not None:
             y = y.reshape(mat_b)
-        r = np.dot(x, y)
+        r = _dot(x, y)
         if out is not None:
             r = r.reshape(out)
     else:
-        r = np.multiply.outer(x, y)
+        r = _outer(x, y)
         if type(r) is not np.ndarray:  # a scalar times a scalar
             r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
-    return Tensor._reduced(r, a.den * b.den, top, a.exact)
+    den = a.den * b.den
+    if den == 1:
+        return _of(r, 1, top, exact)
+    return Tensor._reduced(r, den, top, exact)
 
 
 @lru_cache(maxsize=1024)
@@ -337,7 +347,7 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
 
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
-    return Tensor._of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
+    return _of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
 
 
 def with_identities(a: Tensor, dims, perm) -> Tensor:
@@ -354,7 +364,7 @@ def with_identities(a: Tensor, dims, perm) -> Tensor:
         np.full(shape, complex(0), dtype=object)
     # written through a flat view, so the tensor keeps no view of its own
     out.reshape(-1)[idx] = a.nums.reshape(-1, 1)
-    return Tensor._of(out, a.den, a.top, a.exact)
+    return _of(out, a.den, a.top, a.exact)
 
 
 @lru_cache(maxsize=1024)
@@ -420,7 +430,7 @@ def stack(blocks, lead, width) -> Tensor:
             out[key] = nums
         else:
             out[key + tuple(map(slice, nums.shape))] = nums
-    return Tensor._of(out, den, top, exact)
+    return _of(out, den, top, exact)
 
 
 def einsum(spec, *operands) -> Tensor:
@@ -468,7 +478,7 @@ def _summed(spec, shapes):
 def differences(a: Tensor, b: Tensor, tol):
     """Boolean array over the common shape of a and b, true where they
     differ: as fractions in exact mode, by more than ``tol`` in float mode."""
-    _check_modes(a, b)
+    _common_mode((a, b))
     if a.shape != b.shape:
         raise ContractionError("cannot compare shapes %s and %s" % (a.shape, b.shape))
     if not a.exact:

@@ -28,15 +28,27 @@ MUTANTS = [
      "    if a.den != b.den:\n        return False\n",
      "",
      ["tests/test_tensor.py::test_exact_equal_is_no_first_difference"]),
+    # permute returns a view of its operand's numerators
+    ("src/tqft2d/tensor.py",
+     "_of(a.nums.transpose(perm).copy(),",
+     "_of(a.nums.transpose(perm),",
+     ["tests/test_bordism.py::test_evaluate_returns_a_fresh_array",
+      "tests/test_crossed.py::test_evaluate_labeled_returns_a_fresh_array"]),
+    # tensordot skips the reduction whatever the den
+    ("src/tqft2d/tensor.py",
+     "    if den == 1:\n        return _of(r, 1, top, exact)\n",
+     "    if den:\n        return _of(r, den, top, exact)\n",
+     ["tests/test_tensor.py::test_every_exact_tensor_is_in_lowest_terms",
+      "tests/test_tensor.py::test_both_tiers_give_the_same_numbers"]),
     # the scalar walk reads tau with its two arguments swapped
     ("src/tqft2d/gerbe.py",
-     "acc = acc * sb.tau[ann, cur[q]]",
-     "acc = acc * sb.tau[cur[q], ann]",
+     "x = sb.tau[ann, cur[q]]",
+     "x = sb.tau[cur[q], ann]",
      ["tests/test_cli.py::test_cocycle_holonomy_on_a_non_abelian_twisted_bundle"]),
     # evaluate_labeled reads each copants split reversed
     ("src/tqft2d/crossed.py",
-     "return bundle.fission[b.annotations[t][j]]",
-     "return bundle.fission[b.annotations[t][j][::-1]]",
+     "return fission[annotations[t][j]]",
+     "return fission[annotations[t][j][::-1]]",
      ["tests/test_crossed.py::test_closed_surfaces_have_the_reference_holonomy",
       "tests/test_cli.py::test_cocycle_holonomy_on_a_non_abelian_twisted_bundle"]),
     # validate_bundle never reports a degenerate pairing

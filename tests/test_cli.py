@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tqft2d import cli
+from tqft2d import cli, gerbe
 from tqft2d.cli import run
 from tqft2d.crossed import from_group_algebra, from_frobenius_algebra, \
     format_bundle, holonomy, load_bundle
@@ -273,6 +273,19 @@ def test_cocycle_command(tmp_path):
                         "--genus", "1", "--labels", "10,01")
     assert code == 0
     assert "-1" in text.splitlines()
+
+
+def test_the_cocycle_command_checks_theta_once(monkeypatch):
+    # loading the file checks theta, and the command's report reuses that check
+    original, calls = gerbe.check_theta, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(gerbe, "check_theta", counted)
+    code, _ = invoke("cocycle", "--cocycle", os.path.join(FIXDIR, "k4_anti.cocycle"),
+                     "--genus", "1", "--labels", "10,01")
+    assert code == 0 and len(calls) == 1
 
 
 def test_cocycle_command_uses_the_tolerance(tmp_path):

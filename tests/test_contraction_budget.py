@@ -82,6 +82,21 @@ def test_a_labeled_roundtrip_pass_takes_no_identity_outer_products():
     assert 0 < outer <= LABELED_OUTER_ENTRIES, outer
 
 
+def test_a_labeled_roundtrip_pass_reduces_no_den_1_contraction(monkeypatch):
+    # every contraction of a pass has den 1, already lowest terms; it made
+    # 41,066 reductions, one per tensordot call, when each result went
+    # through Tensor._reduced
+    wl = _perfbench("workloads").build_labeled_roundtrip(tqft2d, 1, {})
+    original, dens = tensor.Tensor._reduced, []
+
+    def reduced(nums, den, top, exact):
+        dens.append(den)
+        return original(nums, den, top, exact)
+    monkeypatch.setattr(tensor.Tensor, "_reduced", staticmethod(reduced))
+    assert all(passed for passed, _ in (wl.op(item) for item in wl.items))
+    assert dens == []
+
+
 def _tiers(monkeypatch, calls):
     """The results of ``calls`` and, for each tensordot call they make,
     whether its two operands and its result hold int64 numerators."""

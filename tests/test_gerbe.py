@@ -148,6 +148,16 @@ def test_check_cocycle_reports_a_transport_unit_witness_once():
     assert got.count("transport-flatness at (0, 1)") == 1
 
 
+@pytest.mark.parametrize("cast", [Fraction, complex])
+def test_a_zero_theta_is_named_before_the_transport_divides_by_it(cast):
+    # the induced transport divides by theta(kgk^-1, k): a zero there used to
+    # end in a bare ZeroDivisionError, while tau={} gave this CocycleError
+    theta = {(1, 1): cast(0)}
+    for tau in (None, {}):
+        with pytest.raises(CocycleError, match=r"theta\(1,1\) is zero"):
+            from_cocycle(cyclic_group(2), theta, tau=tau, counit_scalar=cast(1))
+
+
 def test_zero_scalar_rejected():
     theta = trivial_theta(K)
     tau = {(g, h): Fraction(1) for g in K.elements() for h in K.elements()}

@@ -68,6 +68,10 @@ def test_only_tensor_reads_the_exact_number_format():
         found += ["%s:%d .%s" % (os.path.basename(path), node.lineno, node.attr)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in format_names]
+        # the constructor is bound at module level too, so no module imports it
+        found += ["%s:%d import %s" % (os.path.basename(path), node.lineno, alias.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in format_names]
     assert found == []
 
 

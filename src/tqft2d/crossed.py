@@ -31,7 +31,7 @@ from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     einsum, equal, invert_matrix, parse_int, parse_scalar,
+                     einsum, equal, invert_matrix, parse_int, parse_scalars,
                      format_scalar, permute, stack, tensordot)
 
 
@@ -833,7 +833,7 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
                 continue
             head, _, body = line.partition(":")
             toks = head.split()
-            vals = [parse_scalar(t, exact) for t in body.split()]
+            vals = parse_scalars(body.split(), exact)
             if len(toks) == 3 and toks[0] in raw:
                 seen, key = raw[toks[0]], (group.index(toks[1]), group.index(toks[2]))
             elif toks in (["unit"], ["counit"]):

@@ -17,7 +17,7 @@ from .groups import FiniteGroup
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
                      equal, format_scalar, invert_matrix, parse_int,
-                     parse_scalar, permute, read_text, tensordot)
+                     parse_scalars, permute, read_text, tensordot)
 
 
 class StructureError(InputError):
@@ -249,7 +249,7 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             toks = line.split()
             if toks[0] != tag or len(toks) != n + 1:
                 raise StructureError("expected '%s' and %d entries" % (tag, n))
-            vectors.append([parse_scalar(t, exact) for t in toks[1:]])
+            vectors.append(parse_scalars(toks[1:], exact))
         c = np.full((n, n, n), 0, dtype=object)
         products = set()
         for number, line in lines[4:]:
@@ -263,16 +263,23 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             if (i, j) in products:
                 raise StructureError("repeated mul %d %d" % (i + 1, j + 1))
             products.add((i, j))
-            targets = set()
-            for term in filter(None, (term.strip() for term in rhs.split(","))):
-                ktok, _, ctok = term.partition(":")
-                k = parse_int(ktok, "target index") - 1
-                if not 0 <= k < n:
-                    raise StructureError("index out of range")
-                if k in targets:
-                    raise StructureError("repeated target %d" % (k + 1))
-                targets.add(k)
-                c[i, j, k] = parse_scalar(ctok.strip(), exact)
+            targets = {}  # target index -> coefficient text, in line order
+            try:
+                for term in filter(None, (term.strip() for term in rhs.split(","))):
+                    ktok, _, ctok = term.partition(":")
+                    k = parse_int(ktok, "target index") - 1
+                    if not 0 <= k < n:
+                        raise StructureError("index out of range")
+                    if k in targets:
+                        raise StructureError("repeated target %d" % (k + 1))
+                    targets[k] = ctok.strip()
+            except InputError:
+                # a bad number in an earlier term is the error, as it is
+                # when the terms are read one by one
+                parse_scalars(list(targets.values()), exact)
+                raise
+            for k, value in zip(targets, parse_scalars(list(targets.values()), exact)):
+                c[i, j, k] = value
     except InputError as exc:
         raise exc.at_line(number, line)
     return FrobeniusAlgebra(dim=n, basis=basis, mul=Tensor(c, exact=exact),

@@ -127,6 +127,8 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
     # tau(kl,g) = tau(k,lgl^-1) tau(l,g) on axes (k, l, g)
     flat = differences(t[mul[x, y], z], _times(t[x, conj[y, z]], t[y, z]), tol)
     unit = differences(t[e], Tensor([1] * G.order, exact=exact), tol)
+    if not (compat.any() or flat.any() or unit.any()):
+        return report
     for k in els:
         for g in els:
             if k == e and unit[g]:
@@ -203,11 +205,16 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     c = sb.counit_scalar
     exact = sb.exact
 
-    fusion = {k: Tensor([[[v]]], exact=exact) for k, v in sb.theta.items()}
-    fission = {k: Tensor([[[1 / (c * v)]]], exact=exact) for k, v in sb.theta.items()}
-    transport = {k: Tensor([[v]], exact=exact) for k, v in sb.tau.items()}
+    # each block is the (g, h) entry of one of three tables, gathered with
+    # legs of dimension 1 in lowest terms: three constructor calls, not one
+    # per block
+    theta, tau = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
+    inverse = _table(G, {k: 1 / (c * v) for k, v in sb.theta.items()}, exact)
+    line3, line2 = (None,) * 3, (None,) * 2
     return CrossedBundle(group=G, dims=(1,) * G.order,
-                         fusion=fusion, fission=fission, transport=transport,
+                         fusion={k: theta[k + line3] for k in sb.theta},
+                         fission={k: inverse[k + line3] for k in sb.theta},
+                         transport={k: tau[k + line2] for k in sb.tau},
                          unit=Tensor([1], exact=exact),
                          counit=Tensor([c], exact=exact), tol=sb.tol)
 

@@ -14,7 +14,10 @@ algebra, bundle or oracle that owns it does, and passes it to the
 comparisons (``differences``, ``first_difference``, ``equal``) and to
 ``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
 ``Tensor`` constructor and ``parse_scalar`` take them in, ``item()`` and
-``entries()`` give them out, over Python ints.
+``entries()`` give them out, over Python ints.  Integer input makes none:
+``parse_scalars`` reads a line of integer text to Python ints in one
+``int`` map, and the constructor takes entries that are all Python ints as
+numerators over den 1 directly.
 
 The numerators come in two tiers, chosen by a bound the tensor carries in
 ``top``.  When every numerator is known to lie within ``top`` < 2**62 they
@@ -111,6 +114,20 @@ def parse_scalar(token, exact=True):
     return value
 
 
+def parse_scalars(tokens, exact=True):
+    """``parse_scalar`` of each token, as a list.  In exact mode a line of
+    integer text is read by one ``int`` map, to Python ints and no Fraction
+    per entry: wherever ``int`` reads a token, ``Fraction`` reads the same
+    number.  Any other line (``p/q``, decimals, bad tokens, the digit limit)
+    is read token by token, with ``parse_scalar``'s values and errors."""
+    if exact:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [parse_scalar(t, exact) for t in tokens]
+
+
 def format_scalar(value):
     """Text of a scalar: ``p/q`` or ``p`` for a Fraction, of any length."""
     if isinstance(value, Fraction):
@@ -132,28 +149,33 @@ class Tensor:
     __slots__ = ("nums", "den", "exact", "top")
 
     def __init__(self, entries, exact=True):
-        """The tensor of ``entries``: ints or Fractions in exact mode,
-        numbers stored as Python complex in float mode."""
+        """The tensor of ``entries``: ints or Fractions in exact mode (all
+        Python ints are the numerators as they are, over den 1), numbers
+        stored as Python complex in float mode."""
         nums = np.asarray(entries, dtype=object)
         den, top = 1, _UNBOUNDED
         if not exact:
             nums = np.array([complex(x) for x in nums.flat],
                             dtype=object).reshape(nums.shape)
         else:
-            # a numpy scalar becomes a Python number first: a Fraction of it
-            # would keep a numerator that wraps around
-            vals = [x if isinstance(x, (int, Fraction)) else
-                    Fraction(x.item() if isinstance(x, np.generic) else x)
-                    for x in nums.flat]
-            # over the lcm of reduced denominators the numerators share no
-            # factor with it, so this is already lowest terms
-            den = math.lcm(1, *(x.denominator for x in vals))
-            ints = [x.numerator * (den // x.denominator) for x in vals]
-            top = max(map(abs, ints), default=0)
+            vals = nums.ravel().tolist()
+            # Python ints are their own numerators over den 1; anything else
+            # (Fractions, bools, numpy scalars) is brought to a common den
+            if set(map(type, vals)) != {int}:
+                # a numpy scalar becomes a Python number first: a Fraction of
+                # it would keep a numerator that wraps around
+                vals = [x if isinstance(x, (int, Fraction)) else
+                        Fraction(x.item() if isinstance(x, np.generic) else x)
+                        for x in vals]
+                # over the lcm of reduced denominators the numerators share
+                # no factor with it, so this is already lowest terms
+                den = math.lcm(1, *(x.denominator for x in vals))
+                vals = [x.numerator * (den // x.denominator) for x in vals]
+            top = max(map(abs, vals), default=0)
             if top < _LIMIT:
-                nums = np.array(ints, dtype=np.int64).reshape(nums.shape)
+                nums = np.array(vals, dtype=np.int64).reshape(nums.shape)
             else:
-                nums = np.array(ints, dtype=object).reshape(nums.shape)
+                nums = np.array(vals, dtype=object).reshape(nums.shape)
                 top = _UNBOUNDED
         self.nums, self.den, self.exact, self.top = nums, den, exact, top
 

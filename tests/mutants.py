@@ -40,6 +40,30 @@ MUTANTS = [
      "    if den:\n        return _of(r, den, top, exact)\n",
      ["tests/test_tensor.py::test_every_exact_tensor_is_in_lowest_terms",
       "tests/test_tensor.py::test_both_tiers_give_the_same_numbers"]),
+    # parse_scalar lets Fraction's own errors out, not InputErrors naming a
+    # line
+    ("src/tqft2d/tensor.py",
+     '        return _read(Fraction, token, "number")\n',
+     "        return Fraction(token)\n",
+     ["tests/test_tensor.py::test_the_line_reader_reads_what_parse_scalar_reads",
+      "tests/test_tensor.py::test_the_readers_keep_the_digit_limit_and_name_the_integer",
+      "tests/test_input_fuzz.py::test_every_mutated_fixture_exits_cleanly_and_names_its_line"]),
+    # parse_scalars skips its token-by-token fallback: a line that is not all
+    # integers fails with int's ValueError
+    ("src/tqft2d/tensor.py",
+     "        except ValueError:\n            pass\n",
+     "        except TypeError:\n            pass\n",
+     ["tests/test_tensor.py::test_the_line_reader_reads_what_parse_scalar_reads",
+      "tests/test_crossed.py::test_a_bundle_file_of_43k_tokens_reads_back_block_for_block",
+      "tests/test_cli.py::test_fixture_commands_print_the_pinned_output"]),
+    # the constructor takes its int path when any entry is an int, so the
+    # Fractions beside it keep den 1 and are truncated
+    ("src/tqft2d/tensor.py",
+     "            if set(map(type, vals)) != {int}:\n",
+     "            if int not in set(map(type, vals)):\n",
+     ["tests/test_tensor.py::test_int_entries_build_the_tensor_their_fractions_build",
+      "tests/test_tensor.py::test_exact_tensor_holds_numerators_over_the_least_common_denominator",
+      "tests/test_frobenius.py::test_s3_center_pairing_and_invariant"]),
     # the scalar walk reads tau with its two arguments swapped
     ("src/tqft2d/gerbe.py",
      "x = sb.tau[ann, cur[q]]",

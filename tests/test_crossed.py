@@ -30,7 +30,7 @@ from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               comultiplication, group_center, change_of_basis,
                               format_algebra, load_algebra, rescale_counit,
                               validate)
-from tqft2d.gerbe import (from_cocycle, klein_anticommuting_cocycle,
+from tqft2d.gerbe import (ScalarBundle, from_cocycle, klein_anticommuting_cocycle,
                           load_cocycle, to_crossed_bundle)
 from tqft2d.groups import (LoopWord, trivial_group, cyclic_group,
                            symmetric_group, klein_four_group, format_group,
@@ -1108,6 +1108,41 @@ def test_bundle_file_roundtrip(tmp_path):
         bfile = tmp_path / ("%s.bundle" % name)
         bfile.write_text(format_bundle(B, "%s.group" % name))
         assert load_bundle(str(bfile)) == B
+
+
+def test_a_bundle_file_of_43k_tokens_reads_back_block_for_block():
+    B = from_frobenius_algebra(symmetric_group(4), group_center(S3))
+    text = format_bundle(B, "s4.group")
+    # lines of integers, and a counit line with p/q
+    assert len(text.split()) > 43000 and "counit : 1/6 0 0" in text
+    read = parse_bundle(text, B.group)
+    assert list(B.differences(read)) == []
+
+
+def _one_constructor_call_per_block(sb):
+    """The fusion, fission and transport blocks of ``to_crossed_bundle(sb)``,
+    each made by its own constructor call."""
+    c, exact = sb.counit_scalar, sb.exact
+    return ({k: Tensor([[[v]]], exact=exact) for k, v in sb.theta.items()},
+            {k: Tensor([[[1 / (c * v)]]], exact=exact) for k, v in sb.theta.items()},
+            {k: Tensor([[v]], exact=exact) for k, v in sb.tau.items()})
+
+
+def test_rank_one_blocks_are_those_of_one_constructor_call_each():
+    pairs = list(itertools.product(Z2.elements(), repeat=2))
+    signs = list(itertools.product((Fraction(1), Fraction(-1)), repeat=len(pairs)))
+    bundles = [ScalarBundle(Z2, dict(zip(pairs, theta)), dict(zip(pairs, tau)), c)
+               for theta in signs for tau in signs
+               for c in (Fraction(1), Fraction(-1), Fraction(1, 2))]
+    bundles.append(load_cocycle(os.path.join(os.path.dirname(Z2_DUAL_FILE),
+                                             "d8_twisted.cocycle")))
+    for sb in bundles:
+        B = to_crossed_bundle(sb)
+        for family, blocks in zip(crossed.FAMILIES, _one_constructor_call_per_block(sb)):
+            built = getattr(B, family)
+            assert list(built) == list(blocks)
+            for key, block in blocks.items():
+                assert equal(built[key], block), (family, key)
 
 
 def test_bundle_file_missing_blocks():

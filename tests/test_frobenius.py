@@ -18,7 +18,8 @@ from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError,
                               load_algebra)
 from tqft2d.groups import (cyclic_group, direct_product, klein_four_group,
                            symmetric_group)
-from tqft2d.tensor import Tensor, equal, tensordot, invert_matrix, permute
+from tqft2d.tensor import (InputError, Tensor, equal, tensordot, invert_matrix,
+                           permute)
 
 from test_tensor import _of_objects
 
@@ -309,6 +310,18 @@ mul 2 1 -> 2:3/3
     a = parse_algebra(text)
     assert validate(a).passed
     assert values(a.counit)[1] == 1
+
+
+@pytest.mark.parametrize("terms, message", [
+    ("1:x, 3:1", "bad number"), ("3:x, 1:1", "index out of range"),
+    ("1:1, 3:x", "index out of range"), ("1:1, 1:x", "repeated target 1"),
+    ("2:1/0, 2:1", "bad number"), ("1:1, 2:", "bad number")])
+def test_a_mul_line_names_its_first_bad_term(terms, message):
+    # each term's index is checked before its coefficient is read, as when
+    # the terms are read one by one
+    text = "dim 2\nbasis 1 x\nunit 1 0\ncounit 0 1\nmul 1 1 -> %s\n" % terms
+    with pytest.raises(InputError, match="^line 5: %s in " % message):
+        parse_algebra(text)
 
 
 def test_equality_uses_the_algebra_tolerance(tmp_path):

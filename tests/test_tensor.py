@@ -11,8 +11,8 @@ from tqft2d import tensor
 from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            InputError, content_lines, parse_int,
                            tensordot, equal, differences, first_difference,
-                           invert_matrix, parse_scalar, format_scalar, permute,
-                           with_identities)
+                           invert_matrix, parse_scalar, parse_scalars,
+                           format_scalar, permute, with_identities)
 
 
 def outer(a, b):
@@ -85,6 +85,64 @@ def test_the_readers_keep_the_digit_limit_and_name_the_integer():
     with pytest.raises(InputError, match="^bad row$"):
         parse_int("1/2", "row")
     assert parse_int(" -7", "row") == -7
+
+
+_DIGITS = {"ascii": "0123456789", "arabic-indic": "٠١٢٣٤٥٦٧٨٩",
+           "fullwidth": "０１２３４５６７８９"}
+
+
+@st.composite
+def _integer_text(draw):
+    """Integer text as int() and Fraction() both read it: a sign, leading
+    zeros, ``_`` between digits and non-ASCII decimal digits, of values past
+    2**62 too."""
+    digits = str(draw(st.one_of(st.integers(0, 99), st.integers(0, 2 ** 80))))
+    digits = "0" * draw(st.integers(0, 2)) + digits
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    script = _DIGITS[draw(st.sampled_from(sorted(_DIGITS)))]
+    return draw(st.sampled_from(["", "+", "-"])) + digits.translate(
+        str.maketrans("0123456789", script))
+
+
+_scalar_tokens = st.one_of(
+    _integer_text(), _integer_text(),
+    st.sampled_from(["1" * 4301, "-" + "9" * 5000,               # past the digit limit
+                     "1/2", "-3/6", "4/1", "1/0", "0.5", "-.25", "1e3", "2E-2",
+                     "", "x", ":", "--1", "_1", "1_", "1__0", "0x10", "²", "1 0",
+                     "nan", "inf"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_scalar_tokens, max_size=6), st.booleans())
+def test_the_line_reader_reads_what_parse_scalar_reads(tokens, exact):
+    try:
+        expected = [parse_scalar(t, exact) for t in tokens]
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            parse_scalars(tokens, exact)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_scalars(tokens, exact) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-9, 9), st.integers(-2 ** 64, 2 ** 64)),
+                          st.sampled_from([1, 1, 1, 2, 6])), min_size=1, max_size=6))
+def test_int_entries_build_the_tensor_their_fractions_build(entries):
+    # whole entries as Python ints: the int path when every entry is whole,
+    # a mix of ints and Fractions otherwise
+    fractions = [Fraction(n, d) for n, d in entries]
+    mixed = [int(x) if x.denominator == 1 else x for x in fractions]
+    reference = Tensor(fractions)
+    for t in (Tensor(mixed), Tensor(np.array(mixed, dtype=object).reshape(1, -1))):
+        _assert_numerators(t)
+        assert t.nums.dtype == reference.nums.dtype
+        assert (t.den, t.top) == (reference.den, reference.top)
+        assert t.nums.ravel().tolist() == reference.nums.tolist()
+        if t.nums.dtype == np.int64:
+            assert t.nums.tobytes() == reference.nums.tobytes()
 
 
 def test_content_lines_number_the_lines_that_have_text():

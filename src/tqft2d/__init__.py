@@ -33,7 +33,7 @@ from .crossed import (CrossedBundle, BundleError, LabelError, ExtractionError,
                       insert_identity_layer, insert_conjugation_pair,
                       enumerate_labeled_words, parse_bundle, format_bundle,
                       load_bundle)
-from .gerbe import (ScalarBundle, CocycleError, check_theta, check_cocycle,
+from .gerbe import (ScalarBundle, CocycleError, check_cocycle,
                     induced_transport, from_cocycle, coboundary,
                     klein_anticommuting_cocycle, to_crossed_bundle,
                     scalar_surface_product, gerbe_holonomy,

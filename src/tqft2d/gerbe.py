@@ -3,24 +3,23 @@
 When every fiber is a line, fusion is a normalized 2-cocycle theta on the
 group, fission is forced to 1/(c * theta), and transport is a scalar
 function tau compatible with conjugation.  Holonomy of a closed labeled
-surface reduces to a product of these scalars.
+surface reduces to a product of these scalars.  The scalars are checked
+as the rank-one crossed bundle they inflate to, by ``validate_bundle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-
-import numpy as np
+from functools import cached_property
 
 from .bordism import COPANTS, CUP, ID, PANTS
 from .crossed import (CrossedBundle, LabeledBordism, LabelError,
-                      closed_surface_word, evaluate_labeled)
+                      closed_surface_word, evaluate_labeled, validate_bundle)
 from .groups import FiniteGroup, klein_four_group, load_over
 from .report import ValidationReport
-from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     einsum, first_difference, parse_scalar, format_scalar)
+from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines,
+                     first_difference, parse_scalar, format_scalar)
 
 
 class CocycleError(InputError):
@@ -31,9 +30,6 @@ def _table(group, values, exact):
     """A (g, h) -> scalar dict as the tensor [g, h]."""
     els = group.elements()
     return Tensor([[values[g, h] for h in els] for g in els], exact=exact)
-
-
-_times = partial(einsum, "...,...->...")  # entrywise, shapes broadcast
 
 
 def _complete(group, data, default):
@@ -74,70 +70,26 @@ class ScalarBundle:
     @cached_property
     def crossed_bundle(self):
         """The rank-one crossed bundle (``to_crossed_bundle``), built once
-        per scalar bundle for ``gerbe_holonomy``'s cross-check."""
+        per scalar bundle for its validation and ``gerbe_holonomy``'s
+        cross-check."""
         return to_crossed_bundle(self)
 
     @cached_property
-    def theta_report(self):
-        """``check_theta`` of theta, for ``from_cocycle`` and ``check_cocycle``."""
-        return check_theta(self.group, self.theta, self.exact, self.tol)
-
-
-def check_theta(group: FiniteGroup, theta, exact=True,
-                tol=DEFAULT_TOL) -> ValidationReport:
-    """Cocycle identity and normalization for a fusion scalar table; in
-    float mode (``exact=False``) values within ``tol`` count as equal."""
-    report = ValidationReport()
-    report.check("cocycle")
-    report.check("normalization")
-    e, els = group.identity, group.elements()
-    t, ones = _table(group, theta, exact), Tensor([1] * group.order, exact=exact)
-    right = differences(t[:, e], ones, tol)
-    left = differences(t[e], ones, tol)
-    for g in els:
-        if right[g]:
-            report.fail("normalization", (g, e))
-        if left[g]:
-            report.fail("normalization", (e, g))
-    # theta(g,h) theta(gh,k) = theta(h,k) theta(g,hk) on axes (g, h, k)
-    mul = group.mul_table
-    x, y, z = np.ix_(els, els, els)
-    bad = differences(_times(t[x, y], t[mul[x, y], z]),
-                      _times(t[y, z], t[x, mul[y, z]]), tol)
-    for idx in np.argwhere(bad):
-        report.fail("cocycle", tuple(int(i) for i in idx))
-    return report
+    def report(self):
+        """``validate_bundle`` of the rank-one bundle, made once for
+        ``from_cocycle`` and ``check_cocycle``."""
+        return validate_bundle(self.crossed_bundle)
 
 
 def check_cocycle(sb: ScalarBundle) -> ValidationReport:
-    """Cocycle identity plus transport compatibility and flatness."""
-    G = sb.group
-    e, els = G.identity, G.elements()
-    exact, tol = sb.exact, sb.tol
-    theta = sb.theta_report  # the report grows here, so it is copied
-    report = ValidationReport(list(theta.violations), list(theta.checked))
-    report.check("transport-compatibility")
-    report.check("transport-flatness")
-    s, t = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
-    mul, conj = G.mul_table, G.conj_table
-    x, y, z = np.ix_(els, els, els)
-    # tau(k,g) tau(k,h) theta(kgk^-1,khk^-1) = tau(k,gh) theta(g,h) on axes (k, g, h)
-    compat = differences(_times(_times(t[x, y], t[x, z]), s[conj[x, y], conj[x, z]]),
-                         _times(t[x, mul[y, z]], s[y, z]), tol)
-    # tau(kl,g) = tau(k,lgl^-1) tau(l,g) on axes (k, l, g)
-    flat = differences(t[mul[x, y], z], _times(t[x, conj[y, z]], t[y, z]), tol)
-    unit = differences(t[e], Tensor([1] * G.order, exact=exact), tol)
-    if not (compat.any() or flat.any() or unit.any()):
-        return report
-    for k in els:
-        for g in els:
-            if k == e and unit[g]:
-                report.fail("transport-flatness", (e, g))
-            for h in np.flatnonzero(compat[k, g]):
-                report.fail("transport-compatibility", (k, g, int(h)))
-            for l in np.flatnonzero(flat[k, :, g]):
-                report.fail("transport-flatness", (k, int(l), g))
-    return report
+    """The crossed-bundle axioms of the rank-one bundle (``validate_bundle``).
+
+    On scalars, associativity is the cocycle identity of theta, the unit
+    axiom is its normalization theta(g,e) = 1, fusion-transport is the
+    compatibility of tau with theta, and flatness that of tau with the
+    group law; the rest follow from these.
+    """
+    return sb.report
 
 
 def induced_transport(group: FiniteGroup, theta) -> dict:
@@ -154,8 +106,9 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
     """Build a scalar bundle; transport defaults to twisted conjugation.
 
     A complex ``counit_scalar`` makes the bundle a float one: its values are
-    complex, and values within ``tol`` count as equal in the cocycle check
-    and in the bundle's own checks.
+    complex, and values within ``tol`` count as equal in the bundle's checks.
+    A theta that fails an axiom of its own (the first of them, named by its
+    grading) raises ``CocycleError``; a bad tau is left to ``check_cocycle``.
     """
     one = complex(1) if isinstance(counit_scalar, complex) else Fraction(1)
     theta = _complete(group, theta, one)
@@ -165,15 +118,19 @@ def from_cocycle(group: FiniteGroup, theta, tau=None, counit_scalar=Fraction(1),
     tau = induced_transport(group, theta) if tau is None else _complete(group, tau, one)
     sb = ScalarBundle(group=group, theta=theta, tau=tau,
                       counit_scalar=counit_scalar, tol=tol)
-    rep = sb.theta_report
-    if not rep.passed:
-        first = rep.violations[0]
+    # the axioms theta alone can fail, each with the length of its grading,
+    # which leads the witness
+    theta_axioms = {"associativity": 3, "coassociativity": 3, "frobenius": 3,
+                    "unit": 1, "counit": 1}
+    first = next((v for v in sb.report.violations if v.axiom in theta_axioms), None)
+    if first is not None:
         hint = ("; dividing by the coboundary of beta(g) = theta(g,e) "
                 "normalizes the unit values"
-                if "normalization" in rep.failed_axioms() else "")
+                if "unit" in sb.report.failed_axioms() else "")
+        grading = first.witness[:theta_axioms[first.axiom]]
         raise CocycleError("not a normalized cocycle: %s fails at grading (%s)%s"
                            % (first.axiom, ", ".join(group.labels[g]
-                                                     for g in first.witness), hint))
+                                                     for g in grading), hint))
     return sb
 
 

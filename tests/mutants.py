@@ -69,6 +69,19 @@ MUTANTS = [
      "x = sb.tau[ann, cur[q]]",
      "x = sb.tau[cur[q], ann]",
      ["tests/test_cli.py::test_cocycle_holonomy_on_a_non_abelian_twisted_bundle"]),
+    # from_cocycle blames theta only for the cocycle identity, so a theta
+    # off at the unit alone loads
+    ("src/tqft2d/gerbe.py",
+     '                    "unit": 1, "counit": 1}\n',
+     "                    }\n",
+     ["tests/test_gerbe.py::test_a_constant_theta_fails_the_unit_axiom_at_a_grading_of_one_label"]),
+    # parse_cocycle drops its line prefix: its errors name no line
+    ("src/tqft2d/gerbe.py",
+     "        raise exc.at_line(number, line)\n",
+     "        raise exc\n",
+     ["tests/test_input_fuzz.py::test_every_mutated_fixture_exits_cleanly_and_names_its_line",
+      "tests/test_cli.py::test_a_repeated_cocycle_line_is_a_parse_error[theta]",
+      "tests/test_cli.py::test_a_number_that_does_not_read_names_its_line[cocycle]"]),
     # evaluate_labeled reads each copants split reversed
     ("src/tqft2d/crossed.py",
      "return fission[annotations[t][j]]",

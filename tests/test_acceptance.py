@@ -25,7 +25,7 @@ from tqft2d.frobenius import (FrobeniusAlgebra, validate, pairing,
                               comultiplication, closed_invariant, ground_field,
                               dual_numbers, diagonal, group_center,
                               change_of_basis)
-from tqft2d.gerbe import (check_theta, check_cocycle, from_cocycle,
+from tqft2d.gerbe import (check_cocycle, from_cocycle,
                           coboundary, klein_anticommuting_cocycle,
                           to_crossed_bundle, scalar_surface_product,
                           gerbe_holonomy)
@@ -298,7 +298,6 @@ def test_criterion_11_rank_one_gerbe():
     t0 = time.perf_counter()
     K, theta = klein_anticommuting_cocycle()
     sb = from_cocycle(K, theta)
-    assert check_theta(K, theta).passed
     assert check_cocycle(sb).passed
     u, v = K.index("10"), K.index("01")
     tor = closed_surface_word(K, 1, [(u, v)])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tqft2d import cli, gerbe
+from tqft2d import cli, crossed, gerbe
 from tqft2d.cli import run
 from tqft2d.crossed import from_group_algebra, from_frobenius_algebra, \
     format_bundle, holonomy, load_bundle
@@ -275,17 +275,21 @@ def test_cocycle_command(tmp_path):
     assert "-1" in text.splitlines()
 
 
-def test_the_cocycle_command_checks_theta_once(monkeypatch):
-    # loading the file checks theta, and the command's report reuses that check
-    original, calls = gerbe.check_theta, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(gerbe, "check_theta", counted)
+def test_the_cocycle_command_validates_once_from_three_tables(monkeypatch):
+    # loading the file validates the rank-one bundle, and the command's
+    # report is that validation; the bundle's blocks come from three tables,
+    # theta, 1/(c theta) and tau
+    calls = []
+    for module, name in ((gerbe, "validate_bundle"), (crossed, "validate_bundle"),
+                         (gerbe, "_table")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     code, _ = invoke("cocycle", "--cocycle", os.path.join(FIXDIR, "k4_anti.cocycle"),
                      "--genus", "1", "--labels", "10,01")
-    assert code == 0 and len(calls) == 1
+    assert code == 0
+    assert (calls.count("validate_bundle"), calls.count("_table")) == (1, 3)
 
 
 def test_cocycle_command_uses_the_tolerance(tmp_path):
@@ -340,15 +344,27 @@ def test_a_theta_off_the_cocycle_identity_names_its_grading_without_a_hint(tmp_p
     code, out = _k4_cocycle(tmp_path, [("01 10", "1/2"), ("10 01", "1/2"),
                                        ("01 01", "1/3")])
     assert (code, out.splitlines()[-1]) == (
-        2, "RESULT: FAIL not a normalized cocycle: cocycle fails at grading "
+        2, "RESULT: FAIL not a normalized cocycle: associativity fails at grading "
            "(10, 10, 01)"), out
 
 
-def test_an_unnormalized_theta_names_its_grading_and_gets_the_hint(tmp_path):
+def test_a_theta_off_only_at_the_left_unit_fails_associativity_without_a_hint(tmp_path):
+    # theta(e,g) = 1 follows from theta(e,e) = 1 and the cocycle identity at
+    # (e, e, g); the unit axiom, theta(g,e) = 1, holds, and dividing by the
+    # coboundary of beta(g) = theta(g,e) = 1 would change nothing
     code, out = _k4_cocycle(tmp_path, [("00 01", "2")])
     assert (code, out.splitlines()[-1]) == (
-        2, "RESULT: FAIL not a normalized cocycle: normalization fails at grading "
-           "(00, 01); dividing by the coboundary of beta(g) = theta(g,e) "
+        2, "RESULT: FAIL not a normalized cocycle: associativity fails at grading "
+           "(00, 00, 01)"), out
+
+
+def test_an_unnormalized_theta_names_its_grading_and_gets_the_hint(tmp_path):
+    # theta(01,e) = 2 fails the unit axiom at 01, and first the cocycle
+    # identity at (10, 01, e)
+    code, out = _k4_cocycle(tmp_path, [("01 00", "2")])
+    assert (code, out.splitlines()[-1]) == (
+        2, "RESULT: FAIL not a normalized cocycle: associativity fails at grading "
+           "(10, 01, 00); dividing by the coboundary of beta(g) = theta(g,e) "
            "normalizes the unit values"), out
 
 

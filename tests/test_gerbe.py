@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tqft2d.crossed import closed_surface_word, holonomy, validate_bundle
-from tqft2d.gerbe import (ScalarBundle, CocycleError, check_theta,
-                          check_cocycle, induced_transport, from_cocycle,
+from tqft2d.gerbe import (ScalarBundle, CocycleError, check_cocycle,
+                          induced_transport, from_cocycle,
                           coboundary, klein_anticommuting_cocycle,
                           to_crossed_bundle, scalar_surface_product,
                           gerbe_holonomy, parse_cocycle,
@@ -27,7 +27,8 @@ def fusion_lambda_check(sb: ScalarBundle, words) -> ValidationReport:
     Word i fuses with word j through the scalar on the grading
     (w_i w_j^-1, w_j w_k^-1); the square lambda_134 . lambda_123 =
     lambda_124 . lambda_234 is exactly one instance of the cocycle identity,
-    which ``check_theta`` checks at every grading; kept here as a reference.
+    which ``check_cocycle`` checks at every grading as the associativity of
+    the rank-one bundle; kept here as a reference.
     """
     G = sb.group
     pts = [w.evaluate(G) if isinstance(w, LoopWord) else w for w in words]
@@ -58,7 +59,6 @@ def test_trivial_cocycle_passes():
 
 
 def test_anticommuting_cocycle_passes():
-    assert check_theta(K, THETA).passed
     assert check_cocycle(ANTI).passed
 
 
@@ -66,9 +66,13 @@ def test_flipped_value_fails_with_witness():
     theta = dict(THETA)
     key = (K.index("10"), K.index("11"))
     theta[key] = -theta[key]
-    report = check_theta(K, theta)
-    assert "cocycle" in report.failed_axioms()
-    assert any(v.axiom == "cocycle" for v in report.violations)
+    report = check_cocycle(ScalarBundle(K, theta, dict(ANTI.tau)))
+    assert "associativity" in report.failed_axioms()
+    # the grading (g, h, k), then the index in the 1x1x1x1 block
+    assert all(len(v.witness) == 7 and v.witness[3:] == (0,) * 4
+               for v in report.violations if v.axiom == "associativity")
+    with pytest.raises(CocycleError, match="associativity fails at grading"):
+        from_cocycle(K, theta)
 
 
 def test_unnormalized_cocycle_rejected():
@@ -77,6 +81,19 @@ def test_unnormalized_cocycle_rejected():
     with pytest.raises(CocycleError) as err:
         from_cocycle(K, theta)
     assert "coboundary" in str(err.value)
+
+
+def test_a_constant_theta_fails_the_unit_axiom_at_a_grading_of_one_label():
+    # theta = 2 everywhere is a cocycle, and theta(g,e) = 2 fails only the
+    # unit and counit axioms, graded by g alone
+    theta = {key: Fraction(2) for key in trivial_theta(K)}
+    with pytest.raises(CocycleError) as err:
+        from_cocycle(K, theta)
+    assert str(err.value) == (
+        "not a normalized cocycle: unit fails at grading (00); dividing by the "
+        "coboundary of beta(g) = theta(g,e) normalizes the unit values")
+    report = check_cocycle(ScalarBundle(K, theta, induced_transport(K, theta)))
+    assert report.failed_axioms() == ["counit", "unit"]
 
 
 def test_float_cocycle_uses_the_tolerance_passed_in():
@@ -125,27 +142,94 @@ def _reference_check_cocycle(sb):
     return out
 
 
-def test_check_cocycle_reports_what_the_loops_report():
-    rng = random.Random(11)
-    values = [Fraction(-1), Fraction(1, 2), Fraction(3)]
-    for G in (K, symmetric_group(3)):
-        for _ in range(12):
-            theta, tau = ({(g, h): rng.choice(values) if rng.random() < rate else Fraction(1)
-                           for g in G.elements() for h in G.elements()}
-                          for rate in (0.1, 0.05))
-            for exact in (True, False):
-                cast = Fraction if exact else complex
-                sb = ScalarBundle(G, {k: cast(v) for k, v in theta.items()},
-                                  {k: cast(v) for k, v in tau.items()},
-                                  counit_scalar=cast(1))
-                got = [(v.axiom, v.witness) for v in check_cocycle(sb).violations]
-                assert got == _reference_check_cocycle(sb)
+# each reference check of _reference_check_cocycle and the axiom of the
+# rank-one bundle that states it, with the number of legs of its block
+RANK_ONE = {"cocycle": ("associativity", 4), "normalization": ("unit", 2),
+            "transport-compatibility": ("fusion-transport", 3),
+            "transport-flatness": ("flatness", 2)}
+
+
+def _rank_one_mismatch(sb):
+    """Where ``check_cocycle`` and the reference loops disagree on ``sb``:
+    the reference check whose failing gradings differ from those of its
+    axiom, or ``"passed"``; None when they agree.  Left normalization
+    theta(e,g) = 1 has no axiom of its own (it follows from the cocycle
+    identity and theta(e,e) = 1), so only normalization at (g, e) is
+    compared, as the unit axiom at g."""
+    report, ref = check_cocycle(sb), _reference_check_cocycle(sb)
+    if report.passed != (ref == []):
+        return "passed"
+    e = sb.group.identity
+    for check, (axiom, legs) in RANK_ONE.items():
+        got = set()
+        for v in report.violations:
+            if v.axiom == axiom:
+                assert v.witness[-legs:] == (0,) * legs, v  # a 1x...x1 block
+                got.add(v.witness[:-legs])
+        want = {w[:1] if check == "normalization" else w
+                for c, w in ref if c == check
+                and (check != "normalization" or w[1] == e)}
+        if got != want:
+            return check
+    return None
+
+
+def _seeded(G, theta0, rng, count):
+    """``count`` (theta, tau) pairs over ``G``: a random coboundary of
+    ``theta0`` with its induced transport, and in about half of them up to
+    two theta and two tau values scaled by -1, 2 or 1/2, so that some pass
+    and some fail."""
+    scales = [Fraction(-1), Fraction(2), Fraction(1, 2)]
+    for _ in range(count):
+        beta = {g: rng.choice(scales + [Fraction(1)]) for g in G.elements()}
+        beta[G.identity] = Fraction(1)
+        theta = coboundary(G, theta0, beta)
+        tau = induced_transport(G, theta)
+        for table in (theta, tau):
+            for key in rng.sample(sorted(table), rng.choice([0, 0, 1, 2])):
+                table[key] *= rng.choice(scales)
+        yield theta, tau
+
+
+def test_check_cocycle_fails_where_the_loops_fail():
+    # the rank-one bundle fails validate_bundle exactly where the scalar
+    # reference loops fail, grading for grading, in exact and float mode
+    Z2 = cyclic_group(2)
+    cases = [(Z2, dict(zip(itertools.product(range(2), repeat=2), th)),
+              dict(zip(itertools.product(range(2), repeat=2), ta)))
+             for th in itertools.product([1, -1, 2], repeat=4)
+             for ta in itertools.product([1, -1], repeat=4)]
+    assert len(cases) == 1296
+    rng = random.Random(27)
+    d8 = load_cocycle(os.path.join(FIXDIR, "d8_twisted.cocycle"))
+    for G, theta0 in ((K, THETA), (symmetric_group(3), trivial_theta(symmetric_group(3))),
+                      (d8.group, d8.theta)):
+        cases += [(G, theta, tau) for theta, tau in _seeded(G, theta0, rng, 60)]
+    # theta(1,1) = 2^70 puts the numerators in Python ints; the second also
+    # breaks normalization
+    big = {**trivial_theta(Z2), (1, 1): Fraction(2) ** 70}
+    cases += [(Z2, big, induced_transport(Z2, big)),
+              (Z2, {**big, (1, 0): Fraction(2) ** 70}, induced_transport(Z2, big))]
+    mismatches, outcomes = [], set()
+    for G, theta, tau in cases:
+        for cast in (Fraction, complex):
+            sb = ScalarBundle(G, {k: cast(v) for k, v in theta.items()},
+                              {k: cast(v) for k, v in tau.items()},
+                              counit_scalar=cast(1))
+            where = _rank_one_mismatch(sb)
+            if where is not None:
+                mismatches.append((G.labels, theta, tau, cast, where))
+            outcomes.add((G.order, sb.exact, check_cocycle(sb).passed))
+    assert mismatches == []
+    # every group meets passing and failing bundles in both modes
+    assert len(outcomes) == 4 * 2 * 2
 
 
 def test_check_cocycle_reports_a_transport_unit_witness_once():
     sb = from_cocycle(cyclic_group(3), {}, tau={(0, 1): Fraction(2)})
     got = [str(v) for v in check_cocycle(sb).violations]
-    assert got.count("transport-flatness at (0, 1)") == 1
+    # the grading (e, g), then the index in the 1x1 block
+    assert got.count("flatness at (0, 1, 0, 0)") == 1
 
 
 @pytest.mark.parametrize("cast", [Fraction, complex])

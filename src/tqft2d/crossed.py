@@ -636,51 +636,69 @@ def _binary_trees(lo, hi):
 
 
 def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
-    """All bracketings of n-fold fusion and fission towers must agree."""
+    """All bracketings of n-fold fusion and fission towers must agree.
+
+    The towers of the subtrees over one interval of leaves fall into
+    classes, and each (interval, split, left class, right class) is
+    contracted once per call.  In exact mode the equal towers of an interval
+    share one class, which is safe since exact equality is transitive, so
+    the bracketings of a passing bundle contract one tower per interval and
+    split; in float mode, where agreeing within ``tol`` is not transitive,
+    each distinct subtree is a class of its own.
+    """
     gs = list(gs)
     n = len(gs)
     if n > 5:
         raise InputError("towers are checked for n <= 5")
-    G = bundle.group
+    G, exact = bundle.group, bundle.exact
     report = ValidationReport()
     report.check("higher-associativity")
     report.check("higher-coassociativity")
     if n < 2:
         return report
 
-    # the bracketings share subtrees: each is contracted once per call
-    @lru_cache(maxsize=None)
-    def mu_tower(tree):
-        """Tensor with legs [leaves..., out]; returns (tensor, product)."""
-        if isinstance(tree, int):
-            return bundle.identities[gs[tree]], gs[tree]
-        tl, pl = mu_tower(tree[0])
-        tr, pr = mu_tower(tree[1])
-        t = tensordot(tr, bundle.fusion[pl, pr], [tr.rank - 1], [1])  # [leavesR, a, c]
-        t = tensordot(tl, t, [tl.rank - 1], [tr.rank - 1])      # [leavesL, leavesR, c]
-        return t, G.mul(pl, pr)
+    def towers(join):
+        """tree -> its tower, each (interval, split, left class, right
+        class) contracted by ``join`` once."""
+        classes, made = {}, {}  # (lo, hi) -> its class towers; key -> class
 
-    @lru_cache(maxsize=None)
-    def nu_tower(tree):
-        """Tensor with legs [in, leaves...]; returns (tensor, product)."""
-        if isinstance(tree, int):
-            return bundle.identities[gs[tree]], gs[tree]
-        tl, pl = nu_tower(tree[0])
-        tr, pr = nu_tower(tree[1])
-        nu = bundle.fission[pl, pr]
-        t = tensordot(nu, tl, [1], [0])                  # [in, right_in, leavesL]
-        t = tensordot(t, tr, [1], [0])                   # [in, leavesL, leavesR]
-        return t, G.mul(pl, pr)
+        @lru_cache(maxsize=None)
+        def tower(tree):
+            """(lo, hi, product, class, tower) of a tree over leaves
+            lo..hi-1."""
+            if isinstance(tree, int):
+                return tree, tree + 1, gs[tree], 0, bundle.identities[gs[tree]]
+            lo, mid, pl, i, left = tower(tree[0])
+            _, hi, pr, j, right = tower(tree[1])
+            key = (lo, mid, hi, i, j)
+            if key not in made:
+                t = join(left, right, pl, pr)
+                kept = classes.setdefault((lo, hi), [])
+                c = next((c for c, u in enumerate(kept) if exact and equal(u, t)), None)
+                if c is None:
+                    c = len(kept)
+                    kept.append(t)
+                made[key] = c
+            return lo, hi, G.mul(pl, pr), made[key], classes[lo, hi][made[key]]
+        return lambda tree: tower(tree)[4]
+
+    def mu(tl, tr, pl, pr):
+        """Legs [leavesL, leavesR, out]."""
+        t = tensordot(tr, bundle.fusion[pl, pr], [tr.rank - 1], [1])  # [leavesR, a, c]
+        return tensordot(tl, t, [tl.rank - 1], [tr.rank - 1])
+
+    def nu(tl, tr, pl, pr):
+        """Legs [in, leavesL, leavesR]."""
+        t = tensordot(bundle.fission[pl, pr], tl, [1], [0])  # [in, right_in, leavesL]
+        return tensordot(t, tr, [1], [0])
 
     trees = _binary_trees(0, n)
-    ref_mu, _ = mu_tower(trees[0])
-    ref_nu, _ = nu_tower(trees[0])
+    mu_tower, nu_tower = towers(mu), towers(nu)
+    ref_mu, ref_nu = mu_tower(trees[0]), nu_tower(trees[0])
     for i, tree in enumerate(trees[1:], start=1):
-        t, _ = mu_tower(tree)
-        if not equal(t, ref_mu, bundle.tol):
+        if not equal(mu_tower(tree), ref_mu, bundle.tol):
             report.fail("higher-associativity", (tuple(gs), 0, i))
-        t, _ = nu_tower(tree)
-        if not equal(t, ref_nu, bundle.tol):
+        if not equal(nu_tower(tree), ref_nu, bundle.tol):
             report.fail("higher-coassociativity", (tuple(gs), 0, i))
     return report
 

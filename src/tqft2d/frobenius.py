@@ -82,9 +82,16 @@ class FrobeniusAlgebra:
     @cached_property
     def handle(self):
         """H = mul o delta as an n x n map (legs: domain, codomain), built
-        once per algebra; like ``delta``, never cached for a degenerate
-        pairing."""
+        once per algebra and the first of ``handle_powers``; like ``delta``,
+        never cached for a degenerate pairing."""
         return tensordot(self.delta, self.mul, [1, 2], [0, 1])
+
+    @cached_property
+    def handle_powers(self):
+        """[H, H^2, H^4, ...]: the powers H^(2^k) that ``closed_invariant``
+        has built, each squared from the last, grown on demand and kept for
+        the algebra's lifetime; never cached for a degenerate pairing."""
+        return [self.handle]
 
 
 def pairing(algebra: FrobeniusAlgebra) -> Tensor:
@@ -124,22 +131,29 @@ def comultiplication(algebra: FrobeniusAlgebra) -> Tensor:
 def closed_invariant(algebra: FrobeniusAlgebra, genus: int):
     """counit(H^genus(unit)) -- the closed genus-g surface invariant.
 
-    H^genus is applied by binary powering: one contraction of the vector per
-    set bit of genus and one squaring of H per further bit, so a call costs
-    O(log genus) contractions beside the counit's, with H built once per
-    algebra.  Exact results are those of applying H genus times; float
+    H^genus is applied by binary powering: the vector is contracted with
+    H^(2^k) for each set bit k of genus, lowest first, so a call makes
+    popcount(genus) products and the counit's.  The powers come from
+    ``algebra.handle_powers``; a call squares only past the largest power
+    built so far, so an algebra squares H once per further bit of the
+    largest genus asked of it.  Each power is the square of the one before
+    it whichever call built it, so a result does not depend on the calls
+    made before.  Exact results are those of applying H genus times; float
     results may differ from that in the last bits, since the products are
     grouped differently.
     """
     if genus < 0:
         raise InputError("genus must be nonnegative")
-    v, power = algebra.unit, algebra.handle
+    v, powers, k = algebra.unit, algebra.handle_powers, 0
     while genus:
+        if k == len(powers):
+            # set at index k, not appended: calls that square at once (in
+            # threads) each leave H^(2^k) at k
+            powers[k:k + 1] = [tensordot(powers[k - 1], powers[k - 1], [1], [0])]
         if genus & 1:
-            v = tensordot(v, power, [0], [0])
+            v = tensordot(v, powers[k], [0], [0])
         genus >>= 1
-        if genus:
-            power = tensordot(power, power, [1], [0])
+        k += 1
     return tensordot(v, algebra.counit, [0], [0]).item()
 
 

@@ -19,7 +19,7 @@ from .crossed import (CrossedBundle, LabeledBordism, LabelError,
 from .groups import FiniteGroup, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines,
-                     first_difference, parse_scalar, format_scalar)
+                     first_difference, parse_scalar, format_scalar, part)
 
 
 class CocycleError(InputError):
@@ -163,15 +163,15 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     exact = sb.exact
 
     # each block is the (g, h) entry of one of three tables, gathered with
-    # legs of dimension 1 in lowest terms: three constructor calls, not one
-    # per block
+    # legs of dimension 1 in lowest terms and the tier of its own value:
+    # three constructor calls, not one per block
     theta, tau = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
     inverse = _table(G, {k: 1 / (c * v) for k, v in sb.theta.items()}, exact)
     line3, line2 = (None,) * 3, (None,) * 2
     return CrossedBundle(group=G, dims=(1,) * G.order,
-                         fusion={k: theta[k + line3] for k in sb.theta},
-                         fission={k: inverse[k + line3] for k in sb.theta},
-                         transport={k: tau[k + line2] for k in sb.tau},
+                         fusion={k: part(theta, k + line3) for k in sb.theta},
+                         fission={k: part(inverse, k + line3) for k in sb.theta},
+                         transport={k: part(tau, k + line2) for k in sb.tau},
                          unit=Tensor([1], exact=exact),
                          counit=Tensor([c], exact=exact), tol=sb.tol)
 

@@ -7,7 +7,8 @@ multiplies the dens and contracts the numerators, and ``equal`` compares the
 dens and then the numerators.  A float tensor holds its complex entries in
 ``nums`` with ``den`` fixed at 1, so both modes share one code path.  Only
 this module reads numerators and dens: other modules stack
-blocks (``stack``), gather entries (``t[idx]``), contract (``tensordot``,
+blocks (``stack``), gather entries (``t[idx]``, or ``part`` for a part in
+the tier of its own numerators), contract (``tensordot``,
 ``einsum``), lay identity legs beside a tensor (``with_identities``) and
 compare, each result in lowest terms.  A tensor carries no tolerance: the
 algebra, bundle or oracle that owns it does, and passes it to the
@@ -370,6 +371,19 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
     return _of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
+
+
+def part(a: Tensor, idx) -> Tensor:
+    """``a[idx]`` in the tier of its own numerators.  A part of an int64
+    tensor is the gather as it is, within a's bound; a part of an object
+    tensor is scanned and, when its numerators lie below 2**62, held in
+    int64 within their own bound, as the constructor would hold it."""
+    t = a[idx]
+    if t.exact and not t.top < _LIMIT:
+        top = max(map(abs, t.nums.ravel().tolist()), default=0)
+        if top < _LIMIT:
+            return _of(t.nums.astype(np.int64), t.den, top, True)
+    return t
 
 
 def with_identities(a: Tensor, dims, perm) -> Tensor:

@@ -17,9 +17,11 @@ from tqft2d import tensor
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 # a pass made 1,625 contractions when closed invariants ran the g-step loop
-# and the n-fold towers were contracted once per bracketing, and 910 when a
-# closed labeled surface split into g circles; it now makes 658
-BUDGET = 700
+# and the n-fold towers were contracted once per bracketing, 910 when a
+# closed labeled surface split into g circles, and 659 when each closed
+# invariant squared the handle operator anew and the towers were
+# contracted once per distinct subtree; a fresh pass now makes 457
+BUDGET = 457
 
 # a fuzz-pairs pass contracts its 400 words in the planned order; a faster
 # kernel must come from cheaper calls, not from another schedule.  It made
@@ -99,19 +101,21 @@ def test_a_labeled_roundtrip_pass_reduces_no_den_1_contraction(monkeypatch):
 
 def _tiers(monkeypatch, calls):
     """The results of ``calls`` and, for each tensordot call they make,
-    whether its two operands and its result hold int64 numerators."""
-    original, tiers = tensor.tensordot, []
+    whether its two operands and its result hold int64 numerators, and
+    whether it contracts a tensor with itself (a squaring)."""
+    original, tiers, squarings = tensor.tensordot, [], []
 
     def dot(a, b, axes_a, axes_b):
         out = original(a, b, axes_a, axes_b)
         tiers.append(tuple(t.nums.dtype == np.int64 for t in (a, b, out)))
+        squarings.append(a is b)
         return out
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "tqft2d" or name.startswith("tqft2d.")):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, dot)
-    return [call() for call in calls], tiers
+    return [call() for call in calls], tiers, squarings
 
 
 def test_a_fuzz_pairs_pass_contracts_in_int64_throughout(monkeypatch):
@@ -119,7 +123,7 @@ def test_a_fuzz_pairs_pass_contracts_in_int64_throughout(monkeypatch):
     # of a pass falls back to Python ints
     workloads = _perfbench("workloads")
     items = workloads.fuzz_corpus(tqft2d)
-    results, tiers = _tiers(monkeypatch, [
+    results, tiers, _ = _tiers(monkeypatch, [
         lambda item=item: workloads.fuzz_output(tqft2d, item[1], item[3])
         for item in items])
     assert all(passed for passed, _ in results)
@@ -129,14 +133,26 @@ def test_a_fuzz_pairs_pass_contracts_in_int64_throughout(monkeypatch):
 
 def test_a_structure_checks_pass_promotes_its_high_genus_invariants(monkeypatch):
     # powers of the handle operator outgrow the int64 bound: a contraction
-    # of two int64 operands then gives Python ints
+    # of two int64 operands then gives Python ints.  The powers are kept on
+    # the algebra, so a pass squares each once, in the first call that needs
+    # it, and H^8 is the square that leaves int64
     cases = _perfbench("workloads").structure_cases(tqft2d)
-    promoted = set()
-    for name, call in cases:
-        (result,), tiers = _tiers(monkeypatch, [call])
-        assert result[0], name
-        if (True, True, False) in tiers:
-            promoted.add(name)
-        monkeypatch.undo()
-    assert "closed_invariant Z(S3) g=40" in promoted
-    assert "closed_invariant Z(S3) g=0" not in promoted
+    for first_pass in (True, False):
+        squared, promoted_squares, objects = [], [], set()
+        for name, call in cases:
+            (result,), tiers, squarings = _tiers(monkeypatch, [call])
+            assert result[0], name
+            if name.startswith("closed_invariant") and any(squarings):
+                squared.append(name)
+            if any(s and t == (True, True, False) for s, t in zip(squarings, tiers)):
+                promoted_squares.append(name)
+            if any(False in t for t in tiers):
+                objects.add(name)
+            monkeypatch.undo()
+        assert "closed_invariant Z(S3) g=40" in objects
+        assert "closed_invariant Z(S3) g=0" not in objects
+        if first_pass:
+            assert squared == ["closed_invariant Z(S3) g=%d" % g for g in (2, 4, 8, 16, 32)]
+            assert promoted_squares == ["closed_invariant Z(S3) g=8"]
+        else:  # every power is kept: no call of a later pass squares
+            assert squared == promoted_squares == []

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -392,18 +393,56 @@ def test_closed_invariant_contracts_in_log_genus(monkeypatch):
     a = group_center(symmetric_group(3))
     h = a.handle
     assert calls.count([1, 2]) == 1      # H itself: delta legs 1, 2 into mul
-    per_genus = []
+    products, squarings = [], []
     for g in range(200):
         del calls[:]
         closed_invariant(a, g)
-        assert len(calls) <= 2 * g.bit_length() + 1, g
         assert [1, 2] not in calls       # H is built once per algebra
-        per_genus.append(len(calls))
-    assert a.handle is h
-    # one product per set bit, one squaring per further bit, one counit
-    assert per_genus == [bin(g).count("1") + max(g.bit_length() - 1, 0) + 1
-                         for g in range(200)]
-    assert sum(per_genus[:41]) == 286    # the g-step loop made 902
+        # a product or the counit contracts the vector's leg 0, a squaring
+        # leg 1 of a power
+        assert calls.count([0]) + calls.count([1]) == len(calls)
+        products.append(calls.count([0]))
+        squarings.append(calls.count([1]))
+    assert a.handle is h and a.handle_powers[0] is h
+    # one product per set bit, and the counit
+    assert products == [bin(g).count("1") + 1 for g in range(200)]
+    # each power of H is squared once per algebra, by the first genus that
+    # needs it: H^(2^k) by genus 2^k
+    assert squarings == [int(g > 1 and g & (g - 1) == 0) for g in range(200)]
+    assert len(a.handle_powers) == 8     # H to H^128
+    # 286 when each call squared H anew; the g-step loop made 902
+    assert sum(products[:41]) + sum(squarings[:41]) == 148
+
+
+def test_closed_invariant_does_not_depend_on_the_calls_before():
+    genera = list(range(201))
+    random.Random(28).shuffle(genera)
+    for a in (dual_numbers(), diagonal([Fraction(2), Fraction(1, 3), Fraction(-1)]),
+              group_center(symmetric_group(3))):
+        text = format_algebra(a)
+        floating = parse_algebra(text, exact=False)
+        for g in genera:
+            z, want = closed_invariant(a, g), _reference_closed_invariant(a, g)
+            assert z == want and type(z) is type(want), (a.basis, g)
+            # the kept powers are the squares a fresh algebra makes: bit for
+            # bit, the infinities and nans of the high genera included
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = closed_invariant(floating, g)
+                fresh = closed_invariant(parse_algebra(text, exact=False), g)
+            assert repr(z) == repr(fresh), (a.basis, g)
+        assert len(a.handle_powers) == len(floating.handle_powers) == 8
+        # another tolerance is another algebra, with no powers kept yet
+        loose = replace(floating, tol=1e-6)
+        assert loose == floating and "handle_powers" not in vars(loose)
+        assert repr(closed_invariant(loose, 5)) == repr(closed_invariant(floating, 5))
+        assert len(loose.handle_powers) == 3
+    # a degenerate pairing keeps no powers: every call raises, genus 0 too
+    d = dual_numbers()
+    bad = FrobeniusAlgebra(dim=2, basis=d.basis, mul=d.mul, unit=d.unit, counit=d.unit)
+    for g in genera[:20] + [0, 0]:
+        with pytest.raises(DegeneratePairingError):
+            closed_invariant(bad, g)
+        assert "handle_powers" not in vars(bad)
 
 
 # --- an independent oracle: Mednykh's homomorphism count ------------------

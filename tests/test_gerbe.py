@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tqft2d.crossed import closed_surface_word, holonomy, validate_bundle
@@ -15,7 +16,7 @@ from tqft2d.gerbe import (ScalarBundle, CocycleError, check_cocycle,
 from tqft2d.groups import (FiniteGroup, LoopWord, cyclic_group, symmetric_group,
                            klein_four_group, format_group)
 from tqft2d.report import ValidationReport, Violation
-from tqft2d.tensor import InputError, Tensor
+from tqft2d.tensor import InputError, Tensor, equal
 
 K, THETA = klein_anticommuting_cocycle()
 ANTI = from_cocycle(K, THETA)
@@ -401,6 +402,29 @@ def test_gerbe_holonomy_builds_the_rank_one_bundle_once(monkeypatch):
     other = from_cocycle(K, THETA)
     assert gerbe_holonomy(other, 1, [(1, 2)]) == gerbe_holonomy(sb, 1, [(1, 2)])
     assert len(built) == 2 and built[1] is other
+
+
+def test_each_rank_one_block_takes_the_tier_of_its_own_value():
+    # theta(1,1) = 2^70 puts the theta and 1/(c theta) tables in Python
+    # ints; a block gathered from them holds its own value alone, so the
+    # value 1 is int64 with bound 1, as its own constructor call makes it
+    Z2 = cyclic_group(2)
+    sb = from_cocycle(Z2, {(1, 1): Fraction(2) ** 70}, counit_scalar=Fraction(3))
+    B = sb.crossed_bundle
+    e = Z2.identity
+    assert B.fusion[e, e].nums.dtype == np.int64
+    assert B.fusion[1, 1].nums.dtype == object  # 2^70 itself
+    for family in ("fusion", "fission", "transport"):
+        for key, block in getattr(B, family).items():
+            own = Tensor(np.array(block.entries(), dtype=object).reshape(block.shape))
+            assert equal(block, own), (family, key)
+            assert (block.nums.dtype, block.top) == (own.nums.dtype, own.top), (family, key)
+    assert check_cocycle(sb).passed
+    # the holonomies the bundle gave when every block held Python ints
+    for genus, value in ((0, 3), (1, 1), (2, Fraction(1, 3))):
+        for handles in itertools.product(itertools.product(Z2.elements(), repeat=2),
+                                         repeat=genus):
+            assert gerbe_holonomy(sb, genus, list(handles)) == value
 
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")

@@ -716,6 +716,25 @@ def test_both_tiers_give_the_same_numbers(operands):
         assert tensordot(a, b, [1], [0]).nums.dtype == np.int64
 
 
+def test_a_part_takes_the_tier_of_its_own_numerators():
+    # a gather keeps its operand's tier and bound; part gives a part of an
+    # object tensor the tier and bound its own constructor call would
+    big = Tensor([[Fraction(1, 3), 2 ** 70], [-5, Fraction(7, 3)]])
+    assert big.nums.dtype == object and big[0, 0].nums.dtype == object
+    for idx in ((0, 0), (1,), (slice(None), 0), ([1, 1], [0, 1]), (0,)):
+        got, own = tensor.part(big, idx), Tensor(np.array(big[idx].entries(),
+                                                          dtype=object).reshape(big[idx].shape))
+        assert equal(got, own) and got.den == own.den, idx
+        assert (got.nums.dtype, got.top) == (own.nums.dtype, own.top), idx
+    p = tensor.part(big, (1, 0))  # -15 over den 3, reduced to -5 over 1
+    assert (p.top, p.den, p.item()) == (5, 1, -5)
+    # a part of an int64 tensor is the gather as it is, within the whole bound
+    small = Tensor([[1, 2 ** 40], [3, 4]])
+    got = tensor.part(small, (0, 0))
+    assert (got.nums.dtype, got.top, got.item()) == (np.int64, 2 ** 40, 1)
+    assert tensor.part(Tensor([complex(2 ** 70)], exact=False), (0,)).item() == 2 ** 70
+
+
 def test_a_sum_that_would_wrap_is_made_in_objects():
     # 3 * 2**60 stays in int64; 2 * 2**62 = 2**63 would wrap to -2**63
     under = Tensor([2 ** 30] * 3)

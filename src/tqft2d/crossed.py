@@ -69,21 +69,17 @@ class CrossedBundle:
             raise BundleError("counit must live on the identity fiber")
         # every block must share the unit's mode; tensor.stack would reject
         # a mixed family too, but without naming the block
-        mode = {True: "exact", False: "float"}
-        if self.counit.exact != self.exact:
+        exact = self.exact
+        if self.counit.exact != exact:
             raise BundleError("mixed scalar modes: the counit is %s, the unit %s"
-                              % (mode[self.counit.exact], mode[self.exact]))
-        for family, key, want in _block_shapes(G, self.dims):
+                              % (_mode(self.counit.exact), _mode(exact)))
+        # a family passes on one comparison of its keys and shapes and one of
+        # its modes; only a failing one is walked, to name its first bad block
+        for family, want in _family_shapes(G, self.dims).items():
             blocks = getattr(self, family)
-            if key not in blocks:
-                raise BundleError("missing %s block (%d,%d)" % ((family,) + key))
-            if blocks[key].shape != want:
-                raise BundleError("%s (%d,%d) has shape %s, want %s"
-                                  % ((family,) + key + (blocks[key].shape, want)))
-            if blocks[key].exact != self.exact:
-                raise BundleError("mixed scalar modes: %s (%d,%d) is %s, the unit %s"
-                                  % ((family,) + key + (mode[blocks[key].exact],
-                                                        mode[self.exact])))
+            if {k: t.shape for k, t in blocks.items()} != want \
+                    or any(t.exact != exact for t in blocks.values()):
+                _name_bad_block(family, blocks, want, exact)
 
     @property
     def exact(self):
@@ -121,17 +117,47 @@ class CrossedBundle:
 FAMILIES = ("fusion", "fission", "transport")
 
 
+def _family_shapes(group: FiniteGroup, dims):
+    """{family: {key: shape}} for every block of a bundle over ``group`` with
+    fiber dimensions ``dims`` (one per group element): families in
+    ``FAMILIES`` order, keys in lexicographic order."""
+    mul, conj = group.mul_table.tolist(), group.conj_table.tolist()
+    pairs = [(g, h) for g in group.elements() for h in group.elements()]
+    return {"fusion": {(g, h): (dims[g], dims[h], dims[mul[g][h]]) for g, h in pairs},
+            "fission": {(g, h): (dims[mul[g][h]], dims[g], dims[h]) for g, h in pairs},
+            "transport": {(k, g): (dims[g], dims[conj[k][g]]) for k, g in pairs}}
+
+
 def _block_shapes(group: FiniteGroup, dims):
     """Yield (family, key, shape) for every block of a bundle over ``group``
-    with fiber dimensions ``dims``: family by family in ``FAMILIES`` order,
-    keys in lexicographic order."""
-    pairs = list(itertools.product(group.elements(), repeat=2))
-    for g, h in pairs:
-        yield "fusion", (g, h), (dims[g], dims[h], dims[group.mul(g, h)])
-    for g, h in pairs:
-        yield "fission", (g, h), (dims[group.mul(g, h)], dims[g], dims[h])
-    for k, g in pairs:
-        yield "transport", (k, g), (dims[g], dims[group.conj(k, g)])
+    with fiber dimensions ``dims``, in ``_family_shapes`` order."""
+    for family, want in _family_shapes(group, dims).items():
+        for key, shape in want.items():
+            yield family, key, shape
+
+
+def _mode(exact):
+    return "exact" if exact else "float"
+
+
+def _name_bad_block(family, blocks, want, exact):
+    """Raise the BundleError of the first bad block of ``family``: walking
+    the keys of ``want`` in order, a missing block, a block of another shape
+    than ``want`` gives, or a block of another mode than ``exact``; then a
+    key outside G x G."""
+    for key, shape in want.items():
+        if key not in blocks:
+            raise BundleError("missing %s block (%d,%d)" % ((family,) + key))
+        t = blocks[key]
+        if t.shape != shape:
+            raise BundleError("%s (%d,%d) has shape %s, want %s"
+                              % ((family,) + key + (t.shape, shape)))
+        if t.exact != exact:
+            raise BundleError("mixed scalar modes: %s (%d,%d) is %s, the unit %s"
+                              % ((family,) + key + (_mode(t.exact), _mode(exact))))
+    extra = next(key for key in blocks if key not in want)
+    raise BundleError("%s block key %r is not a pair of group elements"
+                      % (family, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +179,23 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     Violations come grading by grading in row-major order, with the axioms
     of one loop over gradings interleaved in the order they are checked
     below.  The largest intermediate holds |G|^3 D^4 entries.
+
+    The unit, the counit and the identity at every grading are index
+    gathers from two small stacks, (unit, counit) and one identity per
+    fiber dimension.  Each check takes one difference mask: a passing check
+    costs one ``.any()``, and the failing gradings are read off that mask.
     """
     G, dims, tol = bundle.group, bundle.dims, bundle.tol
     n, w, e = G.order, max(dims), G.identity
     mu = stack(bundle.fusion, (n, n), w)
     nu = stack(bundle.fission, (n, n), w)
     P = stack(bundle.transport, (n, n), w)
-    # the unit, the counit and the identity at every grading
-    unit_at = stack({(g,): bundle.unit for g in range(n)}, (n,), w)
-    counit_at = stack({(g,): bundle.counit for g in range(n)}, (n,), w)
-    ident = stack({(g,): t for g, t in enumerate(bundle.identities)}, (n,), w)
-    u, eps = unit_at[0], counit_at[0]
+    ends = stack({(0,): bundle.unit, (1,): bundle.counit}, (2,), w)
+    u, eps, unit_at, counit_at = ends[0], ends[1], ends[[0] * n], ends[[1] * n]
+    sizes = sorted(set(dims))
+    eyes = stack({(i,): Tensor.identity(d, exact=bundle.exact)
+                  for i, d in enumerate(sizes)}, (len(sizes),), w)
+    ident = eyes[[sizes.index(d) for d in dims]]
     mul, conj = G.mul_table, G.conj_table
     ein = einsum
     report = ValidationReport()
@@ -179,9 +211,10 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
         for j, (axiom, tag, sides) in enumerate(checks):
             report.check(axiom)
             lhs, rhs = sides()
-            bad = np.flatnonzero(
-                differences(lhs, rhs, tol).reshape(lhs.shape[0], -1).any(axis=1))
-            if bad.size:  # copies: a block alone would be a view of the stack
+            diff = differences(lhs, rhs, tol)
+            if diff.any():  # the failing rows, from the same mask
+                bad = np.flatnonzero(diff.reshape(len(diff), -1).any(axis=1))
+                # copies: a block alone would be a view of the stack
                 lhs, rhs = lhs[bad], rhs[bad]
                 for m, i in enumerate(bad.tolist()):
                     failing[i, j] = axiom, tag, lhs[m], rhs[m]
@@ -867,6 +900,7 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         raise BundleError("need a fiber line for every group element")
     if len(ends) != 2:
         raise BundleError("unit and counit blocks are required")
+    dims = tuple(dims[g] for g in group.elements())
 
     def block(entry, shape):
         number, line, vals = entry
@@ -888,9 +922,8 @@ def parse_bundle(text: str, group: FiniteGroup, exact=True,
         else:  # omitted fusion and fission blocks are zero
             blocks[family][key] = Tensor.zeros(shape, exact=exact)
     e = (dims[group.identity],)
-    return CrossedBundle(group=group, dims=tuple(dims[g] for g in group.elements()),
-                         unit=block(ends["unit"], e), counit=block(ends["counit"], e),
-                         tol=tol, **blocks)
+    return CrossedBundle(group=group, dims=dims, unit=block(ends["unit"], e),
+                         counit=block(ends["counit"], e), tol=tol, **blocks)
 
 
 def format_bundle(bundle: CrossedBundle, group_filename: str) -> str:

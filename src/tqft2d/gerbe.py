@@ -19,7 +19,7 @@ from .crossed import (CrossedBundle, LabeledBordism, LabelError,
 from .groups import FiniteGroup, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines,
-                     first_difference, parse_scalar, format_scalar, part)
+                     first_difference, parse_scalar, format_scalar, rank_one_blocks)
 
 
 class CocycleError(InputError):
@@ -162,16 +162,15 @@ def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
     c = sb.counit_scalar
     exact = sb.exact
 
-    # each block is the (g, h) entry of one of three tables, gathered with
-    # legs of dimension 1 in lowest terms and the tier of its own value:
-    # three constructor calls, not one per block
+    # each block is the (g, h) entry of one of three tables, split into
+    # blocks with legs of dimension 1 in lowest terms and the tier of its
+    # own value: three constructor calls, not one per block
     theta, tau = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
     inverse = _table(G, {k: 1 / (c * v) for k, v in sb.theta.items()}, exact)
-    line3, line2 = (None,) * 3, (None,) * 2
     return CrossedBundle(group=G, dims=(1,) * G.order,
-                         fusion={k: part(theta, k + line3) for k in sb.theta},
-                         fission={k: part(inverse, k + line3) for k in sb.theta},
-                         transport={k: part(tau, k + line2) for k in sb.tau},
+                         fusion=rank_one_blocks(theta, 3),
+                         fission=rank_one_blocks(inverse, 3),
+                         transport=rank_one_blocks(tau, 2),
                          unit=Tensor([1], exact=exact),
                          counit=Tensor([c], exact=exact), tol=sb.tol)
 

@@ -7,18 +7,20 @@ multiplies the dens and contracts the numerators, and ``equal`` compares the
 dens and then the numerators.  A float tensor holds its complex entries in
 ``nums`` with ``den`` fixed at 1, so both modes share one code path.  Only
 this module reads numerators and dens: other modules stack
-blocks (``stack``), gather entries (``t[idx]``, or ``part`` for a part in
-the tier of its own numerators), contract (``tensordot``,
+blocks (``stack``), gather entries (``t[idx]``), split a table of
+scalars into rank-one blocks (``rank_one_blocks``), contract (``tensordot``,
 ``einsum``), lay identity legs beside a tensor (``with_identities``) and
 compare, each result in lowest terms.  A tensor carries no tolerance: the
 algebra, bundle or oracle that owns it does, and passes it to the
 comparisons (``differences``, ``first_difference``, ``equal``) and to
 ``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
 ``Tensor`` constructor and ``parse_scalar`` take them in, ``item()`` and
-``entries()`` give them out, over Python ints.  Integer input makes none:
+``entries()`` give them out, over Python ints, and ``format_scalar`` prints
+them (``tests/test_source.py`` holds this).  Integer input makes none:
 ``parse_scalars`` reads a line of integer text to Python ints in one
 ``int`` map, and the constructor takes entries that are all Python ints as
-numerators over den 1 directly.
+numerators over den 1 directly.  The exact inverse is fraction-free
+elimination on the numerators, with one den put on the result.
 
 The numerators come in two tiers, chosen by a bound the tensor carries in
 ``top``.  When every numerator is known to lie within ``top`` < 2**62 they
@@ -38,6 +40,7 @@ flat lists of ints, which agree across tiers.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -251,10 +254,12 @@ class Tensor:
 
     def __getitem__(self, idx):
         """Numpy indexing, gathers included; a part may need a smaller den."""
-        nums = self.nums
-        # a single entry comes back as a scalar, made a 0-d array again
-        return Tensor._reduced(np.asarray(nums[idx], dtype=nums.dtype), self.den,
-                               self.top, self.exact)
+        nums = self.nums[idx]
+        if type(nums) is not np.ndarray:  # a single entry, made a 0-d array again
+            nums = np.asarray(nums, dtype=self.nums.dtype)
+        if self.den == 1:
+            return _of(nums, 1, self.top, self.exact)
+        return Tensor._reduced(nums, self.den, self.top, self.exact)
 
     def __repr__(self):
         return "Tensor(shape=%r, exact=%r)" % (self.shape, self.exact)
@@ -373,17 +378,31 @@ def permute(a: Tensor, perm) -> Tensor:
     return _of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
 
 
-def part(a: Tensor, idx) -> Tensor:
-    """``a[idx]`` in the tier of its own numerators.  A part of an int64
-    tensor is the gather as it is, within a's bound; a part of an object
-    tensor is scanned and, when its numerators lie below 2**62, held in
-    int64 within their own bound, as the constructor would hold it."""
-    t = a[idx]
-    if t.exact and not t.top < _LIMIT:
-        top = max(map(abs, t.nums.ravel().tolist()), default=0)
-        if top < _LIMIT:
-            return _of(t.nums.astype(np.int64), t.den, top, True)
-    return t
+def rank_one_blocks(a: Tensor, legs) -> dict:
+    """Each entry of ``a`` as a tensor of ``legs`` legs of dimension 1, by
+    its index tuple, in one pass: a reshape of the numerators, then lowest
+    terms per block.  A block takes the tier of its own numerator, as its
+    own constructor call would, so a block of an object table whose value
+    lies below 2**62 is int64 within that value."""
+    shape = (1,) * legs
+    keys = itertools.product(*map(range, a.nums.shape))
+    if not a.exact:
+        return {k: _of(v, 1, _UNBOUNDED, False)
+                for k, v in zip(keys, a.nums.reshape((-1,) + shape))}
+    nums, den = a.nums, a.den
+    if not den < _LIMIT:  # int64 holds no gcd with it
+        nums = nums.astype(object)
+    g = np.gcd(nums, den)
+    nums, dens = nums // g, (den // g).ravel().tolist()
+    if nums.dtype == np.int64:
+        tops = np.abs(nums).ravel().tolist()
+        blocks = nums.reshape((-1,) + shape)
+    else:
+        vals = nums.ravel().tolist()
+        tops = [abs(x) if abs(x) < _LIMIT else _UNBOUNDED for x in vals]
+        blocks = [np.array(x, dtype=np.int64 if t < _LIMIT else object).reshape(shape)
+                  for x, t in zip(vals, tops)]
+    return {k: _of(b, d, t, True) for k, b, d, t in zip(keys, blocks, dens, tops)}
 
 
 def with_identities(a: Tensor, dims, perm) -> Tensor:
@@ -443,21 +462,35 @@ def _common_mode(tensors):
 def stack(blocks, lead, width) -> Tensor:
     """``blocks`` (index tuple over ``lead`` -> Tensor, all of one rank and
     mode) as one tensor of shape ``lead + (width,) * rank``, each block
-    zero-padded to ``width`` on every leg."""
-    tensors = list(blocks.values())
-    exact = _common_mode(tensors)
+    zero-padded to ``width`` on every leg.
+
+    The mode, den and bound are taken once per distinct block object (a
+    constant bundle shares one tensor across all its keys).  A family of
+    full-size blocks over one den is written with one scatter, the keys
+    and the blocks read from the same dict, so the key order does not
+    matter; a family with padded blocks, or over several dens, is written
+    block by block."""
+    distinct = list({id(t): t for t in blocks.values()}.values())
+    kinds = {(t.exact, t.den, t.nums.shape) for t in distinct}
+    exact = _common_mode(distinct) if len(kinds) > 1 else distinct[0].exact
     # a prime of the lcm divides some block's den fully, and that block has a
     # numerator the prime does not divide: in lowest terms with no gcd
-    den = math.lcm(*(t.den for t in tensors))
+    den = math.lcm(*(d for _, d, _ in kinds))
     # a block brought to den by a factor k is within max(top, 1) * k, a
     # bound that int64 holds only if it holds k as well
-    top = max(max(t.top, 1) * (den // t.den) for t in tensors)
-    full = (width,) * tensors[0].rank
+    top = max(max(t.top, 1) * (den // t.den) for t in distinct)
+    full = (width,) * distinct[0].rank
     if top < _LIMIT:
         out = np.zeros(lead + full, dtype=np.int64)
     else:
         top = _UNBOUNDED
         out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
+    if kinds == {(exact, den, full)}:
+        keys = np.fromiter(itertools.chain.from_iterable(blocks), np.intp,
+                           len(blocks) * len(lead)).reshape(len(blocks), len(lead))
+        out[tuple(keys.T)] = distinct[0].nums if len(distinct) == 1 else \
+            np.array([t.nums for t in blocks.values()])
+        return _of(out, den, top, exact)
     for key, t in blocks.items():
         nums = np.asarray(t.nums, dtype=out.dtype)
         if t.den != den:
@@ -559,31 +592,30 @@ def equal(a: Tensor, b: Tensor, tol=DEFAULT_TOL) -> bool:
 
 
 def invert_matrix(a: Tensor, tol=DEFAULT_TOL):
-    """Exact inverse of a square rank-2 tensor; in float mode a pivot no
-    larger than ``tol`` counts as zero.
+    """Inverse of a square rank-2 tensor, or None when it is singular.
 
-    Returns None when the matrix is singular.
+    In exact mode, fraction-free Gauss–Jordan elimination on the integer
+    numerators N of a = N / den (Bareiss): each step brings the pivot row
+    into every other row of [N | I] and divides by the step's previous
+    pivot, which every entry is an exact multiple of, so the entries stay
+    integers and the left half ends as D·I, D = ±det N, and the right half
+    as D·N⁻¹.  The inverse den·N⁻¹ is den times that right half over D,
+    its sign carried by the numerators so that the den is positive, in
+    lowest terms: no Fraction is made.  In float mode, Gauss–Jordan with
+    partial pivoting, where a pivot no larger than ``tol`` counts as zero.
     """
     if a.rank != 2 or a.shape[0] != a.shape[1]:
         raise ContractionError("invert_matrix needs a square rank-2 tensor")
     n = a.shape[0]
+    if a.exact:
+        return _invert_numerators(a.nums.tolist(), a.den)
     flat = a.entries()
     m = [flat[i * n:(i + 1) * n] for i in range(n)]
-    one = Fraction(1) if a.exact else complex(1)
-    zero = Fraction(0) if a.exact else complex(0)
+    one, zero = complex(1), complex(0)
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = None
-        if a.exact:
-            for r in range(col, n):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            r_best = max(range(col, n), key=lambda r: abs(m[r][col]))
-            if abs(m[r_best][col]) > tol:
-                pivot = r_best
-        if pivot is None:
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if not abs(m[pivot][col]) > tol:
             return None
         m[col], m[pivot] = m[pivot], m[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
@@ -598,4 +630,37 @@ def invert_matrix(a: Tensor, tol=DEFAULT_TOL):
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Tensor(inv, exact=a.exact)
+    return Tensor(inv, exact=False)
+
+
+def _invert_numerators(rows, den):
+    """``invert_matrix`` of the exact matrix ``rows / den``, ``rows`` a list
+    of lists of Python ints.  Each row holds the columns of N not yet
+    eliminated, then its row of the right half; the pivot column of a step
+    is dropped once it is cleared, as it holds the pivot in its own row and
+    zero in the others."""
+    n = len(rows)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][0]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        p = top[0]
+        for r in range(n):
+            if r != col:
+                f = m[r][0]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r][1:], top[1:])]
+        m[col] = top[1:]
+        prev = p
+    if prev < 0:  # the den is positive; the sign goes to the numerators
+        prev, den = -prev, -den
+    nums = [x * den for row in m for x in row]
+    g = math.gcd(prev, *nums)
+    nums = [x // g for x in nums]
+    top = max(map(abs, nums), default=0)
+    if top < _LIMIT:
+        return _of(np.array(nums, dtype=np.int64).reshape(n, n), prev // g, top, True)
+    return _of(np.array(nums, dtype=object).reshape(n, n), prev // g, _UNBOUNDED, True)

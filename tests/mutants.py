@@ -121,6 +121,43 @@ MUTANTS = [
      ["tests/test_crossed.py::test_labelings_are_those_of_the_stepping_reference",
       "tests/test_crossed.py::test_s4_at_three_generators_lists_its_3594_words",
       "tests/test_cli.py::test_fixture_commands_print_the_pinned_output"]),
+    # the exact inverse keeps the sign of a negative determinant on its den
+    ("src/tqft2d/tensor.py",
+     "    if prev < 0:  # the den is positive; the sign goes to the numerators\n"
+     "        prev, den = -prev, -den\n",
+     "",
+     ["tests/test_tensor.py::test_exact_inverse_is_the_fraction_reference",
+      "tests/test_tensor.py::test_inverse_roundtrip_when_invertible",
+      "tests/test_frobenius.py::test_counit_and_frobenius_relations"]),
+    # a bundle family passes on its keys and shapes alone, whatever its modes
+    ("src/tqft2d/crossed.py",
+     "            if {k: t.shape for k, t in blocks.items()} != want \\\n"
+     "                    or any(t.exact != exact for t in blocks.values()):\n",
+     "            if {k: t.shape for k, t in blocks.items()} != want:\n",
+     ["tests/test_crossed.py::test_mixed_scalar_modes_rejected"]),
+    # validate_bundle reports a check only where every entry differs
+    ("src/tqft2d/crossed.py",
+     "            if diff.any():",
+     "            if diff.all():",
+     ["tests/test_crossed.py::test_validate_bundle_matches_the_loop_reference",
+      "tests/test_acceptance.py::test_criterion_07_bundle_validator_completeness",
+      "tests/test_gerbe.py::test_check_cocycle_fails_where_the_loops_fail"]),
+    # the conjugation table is gathered by the inverse of g, not of k
+    ("src/tqft2d/groups.py",
+     "np.array(self.inv)[:, None]]",
+     "np.array(self.inv)[None, :]]",
+     ["tests/test_groups.py::test_the_group_arrays_are_its_products_and_conjugates[S3]",
+      "tests/test_groups.py::test_conjugacy_classes_match_the_scalar_orbits"]),
+    # direct_product multiplies the first factors in swapped order, b1 a1
+    ("src/tqft2d/groups.py",
+     "    table = g1.mul_table[:, None, :, None] * g2.order",
+     "    table = g1.mul_table.T[:, None, :, None] * g2.order",
+     ["tests/test_groups.py::test_direct_product_matches_the_entrywise_table"]),
+    # the group's tables stay writable
+    ("src/tqft2d/groups.py",
+     "        self.mul_table.flags.writeable = self.conj_table.flags.writeable = False\n",
+     "",
+     ["tests/test_groups.py::test_the_group_arrays_are_its_products_and_conjugates[K4]"]),
     # the schedule puts a word's outputs in reverse order
     ("src/tqft2d/bordism.py",
      "[~i for i in range(n_in)] + boundary)",

@@ -304,6 +304,33 @@ def test_mixed_scalar_modes_rejected():
         replace(b, counit=Tensor([complex(1)], exact=False))
 
 
+def test_a_block_key_outside_g_x_g_is_rejected_naming_family_and_key():
+    # such a key used to make a bundle: with (5, 0) it compared equal to b
+    # and validate_bundle died in numpy's indexing; a transport key (0, 0, 0)
+    # was written over the row transport[0, 0, 0] and the bundle validated
+    b = from_group_algebra(Z2)
+    with pytest.raises(BundleError, match=re.escape(
+            "fusion block key (5, 0) is not a pair of group elements")):
+        replace(b, fusion={**b.fusion, (5, 0): b.fusion[0, 0]})
+    with pytest.raises(BundleError, match=re.escape(
+            "transport block key (0, 0, 0) is not a pair of group elements")):
+        replace(b, transport={**b.transport, (0, 0, 0): Tensor([1])})
+    with pytest.raises(BundleError, match=re.escape(
+            "fission block key (-1, 0) is not a pair of group elements")):
+        replace(b, fission={**b.fission, (-1, 0): b.fission[1, 0]})
+    # a missing block is still named first, as the walk over G x G finds it
+    fusion = {**b.fusion, (5, 0): b.fusion[0, 0]}
+    del fusion[1, 0]
+    with pytest.raises(BundleError, match=re.escape("missing fusion block (1,0)")):
+        replace(b, fusion=fusion)
+    # the family's first bad block by key, whatever order the dict holds
+    transport = dict(reversed(list(b.transport.items())))
+    transport[0, 1] = transport[1, 1] = Tensor([[1, 0]])
+    with pytest.raises(BundleError, match=re.escape(
+            "transport (0,1) has shape (1, 2), want (1, 1)")):
+        replace(b, transport=transport)
+
+
 # --- the validator against its definition ---------------------------------
 
 def _reference_validate_bundle(bundle):

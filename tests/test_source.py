@@ -75,6 +75,27 @@ def test_only_tensor_reads_the_exact_number_format():
     assert found == []
 
 
+def test_tensor_makes_fractions_only_at_its_edges():
+    # exact arithmetic runs on integer numerators over one den: Fractions
+    # come in through the constructor and parse_scalar, go out through
+    # item() and entries(), and are printed by format_scalar, nowhere else
+    edges = {"Tensor.__init__", "parse_scalar", "Tensor.item", "Tensor.entries",
+             "format_scalar"}
+    with open(os.path.join(SRC, "tensor.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="tensor.py")
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name if where is None else "%s.%s" % (where, node.name)
+        if isinstance(node, ast.Name) and node.id == "Fraction" and where not in edges:
+            found.append("%s:%d" % (where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    assert found == []
+
+
 def test_only_tensor_and_gerbe_call_complex():
     # the Tensor constructor turns ints and Fractions into the entries of its
     # mode, so no module picks a typed one or zero by mode; gerbe's scalar

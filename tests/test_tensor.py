@@ -274,6 +274,103 @@ def test_invert_singular_returns_none():
     assert invert_matrix(m) is None
 
 
+def _reference_invert(a, tol=tensor.DEFAULT_TOL):
+    """invert_matrix by Gauss-Jordan elimination on Fractions in exact mode
+    (the first nonzero pivot) and on complex floats in float mode (the
+    largest pivot, none at most ``tol``)."""
+    n = a.shape[0]
+    flat = a.entries()
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    one = Fraction(1) if a.exact else complex(1)
+    zero = Fraction(0) if a.exact else complex(0)
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = None
+        if a.exact:
+            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        else:
+            r_best = max(range(col, n), key=lambda r: abs(m[r][col]))
+            if abs(m[r_best][col]) > tol:
+                pivot = r_best
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return Tensor(inv, exact=a.exact)
+
+
+def _random_square_matrices(exact, count):
+    """(kind, matrix) pairs of sizes 1 to 6, seeded: small integers (about
+    half with a negative determinant), entries over dens up to 8, entries
+    past 2**62, and singular ones (a repeated row, a zero column)."""
+    rng = np.random.default_rng(29)
+    kinds = ("small", "dens", "past 2**62", "singular")
+    for trial in range(count):
+        n, kind = 1 + trial % 6, kinds[trial // 6 % 4]
+        if kind == "past 2**62":
+            rows = [[int(x) * 2 ** 61 + int(y) for x, y in zip(
+                rng.integers(-9, 10, n), rng.integers(-5, 6, n))] for _ in range(n)]
+        elif kind == "dens":
+            rows = [[Fraction(int(p), int(q)) for p, q in zip(
+                rng.integers(-9, 10, n), rng.integers(1, 9, n))] for _ in range(n)]
+        else:
+            rows = rng.integers(-3, 4, (n, n)).tolist()
+        if kind == "singular":
+            if n == 1 or trial % 2:
+                rows = [[0] + row[1:] for row in rows]
+            else:
+                rows[-1] = [2 * x for x in rows[0]]
+        if not exact:
+            rows = [[complex(x) + complex(*rng.normal(size=2)) / 8 for x in row]
+                    for row in rows]
+            if kind == "singular":
+                rows = [[0j] + row[1:] for row in rows]
+        yield kind, Tensor(rows, exact=exact)
+
+
+def test_exact_inverse_is_the_fraction_reference():
+    # fraction-free elimination on the numerators gives the numbers, den,
+    # tier and bound of Gauss-Jordan on Fractions, singular matrices included
+    seen = {"negative determinant": 0, "singular": 0, "objects": 0, "den > 1": 0}
+    for kind, m in _random_square_matrices(True, 480):
+        got, want = invert_matrix(m), _reference_invert(m)
+        assert (got is None) == (want is None), (kind, m.entries())
+        if want is None:
+            seen["singular"] += 1
+            continue
+        assert got.shape == want.shape and equal(got, want), (kind, m.entries())
+        assert (got.den, got.nums.dtype, got.top) == (want.den, want.nums.dtype, want.top)
+        _assert_numerators(got)
+        seen["negative determinant"] += np.linalg.det(
+            np.array(m.entries(), dtype=float).reshape(m.shape)) < 0
+        seen["objects"] += m.nums.dtype == object
+        seen["den > 1"] += m.den > 1
+    assert min(seen.values()) >= 20, seen
+    # the smallest cases: a swap, a negative 1x1 and a matrix over a den
+    assert invert_matrix(Tensor([[0, 1], [1, 0]])).entries() == [0, 1, 1, 0]
+    assert invert_matrix(Tensor([[-2]])).entries() == [Fraction(-1, 2)]
+    assert invert_matrix(Tensor([[Fraction(1, 2), 0], [0, 3]])).entries() == [
+        2, 0, 0, Fraction(1, 3)]
+
+
+def test_float_inverse_is_bit_identical_to_the_reference():
+    for kind, m in _random_square_matrices(False, 240):
+        for tol in (tensor.DEFAULT_TOL, 0.5):
+            got, want = invert_matrix(m, tol), _reference_invert(m, tol)
+            assert (got is None) == (want is None), (kind, tol)
+            if want is not None:
+                assert [repr(x) for x in got.entries()] == \
+                    [repr(x) for x in want.entries()], (kind, tol)
+
+
 def test_tensordot_empty_axes_is_outer_product():
     a = frac_tensor([1, 2])
     b = frac_tensor([3, 4])
@@ -588,6 +685,72 @@ def test_stack_and_einsum_reject_mixed_modes():
         tensor.einsum("i,i->i", exact, approx)
 
 
+def _reference_stack(blocks, lead, width):
+    """stack block by block: each block's numerators brought to the lcm of
+    the dens and written at its key, padded with zeros."""
+    tensors = list(blocks.values())
+    exact = tensors[0].exact
+    den = math.lcm(*(t.den for t in tensors))
+    top = max(max(t.top, 1) * (den // t.den) for t in tensors)
+    full = (width,) * tensors[0].rank
+    if top < 2 ** 62:
+        out = np.zeros(lead + full, dtype=np.int64)
+    else:
+        top = math.inf
+        out = np.full(lead + full, 0 if exact else complex(0), dtype=object)
+    for key, t in blocks.items():
+        nums = np.asarray(t.nums, dtype=out.dtype) * (den // t.den)
+        out[key + tuple(map(slice, nums.shape))] = nums
+    return Tensor._of(out, den, top, exact)
+
+
+def _families():
+    """(name, blocks, lead, width) of block families over a 3 x 2 lead,
+    seeded, each key set inserted in a shuffled order."""
+    rng = np.random.default_rng(17)
+    keys = [(i, j) for i in range(3) for j in range(2)]
+
+    def block(shape, exact=True, den=1, big=False):
+        vals = rng.integers(-4, 5, shape)
+        if not exact:
+            return Tensor((vals + 0.25j).tolist(), exact=False)
+        if big:
+            vals = vals.astype(object) * 2 ** 70 + 1
+        return Tensor((np.array(vals, dtype=object) * Fraction(1, den)).tolist())
+    shared = block((2, 2))
+    families = [
+        ("uniform", {k: block((2, 2)) for k in keys}, 2),
+        ("shared", {k: shared for k in keys}, 2),
+        ("shared and distinct", {k: shared if k[1] else block((2, 2)) for k in keys}, 2),
+        ("padded", {k: block((1 + k[0] % 2, 2)) for k in keys}, 2),
+        ("mixed den", {k: block((2, 2), den=1 + k[0]) for k in keys}, 2),
+        ("one den past 1", {k: block((2, 2), den=6) for k in keys}, 2),
+        ("object tier", {k: block((2, 2), big=k == (1, 1)) for k in keys}, 2),
+        ("objects alone", {k: block((2, 2), big=True) for k in keys}, 2),
+        ("float", {k: block((2, 2), exact=False) for k in keys}, 2),
+        ("float padded", {k: block((1, 1 + k[1]), exact=False) for k in keys}, 2),
+        ("partial keys", {k: block((2, 2)) for k in keys[::2]}, 2),
+        ("rank one", {k: block((1,)) for k in keys}, 1),
+    ]
+    for name, blocks, width in families:
+        order = rng.permutation(len(blocks))
+        items = list(blocks.items())
+        yield name, dict(items[i] for i in order), (3, 2), width
+
+
+def test_stack_equals_the_block_by_block_reference():
+    for name, blocks, lead, width in _families():
+        got, want = tensor.stack(blocks, lead, width), _reference_stack(blocks, lead, width)
+        assert got.shape == want.shape == lead + (width,) * next(iter(blocks.values())).rank
+        assert (got.den, got.top, got.nums.dtype) == (want.den, want.top, want.nums.dtype), name
+        assert got.nums.ravel().tolist() == want.nums.ravel().tolist(), name
+        assert equal(got, want), name
+        if got.exact:
+            _assert_numerators(got)
+        # the stack shares no memory with any block
+        assert not any(np.shares_memory(got.nums, t.nums) for t in blocks.values()), name
+
+
 @st.composite
 def _padded(draw):
     """A tensor (exact with dens, or float), identity dims and a leg order
@@ -716,23 +879,29 @@ def test_both_tiers_give_the_same_numbers(operands):
         assert tensordot(a, b, [1], [0]).nums.dtype == np.int64
 
 
-def test_a_part_takes_the_tier_of_its_own_numerators():
-    # a gather keeps its operand's tier and bound; part gives a part of an
-    # object tensor the tier and bound its own constructor call would
-    big = Tensor([[Fraction(1, 3), 2 ** 70], [-5, Fraction(7, 3)]])
-    assert big.nums.dtype == object and big[0, 0].nums.dtype == object
-    for idx in ((0, 0), (1,), (slice(None), 0), ([1, 1], [0, 1]), (0,)):
-        got, own = tensor.part(big, idx), Tensor(np.array(big[idx].entries(),
-                                                          dtype=object).reshape(big[idx].shape))
-        assert equal(got, own) and got.den == own.den, idx
-        assert (got.nums.dtype, got.top) == (own.nums.dtype, own.top), idx
-    p = tensor.part(big, (1, 0))  # -15 over den 3, reduced to -5 over 1
-    assert (p.top, p.den, p.item()) == (5, 1, -5)
-    # a part of an int64 tensor is the gather as it is, within the whole bound
-    small = Tensor([[1, 2 ** 40], [3, 4]])
-    got = tensor.part(small, (0, 0))
-    assert (got.nums.dtype, got.top, got.item()) == (np.int64, 2 ** 40, 1)
-    assert tensor.part(Tensor([complex(2 ** 70)], exact=False), (0,)).item() == 2 ** 70
+def test_a_rank_one_block_takes_the_tier_of_its_own_numerator():
+    # each entry of a table becomes a block with legs of dimension 1, in
+    # lowest terms and in the tier and bound its own constructor call gives
+    tables = [Tensor([[Fraction(1, 3), 2 ** 70], [-5, Fraction(7, 3)]]),  # objects
+              Tensor([[1, 2 ** 40], [Fraction(3, 4), 0]]),  # int64 over 4
+              Tensor._reduced(np.array([[1, 4]]), 2 ** 70, 4, True),  # int64 over 2**70
+              Tensor([[1, -1], [-1, 1]])]
+    assert [t.nums.dtype for t in tables] == [object] + [np.int64] * 3
+    for table in tables:
+        for legs in (2, 3):
+            blocks = tensor.rank_one_blocks(table, legs)
+            assert list(blocks) == list(np.ndindex(table.shape))
+            for idx, got in blocks.items():
+                own = Tensor(np.array([table[idx].item()], dtype=object)
+                             .reshape((1,) * legs))
+                assert got.shape == own.shape and equal(got, own), idx
+                assert (got.den, got.nums.dtype, got.top) == \
+                    (own.den, own.nums.dtype, own.top), idx
+    p = tensor.rank_one_blocks(tables[0], 2)[1, 0]  # -15 over den 3, reduced
+    assert (p.top, p.den, p.entries()) == (5, 1, [-5])
+    floats = tensor.rank_one_blocks(Tensor([[complex(2 ** 70), 0.5j]], exact=False), 3)
+    assert [(b.shape, *b.entries()) for b in floats.values()] == \
+        [((1, 1, 1), 2 ** 70), ((1, 1, 1), 0.5j)]
 
 
 def test_a_sum_that_would_wrap_is_made_in_objects():

@@ -630,7 +630,8 @@ def invert_matrix(a: Tensor, tol=DEFAULT_TOL):
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Tensor(inv, exact=False)
+    # shaped (n, n) even when n is 0, where the rows alone say nothing
+    return Tensor(np.array(inv, dtype=object).reshape(n, n), exact=False)
 
 
 def _invert_numerators(rows, den):

@@ -28,13 +28,21 @@ MUTANTS = [
      "if exact and equal(u, t)",
      "if equal(u, t, bundle.tol)",
      ["tests/test_crossed.py::test_nfold_shares_subtrees_and_matches_the_reference"]),
-    # _plan keeps a greedy order that only ties layer order's peak
+    # _plan keeps a greedy order that only ties layer order's cost
     ("src/tqft2d/bordism.py",
-     "        if n_legs >= peak:\n",
-     "        if n_legs > peak:\n",
+     "        greedy = _greedy(size, joined, start, cost)\n",
+     "        greedy = _greedy(size, joined, start, cost + 1)\n",
      ["tests/test_bordism.py::test_the_plan_never_peaks_above_layer_order",
-      "tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
-      "tests/test_contraction_budget.py::test_a_fuzz_pairs_pass_stays_within_its_contraction_budget"]),
+      "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # _schedule puts an input circle left open before its maker after the
+    # generator's outputs, so the maker pairs with the wrong state leg
+    ("src/tqft2d/bordism.py",
+     " + [c for c in ends if c not in legs]\n",
+     " + [c for c in circles if c < 0] + [c for c in outs if c not in legs]"
+     " + [c for c in circles if c >= 0 and c not in legs]\n",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_the_plan_gives_layer_order_values_on_the_pair_pool",
+      "tests/test_bordism.py::test_contraction_equals_the_normal_form_of_the_topological_type"]),
     # equal ignores the den
     ("src/tqft2d/tensor.py",
      "    if a.den != b.den:\n        return False\n",
@@ -158,6 +166,30 @@ MUTANTS = [
      "        self.mul_table.flags.writeable = self.conj_table.flags.writeable = False\n",
      "",
      ["tests/test_groups.py::test_the_group_arrays_are_its_products_and_conjugates[K4]"]),
+    # conjugacy_classes reads a row of the conjugation table, which holds
+    # every element, for the class of each element
+    ("src/tqft2d/groups.py",
+     "cls = sorted(set(self.conj_table[:, g].tolist()))",
+     "cls = sorted(set(self.conj_table[g, :].tolist()))",
+     ["tests/test_groups.py::test_conjugacy_classes_match_the_scalar_orbits",
+      "tests/test_acceptance.py::test_criterion_03_character_formula",
+      "tests/test_frobenius.py::test_s3_center_pairing_and_invariant"]),
+    # group_center counts each pair under its product's class and the
+    # second factor's, swapped
+    ("src/tqft2d/frobenius.py",
+     "(class_of[g], class_of[h], class_of[p[g, h]])",
+     "(class_of[g], class_of[p[g, h]], class_of[h])",
+     ["tests/test_groups.py::test_group_center_matches_the_pairwise_count"]),
+    # the shapes' later layers come in reversed Gen order
+    ("src/tqft2d/crossed.py",
+     "        for g in Gen:\n",
+     "        for g in reversed(Gen):\n",
+     ["tests/test_crossed.py::test_shapes_come_in_the_order_of_the_list_reference"]),
+    # the layer generator yields the empty layer
+    ("src/tqft2d/crossed.py",
+     "    if need == 0 and layer:\n",
+     "    if need == 0:\n",
+     ["tests/test_crossed.py::test_shapes_come_in_the_order_of_the_list_reference"]),
     # the schedule puts a word's outputs in reverse order
     ("src/tqft2d/bordism.py",
      "[~i for i in range(n_in)] + boundary)",

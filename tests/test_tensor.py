@@ -274,6 +274,14 @@ def test_invert_singular_returns_none():
     assert invert_matrix(m) is None
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_the_inverse_of_a_0x0_matrix_is_0x0(exact):
+    empty = Tensor(np.zeros((0, 0), dtype=object), exact=exact)
+    inv = invert_matrix(empty)
+    assert inv.shape == (0, 0) and inv.exact == exact
+    assert equal(tensordot(empty, inv, [1], [0]), Tensor.identity(0, exact=exact))
+
+
 def _reference_invert(a, tol=tensor.DEFAULT_TOL):
     """invert_matrix by Gauss-Jordan elimination on Fractions in exact mode
     (the first nonzero pivot) and on complex floats in float mode (the

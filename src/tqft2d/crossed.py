@@ -11,9 +11,12 @@ family of blocks once into a zero-padded tensor (``tensor.stack``), of
 shape (|G|, |G|, D, D, D) for fusion and fission and (|G|, |G|, D, D) for
 transport, D being the largest fiber dimension, and checks each axiom over
 all its gradings in one gathered contraction through ``tensor.einsum``.
-Padding is zero on both sides of every comparison, so each failing grading
-reports the same first witness as a block-by-block check; the tests hold it
-to that loop.
+Each operand is one ``tensor.gather`` of a stack at flat rows
+``x * |G| + y``, which the group builds once and keeps
+(``FiniteGroup.grading_rows``), and each pairwise contraction is one
+batched matrix product.  Padding is zero on both sides of every
+comparison, so each failing grading reports the same first witness as a
+block-by-block check; the tests hold it to that loop.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
-                     einsum, equal, invert_matrix, parse_int, parse_scalars,
+                     einsum, equal, gather, invert_matrix, parse_int, parse_scalars,
                      format_scalar, permute, stack, tensordot)
 
 
@@ -168,9 +171,13 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
 
     Each family of blocks is stacked once (``tensor.stack``), padded to the
     largest fiber dimension D, and each axiom is one contraction over all
-    its gradings at once: both sides are gathered from the stacks through
-    the group's multiplication and conjugation tables and contracted with
-    ``tensor.einsum``, pairwise in the order of the definition.  A grading
+    its gradings at once: each operand of both sides is one
+    ``tensor.gather`` of a stack at the flat rows of its pairs of group
+    elements (``FiniteGroup.grading_rows``, built from the multiplication
+    and conjugation tables once per group), and they are contracted with
+    ``tensor.einsum``, pairwise in the order of the definition, each pair
+    one batched matrix product.  Each check gathers its own operands and
+    drops them before the next check's are built.  A grading
     fails when its two padded blocks differ (``tensor.differences``), and
     its two blocks go to ``ValidationReport.compare``.  Padding is zero on
     both sides, so the first row-major differing index of a padded block is
@@ -196,8 +203,8 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
     eyes = stack({(i,): Tensor.identity(d, exact=bundle.exact)
                   for i, d in enumerate(sizes)}, (len(sizes),), w)
     ident = eyes[[sizes.index(d) for d in dims]]
-    mul, conj = G.mul_table, G.conj_table
-    ein = einsum
+    r = G.grading_rows
+    ein, at = einsum, gather
     report = ValidationReport()
 
     def fail(gradings, checks):
@@ -223,52 +230,56 @@ def validate_bundle(bundle: CrossedBundle) -> ValidationReport:
             report.compare(axiom, lhs, rhs, tol,
                            tuple(int(x) for x in gradings[:, i]) + tag)
 
-    triples = np.indices((n, n, n)).reshape(3, -1)
-
-    k, g, h = triples
-    gh, gc, hc = mul[g, h], conj[k, g], conj[k, h]
-    fail(triples, [
+    # gradings (k, g, h): the pairs (g, h), (k, gh), (k g k^-1, k h k^-1),
+    # (k, g) and (k, h) are the rows bc, a_bc, conj, ab and ac
+    fail(r.triples, [
         # P_k . mu_{g,h} = mu_{g',h'} . (P_k x P_k), legs (a, b, y)
         ("fusion-transport", (), lambda: (
-            ein("nabx,nxy->naby", mu[g, h], P[k, gh]),
-            ein("nbj,najy->naby", P[k, h], ein("nai,nijy->najy", P[k, g], mu[gc, hc])))),
+            ein("nabx,nxy->naby", at(mu, r.bc), at(P, r.a_bc)),
+            ein("nbj,najy->naby", at(P, r.ac),
+                ein("nai,nijy->najy", at(P, r.ab), at(mu, r.conj))))),
         # nu_{g',h'} . P_k = (P_k x P_k) . nu_{g,h}, legs (x, i, j)
         ("fission-transport", (), lambda: (
-            ein("nxy,nyij->nxij", P[k, gh], nu[gc, hc]),
-            ein("nxbi,nbj->nxij", ein("nxab,nai->nxbi", nu[g, h], P[k, g]), P[k, h])))])
+            ein("nxy,nyij->nxij", at(P, r.a_bc), at(nu, r.conj)),
+            ein("nxbi,nbj->nxij", ein("nxab,nai->nxbi", at(nu, r.bc), at(P, r.ab)),
+                at(P, r.ac))))])
 
-    g, h, k = triples
-    gh, hk = mul[g, h], mul[h, k]
-    fail(triples, [
+    # gradings (g, h, k): the pairs (g, h), (gh, k), (h, k) and (g, hk) are
+    # the rows ab, ab_c, bc and a_bc
+    fail(r.triples, [
         # legs (a, b, c, d)
-        ("associativity", (), lambda: (ein("nabx,nxcd->nabcd", mu[g, h], mu[gh, k]),
-                                       ein("nbcx,naxd->nabcd", mu[h, k], mu[g, hk]))),
+        ("associativity", (), lambda: (ein("nabx,nxcd->nabcd", at(mu, r.ab), at(mu, r.ab_c)),
+                                       ein("nbcx,naxd->nabcd", at(mu, r.bc), at(mu, r.a_bc)))),
         # legs (x, a, b, c)
-        ("coassociativity", (), lambda: (ein("nxyc,nyab->nxabc", nu[gh, k], nu[g, h]),
-                                         ein("nxay,nybc->nxabc", nu[g, hk], nu[h, k]))),
+        ("coassociativity", (), lambda: (ein("nxyc,nyab->nxabc", at(nu, r.ab_c), at(nu, r.ab)),
+                                         ein("nxay,nybc->nxabc", at(nu, r.a_bc), at(nu, r.bc)))),
         # nu_{g,hk} . mu_{gh,k} = (id x mu_{h,k}) . (nu_{g,h} x id), legs (p, q, r, s)
-        ("frobenius", (), lambda: (ein("npqz,nzrs->npqrs", mu[gh, k], nu[g, hk]),
-                                   ein("nprz,nzqs->npqrs", nu[g, h], mu[h, k]))),
+        ("frobenius", (), lambda: (ein("npqz,nzrs->npqrs", at(mu, r.ab_c), at(nu, r.a_bc)),
+                                   ein("nprz,nzqs->npqrs", at(nu, r.ab), at(mu, r.bc)))),
         # nu_{gh,k} . mu_{g,hk} = (mu_{g,h} x id) . (id x nu_{h,k}), legs (p, q, r, s)
-        ("frobenius", ("rev",), lambda: (ein("npqz,nzrs->npqrs", mu[g, hk], nu[gh, k]),
-                                         ein("nqzs,npzr->npqrs", nu[h, k], mu[g, h])))])
+        ("frobenius", ("rev",), lambda: (ein("npqz,nzrs->npqrs", at(mu, r.a_bc), at(nu, r.ab_c)),
+                                         ein("nqzs,npzr->npqrs", at(nu, r.bc), at(mu, r.ab))))])
 
-    singles = np.arange(n)[None]
-    fail(singles, [("unit-transport", (), lambda: (ein("x,nxy->ny", u, P[:, e]), unit_at)),
-                   ("unit-transport", ("counit",),
-                    lambda: (ein("nxy,y->nx", P[:, e], eps), counit_at))])
-    fail(singles, [("unit", (), lambda: (ein("nayb,y->nab", mu[:, e], u), ident)),
-                   ("counit", (), lambda: (ein("naby,y->nab", nu[:, e], eps), ident))])
+    # gradings (g): the pair (g, e) is the row ae
+    fail(r.singles, [("unit-transport", (), lambda: (ein("x,nxy->ny", u, at(P, r.ae)),
+                                                     unit_at)),
+                     ("unit-transport", ("counit",),
+                      lambda: (ein("nxy,y->nx", at(P, r.ae), eps), counit_at))])
+    fail(r.singles, [("unit", (), lambda: (ein("nayb,y->nab", at(mu, r.ae), u), ident)),
+                     ("counit", (), lambda: (ein("naby,y->nab", at(nu, r.ae), eps), ident))])
 
     report.check("nondegeneracy")
     pair = tensordot(bundle.fusion[e, e], bundle.counit, [2], [0])
     if invert_matrix(pair, tol) is None:
         report.fail("nondegeneracy", ())
 
-    fail(np.stack([np.full(n, e), np.arange(n)]), [("flatness", (), lambda: (P[e], ident))])
-    k, l, g = triples
-    fail(triples, [("flatness", (), lambda: (
-        ein("nay,nyb->nab", P[l, g], P[k, conj[l, g]]), P[mul[k, l], g]))])
+    # gradings (e, g): the pair (e, g) is the row ea
+    fail(np.stack([np.full(n, e), np.arange(n)]), [("flatness", (), lambda: (
+        at(P, r.ea), ident))])
+    # gradings (k, l, g): the pairs (l, g), (k, l g l^-1) and (kl, g) are the
+    # rows bc, a_conj and ab_c
+    fail(r.triples, [("flatness", (), lambda: (
+        ein("nay,nyb->nab", at(P, r.bc), at(P, r.a_conj)), at(P, r.ab_c)))])
     return report
 
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,10 @@ class FiniteGroup:
     ``mul_table[a, b] = ab`` and ``conj_table[k, g] = k g k^-1``.  Every
     gather over gradings (the validators, ``direct_product``,
     ``group_center``) indexes these; ``mul`` and ``conj`` stay scalar
-    lookups for one product at a time.
+    lookups for one product at a time.  ``grading_rows``, built from them
+    on first use and kept, holds the flat rows that ``validate_bundle``
+    gathers its blocks at.  Equal groups (same table and labels) hash
+    equal.
     """
 
     def __init__(self, table, labels=None):
@@ -50,6 +55,7 @@ class FiniteGroup:
         self.mul_table = np.array(table, dtype=np.intp)
         self.conj_table = self.mul_table[self.mul_table, np.array(self.inv)[:, None]]
         self.mul_table.flags.writeable = self.conj_table.flags.writeable = False
+        self._hash = hash((table, labels))
 
     def _find_identity(self):
         for e in range(self.order):
@@ -121,8 +127,57 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.table == other.table \
             and self.labels == other.labels
 
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.order
+
+    @cached_property
+    def grading_rows(self):
+        """The group's ``GradingRows``, built on first use."""
+        return _grading_rows(self)
+
+
+class GradingRows(NamedTuple):
+    """Flat rows of a (G x G)-indexed stack of blocks: the pair (x, y) is
+    row ``x * |G| + y``, so one ``take`` gathers the block at each pair.
+
+    Over the gradings ``triples`` (a, b, c), row-major like
+    ``np.indices((n, n, n))``, the rows of the pairs (a, b), (b, c),
+    (a, c), (a, bc), (ab, c), (a b a^-1, a c a^-1) and (a, b c b^-1); over
+    the gradings ``singles`` (a) those of (a, e) and (e, a).  Every array
+    is read-only.
+    """
+
+    triples: np.ndarray  # shape (3, n^3)
+    ab: np.ndarray
+    bc: np.ndarray
+    ac: np.ndarray
+    a_bc: np.ndarray
+    ab_c: np.ndarray
+    conj: np.ndarray
+    a_conj: np.ndarray
+    singles: np.ndarray  # shape (1, n)
+    ae: np.ndarray
+    ea: np.ndarray
+
+
+def _grading_rows(group: FiniteGroup) -> GradingRows:
+    """``group.grading_rows``, gathered through its two tables."""
+    n, e = group.order, group.identity
+    mul, conj = group.mul_table.ravel(), group.conj_table.ravel()  # at x * n + y
+    triples = np.indices((n, n, n)).reshape(3, -1)
+    a, b, c = triples
+    an = a * n
+    ab, bc, ac = an + b, b * n + c, an + c
+    singles = np.arange(n)
+    rows = GradingRows(triples, ab, bc, ac, an + mul[bc], mul[ab] * n + c,
+                       conj[ab] * n + conj[ac], an + conj[bc], singles[None],
+                       singles * n + e, e * n + singles)
+    for array in rows:
+        array.flags.writeable = False
+    return rows
 
 
 def trivial_group():

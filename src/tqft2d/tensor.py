@@ -7,7 +7,7 @@ multiplies the dens and contracts the numerators, and ``equal`` compares the
 dens and then the numerators.  A float tensor holds its complex entries in
 ``nums`` with ``den`` fixed at 1, so both modes share one code path.  Only
 this module reads numerators and dens: other modules stack
-blocks (``stack``), gather entries (``t[idx]``), split a table of
+blocks (``stack``), gather entries (``t[idx]``, ``gather``), split a table of
 scalars into rank-one blocks (``rank_one_blocks``), contract (``tensordot``,
 ``einsum``), lay identity legs beside a tensor (``with_identities``) and
 compare, each result in lowest terms.  A tensor carries no tolerance: the
@@ -502,46 +502,140 @@ def stack(blocks, lead, width) -> Tensor:
     return _of(out, den, top, exact)
 
 
+def gather(a: Tensor, rows) -> Tensor:
+    """The blocks of ``a``, a stack over two leading legs, at flat
+    row-major positions ``rows`` of those legs, with one ``np.take``: a
+    (G x G)-indexed stack gathered at rows ``g * |G| + h`` gives the blocks
+    at (g, h), as ``a[g, h]`` does.  A part may need a smaller den, as in
+    indexing."""
+    nums = a.nums
+    nums = nums.reshape((-1,) + nums.shape[2:]).take(rows, axis=0)
+    if a.den == 1:
+        return _of(nums, 1, a.top, a.exact)
+    return Tensor._reduced(nums, a.den, a.top, a.exact)
+
+
 def einsum(spec, *operands) -> Tensor:
     """``np.einsum`` of tensors of one mode, over the product of their dens;
-    ``"...,...->..."`` multiplies entries with numpy broadcasting.  Contract
-    two at a time: unoptimized, numpy loops over all indices at once.
-    Each entry sums ``_summed`` products, which bounds it with the operands'
-    bounds as in ``tensordot``."""
-    exact, den = _common_mode(operands), 1
-    top = _summed(spec, tuple(t.nums.shape for t in operands))
-    arrays = []
+    ``"...,...->..."`` multiplies entries with numpy broadcasting.
+
+    A contraction of two operands, each label on one leg of each operand
+    it names and every output label on an input leg, runs as one batched
+    matrix product: the legs both operands keep are the batch, the summed
+    legs the inner dimension K, and each operand is transposed and
+    reshaped to (batch, M, K) and (batch, K, N) first.  The product is
+    ``np.matmul``, or for K = 1 the broadcast ``np.multiply`` of the two,
+    which makes the same products with less work per batch.  Every other
+    spec (``...``, one or three operands, a label summed in one operand
+    alone, a leg of size 1 broadcast against a longer one) runs through
+    ``np.einsum`` as it is; contract two at a time, since unoptimized numpy
+    loops over all indices at once.  The layout and the bound are worked
+    out once per pattern of the spec and the shapes (``_contraction``).
+    Each entry sums at most ``n`` products, which bounds it with the
+    operands' bounds as in ``tensordot``."""
+    exact = _common_mode(operands)
+    arrays = [t.nums for t in operands]
+    steps, top = _contraction(spec, tuple([x.shape for x in arrays]))
+    den = 1
     for t in operands:
         den *= t.den
         top *= t.top
-        arrays.append(t.nums)
     if not top < _LIMIT:  # nan too, a zero bound times objects
         if top < _UNBOUNDED:  # int64 operands whose sums may not fit
             arrays[0] = arrays[0].astype(object)
         top = _UNBOUNDED
-    r = np.einsum(spec, *arrays)
-    if type(r) is not np.ndarray:  # numpy gives a scalar for a 0-d result
-        r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
-    return Tensor._reduced(r, den, top, exact)
+    if steps is None:
+        try:
+            r = np.einsum(spec, *arrays)
+        except ValueError as exc:
+            raise ContractionError("einsum %r: %s" % (spec, exc)) from None
+        if type(r) is not np.ndarray:  # numpy gives a scalar for a 0-d result
+            r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
+    else:
+        order_a, mat_a, order_b, mat_b, product, legs, out = steps
+        x, y = arrays
+        if order_a is not None:
+            x = x.transpose(order_a)
+        if order_b is not None:
+            y = y.transpose(order_b)
+        r = product(x.reshape(mat_a), y.reshape(mat_b)).reshape(legs)
+        if out is not None:
+            r = r.transpose(out)
+    if den != 1:
+        return Tensor._reduced(r, den, top, exact)
+    return _of(r, 1, top, exact)
 
 
 @lru_cache(maxsize=1024)
-def _summed(spec, shapes):
-    """How many products an entry of ``np.einsum(spec)`` over operands of
-    ``shapes`` sums, at most: the product of the dimensions of the indices
-    missing from the output, and of every broadcast leg when the output has
-    no ``...`` (with no ``->``, of every index and leg)."""
-    ins, _, out = spec.partition("->")
-    n, dims = 1, {}
-    for term, shape in zip(ins.split(","), shapes):
+def _contraction(spec, shapes):
+    """How ``einsum`` runs ``spec`` on operands of ``shapes``: ``(steps, n)``.
+
+    ``n`` is how many products an entry sums, at most: the product of the
+    dimensions of the labels missing from the output, and of every
+    broadcast leg when the output has no ``...`` (with no ``->``, of every
+    label and leg).  ``steps`` is None where ``np.einsum`` runs the spec,
+    and otherwise the batched matrix product: a's transpose order (batch,
+    kept, summed legs) and (batch, M, K) shape, b's transpose order (batch,
+    summed, kept legs) and (batch, K, N) shape, the product (``np.matmul``,
+    or ``np.multiply`` for K = 1), the shape of the product's legs (batch,
+    a's kept, b's kept) and the order that takes them to the output's; an
+    order is None where it moves no leg of size above 1, since it then
+    leaves every entry in place, and the product's legs then take the
+    output's shape.  The batch and kept legs come in output order, the
+    summed legs in a's.
+
+    Raises ContractionError when two legs of one label have different
+    dimensions, neither of them 1; an error is never cached.
+    """
+    ins, arrow, out = spec.partition("->")
+    terms = ins.split(",")
+    n, dims, plain = 1, {}, bool(arrow) and len(terms) == 2 and "." not in spec
+    for term, shape in zip(terms, shapes):
         head, dots, tail = term.partition("...")
         rest = len(shape) - len(tail)
         if dots and "..." not in out:
             n *= math.prod(shape[len(head):rest])
-        # a leg of size 1 broadcasts against a longer one of its label
+        plain = plain and len(term) == len(shape) == len(set(term))
         for c, d in zip(head + tail, shape[:len(head)] + shape[rest:]):
-            dims[c] = max(dims.get(c, 1), d)
-    return n * math.prod(d for c, d in dims.items() if c not in out)
+            seen = dims.setdefault(c, d)
+            if seen != d:
+                if 1 not in (seen, d):
+                    raise ContractionError(
+                        "dimension mismatch on label %r in %r: %d and %d"
+                        % (c, spec, seen, d))
+                plain = False  # a leg of size 1 broadcasts against a longer one
+                dims[c] = max(seen, d)
+    # a label of dimension 0 counts as 1: no entry sums fewer products
+    n *= math.prod(max(d, 1) for c, d in dims.items() if c not in out)
+    if not plain or len(out) != len(set(out)) or not set(out) <= set(dims):
+        return None, n
+    a, b = terms
+    if any(c not in out and c not in (b if c in a else a) for c in dims):
+        return None, n  # a label summed within one operand
+    batch = [c for c in out if c in a and c in b]
+    keep_a = [c for c in out if c in a and c not in b]
+    keep_b = [c for c in out if c in b and c not in a]
+    summed = [c for c in a if c not in out]
+    order_a = tuple(map(a.index, batch + keep_a + summed))
+    order_b = tuple(map(b.index, batch + summed + keep_b))
+    legs = batch + keep_a + keep_b
+    out_order = tuple(map(legs.index, out))
+
+    def size(labels):
+        return math.prod(dims[c] for c in labels)
+
+    def step(order, shape):
+        # moving legs of size 1 alone leaves every entry where it is
+        moved = [i for i in order if shape[i] != 1]
+        return None if moved == sorted(moved) else order
+    k = size(summed)
+    shape_legs = tuple(dims[c] for c in legs)
+    out_order = step(out_order, shape_legs)
+    return (step(order_a, shapes[0]), (size(batch), size(keep_a), k),
+            step(order_b, shapes[1]), (size(batch), k, size(keep_b)),
+            np.multiply if k == 1 else np.matmul,
+            tuple(dims[c] for c in out) if out_order is None else shape_legs,
+            out_order), n
 
 
 def differences(a: Tensor, b: Tensor, tol):

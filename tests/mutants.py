@@ -196,4 +196,27 @@ MUTANTS = [
      "[~i for i in range(n_in)] + boundary[::-1])",
      ["tests/test_bordism.py::test_contraction_equals_the_normal_form_of_the_topological_type",
       "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # tensor.einsum keeps the product's legs in (batch, kept) order and
+    # never puts them in the output's
+    ("src/tqft2d/tensor.py",
+     "        if out is not None:\n            r = r.transpose(out)\n",
+     "",
+     ["tests/test_tensor.py::test_einsum_matches_numpy_on_the_object_tier[int64]",
+      "tests/test_tensor.py::test_einsum_is_tensordot_then_permute[True]",
+      "tests/test_crossed.py::test_validate_bundle_matches_the_loop_reference"]),
+    # the gather rows of the pair (b, c) are read as (c, b); the twisted D8
+    # cocycle then fails to load, so test_crossed, test_gerbe and test_cli
+    # stop at collection, which the runner does not count as a failure
+    ("src/tqft2d/groups.py",
+     "b * n + c, ",
+     "c * n + b, ",
+     ["tests/test_groups.py::test_the_grading_rows_are_the_table_gathers[S3]",
+      "tests/test_acceptance.py::test_criterion_11_rank_one_gerbe"]),
+    # group_center counts every pair, not only those whose product is the
+    # representative of its class
+    ("src/tqft2d/frobenius.py",
+     "    g, h = np.nonzero(p == np.array(rep)[class_of[p]])\n",
+     "    g, h = np.nonzero(p >= 0)\n",
+     ["tests/test_groups.py::test_group_center_matches_the_pairwise_count",
+      "tests/test_acceptance.py::test_criterion_03_character_formula"]),
 ]

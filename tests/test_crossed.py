@@ -24,7 +24,7 @@ from tqft2d.crossed import (CrossedBundle, BundleError, LabelError,
                             insert_identity_layer, insert_conjugation_pair,
                             enumerate_labeled_words, parse_bundle,
                             format_bundle, load_bundle)
-from tqft2d import crossed, frobenius
+from tqft2d import crossed, frobenius, groups
 from tqft2d.cli import run
 from tqft2d.frobenius import (dual_numbers, diagonal, closed_invariant,
                               comultiplication, group_center, change_of_basis,
@@ -486,10 +486,14 @@ def test_validate_bundle_matches_the_loop_reference():
             compared += _assert_validates_as_reference(b)
             compared += _assert_validates_as_reference(_as_float(b))
     assert compared > 1000  # most of the cases above fail many axioms
+    # over S4's 13,824 triples, one planted fault fails only the gradings
+    # whose blocks reach it
+    s4_fault = _perturbed(from_group_algebra(symmetric_group(4)), random.Random(4))
+    assert 0 < _assert_validates_as_reference(s4_fault) < 24 ** 3
 
 
 def test_validator_contractions_do_not_grow_with_the_group(monkeypatch):
-    # the stacked validator contracts through np.einsum, not block by block
+    # the stacked validator contracts through tensor.einsum, not block by block
     calls = []
     real = crossed.tensordot
     monkeypatch.setattr(crossed, "tensordot",
@@ -501,6 +505,20 @@ def test_validator_contractions_do_not_grow_with_the_group(monkeypatch):
         assert report.passed, report.violations
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_a_second_validation_builds_no_new_gather_rows(monkeypatch):
+    # the flat rows of the gathers are made once per group and kept on it
+    built = []
+    real = groups._grading_rows
+    monkeypatch.setattr(groups, "_grading_rows", lambda g: built.append(g) or real(g))
+    group = symmetric_group(3)  # a fresh group: no rows built yet
+    bundle = from_group_algebra(group)
+    assert validate_bundle(bundle).passed
+    rows = group.grading_rows
+    assert validate_bundle(bundle).passed
+    assert validate_bundle(from_frobenius_algebra(group, dual_numbers())).passed
+    assert built == [group] and group.grading_rows is rows
 
 
 def test_cli_validate_bundle_reports_the_reference_violations(tmp_path):

@@ -132,6 +132,45 @@ def test_the_group_arrays_are_its_products_and_conjugates(name):
             assert g.conj_table[a, b] == g.conj(a, b)
 
 
+@pytest.mark.parametrize("name", sorted(_groups()))
+def test_the_grading_rows_are_the_table_gathers(name):
+    # each flat row x * n + y picks the block (x, y) of a (G x G) stack, so
+    # each array is the pair validate_bundle gathers at, through mul and conj
+    g = _groups()[name]
+    n, mul, conj, e = g.order, g.mul_table, g.conj_table, g.identity
+    rows = g.grading_rows
+    triples = np.indices((n, n, n)).reshape(3, -1)
+    a, b, c = triples
+    singles = np.arange(n)
+    want = dict(triples=triples, ab=a * n + b, bc=b * n + c, ac=a * n + c,
+                a_bc=a * n + mul[b, c], ab_c=mul[a, b] * n + c,
+                conj=conj[a, b] * n + conj[a, c], a_conj=a * n + conj[b, c],
+                singles=singles[None], ae=singles * n + e, ea=e * n + singles)
+    assert list(rows._fields) == list(want)
+    for field, array in want.items():
+        got = getattr(rows, field)
+        assert got.dtype == np.intp and np.array_equal(got, array), field
+        assert not got.flags.writeable, field
+        with pytest.raises(ValueError):
+            got[..., 0] = 0
+    assert g.grading_rows is rows  # built once and kept
+
+
+def test_equal_groups_hash_equal_and_labeled_words_hash():
+    from tqft2d.crossed import closed_surface_word
+    z2 = cyclic_group(2)
+    twin = FiniteGroup(z2.table, labels=z2.labels)
+    assert twin == z2 and twin is not z2 and hash(twin) == hash(z2)
+    assert direct_product(cyclic_group(2), cyclic_group(2)) != klein_four_group()  # labels
+    k4 = klein_four_group()
+    assert hash(FiniteGroup(k4.table, labels=k4.labels)) == hash(k4)
+    assert len({z2, twin, k4, cyclic_group(3)}) == 3
+    word = closed_surface_word(z2, 1, [(0, 0)])
+    assert hash(word) == hash(closed_surface_word(twin, 1, [(0, 0)]))
+    assert len({word, closed_surface_word(z2, 1, [(0, 1)]),
+                closed_surface_word(twin, 1, [(0, 0)])}) == 2
+
+
 def _reference_direct_product(g1, g2):
     """direct_product walking both tables entry by entry."""
     m1, m2 = g1.order, g2.order

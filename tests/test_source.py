@@ -145,6 +145,32 @@ def test_only_tensor_locates_a_difference():
     assert found == []
 
 
+def test_only_tensor_contracts():
+    # every contraction runs through tensor.tensordot or tensor.einsum, which
+    # bound the sums and pick the numerators' tier: no other module calls
+    # numpy's own contractions, imports them or multiplies by ``@``
+    numpy_products = {"einsum", "matmul", "dot", "tensordot"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "tensor.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        name = os.path.basename(path)
+        found += ["%s:%d %s" % (name, node.lineno, ast.unparse(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in numpy_products
+                  and ast.unparse(node.value) in ("np", "numpy")]
+        found += ["%s:%d import %s" % (name, node.lineno, alias.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  for alias in node.names if alias.name in numpy_products]
+        found += ["%s:%d @" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+    assert found == []
+
+
 def test_gerbe_states_no_axiom():
     # a rank-one bundle is checked as the crossed bundle it inflates to, so
     # only crossed and frobenius compare tensors axiom by axiom: gerbe

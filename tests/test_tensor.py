@@ -679,6 +679,110 @@ def test_einsum_is_tensordot_then_permute(exact):
                  tensordot(a[:, 0, 0], b[0, 0, :], [], []))
 
 
+# the specs of the tests above
+_TEST_SPECS = ("abc,cbd->da", "...,...->...", "pq,qr->rp", "pq,pq->", "jk,ij->ik",
+               "i,i->i", "i,i->")
+
+
+def _reference_einsum(spec, operands):
+    """np.einsum on the numerators as Python ints (or complex), the product
+    of the dens, and the bound: the operands' bounds times the products an
+    entry sums, the largest leg of each label that leaves the output."""
+    r = np.asarray(np.einsum(spec, *[np.asarray(t.nums, dtype=object)
+                                     for t in operands]), dtype=object)
+    ins, out = spec.split("->")
+    dims = {}
+    for term, t in zip(ins.split(","), operands):
+        if "..." not in term:
+            for c, d in zip(term, t.shape):
+                dims[c] = max(dims.get(c, 1), d)
+    n = math.prod(d for c, d in dims.items() if c not in out)
+    return r, math.prod(t.den for t in operands), math.prod(t.top for t in operands) * n
+
+
+def _einsum_operands(rng, spec, tier, broadcast):
+    """Operands for ``spec`` with random leg dimensions 1-3, of ``tier``:
+    int64, objects, int64 near 2**31 whose sums leave the tier, or float.
+    With ``broadcast``, each leg of the last operand has dimension 1 one
+    time in three."""
+    ins = spec.split("->")[0].split(",")
+    labels = sorted(set("".join(ins)) - {"."})
+    dims = dict(zip(labels, rng.integers(1, 4, len(labels)).tolist()))
+    dims["."] = 2
+    ops = []
+    for i, term in enumerate(ins):
+        shape = tuple(1 if broadcast and i == len(ins) - 1 and rng.random() < 1 / 3
+                      else dims[c] for c in term.replace("...", "."))
+        if tier == "float":
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            ops.append(Tensor(vals.astype(object), exact=False))
+            continue
+        nums = rng.integers(-9, 10, shape)
+        if tier == "near 2**31":
+            nums = nums + (2 ** 31 - 10)
+        den = int(rng.choice([1, 6]))
+        t = Tensor(np.array([Fraction(int(k), den) for k in nums.ravel()],
+                            dtype=object).reshape(shape))
+        ops.append(_of_objects(t.nums, t.den) if tier == "objects" else t)
+    return ops
+
+
+@pytest.mark.parametrize("tier", ["int64", "objects", "near 2**31", "float"])
+def test_einsum_matches_numpy_on_the_object_tier(tier, monkeypatch):
+    # each spec of the validator and of the tests above gives the shape,
+    # numerators, den, tier and bound of np.einsum on Python ints; the
+    # validator's specs run as batched matrix products, "..." and a
+    # broadcast leg of size 1 through np.einsum itself
+    from tqft2d import crossed
+    from tqft2d.frobenius import dual_numbers
+    from tqft2d.groups import symmetric_group
+    specs = set()
+    monkeypatch.setattr(crossed, "einsum",
+                        lambda spec, *operands: specs.add(spec) or tensor.einsum(spec, *operands))
+    crossed.validate_bundle(crossed.from_frobenius_algebra(symmetric_group(3), dual_numbers()))
+    monkeypatch.undo()
+    assert len(specs) == 18  # the two frobenius checks share one
+    rng = np.random.default_rng(7)
+    for spec in sorted(specs) + list(_TEST_SPECS):
+        for _ in range(6):
+            ops = _einsum_operands(rng, spec, tier, spec in _TEST_SPECS)
+            legs = {}
+            for term, t in zip(spec.split("->")[0].split(","), ops):
+                for c, d in zip(term, t.shape):
+                    legs.setdefault(c, set()).add(d)
+            plain = "." not in spec and "," in spec and all(len(d) == 1 for d in legs.values())
+            steps, _ = tensor._contraction(spec, tuple(t.shape for t in ops))
+            assert (steps is not None) == plain, spec
+            assert plain or spec not in specs, spec
+            got = tensor.einsum(spec, *ops)
+            want, den, top = _reference_einsum(spec, ops)
+            assert got.shape == want.shape, spec
+            if tier == "float":
+                assert (got.den, got.top) == (1, math.inf), spec
+                assert got.nums.ravel().tolist() == want.ravel().tolist(), spec
+                continue
+            _assert_lowest_terms(got)
+            g = math.gcd(den, *want.ravel().tolist())
+            assert got.nums.ravel().tolist() == [x // g for x in want.ravel().tolist()], spec
+            assert got.den == den // g, spec
+            assert got.nums.dtype == (np.int64 if top < 2 ** 62 else object), spec
+            assert got.top == (top // g if top < 2 ** 62 else math.inf), spec
+
+
+def test_a_leg_dimension_mismatch_is_a_contraction_error_and_not_cached():
+    tensor._contraction.cache_clear()
+    a, b, c = (Tensor(np.ones(shape, dtype=int).tolist()) for shape in ((2, 3), (4, 2), (4, 3)))
+    for _ in range(2):
+        with pytest.raises(ContractionError, match="label 'j'"):
+            tensor.einsum("ij,jk->ik", a, b)
+    assert tensor._contraction.cache_info().currsize == 0
+    assert tensor.einsum("ij,kj->ik", a, c).shape == (2, 4)
+    assert tensor._contraction.cache_info().currsize == 1
+    # numpy's own error on a spec it runs is one as well
+    with pytest.raises(ContractionError):
+        tensor.einsum("...,...->...", a, b)
+
+
 def test_indexing_reduces_to_the_smaller_den():
     t = Tensor([Fraction(1, 2), 1])
     assert t[1].den == 1 and t[1].item() == 1

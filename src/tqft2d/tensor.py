@@ -2,15 +2,18 @@
 
 An exact tensor holds ``nums``, an integer array of numerators, over
 ``den``, one positive int, in lowest terms: the gcd of ``den`` and all the
-numerators is 1, so equal tensors hold equal numbers.  ``tensordot``
+numerators is 1, so equal tensors hold equal numbers.  A contraction
 multiplies the dens and contracts the numerators, and ``equal`` compares the
-dens and then the numerators.  A float tensor holds its complex entries in
-``nums`` with ``den`` fixed at 1, so both modes share one code path.  Only
-this module reads numerators and dens: other modules stack
-blocks (``stack``), gather entries (``t[idx]``, ``gather``), split a table of
-scalars into rank-one blocks (``rank_one_blocks``), contract (``tensordot``,
-``einsum``), lay identity legs beside a tensor (``with_identities``) and
-compare, each result in lowest terms.  A tensor carries no tolerance: the
+dens and then the numerators.  ``tensordot`` and ``einsum`` contract through
+one kernel: a planner lays out each pattern once (``_plan``), as one
+``np.matmul`` or ``np.multiply`` between transposes and reshapes, and one
+executor runs every layout (``_contract``).  A float tensor holds its
+complex entries in ``nums`` with ``den`` fixed at 1, so both modes share
+one code path.  Only this module reads numerators and dens: other modules
+stack blocks (``stack``), gather entries (``t[idx]``, ``gather``), split a
+table of scalars into rank-one blocks (``rank_one_blocks``), contract
+(``tensordot``, ``einsum``), lay identity legs beside a tensor
+(``with_identities``) and compare, each result in lowest terms.  A tensor carries no tolerance: the
 algebra, bundle or oracle that owns it does, and passes it to the
 comparisons (``differences``, ``first_difference``, ``equal``) and to
 ``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
@@ -275,9 +278,8 @@ class Tensor:
         return hash((self.shape, self.den, tuple(self.nums.ravel().tolist())))
 
 
-# bound once, so a contraction looks up neither the class nor numpy
+# bound once, so a contraction does not look up the class
 _of = Tensor._of
-_dot, _outer = np.dot, np.multiply.outer
 
 
 def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
@@ -286,46 +288,73 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
 
     The steps of ``np.tensordot``, without its argument handling: the paired
     legs go to the end of a and the front of b, both are flattened to
-    matrices, and ``np.dot`` multiplies them, so float results are bit for
-    bit ``np.tensordot``'s.  Axes are distinct leg indices 0..rank-1.  The axis
-    counts and leg dimensions are checked, and the layout worked out, once
-    per pattern of both shapes and both axis lists (``_layout``); a pattern
-    is cached only once it has passed, so every call is checked.
+    matrices, and ``np.matmul`` multiplies them, summing each entry's
+    products in the order ``np.dot`` does, so float results are bit for bit
+    ``np.tensordot``'s.  Where the paired legs have size 1 (the outer product
+    among them) ``np.multiply`` broadcasts a's kept legs against b's instead.
+    Axes are distinct leg indices 0..rank-1.  The axis counts and leg
+    dimensions are checked, and the layout worked out, once per pattern of
+    both shapes and both axis lists (``_layout``); a pattern is cached only
+    once it has passed, so every call is checked.  ``_contract`` runs the
+    layout, as it runs ``einsum``'s, and bounds the result.
+    """
+    return _contract(a, b, _layout(a.nums.shape, b.nums.shape, tuple(axes_a), tuple(axes_b)))
 
-    Each entry sums ``n`` products, n the size of the paired legs (1 for
-    the outer product), so it lies within ``a.top * b.top * n``: int64
-    operands under that bound contract in int64, and otherwise in objects.
-    A den of 1 is lowest terms as it is; only a larger den is reduced.
+
+def einsum(spec, *operands) -> Tensor:
+    """``np.einsum(spec, a, b)`` of two tensors of one mode, over the
+    product of their dens, for a pairwise spec such as ``"gab,gbc->gca"``:
+    ``->`` and the output, one distinct label per leg of each operand, every
+    label of one operand alone on an output leg, and one dimension on the
+    legs of each label.
+
+    It runs as one batched matrix product: the labels both operands and the
+    output name are the batch, those the output leaves out are summed, and
+    the rest are kept.  The layout is worked out once per pattern of the
+    spec and the shapes (``_contraction``), and ``_contract`` runs it.  Any
+    other spec (``...``, no ``->``, one or three operands, a label repeated
+    in one operand or summed within one, a leg of size 1 against a longer
+    one) raises ContractionError: contract two at a time, and sum a leg out
+    against a vector of ones."""
+    plan = _contraction(spec, tuple([t.nums.shape for t in operands]))
+    a, b = operands
+    return _contract(a, b, plan)
+
+
+def _contract(a: Tensor, b: Tensor, plan) -> Tensor:
+    """a contracted with b as ``plan`` lays out (see ``_plan``): the
+    transposes and reshapes that move entries, the product, and the
+    product's legs put in output order.
+
+    Each entry sums k products, k the size of the summed legs, so it lies
+    within ``a.top * b.top * k``: int64 operands under that bound contract
+    in int64, and otherwise in objects.  A den of 1 is lowest terms as it
+    is; only a larger den is reduced.
     """
     exact = a.exact
     if exact != b.exact:
         raise ModeMismatchError("cannot mix exact and approximate tensors")
+    order_a, mat_a, order_b, mat_b, product, legs, out, k = plan
     x, y = a.nums, b.nums
-    paired = axes_a or axes_b
-    if paired:
-        order_a, mat_a, order_b, mat_b, out, n = _layout(x.shape, y.shape,
-                                                         tuple(axes_a), tuple(axes_b))
-    top = a.top * b.top * (n if paired else 1)
+    top = a.top * b.top * k
     if not top < _LIMIT:  # nan too, a zero bound times objects
         if top < _UNBOUNDED:  # two int64 operands whose sums may not fit
             x = x.astype(object)
         top = _UNBOUNDED
-    if paired:  # each step that would leave its array as it is is None
-        if order_a is not None:
-            x = x.transpose(order_a)
-        if mat_a is not None:
-            x = x.reshape(mat_a)
-        if order_b is not None:
-            y = y.transpose(order_b)
-        if mat_b is not None:
-            y = y.reshape(mat_b)
-        r = _dot(x, y)
-        if out is not None:
-            r = r.reshape(out)
-    else:
-        r = _outer(x, y)
-        if type(r) is not np.ndarray:  # a scalar times a scalar
-            r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
+    # each step that would leave its array as it is is None
+    if order_a is not None:
+        x = x.transpose(order_a)
+    if mat_a is not None:
+        x = x.reshape(mat_a)
+    if order_b is not None:
+        y = y.transpose(order_b)
+    if mat_b is not None:
+        y = y.reshape(mat_b)
+    r = product(x, y)
+    if legs is not None:
+        r = r.reshape(legs)
+    if out is not None:
+        r = r.transpose(out)
     den = a.den * b.den
     if den == 1:
         return _of(r, 1, top, exact)
@@ -335,9 +364,8 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
 @lru_cache(maxsize=1024)
 def _layout(shape_a, shape_b, axes_a, axes_b):
     """How ``tensordot`` contracts a of ``shape_a`` with b of ``shape_b``:
-    a's transpose order (kept legs, then paired) and matrix shape, b's
-    (paired legs, then kept) and matrix shape, the output shape, each None
-    where it would leave its array as it is, and the size of the paired legs.
+    the ``_plan`` of a's kept legs then its paired ones, b's paired legs
+    then its kept ones, with no batch and the output in product order.
 
     Raises ContractionError when the axis lists differ in length, an axis
     is negative, repeated or past its tensor's last leg, or a paired leg's
@@ -350,27 +378,108 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
             if not 0 <= i < rank or i in axes[:k]:
                 raise ContractionError("bad axis %d in %s for a tensor with %d legs"
                                        % (i, list(axes), rank))
-    n = 1
     for i, j in zip(axes_a, axes_b):
         if shape_a[i] != shape_b[j]:
             raise ContractionError(
                 "dimension mismatch contracting leg %d (dim %d) with leg %d (dim %d)"
                 % (i, shape_a[i], j, shape_b[j]))
-        n *= shape_a[i]
     keep_a = tuple(k for k in range(len(shape_a)) if k not in axes_a)
     keep_b = tuple(k for k in range(len(shape_b)) if k not in axes_b)
-    out_a = tuple(shape_a[k] for k in keep_a)
-    out_b = tuple(shape_b[k] for k in keep_b)
-    order_a, order_b = keep_a + axes_a, axes_b + keep_b
-    mat_a, mat_b = (math.prod(out_a), n), (n, math.prod(out_b))
+    return _plan(shape_a, keep_a + axes_a, shape_b, axes_b + keep_b, 0, len(axes_a),
+                 tuple(range(len(keep_a) + len(keep_b))))
 
-    def step(value, unchanged):
-        return None if value == unchanged else value
-    return (step(order_a, tuple(range(len(shape_a)))),
-            step(mat_a, tuple(shape_a[k] for k in order_a)),
-            step(order_b, tuple(range(len(shape_b)))),
-            step(mat_b, tuple(shape_b[k] for k in order_b)),
-            step(out_a + out_b, (mat_a[0], mat_b[1])), n)
+
+@lru_cache(maxsize=1024)
+def _contraction(spec, shapes):
+    """How ``einsum`` runs ``spec`` on operands of ``shapes``: the ``_plan``
+    of the batch, kept and summed legs, the batch and kept legs in output
+    order and the summed legs in a's.
+
+    Raises ContractionError, naming the spec, when it is no pairwise
+    contraction of operands of ``shapes`` (see ``einsum``) or two legs of
+    one label have different dimensions; an error is never cached.
+    """
+    ins, arrow, out = spec.partition("->")
+    terms = ins.split(",")
+    if not (arrow and len(terms) == len(shapes) == 2 and len(set(out)) == len(out)
+            and all(len(t) == len(s) == len(set(t)) for t, s in zip(terms, shapes))
+            and set(terms[0]) ^ set(terms[1]) <= set(out) <= set(terms[0] + terms[1])):
+        raise ContractionError("einsum %r on shapes %s is no pairwise contraction"
+                               % (spec, list(shapes)))
+    a, b = terms
+    dims = dict(zip(a, shapes[0]))
+    for c, d in zip(b, shapes[1]):
+        if dims.setdefault(c, d) != d:
+            raise ContractionError("dimension mismatch on label %r in %r: %d and %d"
+                                   % (c, spec, dims[c], d))
+    batch = [c for c in out if c in a and c in b]
+    keep_a = [c for c in out if c in a and c not in b]
+    keep_b = [c for c in out if c in b and c not in a]
+    summed = [c for c in a if c not in out]
+    legs = batch + keep_a + keep_b
+    return _plan(shapes[0], tuple(map(a.index, batch + keep_a + summed)),
+                 shapes[1], tuple(map(b.index, batch + summed + keep_b)),
+                 len(batch), len(summed), tuple(map(legs.index, out)))
+
+
+def _plan(shape_a, order_a, shape_b, order_b, batch, summed, out):
+    """The layout of a pairwise contraction, which ``_contract`` runs.
+
+    a's legs are taken in ``order_a``: the ``batch`` legs it shares with b
+    and the output, the legs it keeps, then the ``summed`` legs it sums
+    against b's; b's in ``order_b``: the batch legs, the summed legs in the
+    same order, then the legs it keeps.  ``out`` is the order that takes the
+    product's legs (batch, a's kept, b's kept) to the output's.
+
+    Returns ``(order_a, mat_a, order_b, mat_b, product, legs, out, k)``: a's
+    transpose order and the shape it is then reshaped to, the same for b,
+    the product, the shape the product is reshaped to and the order that
+    takes that to the output, and k, the size of the summed legs.  Each step
+    is None where it would leave its array as it is: an order that moves no
+    leg of size above 1 leaves every entry in place, and the product's legs
+    then take the output's shape.  For k = 1 the product is ``np.multiply``,
+    which broadcasts a, laid out as (batch, kept, 1 per leg b keeps), against
+    b, laid out as (batch, 1 per leg a keeps, kept) or, with no batch, as its
+    kept legs alone, and so makes the product's legs with no reshape.  For
+    any other k it is ``np.matmul`` of a as (batch, M, K) and b as
+    (batch, K, N), with no batch dimension where there is no batch.
+    """
+    dims_a = tuple(shape_a[i] for i in order_a)
+    dims_b = tuple(shape_b[i] for i in order_b)
+    cut = len(dims_a) - summed
+    lead, keep_a, keep_b = dims_a[:batch], dims_a[batch:cut], dims_b[batch + summed:]
+    k = math.prod(dims_a[cut:])
+    legs = lead + keep_a + keep_b
+    if k == 1:
+        product = np.multiply
+        # a product of no legs is made as one entry: numpy gives a scalar
+        # for the product of two 0-d arrays
+        mat_a = lead + keep_a + (1,) * len(keep_b) or (1,)
+        mat_b = lead + (1,) * len(keep_a) + keep_b if batch else keep_b
+        made = legs or (1,)
+    else:
+        product = np.matmul
+        rows = (math.prod(lead),) if batch else ()
+        mat_a, mat_b = rows + (math.prod(keep_a), k), rows + (k, math.prod(keep_b))
+        # with no batch, an operand that keeps no leg is laid out as the
+        # vector (K,), which matmul takes as a row or column, so a vector
+        # operand needs no reshape; two vectors would make a scalar
+        if not batch and not keep_b:
+            mat_b = (k,)
+        elif not batch and not keep_a:
+            mat_a = (k,)
+        made = mat_a[:-1] + mat_b[len(rows) + 1:]
+
+    def moves(order, shape):
+        # moving legs of size 1 alone leaves every entry where it is
+        big = [i for i in order if shape[i] != 1]
+        return None if big == sorted(big) else order
+    final = moves(out, legs)
+    shape = legs if final is not None else tuple(legs[i] for i in out)
+    order_a, order_b = moves(order_a, shape_a), moves(order_b, shape_b)
+    return (order_a, None if mat_a == (shape_a if order_a is None else dims_a) else mat_a,
+            order_b, None if mat_b == (shape_b if order_b is None else dims_b) else mat_b,
+            product, None if shape == made else shape, final, k)
 
 
 def permute(a: Tensor, perm) -> Tensor:
@@ -513,129 +622,6 @@ def gather(a: Tensor, rows) -> Tensor:
     if a.den == 1:
         return _of(nums, 1, a.top, a.exact)
     return Tensor._reduced(nums, a.den, a.top, a.exact)
-
-
-def einsum(spec, *operands) -> Tensor:
-    """``np.einsum`` of tensors of one mode, over the product of their dens;
-    ``"...,...->..."`` multiplies entries with numpy broadcasting.
-
-    A contraction of two operands, each label on one leg of each operand
-    it names and every output label on an input leg, runs as one batched
-    matrix product: the legs both operands keep are the batch, the summed
-    legs the inner dimension K, and each operand is transposed and
-    reshaped to (batch, M, K) and (batch, K, N) first.  The product is
-    ``np.matmul``, or for K = 1 the broadcast ``np.multiply`` of the two,
-    which makes the same products with less work per batch.  Every other
-    spec (``...``, one or three operands, a label summed in one operand
-    alone, a leg of size 1 broadcast against a longer one) runs through
-    ``np.einsum`` as it is; contract two at a time, since unoptimized numpy
-    loops over all indices at once.  The layout and the bound are worked
-    out once per pattern of the spec and the shapes (``_contraction``).
-    Each entry sums at most ``n`` products, which bounds it with the
-    operands' bounds as in ``tensordot``."""
-    exact = _common_mode(operands)
-    arrays = [t.nums for t in operands]
-    steps, top = _contraction(spec, tuple([x.shape for x in arrays]))
-    den = 1
-    for t in operands:
-        den *= t.den
-        top *= t.top
-    if not top < _LIMIT:  # nan too, a zero bound times objects
-        if top < _UNBOUNDED:  # int64 operands whose sums may not fit
-            arrays[0] = arrays[0].astype(object)
-        top = _UNBOUNDED
-    if steps is None:
-        try:
-            r = np.einsum(spec, *arrays)
-        except ValueError as exc:
-            raise ContractionError("einsum %r: %s" % (spec, exc)) from None
-        if type(r) is not np.ndarray:  # numpy gives a scalar for a 0-d result
-            r = np.array(r, dtype=np.int64 if top < _LIMIT else object)
-    else:
-        order_a, mat_a, order_b, mat_b, product, legs, out = steps
-        x, y = arrays
-        if order_a is not None:
-            x = x.transpose(order_a)
-        if order_b is not None:
-            y = y.transpose(order_b)
-        r = product(x.reshape(mat_a), y.reshape(mat_b)).reshape(legs)
-        if out is not None:
-            r = r.transpose(out)
-    if den != 1:
-        return Tensor._reduced(r, den, top, exact)
-    return _of(r, 1, top, exact)
-
-
-@lru_cache(maxsize=1024)
-def _contraction(spec, shapes):
-    """How ``einsum`` runs ``spec`` on operands of ``shapes``: ``(steps, n)``.
-
-    ``n`` is how many products an entry sums, at most: the product of the
-    dimensions of the labels missing from the output, and of every
-    broadcast leg when the output has no ``...`` (with no ``->``, of every
-    label and leg).  ``steps`` is None where ``np.einsum`` runs the spec,
-    and otherwise the batched matrix product: a's transpose order (batch,
-    kept, summed legs) and (batch, M, K) shape, b's transpose order (batch,
-    summed, kept legs) and (batch, K, N) shape, the product (``np.matmul``,
-    or ``np.multiply`` for K = 1), the shape of the product's legs (batch,
-    a's kept, b's kept) and the order that takes them to the output's; an
-    order is None where it moves no leg of size above 1, since it then
-    leaves every entry in place, and the product's legs then take the
-    output's shape.  The batch and kept legs come in output order, the
-    summed legs in a's.
-
-    Raises ContractionError when two legs of one label have different
-    dimensions, neither of them 1; an error is never cached.
-    """
-    ins, arrow, out = spec.partition("->")
-    terms = ins.split(",")
-    n, dims, plain = 1, {}, bool(arrow) and len(terms) == 2 and "." not in spec
-    for term, shape in zip(terms, shapes):
-        head, dots, tail = term.partition("...")
-        rest = len(shape) - len(tail)
-        if dots and "..." not in out:
-            n *= math.prod(shape[len(head):rest])
-        plain = plain and len(term) == len(shape) == len(set(term))
-        for c, d in zip(head + tail, shape[:len(head)] + shape[rest:]):
-            seen = dims.setdefault(c, d)
-            if seen != d:
-                if 1 not in (seen, d):
-                    raise ContractionError(
-                        "dimension mismatch on label %r in %r: %d and %d"
-                        % (c, spec, seen, d))
-                plain = False  # a leg of size 1 broadcasts against a longer one
-                dims[c] = max(seen, d)
-    # a label of dimension 0 counts as 1: no entry sums fewer products
-    n *= math.prod(max(d, 1) for c, d in dims.items() if c not in out)
-    if not plain or len(out) != len(set(out)) or not set(out) <= set(dims):
-        return None, n
-    a, b = terms
-    if any(c not in out and c not in (b if c in a else a) for c in dims):
-        return None, n  # a label summed within one operand
-    batch = [c for c in out if c in a and c in b]
-    keep_a = [c for c in out if c in a and c not in b]
-    keep_b = [c for c in out if c in b and c not in a]
-    summed = [c for c in a if c not in out]
-    order_a = tuple(map(a.index, batch + keep_a + summed))
-    order_b = tuple(map(b.index, batch + summed + keep_b))
-    legs = batch + keep_a + keep_b
-    out_order = tuple(map(legs.index, out))
-
-    def size(labels):
-        return math.prod(dims[c] for c in labels)
-
-    def step(order, shape):
-        # moving legs of size 1 alone leaves every entry where it is
-        moved = [i for i in order if shape[i] != 1]
-        return None if moved == sorted(moved) else order
-    k = size(summed)
-    shape_legs = tuple(dims[c] for c in legs)
-    out_order = step(out_order, shape_legs)
-    return (step(order_a, shapes[0]), (size(batch), size(keep_a), k),
-            step(order_b, shapes[1]), (size(batch), k, size(keep_b)),
-            np.multiply if k == 1 else np.matmul,
-            tuple(dims[c] for c in out) if out_order is None else shape_legs,
-            out_order), n
 
 
 def differences(a: Tensor, b: Tensor, tol):

@@ -4,11 +4,13 @@ run the tests named to catch it.
     python tests/run_mutants.py
 
 Each mutant gets a fresh copy under a temporary directory, with its ``old``
-text replaced by its ``new`` text, and pytest runs only its killers there.
-A mutant is killed when every one of its killers fails, so a later change
-that weakens any of them shows here; a killer that passes or does not run
-leaves it a survivor.  Prints one line per mutant, with the killers that
-did not fail, and ``killed/total``; exits 1 when any mutant survives.
+text replaced by its ``new`` text, and pytest runs only its killers there,
+one process per test file, so that a file the fault stops at import stops
+no other file's killers.  A mutant is killed when every one of its killers
+fails, so a later change that weakens any of them shows here; a killer that
+passes or does not run leaves it a survivor, and one whose file fails at
+collection counts as failing.  Prints one line per mutant, with the killers
+that did not fail, and ``killed/total``; exits 1 when any mutant survives.
 """
 
 import os
@@ -25,6 +27,15 @@ SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothes
                               "out")
 
 
+def not_failing(killers, output):
+    """The killers that the output of ``pytest -rfE`` does not report as
+    failing: each FAILED or ERROR line of its summary names a test id, or a
+    test file that failed at collection, which fails every test in it."""
+    failed = {line.split(" ", 1)[1].partition(" - ")[0] for line in output.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    return [k for k in killers if k not in failed and k.partition("::")[0] not in failed]
+
+
 def run_mutant(path, old, new, killers):
     """The killers that do not fail with the fault planted."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -39,11 +50,14 @@ def run_mutant(path, old, new, killers):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
-        out = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
-            + list(killers), cwd=copy, env=env, capture_output=True, text=True).stdout
-    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")}
-    return [k for k in killers if k not in failed]
+        alive = []
+        for test_file in dict.fromkeys(k.partition("::")[0] for k in killers):
+            own = [k for k in killers if k.partition("::")[0] == test_file]
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
+                + own, cwd=copy, env=env, capture_output=True, text=True).stdout
+            alive += not_failing(own, out)
+    return alive
 
 
 def main():

@@ -9,6 +9,7 @@ from tqft2d import tensor
 from tqft2d.bordism import contract_word
 
 from mutants import MUTANTS
+from run_mutants import not_failing
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "tqft2d")
@@ -147,27 +148,30 @@ def test_only_tensor_locates_a_difference():
 
 def test_only_tensor_contracts():
     # every contraction runs through tensor.tensordot or tensor.einsum, which
-    # bound the sums and pick the numerators' tier: no other module calls
-    # numpy's own contractions, imports them or multiplies by ``@``
-    numpy_products = {"einsum", "matmul", "dot", "tensordot"}
+    # share one kernel that bounds the sums and picks the numerators' tier:
+    # no other module calls numpy's products, imports them or multiplies by
+    # ``@``, and no module, tensor included, calls a second numpy kernel
+    # beside np.matmul and np.multiply
+    second_kernel = {"einsum", "dot", "tensordot", "multiply.outer"}
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        if os.path.basename(path) == "tensor.py":
-            continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         name = os.path.basename(path)
+        banned = second_kernel | ({"matmul"} if name != "tensor.py" else set())
         found += ["%s:%d %s" % (name, node.lineno, ast.unparse(node))
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in numpy_products
-                  and ast.unparse(node.value) in ("np", "numpy")]
+                  if isinstance(node, ast.Attribute)
+                  and ast.unparse(node) in {"%s.%s" % (m, f) for m in ("np", "numpy")
+                                            for f in banned}]
         found += ["%s:%d import %s" % (name, node.lineno, alias.name)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                  for alias in node.names if alias.name in numpy_products]
-        found += ["%s:%d @" % (name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult)]
+                  for alias in node.names if alias.name in banned]
+        if name != "tensor.py":
+            found += ["%s:%d @" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult)]
     assert found == []
 
 
@@ -201,3 +205,18 @@ def test_every_planted_fault_still_applies():
             defined = {node.name for node in tree.body
                        if isinstance(node, ast.FunctionDef)}
             assert name.partition("[")[0] in defined, killer
+
+
+def test_the_mutant_runner_counts_a_file_that_fails_at_collection():
+    # a killer fails when the summary of ``pytest -rfE`` names it, or names
+    # its file as one that failed at collection; one that passed does not
+    output = "\n".join([
+        "F.                                                                       [100%]",
+        "=========================== short test summary info ============================",
+        "FAILED tests/test_tensor.py::test_tier[near 2**31] - assert 1 == 2",
+        "ERROR tests/test_crossed.py - tqft2d.gerbe.CocycleError: bad cocycle",
+        "1 failed, 1 passed, 1 error in 0.50s"])
+    killers = ["tests/test_tensor.py::test_tier[near 2**31]",
+               "tests/test_crossed.py::test_reference", "tests/test_groups.py::test_rows"]
+    assert not_failing(killers, output) == ["tests/test_groups.py::test_rows"]
+    assert not_failing(killers, "") == killers

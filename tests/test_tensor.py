@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -673,46 +674,44 @@ def test_einsum_is_tensordot_then_permute(exact):
     a, b = _seeded_operands(exact)
     got = tensor.einsum("abc,cbd->da", a, b)
     assert equal(got, permute(tensordot(a, b, [1, 2], [1, 0]), (1, 0)))
-    # "...,...->..." is the entrywise product, broadcast as numpy does
-    x, y = a[:, :1, 0], b[0, 0, None, :]       # shapes (2, 1) and (1, 2)
-    assert equal(tensor.einsum("...,...->...", x, y),
-                 tensordot(a[:, 0, 0], b[0, 0, :], [], []))
+    # with nothing summed, the product of the entries at each index: the
+    # outer product of two vectors, and the entrywise product, the diagonal
+    # of the outer product of two matrices
+    x, y = a[:, 0, 0], b[0, 0, :]
+    assert equal(tensor.einsum("i,j->ij", x, y), tensordot(x, y, [], []))
+    x, y = a[:, :, 0], b[:2, :, 0]           # both (2, 3)
+    p, q = np.indices(x.shape)
+    assert equal(tensor.einsum("pq,pq->pq", x, y), tensordot(x, y, [], [])[p, q, p, q])
 
 
 # the specs of the tests above
-_TEST_SPECS = ("abc,cbd->da", "...,...->...", "pq,qr->rp", "pq,pq->", "jk,ij->ik",
+_TEST_SPECS = ("abc,cbd->da", "i,j->ij", "pq,pq->pq", "pq,qr->rp", "pq,pq->", "jk,ij->ik",
                "i,i->i", "i,i->")
 
 
 def _reference_einsum(spec, operands):
     """np.einsum on the numerators as Python ints (or complex), the product
     of the dens, and the bound: the operands' bounds times the products an
-    entry sums, the largest leg of each label that leaves the output."""
+    entry sums, those of the labels that leave the output."""
     r = np.asarray(np.einsum(spec, *[np.asarray(t.nums, dtype=object)
                                      for t in operands]), dtype=object)
     ins, out = spec.split("->")
     dims = {}
     for term, t in zip(ins.split(","), operands):
-        if "..." not in term:
-            for c, d in zip(term, t.shape):
-                dims[c] = max(dims.get(c, 1), d)
+        dims.update(zip(term, t.shape))
     n = math.prod(d for c, d in dims.items() if c not in out)
     return r, math.prod(t.den for t in operands), math.prod(t.top for t in operands) * n
 
 
-def _einsum_operands(rng, spec, tier, broadcast):
+def _einsum_operands(rng, spec, tier):
     """Operands for ``spec`` with random leg dimensions 1-3, of ``tier``:
-    int64, objects, int64 near 2**31 whose sums leave the tier, or float.
-    With ``broadcast``, each leg of the last operand has dimension 1 one
-    time in three."""
+    int64, objects, int64 near 2**31 whose sums leave the tier, or float."""
     ins = spec.split("->")[0].split(",")
-    labels = sorted(set("".join(ins)) - {"."})
+    labels = sorted(set("".join(ins)))
     dims = dict(zip(labels, rng.integers(1, 4, len(labels)).tolist()))
-    dims["."] = 2
     ops = []
-    for i, term in enumerate(ins):
-        shape = tuple(1 if broadcast and i == len(ins) - 1 and rng.random() < 1 / 3
-                      else dims[c] for c in term.replace("...", "."))
+    for term in ins:
+        shape = tuple(dims[c] for c in term)
         if tier == "float":
             vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             ops.append(Tensor(vals.astype(object), exact=False))
@@ -730,9 +729,8 @@ def _einsum_operands(rng, spec, tier, broadcast):
 @pytest.mark.parametrize("tier", ["int64", "objects", "near 2**31", "float"])
 def test_einsum_matches_numpy_on_the_object_tier(tier, monkeypatch):
     # each spec of the validator and of the tests above gives the shape,
-    # numerators, den, tier and bound of np.einsum on Python ints; the
-    # validator's specs run as batched matrix products, "..." and a
-    # broadcast leg of size 1 through np.einsum itself
+    # numerators, den, tier and bound of np.einsum on Python ints; legs of
+    # size 1 make some draws sum one product, which np.multiply makes
     from tqft2d import crossed
     from tqft2d.frobenius import dual_numbers
     from tqft2d.groups import symmetric_group
@@ -745,15 +743,7 @@ def test_einsum_matches_numpy_on_the_object_tier(tier, monkeypatch):
     rng = np.random.default_rng(7)
     for spec in sorted(specs) + list(_TEST_SPECS):
         for _ in range(6):
-            ops = _einsum_operands(rng, spec, tier, spec in _TEST_SPECS)
-            legs = {}
-            for term, t in zip(spec.split("->")[0].split(","), ops):
-                for c, d in zip(term, t.shape):
-                    legs.setdefault(c, set()).add(d)
-            plain = "." not in spec and "," in spec and all(len(d) == 1 for d in legs.values())
-            steps, _ = tensor._contraction(spec, tuple(t.shape for t in ops))
-            assert (steps is not None) == plain, spec
-            assert plain or spec not in specs, spec
+            ops = _einsum_operands(rng, spec, tier)
             got = tensor.einsum(spec, *ops)
             want, den, top = _reference_einsum(spec, ops)
             assert got.shape == want.shape, spec
@@ -778,9 +768,21 @@ def test_a_leg_dimension_mismatch_is_a_contraction_error_and_not_cached():
     assert tensor._contraction.cache_info().currsize == 0
     assert tensor.einsum("ij,kj->ik", a, c).shape == (2, 4)
     assert tensor._contraction.cache_info().currsize == 1
-    # numpy's own error on a spec it runs is one as well
-    with pytest.raises(ContractionError):
-        tensor.einsum("...,...->...", a, b)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("...,...->...", [(2,), (2,)]), ("ij,jk", [(2, 3), (3, 2)]), ("ij->ji", [(2, 3)]),
+    ("ij,jk,kl->il", [(2, 3), (3, 2), (2, 2)]), ("ii,ij->j", [(2, 2), (2, 3)]),
+    ("ij,jk->k", [(2, 3), (3, 2)]), ("jk,ij->ik", [(3, 2), (2, 1)])],
+    ids=["ellipsis", "no-output", "one-operand", "three-operands", "repeated-label",
+         "summed-in-one-operand", "size-1-against-longer"])
+def test_an_unsupported_spec_is_a_contraction_error_that_is_never_cached(spec, shapes):
+    ops = [Tensor(np.ones(shape, dtype=int).tolist()) for shape in shapes]
+    size = tensor._contraction.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ContractionError, match=re.escape(repr(spec))):
+            tensor.einsum(spec, *ops)
+    assert tensor._contraction.cache_info().currsize == size
 
 
 def test_indexing_reduces_to_the_smaller_den():
@@ -952,9 +954,9 @@ _TIER_OPS = {
     "full contraction": lambda a, b, c: tensordot(a, c, [1, 0], [1, 0]),
     "einsum": lambda a, b, c: tensor.einsum("pq,qr->rp", a, b),
     "einsum to a scalar": lambda a, b, c: tensor.einsum("pq,pq->", a, c),
-    "entrywise": lambda a, b, c: tensor.einsum("...,...->...", a, c),
-    # j has size 1 in the second operand and broadcasts against the first's
-    "broadcast": lambda a, b, c: tensor.einsum("jk,ij->ik", b, a[:, :1]),
+    "entrywise": lambda a, b, c: tensor.einsum("pq,pq->pq", a, c),
+    # j has size 1: each entry is one product, which np.multiply makes
+    "summed leg of size 1": lambda a, b, c: tensor.einsum("jk,ij->ik", b[:1], a[:, :1]),
     "stack": lambda a, b, c: tensor.stack({(0,): a, (1,): b, (2,): c}, (3,), 3),
     "gather": lambda a, b, c: a[[0, -1, 0]],
     "entry": lambda a, b, c: b[0, -1],
@@ -1027,9 +1029,9 @@ def test_a_sum_that_would_wrap_is_made_in_objects():
     assert s.nums.dtype == object and s.item() == 2 ** 63
     assert tensordot(over, over, [], []).entries() == [2 ** 62] * 4
     assert tensor.einsum("i,i->", over, over).item() == 2 ** 63
-    # a label of size 1 broadcasts: four products of about 2**62 are summed
+    # four products of about 2**62 are summed
     near = Tensor([[2 ** 31 - 1]] * 4)
-    s = tensor.einsum("jk,ij->ik", near, Tensor([[2 ** 31 - 1]]))
+    s = tensor.einsum("jk,ij->ik", near, Tensor([[2 ** 31 - 1] * 4]))
     assert s.nums.dtype == object and s.entries() == [4 * (2 ** 31 - 1) ** 2]
     # the edge of the tier: 2**62 - 1 is held in int64, 2**62 in objects
     assert Tensor([np.int64(2 ** 62), Fraction(1, 3)]).entries() == [

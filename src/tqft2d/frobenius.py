@@ -277,23 +277,16 @@ def parse_algebra(text: str, exact=True, tol=DEFAULT_TOL) -> FrobeniusAlgebra:
             if (i, j) in products:
                 raise StructureError("repeated mul %d %d" % (i + 1, j + 1))
             products.add((i, j))
-            targets = {}  # target index -> coefficient text, in line order
-            try:
-                for term in filter(None, (term.strip() for term in rhs.split(","))):
-                    ktok, _, ctok = term.partition(":")
-                    k = parse_int(ktok, "target index") - 1
-                    if not 0 <= k < n:
-                        raise StructureError("index out of range")
-                    if k in targets:
-                        raise StructureError("repeated target %d" % (k + 1))
-                    targets[k] = ctok.strip()
-            except InputError:
-                # a bad number in an earlier term is the error, as it is
-                # when the terms are read one by one
-                parse_scalars(list(targets.values()), exact)
-                raise
-            for k, value in zip(targets, parse_scalars(list(targets.values()), exact)):
-                c[i, j, k] = value
+            targets = set()
+            for term in filter(None, (term.strip() for term in rhs.split(","))):
+                ktok, _, ctok = term.partition(":")
+                k = parse_int(ktok, "target index") - 1
+                if not 0 <= k < n:
+                    raise StructureError("index out of range")
+                if k in targets:
+                    raise StructureError("repeated target %d" % (k + 1))
+                targets.add(k)
+                c[i, j, k], = parse_scalars([ctok.strip()], exact)
     except InputError as exc:
         raise exc.at_line(number, line)
     return FrobeniusAlgebra(dim=n, basis=basis, mul=Tensor(c, exact=exact),

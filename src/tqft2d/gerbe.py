@@ -19,17 +19,18 @@ from .crossed import (CrossedBundle, LabeledBordism, LabelError,
 from .groups import FiniteGroup, klein_four_group, load_over
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines,
-                     first_difference, parse_scalar, format_scalar, rank_one_blocks)
+                     first_difference, parse_scalar, format_scalar)
 
 
 class CocycleError(InputError):
     """Malformed cocycle data (missing entries, zero values, bad file)."""
 
 
-def _table(group, values, exact):
-    """A (g, h) -> scalar dict as the tensor [g, h]."""
-    els = group.elements()
-    return Tensor([[values[g, h] for h in els] for g in els], exact=exact)
+def _fraction(value):
+    """``value`` as an exact scalar of this module: a Fraction or a complex
+    as it is, any other number a Fraction, since two Python ints divide to
+    a float, which the exact Tensor constructor reads as a binary fraction."""
+    return value if isinstance(value, (Fraction, complex)) else Fraction(value)
 
 
 def _complete(group, data, default):
@@ -42,6 +43,9 @@ def _complete(group, data, default):
 
 @dataclass
 class ScalarBundle:
+    """theta, tau and the counit scalar; exact unless the counit is complex.
+    An exact bundle holds every value as a Fraction, and a complex value in
+    it is a CocycleError naming its entry."""
     group: FiniteGroup
     theta: dict          # (g, h) -> scalar, the fusion cocycle
     tau: dict            # (k, g) -> scalar transport A_g -> A_{kgk^-1}
@@ -49,19 +53,23 @@ class ScalarBundle:
     tol: float = DEFAULT_TOL  # float-mode tolerance of every comparison
 
     def __post_init__(self):
-        G = self.group
+        G, exact = self.group, self.exact
         for g in G.elements():
             for h in G.elements():
-                if (g, h) not in self.theta:
-                    raise CocycleError("missing theta(%d,%d)" % (g, h))
-                if self.theta[g, h] == 0:
-                    raise CocycleError("theta(%d,%d) is zero" % (g, h))
-                if (g, h) not in self.tau:
-                    raise CocycleError("missing tau(%d,%d)" % (g, h))
-                if self.tau[g, h] == 0:
-                    raise CocycleError("tau(%d,%d) is zero" % (g, h))
+                for name, values in (("theta", self.theta), ("tau", self.tau)):
+                    if (g, h) not in values:
+                        raise CocycleError("missing %s(%d,%d)" % (name, g, h))
+                    if values[g, h] == 0:
+                        raise CocycleError("%s(%d,%d) is zero" % (name, g, h))
+                    if exact and isinstance(values[g, h], complex):
+                        raise CocycleError("%s(%d,%d) is complex in an exact bundle"
+                                           % (name, g, h))
         if self.counit_scalar == 0:
             raise CocycleError("counit scalar must be nonzero")
+        if exact:
+            self.theta, self.tau = ({k: _fraction(v) for k, v in values.items()}
+                                    for values in (self.theta, self.tau))
+            self.counit_scalar = _fraction(self.counit_scalar)
 
     @property
     def exact(self):
@@ -94,6 +102,7 @@ def check_cocycle(sb: ScalarBundle) -> ValidationReport:
 
 def induced_transport(group: FiniteGroup, theta) -> dict:
     """Transport by twisted conjugation: tau(k,g) = theta(k,g)/theta(kgk^-1,k)."""
+    theta = {key: _fraction(v) for key, v in theta.items()}
     tau = {}
     for k in group.elements():
         for g in group.elements():
@@ -138,6 +147,8 @@ def coboundary(group: FiniteGroup, theta, beta) -> dict:
     """Twist a cocycle by a normalized 1-cochain beta (beta(e) = 1)."""
     if beta[group.identity] != 1:
         raise CocycleError("coboundary cochain must send the identity to 1")
+    theta = {key: _fraction(v) for key, v in theta.items()}
+    beta = {g: _fraction(v) for g, v in beta.items()}
     out = {}
     for g in group.elements():
         for h in group.elements():
@@ -157,20 +168,23 @@ def klein_anticommuting_cocycle():
 
 
 def to_crossed_bundle(sb: ScalarBundle) -> CrossedBundle:
-    """Inflate the scalar data to a rank-one crossed bundle."""
-    G = sb.group
-    c = sb.counit_scalar
-    exact = sb.exact
+    """Inflate the scalar data to a rank-one crossed bundle.
 
-    # each block is the (g, h) entry of one of three tables, split into
-    # blocks with legs of dimension 1 in lowest terms and the tier of its
-    # own value: three constructor calls, not one per block
-    theta, tau = _table(G, sb.theta, exact), _table(G, sb.tau, exact)
-    inverse = _table(G, {k: 1 / (c * v) for k, v in sb.theta.items()}, exact)
-    return CrossedBundle(group=G, dims=(1,) * G.order,
-                         fusion=rank_one_blocks(theta, 3),
-                         fission=rank_one_blocks(inverse, 3),
-                         transport=rank_one_blocks(tau, 2),
+    Each block is one value with legs of dimension 1: theta for fusion,
+    1/(c * theta) for fission, tau for transport.  One constructor call per
+    distinct value of a family makes a block that every key holding that
+    value shares, as a constant bundle shares its blocks, so each block has
+    the den, tier and bound of its own value."""
+    c, exact = sb.counit_scalar, sb.exact
+
+    def shared(values, block):
+        made = {v: Tensor(block(v), exact=exact) for v in set(values.values())}
+        return {k: made[v] for k, v in values.items()}
+
+    return CrossedBundle(group=sb.group, dims=(1,) * sb.group.order,
+                         fusion=shared(sb.theta, lambda v: [[[v]]]),
+                         fission=shared(sb.theta, lambda v: [[[1 / (c * v)]]]),
+                         transport=shared(sb.tau, lambda v: [[v]]),
                          unit=Tensor([1], exact=exact),
                          counit=Tensor([c], exact=exact), tol=sb.tol)
 

@@ -10,13 +10,12 @@ one kernel: a planner lays out each pattern once (``_plan``), as one
 executor runs every layout (``_contract``).  A float tensor holds its
 complex entries in ``nums`` with ``den`` fixed at 1, so both modes share
 one code path.  Only this module reads numerators and dens: other modules
-stack blocks (``stack``), gather entries (``t[idx]``, ``gather``), split a
-table of scalars into rank-one blocks (``rank_one_blocks``), contract
+stack blocks (``stack``), gather entries (``t[idx]``, ``gather``), contract
 (``tensordot``, ``einsum``), lay identity legs beside a tensor
-(``with_identities``) and compare, each result in lowest terms.  A tensor carries no tolerance: the
-algebra, bundle or oracle that owns it does, and passes it to the
-comparisons (``differences``, ``first_difference``, ``equal``) and to
-``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
+(``with_identities``) and compare, each result in lowest terms.  A tensor
+carries no tolerance: the algebra, bundle or oracle that owns it does, and
+passes it to the comparisons (``differences``, ``first_difference``,
+``equal``) and to ``invert_matrix``'s pivoting.  ``Fraction``s appear only at the edges: the
 ``Tensor`` constructor and ``parse_scalar`` take them in, ``item()`` and
 ``entries()`` give them out, over Python ints, and ``format_scalar`` prints
 them (``tests/test_source.py`` holds this).  Integer input makes none:
@@ -485,33 +484,6 @@ def _plan(shape_a, order_a, shape_b, order_b, batch, summed, out):
 def permute(a: Tensor, perm) -> Tensor:
     """Reorder legs, new leg i being old leg perm[i], into a fresh array."""
     return _of(a.nums.transpose(perm).copy(), a.den, a.top, a.exact)
-
-
-def rank_one_blocks(a: Tensor, legs) -> dict:
-    """Each entry of ``a`` as a tensor of ``legs`` legs of dimension 1, by
-    its index tuple, in one pass: a reshape of the numerators, then lowest
-    terms per block.  A block takes the tier of its own numerator, as its
-    own constructor call would, so a block of an object table whose value
-    lies below 2**62 is int64 within that value."""
-    shape = (1,) * legs
-    keys = itertools.product(*map(range, a.nums.shape))
-    if not a.exact:
-        return {k: _of(v, 1, _UNBOUNDED, False)
-                for k, v in zip(keys, a.nums.reshape((-1,) + shape))}
-    nums, den = a.nums, a.den
-    if not den < _LIMIT:  # int64 holds no gcd with it
-        nums = nums.astype(object)
-    g = np.gcd(nums, den)
-    nums, dens = nums // g, (den // g).ravel().tolist()
-    if nums.dtype == np.int64:
-        tops = np.abs(nums).ravel().tolist()
-        blocks = nums.reshape((-1,) + shape)
-    else:
-        vals = nums.ravel().tolist()
-        tops = [abs(x) if abs(x) < _LIMIT else _UNBOUNDED for x in vals]
-        blocks = [np.array(x, dtype=np.int64 if t < _LIMIT else object).reshape(shape)
-                  for x, t in zip(vals, tops)]
-    return {k: _of(b, d, t, True) for k, b, d, t in zip(keys, blocks, dens, tops)}
 
 
 def with_identities(a: Tensor, dims, perm) -> Tensor:

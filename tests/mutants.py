@@ -103,6 +103,21 @@ MUTANTS = [
      ["tests/test_input_fuzz.py::test_every_mutated_fixture_exits_cleanly_and_names_its_line",
       "tests/test_cli.py::test_a_repeated_cocycle_line_is_a_parse_error[theta]",
       "tests/test_cli.py::test_a_number_that_does_not_read_names_its_line[cocycle]"]),
+    # to_crossed_bundle's fission block is its value's fusion block: the
+    # value 1/(c * theta) is not taken
+    ("src/tqft2d/gerbe.py",
+     "lambda v: [[[1 / (c * v)]]]",
+     "lambda v: [[[v]]]",
+     ["tests/test_crossed.py::test_rank_one_blocks_are_those_of_one_constructor_call_each",
+      "tests/test_cli.py::test_fixture_commands_print_the_pinned_output"]),
+    # an exact scalar given as a Python int stays one, so two of them divide
+    # to a float
+    ("src/tqft2d/gerbe.py",
+     "isinstance(value, (Fraction, complex))",
+     "isinstance(value, (Fraction, complex, int))",
+     ["tests/test_gerbe.py::test_an_exact_cocycle_of_python_ints_is_made_of_fractions",
+      "tests/test_gerbe.py::test_a_coboundary_of_python_ints_is_exact",
+      "tests/test_gerbe.py::test_the_induced_transport_of_python_ints_is_exact"]),
     # evaluate_labeled reads each copants split reversed
     ("src/tqft2d/crossed.py",
      "return fission[annotations[t][j]]",

@@ -275,21 +275,23 @@ def test_cocycle_command(tmp_path):
     assert "-1" in text.splitlines()
 
 
-def test_the_cocycle_command_validates_once_from_three_tables(monkeypatch):
+def test_the_cocycle_command_validates_once_with_one_block_per_value(monkeypatch):
     # loading the file validates the rank-one bundle, and the command's
-    # report is that validation; the bundle's blocks come from three tables,
-    # theta, 1/(c theta) and tau
-    calls = []
-    for module, name in ((gerbe, "validate_bundle"), (crossed, "validate_bundle"),
-                         (gerbe, "_table")):
-        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    # report is that validation; each family of the bundle holds one block
+    # object per distinct value, shared by every key that holds it
+    bundles = []
+    for module in (gerbe, crossed):
+        def counted(bundle, *args, _original=module.validate_bundle, **kwargs):
+            bundles.append(bundle)
+            return _original(bundle, *args, **kwargs)
+        monkeypatch.setattr(module, "validate_bundle", counted)
     code, _ = invoke("cocycle", "--cocycle", os.path.join(FIXDIR, "k4_anti.cocycle"),
                      "--genus", "1", "--labels", "10,01")
-    assert code == 0
-    assert (calls.count("validate_bundle"), calls.count("_table")) == (1, 3)
+    assert code == 0 and len(bundles) == 1
+    for family in crossed.FAMILIES:
+        blocks = getattr(bundles[0], family).values()
+        # as many objects as values, each object holding one value
+        assert len({id(b) for b in blocks}) == len({b.entries()[0] for b in blocks}) == 2
 
 
 def test_cocycle_command_uses_the_tolerance(tmp_path):
@@ -673,7 +675,7 @@ def test_fixture_commands_print_the_pinned_output(monkeypatch):
         pinned = json.load(fh)
     monkeypatch.chdir(ROOT)
     assert sorted(pinned) == ["exact", "float"]
-    assert len(pinned["exact"]) == 11 and sorted(pinned["float"]) == sorted(pinned["exact"])
+    assert len(pinned["exact"]) == 13 and sorted(pinned["float"]) == sorted(pinned["exact"])
     for mode, outputs in pinned.items():
         for command, want in outputs.items():
             code, out = invoke(*shlex.split(command), "--mode", mode)

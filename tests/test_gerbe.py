@@ -457,3 +457,64 @@ def test_twisted_d8_fixture_is_its_definition():
     assert (loaded.theta, loaded.tau) == (sb.theta, induced_transport(G, sb.theta))
     assert check_cocycle(loaded).passed
     assert validate_bundle(to_crossed_bundle(loaded)).passed
+
+
+def test_the_twisted_k4_fixture_is_a_coboundary_of_the_anticommuting_one():
+    # theta times the coboundary of beta, with the induced transport; the
+    # torus holonomies do not change, and each family's blocks, over several
+    # dens, are one object per distinct value made by its own constructor call
+    beta = dict(zip(K.elements(), map(Fraction, (1, 2, "-1/3", "1/2"))))
+    sb = load_cocycle(os.path.join(FIXDIR, "k4_anti_twisted.cocycle"))
+    anti = load_cocycle(os.path.join(FIXDIR, "k4_anti.cocycle"))
+    assert (sb.theta, sb.tau) == (coboundary(K, THETA, beta),
+                                  induced_transport(K, sb.theta))
+    for a, b in itertools.product(K.elements(), repeat=2):
+        assert gerbe_holonomy(sb, 1, [(a, b)]) == gerbe_holonomy(anti, 1, [(a, b)])
+    B = sb.crossed_bundle
+    assert len({B.fission[k].den for k in sb.theta}) > 1
+    for family in ("fusion", "fission", "transport"):
+        shared = {}
+        for block in getattr(B, family).values():
+            value = block.entries()[0]
+            assert shared.setdefault(value, block) is block, (family, value)
+            own = Tensor(np.full(block.shape, value, dtype=object))
+            assert (block.den, block.nums.dtype, block.top) == \
+                (own.den, own.nums.dtype, own.top) and equal(block, own), (family, value)
+
+
+def test_an_exact_cocycle_of_python_ints_is_made_of_fractions():
+    # 1 / (c * theta) of two ints is a float, which the exact constructor
+    # read as a binary fraction: frobenius failed on this valid cocycle
+    sb = from_cocycle(cyclic_group(2), {(1, 1): 3}, counit_scalar=1)
+    assert check_cocycle(sb).passed
+    values = [*sb.theta.values(), *sb.tau.values(), sb.counit_scalar]
+    assert {type(v) for v in values} == {Fraction}
+
+
+def test_a_coboundary_of_python_ints_is_exact():
+    S3 = symmetric_group(3)
+    trivial = {(g, h): 1 for g in S3.elements() for h in S3.elements()}
+    twisted = coboundary(S3, trivial, {g: g + 1 for g in S3.elements()})
+    assert {type(v) for v in twisted.values()} == {Fraction}
+    assert check_cocycle(from_cocycle(S3, twisted)).passed
+
+
+def test_the_induced_transport_of_python_ints_is_exact():
+    theta = {k: int(v) for k, v in THETA.items()}
+    assert induced_transport(K, theta) == ANTI.tau
+    assert {type(v) for v in induced_transport(K, theta).values()} == {Fraction}
+    assert gerbe_holonomy(from_cocycle(K, theta), 1, [(1, 2)]) == -1
+
+
+def test_fractions_pass_untouched_and_a_complex_value_in_an_exact_bundle_is_named():
+    third = Fraction(1, 3)
+    sb = from_cocycle(cyclic_group(2), {(1, 1): third})
+    assert sb.theta[1, 1] is third
+    with pytest.raises(CocycleError, match=r"^theta\(1,1\) is complex in an exact bundle$"):
+        from_cocycle(cyclic_group(2), {(1, 1): 2j})
+    tau = dict(ANTI.tau)
+    tau[2, 3] = complex(tau[2, 3])
+    with pytest.raises(CocycleError, match=r"^tau\(2,3\) is complex in an exact bundle$"):
+        ScalarBundle(K, dict(THETA), tau)
+    floats = from_cocycle(K, THETA, counit_scalar=complex(1))
+    assert floats.theta[1, 2] is THETA[1, 2]

@@ -76,6 +76,26 @@ def test_only_tensor_reads_the_exact_number_format():
     assert found == []
 
 
+def test_every_public_tensor_function_has_a_caller_in_the_package():
+    # a helper of tensor goes with its last caller: each public function it
+    # defines is imported by name by some other module of the package,
+    # __init__.py aside
+    with open(os.path.join(SRC, "tensor.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="tensor.py")
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    imported = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) in ("tensor.py", "__init__.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+                     for alias in node.names}
+    assert "tensordot" in public and sorted(public - imported) == []
+
+
 def test_tensor_makes_fractions_only_at_its_edges():
     # exact arithmetic runs on integer numerators over one den: Fractions
     # come in through the constructor and parse_scalar, go out through

@@ -993,31 +993,6 @@ def test_both_tiers_give_the_same_numbers(operands):
         assert tensordot(a, b, [1], [0]).nums.dtype == np.int64
 
 
-def test_a_rank_one_block_takes_the_tier_of_its_own_numerator():
-    # each entry of a table becomes a block with legs of dimension 1, in
-    # lowest terms and in the tier and bound its own constructor call gives
-    tables = [Tensor([[Fraction(1, 3), 2 ** 70], [-5, Fraction(7, 3)]]),  # objects
-              Tensor([[1, 2 ** 40], [Fraction(3, 4), 0]]),  # int64 over 4
-              Tensor._reduced(np.array([[1, 4]]), 2 ** 70, 4, True),  # int64 over 2**70
-              Tensor([[1, -1], [-1, 1]])]
-    assert [t.nums.dtype for t in tables] == [object] + [np.int64] * 3
-    for table in tables:
-        for legs in (2, 3):
-            blocks = tensor.rank_one_blocks(table, legs)
-            assert list(blocks) == list(np.ndindex(table.shape))
-            for idx, got in blocks.items():
-                own = Tensor(np.array([table[idx].item()], dtype=object)
-                             .reshape((1,) * legs))
-                assert got.shape == own.shape and equal(got, own), idx
-                assert (got.den, got.nums.dtype, got.top) == \
-                    (own.den, own.nums.dtype, own.top), idx
-    p = tensor.rank_one_blocks(tables[0], 2)[1, 0]  # -15 over den 3, reduced
-    assert (p.top, p.den, p.entries()) == (5, 1, [-5])
-    floats = tensor.rank_one_blocks(Tensor([[complex(2 ** 70), 0.5j]], exact=False), 3)
-    assert [(b.shape, *b.entries()) for b in floats.values()] == \
-        [((1, 1, 1), 2 ** 70), ((1, 1, 1), 0.5j)]
-
-
 def test_a_sum_that_would_wrap_is_made_in_objects():
     # 3 * 2**60 stays in int64; 2 * 2**62 = 2**63 would wrap to -2**63
     under = Tensor([2 ** 30] * 3)

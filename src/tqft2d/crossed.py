@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bordism import (_NAMES, ARITY, CAP, COPANTS, ID, PANTS, BordismWord, Gen,
-                      contract_word)
+from .bordism import (_NAMES, ARITY, CAP, COPANTS, CUP, ID, PANTS, SWAP, BordismWord,
+                      Gen, contract_word)
 from .frobenius import FrobeniusAlgebra, ground_field
 from .groups import FiniteGroup, LoopWord, load_over
 from .report import ValidationReport
@@ -336,6 +336,8 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
     if len(in_labels) != word.arity_in:
         raise LabelError("expected %d input labels, got %d"
                          % (word.arity_in, len(in_labels)))
+    for g in in_labels:
+        _element(group, g)
     if annotations is None:
         annotations = tuple(tuple(None for _ in layer) for layer in word.layers)
     annotations = tuple(tuple(layer) for layer in annotations)
@@ -354,6 +356,14 @@ def label_word(group: FiniteGroup, word: BordismWord, in_labels,
                           annotations=tuple(norm_annots))
 
 
+def _element(group: FiniteGroup, g):
+    """``g``, or a ``LabelError`` naming it when it is no element
+    0..|G|-1 of the group (a negative index would wrap in the tables)."""
+    if not 0 <= g < group.order:
+        raise LabelError("%s is not a group element (0..%d)" % (g, group.order - 1))
+    return g
+
+
 def _label_layer(group: FiniteGroup, word, t, annot, cur):
     """The labels below layer t of the word, given the labels ``cur`` above
     it, and the layer's normalized annotations (see ``label_word``), as two
@@ -363,7 +373,7 @@ def _label_layer(group: FiniteGroup, word, t, annot, cur):
     norm = []
     for gen, ann, q in zip(word.layers[t], annot, word.offsets[t]):
         if gen is Gen.ID:
-            k = e if ann is None else int(ann)
+            k = e if ann is None else _element(group, int(ann))
             nxt.append(group.conj(k, cur[q]))
             norm.append(k)
         elif gen is Gen.SWAP:
@@ -384,7 +394,7 @@ def _label_layer(group: FiniteGroup, word, t, annot, cur):
         elif gen is Gen.COPANTS:
             if ann is None:
                 raise LabelError("copants at layer %d needs a (g,h) split" % t)
-            sg, sh = int(ann[0]), int(ann[1])
+            sg, sh = _element(group, int(ann[0])), _element(group, int(ann[1]))
             if group.mul(sg, sh) != cur[q]:
                 raise LabelError(
                     "copants split (%s,%s) does not multiply to %s (layer %d)"
@@ -398,6 +408,7 @@ def _label_layer(group: FiniteGroup, word, t, annot, cur):
 def conjugate_labeled(b: LabeledBordism, k) -> LabeledBordism:
     """Relabel the whole surface by simultaneous conjugation with k."""
     G = b.group
+    _element(G, k)
     new_in = tuple(G.conj(k, g) for g in b.in_labels)
     annots = []
     for layer, ann in zip(b.word.layers, b.annotations):
@@ -430,6 +441,7 @@ def insert_identity_layer(b: LabeledBordism, at: int) -> LabeledBordism:
 
 def insert_conjugation_pair(b: LabeledBordism, at: int, k) -> LabeledBordism:
     """Insert transport by k then by k^-1 at boundary `at` (a homotopy)."""
+    _element(b.group, k)
     return _insert_transports(b, at, [k, b.group.inverse(k)])
 
 
@@ -764,6 +776,9 @@ def closed_surface_word(group: FiniteGroup, genus: int, handles=()) -> LabeledBo
     handles = [tuple(h) for h in handles]
     if len(handles) != genus:
         raise LabelError("genus %d needs %d handle label pairs" % (genus, genus))
+    for h in handles:
+        for g in h:
+            _element(group, g)
     ys = [group.identity]  # suffix products of the commutators
     for a, b in reversed(handles):
         ys.append(group.mul(group.commutator(a, b), ys[-1]))
@@ -800,10 +815,12 @@ def _layers(need, budget, layer=()):
                 yield from _layers(need - ARITY[g][0], budget, layer + (g,))
 
 
+@lru_cache(maxsize=8)
 def _enumerate_shapes(max_gens):
     """Every word of at most ``max_gens`` generators, depth first: first
     layers by size, then in ``itertools.product`` order; later layers in
-    ``_layers`` order."""
+    ``_layers`` order.  One tuple per ``max_gens``, so every group and
+    budget labels the same word objects and plans each schedule once."""
     results = []
 
     def extend(layers, used):
@@ -817,54 +834,113 @@ def _enumerate_shapes(max_gens):
             extend(layers + (layer,), used + len(layer))
 
     extend((), 0)
-    return results
+    return tuple(results)
+
+
+@lru_cache(maxsize=64)
+def _labeling_digits(order, width, step):
+    """The base-``order`` digits, most significant first, of every index in
+    ``range(0, order ** width, step)``, as an (N, width) integer array: row
+    i is the (i·step)-th labeling in ``itertools.product`` order.  The
+    division runs in int64 while ``order ** width`` fits, and on Python
+    ints past that."""
+    total = order ** width
+    dtype = np.int64 if total < 2 ** 63 else object
+    powers = np.array([order ** p for p in reversed(range(width))], dtype=dtype)
+    index = np.arange(0, total, step, dtype=dtype)
+    digits = (index[:, None] // powers % order).astype(np.intp)
+    digits.flags.writeable = False
+    return digits
+
+
+def _label_rows(group: FiniteGroup, shape: BordismWord, digits):
+    """Label every row of ``digits`` on ``shape`` at once, by
+    ``_label_layer``'s rules, with one table gather per generator.
+
+    A row's first ``arity_in`` digits are its input labels; each later one,
+    in layer order, is the conjugator of an ``id`` or the first label a of a
+    ``copants`` split (a, a^-1 g).  Returns the boundaries (per boundary,
+    one label array per circle), the annotations (per layer, per generator:
+    an array, a pair of arrays or None) and the mask of the rows that every
+    cup and copants accepts.
+    """
+    mul, conj, e = group.mul_table, group.conj_table, group.identity
+    inv = np.array(group.inv, dtype=np.intp)
+    n = len(digits)
+    cur = list(digits[:, :shape.arity_in].T)
+    frees = iter(digits[:, shape.arity_in:].T)
+    boundaries, annots = [cur], []
+    keep = np.ones(n, dtype=bool)
+    for layer, offsets in zip(shape.layers, shape.offsets):
+        nxt, row = [], []
+        for g, q in zip(layer, offsets):
+            ann = None
+            if g is ID:
+                ann = next(frees)
+                nxt.append(conj[ann, cur[q]])
+            elif g is SWAP:
+                nxt += (cur[q + 1], cur[q])
+            elif g is CAP:
+                nxt.append(np.full(n, e, dtype=np.intp))
+            elif g is CUP:
+                keep &= cur[q] == e
+            elif g is PANTS:
+                nxt.append(mul[cur[q], cur[q + 1]])
+            else:
+                a = next(frees)
+                b = mul[inv[a], cur[q]]
+                keep &= mul[a, b] == cur[q]
+                ann = a, b
+                nxt += ann
+            row.append(ann)
+        boundaries.append(nxt)
+        annots.append(row)
+        cur = nxt
+    return boundaries, annots, keep
+
+
+def _rows(columns, n):
+    """The n rows of a list of columns (each an iterable), as tuples."""
+    return zip(*columns) if columns else itertools.repeat((), n)
 
 
 def enumerate_labeled_words(group: FiniteGroup, max_gens: int,
                             budget_per_shape: int = 50):
     """All (budgeted) consistent labelings of all words with <= max_gens
     generators; deterministic order.  ``budget_per_shape`` must be at least
-    1."""
+    1.
+
+    A shape with width input labels and free values (an ``id``'s conjugator,
+    a ``copants``'s first split label) has |G|^width labelings, in
+    ``itertools.product`` order; every step-th one is kept, step being the
+    least that keeps at most ``budget_per_shape``, and a kept labeling that
+    puts a non-identity label on a cup is dropped.  The kept labelings of a
+    shape are decoded and labeled together as integer arrays
+    (``_labeling_digits``, ``_label_rows``), and read back as Python ints.
+    """
     if budget_per_shape < 1:
         raise InputError("need a labeling budget of at least 1 per shape, got %d"
                          % budget_per_shape)
     out = []
     for shape in _enumerate_shapes(max_gens):
-        n_in = shape.arity_in
-        n_free = sum(g in (Gen.ID, Gen.COPANTS) for layer in shape.layers for g in layer)
-        width = n_in + n_free
-        total = group.order ** width
-        step = max(1, -(-total // budget_per_shape))
-        powers = [group.order ** p for p in reversed(range(width))]
-        for index in range(0, total, step):
-            # the index-th labeling in itertools.product order: the base-|G|
-            # digits of index, most significant first
-            combo = tuple([index // p % group.order for p in powers])
-            # a free value is the conjugator of an id, or the first label of
-            # a copants split, whose second label it then fixes
-            frees = iter(combo[n_in:])
-            boundaries = [combo[:n_in]]
-            annots = []
-            try:
-                for t, layer in enumerate(shape.layers):
-                    cur = boundaries[-1]
-                    row = []
-                    for g, q in zip(layer, shape.offsets[t]):
-                        if g is Gen.ID:
-                            row.append(next(frees))
-                        elif g is Gen.COPANTS:
-                            first = next(frees)
-                            row.append((first, group.mul(group.inverse(first), cur[q])))
-                        else:
-                            row.append(None)
-                    labels, norm = _label_layer(group, shape, t, row, cur)
-                    boundaries.append(labels)
-                    annots.append(norm)
-            except LabelError:
-                continue
-            out.append(LabeledBordism(group=group, word=shape,
-                                      boundaries=tuple(boundaries),
-                                      annotations=tuple(annots)))
+        n_free = sum(g is ID or g is COPANTS for layer in shape.layers for g in layer)
+        width = shape.arity_in + n_free
+        step = max(1, -(-group.order ** width // budget_per_shape))
+        digits = _labeling_digits(group.order, width, step)
+        boundaries, annots, keep = _label_rows(group, shape, digits)
+        # every column masked and read back as Python ints by one call, then
+        # taken in the same order to zip the rows together
+        columns = [a for labels in boundaries for a in labels]
+        columns += [a for row in annots for ann in row if ann is not None
+                    for a in (ann if type(ann) is tuple else (ann,))]
+        values = iter(np.array(columns)[:, keep].tolist())
+        n = int(np.count_nonzero(keep))
+        bounds = [_rows([next(values) for _ in labels], n) for labels in boundaries]
+        layers = [_rows([itertools.repeat(None, n) if ann is None
+                         else zip(next(values), next(values)) if type(ann) is tuple
+                         else next(values) for ann in row], n) for row in annots]
+        out += map(LabeledBordism, itertools.repeat(group, n), itertools.repeat(shape, n),
+                   zip(*bounds), zip(*layers))
     return out
 
 

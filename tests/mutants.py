@@ -137,14 +137,29 @@ MUTANTS = [
      "                    failing.setdefault((i, 0), (axiom, tag, lhs[m], rhs[m]))\n",
      ["tests/test_crossed.py::test_validate_bundle_matches_the_loop_reference",
       "tests/test_crossed.py::test_cli_validate_bundle_reports_the_reference_violations"]),
-    # enumerate_labeled_words decodes a labeling's digits least significant
+    # _labeling_digits decodes a labeling's digits least significant
     # first
     ("src/tqft2d/crossed.py",
-     "        powers = [group.order ** p for p in reversed(range(width))]\n",
-     "        powers = [group.order ** p for p in range(width)]\n",
+     "    powers = np.array([order ** p for p in reversed(range(width))], dtype=dtype)\n",
+     "    powers = np.array([order ** p for p in range(width)], dtype=dtype)\n",
      ["tests/test_crossed.py::test_labelings_are_those_of_the_stepping_reference",
       "tests/test_crossed.py::test_s4_at_three_generators_lists_its_3594_words",
+      "tests/test_crossed.py::test_labeling_digits_are_those_of_python_ints[2048-6-50]",
       "tests/test_cli.py::test_fixture_commands_print_the_pinned_output"]),
+    # enumerate_labeled_words keeps the labelings that put a non-identity
+    # label on a cup
+    ("src/tqft2d/crossed.py",
+     "                keep &= cur[q] == e\n",
+     "                pass\n",
+     ["tests/test_crossed.py::test_labelings_are_those_of_the_stepping_reference",
+      "tests/test_crossed.py::test_s4_at_three_generators_lists_its_3594_words"]),
+    # label_word and its callers take any integer as a group element, so -1
+    # wraps to the last element
+    ("src/tqft2d/crossed.py",
+     "    if not 0 <= g < group.order:\n",
+     "    if False:\n",
+     ["tests/test_crossed.py::test_elements_outside_the_group_are_named[-1]",
+      "tests/test_crossed.py::test_elements_outside_the_group_are_named[6]"]),
     # the exact inverse keeps the sign of a negative determinant on its den
     ("src/tqft2d/tensor.py",
      "    if prev < 0:  # the den is positive; the sign goes to the numerators\n"

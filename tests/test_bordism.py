@@ -730,6 +730,8 @@ def test_all_labelings_of_a_shape_share_one_schedule(monkeypatch):
 
     schedule = bordism._schedule
     monkeypatch.setattr(bordism, "_schedule", counted)
+    # enumerations share their shapes, which keep the schedules planned before
+    crossed._enumerate_shapes.cache_clear()
     B = from_group_algebra(cyclic_group(2))
     words = enumerate_labeled_words(B.group, 3, budget_per_shape=1000)
     shapes = {}

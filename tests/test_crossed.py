@@ -579,6 +579,28 @@ def test_label_assertion_mismatch_rejected():
         parse_labeled("pants[r1,r1] ; copants[r1,r1] ; pants[e,e]", Z2)
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_elements_outside_the_group_are_named(bad):
+    # -1 used to wrap to the last element, and 6 to raise a bare IndexError
+    b = label_word(S3, parse_word("id"), (1,))
+    calls = [
+        lambda: label_word(S3, parse_word("id"), (bad,)),
+        lambda: label_word(S3, parse_word("id"), (1,), ((bad,),)),
+        lambda: label_word(S3, parse_word("copants"), (0,), (((bad, 0),),)),
+        lambda: label_word(S3, parse_word("copants"), (0,), (((0, bad),),)),
+        lambda: closed_surface_word(S3, 1, [(bad, 0)]),
+        lambda: closed_surface_word(S3, 1, [(0, bad)]),
+        lambda: conjugate_labeled(b, bad),
+        lambda: insert_conjugation_pair(b, 0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(LabelError, match=re.escape("%d is not a group element (0..5)" % bad)):
+            call()
+    # both ends of the range are elements
+    assert label_word(S3, parse_word("id"), (5,), ((0,),)).boundaries == ((5,), (5,))
+    assert conjugate_labeled(b, 5) == label_word(S3, parse_word("id"), (S3.conj(5, 1),))
+
+
 def test_labeled_format_roundtrip():
     K = klein_four_group()
     tor = closed_surface_word(K, 1, [(K.index("10"), K.index("01"))])
@@ -913,12 +935,55 @@ def test_labelings_are_those_of_the_stepping_reference():
     for group, max_gens, budget in cases:
         words = enumerate_labeled_words(group, max_gens, budget_per_shape=budget)
         assert words == _reference_enumerate_labeled_words(group, max_gens, budget)
-        assert all(isinstance(label, int) for b in words for label in b.in_labels)
+        # every label a Python int, not a numpy integer that compares equal
+        for b in words:
+            entries = [g for labels in b.boundaries for g in labels]
+            for row in b.annotations:
+                for a in row:
+                    entries += a if type(a) is tuple else [] if a is None else [a]
+            assert all(type(g) is int for g in entries)
 
 
 def test_s4_at_three_generators_lists_its_3594_words():
     # shapes of up to 24^6 labelings, too many for the stepping reference
     assert len(enumerate_labeled_words(symmetric_group(4), 3, budget_per_shape=12)) == 3594
+
+
+@pytest.mark.parametrize("order, width, budget", [
+    (2 ** 11, 6, 50), (2, 63, 7), (2, 62, 7), (3, 40, 9), (3, 39, 9), (6, 3, 1000),
+    (5, 0, 3)])
+def test_labeling_digits_are_those_of_python_ints(order, width, budget):
+    # 2^11 at width 6 and 2 at width 63 reach 2^63, past int64
+    total = order ** width
+    step = max(1, -(-total // budget))
+    digits = crossed._labeling_digits(order, width, step)
+    want = [[i // order ** p % order for p in reversed(range(width))]
+            for i in range(0, total, step)]
+    assert digits.shape == (len(want), width)
+    assert digits.tolist() == want
+
+
+def test_enumeration_makes_no_scalar_labeler_call(monkeypatch):
+    calls = []
+    scalar = crossed._label_layer
+    monkeypatch.setattr(crossed, "_label_layer",
+                        lambda *args: calls.append(args) or scalar(*args))
+    assert len(enumerate_labeled_words(S3, 3, budget_per_shape=12)) > 0
+    assert calls == []
+    label_word(S3, parse_word("pants"), (1, 2))  # the counter sees label_word's
+    assert len(calls) == 1
+
+
+def test_enumerations_over_different_groups_share_their_words():
+    z2 = enumerate_labeled_words(Z2, 3, budget_per_shape=5)
+    s3 = enumerate_labeled_words(S3, 3, budget_per_shape=50)
+    shapes = crossed._enumerate_shapes(3)
+    assert type(shapes) is tuple and len(shapes) == 393
+    ids = {id(w) for w in shapes}
+    assert {id(b.word) for b in z2 + s3} <= ids
+    words = {b.word.layers: b.word for b in z2}
+    shared = [b for b in s3 if b.word.layers in words]
+    assert len(shared) > 100 and all(b.word is words[b.word.layers] for b in shared)
 
 
 def _reference_enumerate_shapes(max_gens):

@@ -136,6 +136,14 @@ class BordismWord:
         return _schedule(self, carry=False)
 
     @cached_property
+    def trivial_labeling(self):
+        """``(boundaries, annotations)`` of the word's one labeling over the
+        one-element group: every label 0, every ``copants`` split (0, 0)."""
+        return (tuple((0,) * n for n in self.widths),
+                tuple(tuple(0 if g is ID else (0, 0) if g is COPANTS else None
+                            for g in layer) for layer in self.layers))
+
+    @cached_property
     def topological_type(self):
         """The word's ``TopologicalType``, classified once per word; read it
         through the module function ``topological_type``."""
@@ -495,56 +503,57 @@ def _greedy(size, joined, start, bound):
             return cost, order
 
 
-def contract_word(w: BordismWord, lookup, pad, exact, carry) -> Tensor:
-    """The linear map of a word; legs ordered [inputs..., outputs...].
+def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Tensor:
+    """The linear map of a labeled word; legs ordered [inputs..., outputs...].
 
     One state tensor is carried through the word, one generator at a time,
-    in the order ``_plan`` gives: any generator may come before the makers
-    of its input circles, a greedy order is taken where it costs strictly
-    less than layer order, and each circle is paired once both its ends
-    are in.  The plan counts legs only, never fiber dimensions, so a wide
-    layer makes no dim**width state, and the schedule is made once per word
-    and mode (``BordismWord.carried_schedule`` and ``contracted_schedule``) for
-    every algebra and every labeling; this executor only looks up
-    generators and contracts them.  Exact results do not depend on the
-    order; float results may differ from layer order's in the last bits.
+    along the word's schedule (``_schedule``, planned from leg counts alone
+    once per word and mode and kept as ``BordismWord.carried_schedule`` and
+    ``contracted_schedule``) for every bundle and every labeling; this
+    executor only reads blocks and contracts them.  Exact results do not
+    depend on the order; float results may differ from layer order's in the
+    last bits.
 
-    ``lookup(g, t, j, q)`` gives the tensor of generator g, the j-th of
-    layer t, whose first input is circle q of the boundary above layer t.
-    The tensor, legs [inputs..., outputs...], is contracted against the
-    state's legs of its circles.  With ``carry`` an ``id`` cylinder only carries its
-    circle and ``lookup`` is not asked for it; ``lookup`` is never asked for
-    ``swap``, which relabels two circles.  ``pad(i)`` gives the fiber
-    dimension of input i, for an input that reaches the outputs untouched:
-    its identity leg pair is written straight into the output, with no
-    multiplication (``tensor.with_identities``).  In exact mode every
+    ``boundaries`` and ``annotations`` are the labels of a
+    ``crossed.LabeledBordism``; each step reads its block, legs [inputs...,
+    outputs...], from the tables of ``bundle``, a ``crossed.CrossedBundle``:
+    ``id[k]`` on label g is ``transport[k, g]``, ``pants`` on g, h is
+    ``fusion[g, h]``, ``copants`` is ``fission`` at its split and
+    ``cap``/``cup`` the unit/counit.  With ``carry`` an ``id`` only carries
+    its circle, as ``swap`` relabels two.  An input that reaches the outputs
+    untouched gets the identity of ``dims`` at its label, written straight
+    into the output (``tensor.with_identities``).  In exact mode every
     contraction runs on integer numerators (see ``tensor``).
     """
     steps, pads, perm = w.carried_schedule if carry else w.contracted_schedule
     state = None  # None stands for the scalar 1
     for g, t, j, q, axes_s, axes_g in steps:
-        gen = lookup(g, t, j, q)
+        if g is PANTS:
+            labels = boundaries[t]
+            gen = bundle.fusion[labels[q], labels[q + 1]]
+        elif g is COPANTS:
+            gen = bundle.fission[annotations[t][j]]
+        elif g is ID:
+            gen = bundle.transport[annotations[t][j], boundaries[t][q]]
+        else:
+            gen = bundle.unit if g is CAP else bundle.counit
         state = gen if state is None else tensordot(state, gen, axes_s, axes_g)
     if state is None:
-        state = Tensor.scalar(1, exact=exact)
-    # both give a fresh array: the state may still be a generator tensor
+        state = Tensor.scalar(1, exact=bundle.exact)
+    # both give a fresh array: the state may still be a block of the bundle
     if pads:
-        return with_identities(state, tuple(map(pad, pads)), perm)
+        dims, labels = bundle.dims, boundaries[0]
+        return with_identities(state, tuple([dims[labels[i]] for i in pads]), perm)
     return permute(state, perm)
 
 
 def evaluate(w: BordismWord, algebra: FrobeniusAlgebra) -> Tensor:
     """Linear map A^(x)in -> A^(x)out; legs ordered [inputs..., outputs...].
 
-    ``contract_word`` over the algebra's unit, counit, mul and ``delta``
-    (read first, so a degenerate pairing fails every word); a cylinder
-    only carries its circle.
+    ``contract_word`` over ``algebra.bundle`` at ``w.trivial_labeling``, the
+    trivial-group case of ``evaluate_labeled``; a cylinder carries its circle.
     """
-    tensors = {COPANTS: algebra.delta, CAP: algebra.unit,
-               CUP: algebra.counit, PANTS: algebra.mul}
-    dim = algebra.dim
-    return contract_word(w, lambda g, t, j, q: tensors[g],
-                         lambda i: dim, algebra.exact, carry=True)
+    return contract_word(w, *w.trivial_labeling, algebra.bundle, carry=True)
 
 
 def as_matrix(t: Tensor, arity_in: int, dim: int):

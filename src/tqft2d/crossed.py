@@ -552,29 +552,13 @@ def format_labeled(b: LabeledBordism) -> str:
 def evaluate_labeled(b: LabeledBordism, bundle: CrossedBundle) -> Tensor:
     """Linear map between the labeled boundary fibers; legs [ins..., outs...].
 
-    ``bordism.contract_word`` over the bundle's blocks, with the block of
-    each generator picked by the labels: ``id[k]`` is transport
-    by k, ``pants`` is fusion, ``copants`` fission, and ``cap``/``cup`` are
-    the unit/counit.
+    ``bordism.contract_word`` on the labels and the bundle's blocks, each
+    ``id`` contracted as a block: ``id[k]`` is transport by k, ``pants`` is
+    fusion, ``copants`` fission, and ``cap``/``cup`` are the unit/counit.
     """
     if b.group is not bundle.group and b.group != bundle.group:
         raise BundleError("bordism and bundle are over different groups")
-    boundaries, annotations = b.boundaries, b.annotations
-    transport, fusion, fission = bundle.transport, bundle.fusion, bundle.fission
-
-    def lookup(g, t, j, q):
-        if g is ID:
-            return transport[annotations[t][j], boundaries[t][q]]
-        if g is PANTS:
-            labels = boundaries[t]
-            return fusion[labels[q], labels[q + 1]]
-        if g is COPANTS:
-            return fission[annotations[t][j]]
-        return bundle.unit if g is CAP else bundle.counit
-
-    dims, in_labels = bundle.dims, boundaries[0]
-    return contract_word(b.word, lookup, lambda i: dims[in_labels[i]],
-                         bundle.exact, carry=False)
+    return contract_word(b.word, b.boundaries, b.annotations, bundle, carry=False)
 
 
 def holonomy(b: LabeledBordism, bundle: CrossedBundle):
@@ -655,7 +639,7 @@ def roundtrip_check(bundle: CrossedBundle, test_words) -> ValidationReport:
 
 def frobenius_action(bundle: CrossedBundle, g):
     """Module/comodule structure of the identity fiber on fiber g."""
-    e = bundle.group.identity
+    e, g = bundle.group.identity, _element(bundle.group, g)
     act, coact = bundle.fusion[e, g], bundle.fission[e, g]
     mu_e, nu_e = bundle.fusion[e, e], bundle.fission[e, e]
     report = ValidationReport()
@@ -702,11 +686,11 @@ def nfold_fission_check(bundle: CrossedBundle, gs) -> ValidationReport:
     split; in float mode, where agreeing within ``tol`` is not transitive,
     each distinct subtree is a class of its own.
     """
-    gs = list(gs)
+    G, exact = bundle.group, bundle.exact
+    gs = [_element(G, g) for g in gs]
     n = len(gs)
     if n > 5:
         raise InputError("towers are checked for n <= 5")
-    G, exact = bundle.group, bundle.exact
     report = ValidationReport()
     report.check("higher-associativity")
     report.check("higher-coassociativity")

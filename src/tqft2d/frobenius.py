@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, trivial_group
 from .report import ValidationReport
 from .tensor import (DEFAULT_TOL, InputError, Tensor, content_lines, differences,
                      equal, format_scalar, invert_matrix, parse_int,
@@ -78,6 +78,13 @@ class FrobeniusAlgebra:
         ``handle`` and the constant bundles; never cached for a degenerate
         pairing, so every access raises again."""
         return comultiplication(self)
+
+    @cached_property
+    def bundle(self):
+        """The algebra as a bundle over the one-element group for ``evaluate``;
+        like ``delta``, built once and never cached for a degenerate pairing."""
+        from .crossed import from_frobenius_algebra  # crossed imports this module
+        return from_frobenius_algebra(trivial_group(), self)
 
     @cached_property
     def handle(self):

@@ -118,12 +118,24 @@ MUTANTS = [
      ["tests/test_gerbe.py::test_an_exact_cocycle_of_python_ints_is_made_of_fractions",
       "tests/test_gerbe.py::test_a_coboundary_of_python_ints_is_exact",
       "tests/test_gerbe.py::test_the_induced_transport_of_python_ints_is_exact"]),
-    # evaluate_labeled reads each copants split reversed
-    ("src/tqft2d/crossed.py",
-     "return fission[annotations[t][j]]",
-     "return fission[annotations[t][j][::-1]]",
+    # contract_word reads each copants split reversed
+    ("src/tqft2d/bordism.py",
+     "gen = bundle.fission[annotations[t][j]]",
+     "gen = bundle.fission[annotations[t][j][::-1]]",
      ["tests/test_crossed.py::test_closed_surfaces_have_the_reference_holonomy",
       "tests/test_cli.py::test_cocycle_holonomy_on_a_non_abelian_twisted_bundle"]),
+    # contract_word reads an id's transport block at (label, conjugator)
+    ("src/tqft2d/bordism.py",
+     "gen = bundle.transport[annotations[t][j], boundaries[t][q]]",
+     "gen = bundle.transport[boundaries[t][q], annotations[t][j]]",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_crossed.py::test_closed_surfaces_have_the_reference_holonomy"]),
+    # contract_word reads a pants' fusion block at its labels swapped
+    ("src/tqft2d/bordism.py",
+     "gen = bundle.fusion[labels[q], labels[q + 1]]",
+     "gen = bundle.fusion[labels[q + 1], labels[q]]",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_one_word_keeps_a_schedule_per_mode"]),
     # validate_bundle never reports a degenerate pairing
     ("src/tqft2d/crossed.py",
      '        report.fail("nondegeneracy", ())\n',

@@ -19,7 +19,8 @@ from tqft2d.crossed import (enumerate_labeled_words, evaluate_labeled,
 from tqft2d.frobenius import (FrobeniusAlgebra, DegeneratePairingError, ground_field,
                               dual_numbers, diagonal, group_center, closed_invariant,
                               comultiplication, rescale_counit)
-from tqft2d.gerbe import from_cocycle, klein_anticommuting_cocycle, to_crossed_bundle
+from tqft2d.gerbe import (from_cocycle, klein_anticommuting_cocycle, load_cocycle,
+                          to_crossed_bundle)
 from tqft2d.groups import cyclic_group, symmetric_group, trivial_group
 from tqft2d.tensor import Tensor, equal, permute, tensordot
 
@@ -459,6 +460,51 @@ def test_evaluate_builds_generator_tensors_once_per_algebra(monkeypatch):
             evaluate(parse_word("copants"), degenerate)
 
 
+def test_evaluate_builds_one_bundle_per_algebra(monkeypatch):
+    # the algebra's bundle over the one-element group is built by the first
+    # call and kept; a degenerate pairing keeps none, so every call raises
+    built = []
+    post_init = crossed.CrossedBundle.__post_init__
+
+    def counted(bundle):
+        built.append(bundle)
+        post_init(bundle)
+
+    monkeypatch.setattr(crossed.CrossedBundle, "__post_init__", counted)
+    a = dual_numbers()
+    words = [parse_word(text) for text in WIDE_WORDS]
+    for i in range(100):
+        evaluate(words[i % len(words)], a)
+    assert len(built) == 1 and built[0] is a.bundle
+    d = dual_numbers()
+    degenerate = FrobeniusAlgebra(dim=2, basis=d.basis, mul=d.mul, unit=d.unit,
+                                  counit=d.unit)
+    for i in range(3):
+        with pytest.raises(DegeneratePairingError):
+            evaluate(words[i], degenerate)
+    assert len(built) == 1 and "bundle" not in vars(degenerate)
+
+
+def test_evaluate_is_the_trivial_group_case_of_the_contracted_path():
+    # each word's one labeling over the one-element group, every id
+    # contracted as a transport block, against the carried plain path:
+    # bit-identical in exact mode, equal at the algebra's tolerance in float
+    T = trivial_group()
+    for a in (dual_numbers(), group_center(symmetric_group(3)),
+              dual_numbers(exact=False)):
+        B = from_frobenius_algebra(T, a)
+        for seed in range(200):
+            for w in random_equivalent_pair((seed % 3, (seed // 3) % 3), 8, seed):
+                boundaries, annotations = w.trivial_labeling
+                b = label_word(T, w, boundaries[0], annotations)
+                assert (b.boundaries, b.annotations) == w.trivial_labeling
+                t, labeled = evaluate(w, a), evaluate_labeled(b, B)
+                if a.exact:
+                    _assert_identical(t, labeled)
+                else:
+                    assert equal(t, labeled, a.tol)
+
+
 def test_evaluate_matches_layer_definition_on_wide_words():
     for a in (dual_numbers(), diagonal([Fraction(2), Fraction(1, 3)])):
         for text in WIDE_WORDS:
@@ -569,35 +615,39 @@ def _ready_first_plan(gens):
     return layer_order
 
 
-def _reference_contract_word(w, lookup, pad, exact, dot=tensordot,
-                             plan=_reference_plan):
-    """contract_word as one loop that redoes the leg bookkeeping and the
-    planning (``plan``, ``_reference_plan`` unless given) on every call,
-    with ``lookup`` returning None for a cylinder that only carries its
-    circle; every contraction goes through ``dot``.  An input that reaches
-    the outputs untouched gets its identity (``pad`` gives its dimension)
-    by an outer product, the independent check of ``with_identities``;
-    those products go through plain ``tensordot``, so ``dot`` sees only
+def _reference_contract_word(w, boundaries, annotations, bundle, carry,
+                             dot=tensordot, plan=_reference_plan):
+    """contract_word as one loop that redoes the leg bookkeeping, the block
+    choice from the labels and the planning (``plan``, ``_reference_plan``
+    unless given) on every call; with ``carry`` an ``id`` cylinder only
+    carries its circle.  Every contraction goes through ``dot``.  An input
+    that reaches the outputs untouched gets the identity of its fiber by an
+    outer product, the independent check of ``with_identities``; those
+    products go through plain ``tensordot``, so ``dot`` sees only
     contractions."""
-    n_in = w.arity_in
+    n_in, exact = w.arity_in, bundle.exact
     gens = []  # (tensor, labels read, labels made) per contracted generator
     # an input label in the boundary never has a leg yet, an output always has
     boundary = [~i for i in range(n_in)]
     made = 0
     for t, layer in enumerate(w.layers):
         pos = 0  # position of the next generator's first input in ``boundary``
-        q = 0    # and in the boundary above the layer
-        for j, g in enumerate(layer):
-            if g is Gen.SWAP:
-                boundary[pos], boundary[pos + 1] = boundary[pos + 1], boundary[pos]
-                pos, q = pos + 2, q + 2
-                continue
-            gen = lookup(g, t, j, q)
+        labels = list(boundaries[t])  # the circle labels above the layer, in order
+        for ann, g in zip(annotations[t], layer):
             n_gen_in, n_out = ARITY[g]
-            q += n_gen_in
-            if gen is None:
-                pos += 1
+            read, labels = labels[:n_gen_in], labels[n_gen_in:]
+            if g is Gen.SWAP or (carry and g is Gen.ID):
+                boundary[pos:pos + n_gen_in] = reversed(boundary[pos:pos + n_gen_in])
+                pos += n_gen_in
                 continue
+            if g is Gen.ID:
+                gen = bundle.transport[ann, read[0]]
+            elif g is Gen.PANTS:
+                gen = bundle.fusion[read[0], read[1]]
+            elif g is Gen.COPANTS:
+                gen = bundle.fission[ann]
+            else:
+                gen = bundle.unit if g is Gen.CAP else bundle.counit
             circles = boundary[pos:pos + n_gen_in]
             outs = list(range(made, made + n_out))
             made += n_out
@@ -621,7 +671,7 @@ def _reference_contract_word(w, lookup, pad, exact, dot=tensordot,
                     + [c for c in ends if c not in paired])
     for p, c in enumerate(boundary):
         if c < 0:  # an input that reaches the outputs untouched
-            ident = Tensor.identity(pad(~c), exact=exact)
+            ident = Tensor.identity(bundle.dims[boundaries[0][~c]], exact=exact)
             state = ident if state is None else tensordot(state, ident, [], [])
             legs += [c, made]
             boundary[p] = made
@@ -640,17 +690,11 @@ def _recording(calls):
     return dot
 
 
-def _reference_lookup(lookup, carry):
-    """The reference loop's lookup for contract_word's: None for a carried
-    cylinder, which contract_word's lookup is never asked for."""
-    if not carry:
-        return lookup
-    return lambda g, t, j, q: None if g is Gen.ID else lookup(g, t, j, q)
-
-
 def _engine_cases():
     """(evaluate, word or labeled word, algebra or bundle) over the wide
-    words, random pair seeds and enumerated labeled words, exact and float."""
+    words, random pair seeds and enumerated labeled words, exact and float;
+    the twisted D8 bundle has a block at (g, h) unlike the one at (h, g) in
+    both fusion and transport."""
     words = [parse_word(text) for text in WIDE_WORDS]
     for seed in list(range(30)) + [98, 143, 179]:
         words += random_equivalent_pair((seed % 3, (seed // 3) % 3), 8, seed)
@@ -659,33 +703,36 @@ def _engine_cases():
         for w in words:
             yield evaluate, w, a
     z2_dual = os.path.join(FIXTURES, "z2_dual.bundle")
+    d8_twisted = os.path.join(FIXTURES, "d8_twisted.cocycle")
     for B, budget in ((from_group_algebra(cyclic_group(2)), 60),
                       (from_group_algebra(symmetric_group(3)), 3),
                       (load_bundle(z2_dual), 6),
                       (from_group_algebra(cyclic_group(2), exact=False), 6),
-                      (load_bundle(z2_dual, exact=False, tol=1e-6), 6)):
+                      (load_bundle(z2_dual, exact=False, tol=1e-6), 6),
+                      (to_crossed_bundle(load_cocycle(d8_twisted)), 7)):
         for b in enumerate_labeled_words(B.group, 3, budget_per_shape=budget):
             yield evaluate_labeled, b, B
 
 
 def test_contract_word_matches_the_loop_reference(monkeypatch):
     # each engine call of evaluate and evaluate_labeled is rerun by the
-    # reference loop on the same lookup and pad: the same tensordot calls in
-    # the same order, and the same result bit for bit
+    # reference loop on the same labels and bundle, which picks its own
+    # blocks: the same tensordot calls in the same order, and the same
+    # result bit for bit
     engine, calls, compared = bordism.contract_word, [], []
     monkeypatch.setattr(bordism, "tensordot", _recording(calls))
 
-    def checked(w, lookup, pad, exact, carry):
+    def checked(w, boundaries, annotations, bundle, carry):
         calls.clear()
-        t = engine(w, lookup, pad, exact, carry)
+        t = engine(w, boundaries, annotations, bundle, carry)
         ref_calls = []
-        ref = _reference_contract_word(w, _reference_lookup(lookup, carry), pad,
-                                       exact, _recording(ref_calls))
+        ref = _reference_contract_word(w, boundaries, annotations, bundle, carry,
+                                       _recording(ref_calls))
         assert calls == ref_calls
         _assert_identical(t, ref)
         steps = (w.carried_schedule if carry else w.contracted_schedule)[0]
         order = [step[1:3] for step in steps]  # (layer, place) of each step
-        compared.append((carry, exact, len(calls), order != sorted(order)))
+        compared.append((carry, bundle.exact, len(calls), order != sorted(order)))
         return t
 
     monkeypatch.setattr(bordism, "contract_word", checked)
@@ -814,9 +861,9 @@ def test_the_tracer_sees_every_engine_contraction(monkeypatch):
 
     ref_calls = []
 
-    def reference(w, lookup, pad, exact, carry):
-        return _reference_contract_word(w, _reference_lookup(lookup, carry), pad,
-                                        exact, _recording(ref_calls))
+    def reference(w, boundaries, annotations, bundle, carry):
+        return _reference_contract_word(w, boundaries, annotations, bundle, carry,
+                                        _recording(ref_calls))
 
     monkeypatch.setattr(bordism, "contract_word", reference)
     monkeypatch.setattr(crossed, "contract_word", reference)
@@ -956,21 +1003,13 @@ def test_the_plan_gives_layer_order_values_on_the_pair_pool():
         return range(len(gens))
 
     for a in (diagonal([Fraction(2), Fraction(1, 3)]), dual_numbers(exact=False)):
-        tensors = {Gen.ID: Tensor.identity(a.dim, exact=a.exact), Gen.CAP: a.unit,
-                   Gen.CUP: a.counit, Gen.PANTS: a.mul, Gen.COPANTS: a.delta}
-
-        def lookup(g, t, j, q):
-            return tensors[g]
-
-        def pad(i):
-            return a.dim
-
         for p in range(1000):
             for w in random_equivalent_pair((p % 3, (p // 3) % 3), 8, p):
+                labels = w.trivial_labeling
                 for carry in (True, False):
-                    t = bordism.contract_word(w, lookup, pad, a.exact, carry)
-                    ref = _reference_contract_word(w, _reference_lookup(lookup, carry),
-                                                   pad, a.exact, plan=layer_order)
+                    t = bordism.contract_word(w, *labels, a.bundle, carry)
+                    ref = _reference_contract_word(w, *labels, a.bundle, carry,
+                                                   plan=layer_order)
                     if a.exact:
                         _assert_identical(t, ref)
                     else:

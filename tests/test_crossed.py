@@ -601,6 +601,24 @@ def test_elements_outside_the_group_are_named(bad):
     assert conjugate_labeled(b, 5) == label_word(S3, parse_word("id"), (S3.conj(5, 1),))
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_the_bundle_checks_name_elements_outside_the_group(bad):
+    # -1 used to raise a bare KeyError and 6 a bare IndexError
+    B = from_group_algebra(S3)
+    calls = [
+        lambda: nfold_fission_check(B, [bad, 2, 3]),
+        lambda: nfold_fission_check(B, [1, bad]),
+        lambda: nfold_fission_check(B, [bad]),
+        lambda: frobenius_action(B, bad),
+    ]
+    for call in calls:
+        with pytest.raises(LabelError, match=re.escape("%d is not a group element (0..5)" % bad)):
+            call()
+    # both ends of the range are elements
+    assert nfold_fission_check(B, [0, 5, 2]).passed
+    assert frobenius_action(B, 5)[2].passed
+
+
 def test_labeled_format_roundtrip():
     K = klein_four_group()
     tor = closed_surface_word(K, 1, [(K.index("10"), K.index("01"))])

@@ -14,7 +14,9 @@ generators for both the contraction schedule and the topological type.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -367,23 +369,26 @@ def _schedule(w, carry):
     function of its layers and of ``carry``, whether an ``id`` cylinder
     only carries its circle or is contracted like any other generator.
 
-    The steps are ``_walk``'s contracted generators in ``_plan``'s order,
+    The steps are ``_walk``'s contracted generators, with each cap and cup
+    folded into the generator it meets (``_fold``), in ``_plan``'s order,
     which reads leg counts alone, never fiber dimensions, so one schedule
     serves every algebra and every labeling of the word.  A generator's
-    legs are its input circles, then its output circles; each one the
-    state already holds is paired with it, and each other one joins the
-    state.  So a generator contracted before the maker of an input circle
-    leaves that circle open, and the maker's output leg pairs with it
-    later.  Returns ``(steps, pads, perm)``: ``steps`` holds ``(g, t, j,
-    q, axes_s, axes_g)`` per step, g, t, j and q as in ``_walk``, whose
-    legs ``axes_g`` are contracted against the state's legs ``axes_s``
-    (the first step's generator is the state); ``pads`` the inputs that
-    reach the outputs untouched, each of which gets an identity leg pair;
-    ``perm`` the final order of the state's legs.  Raises ArityError when
-    the state would hold more legs than a numpy array can.
+    legs are its input circles, then its output circles, less its folded
+    ones; each one the state already holds is paired with it, and each
+    other one joins the state.  So a generator contracted before the maker
+    of an input circle leaves that circle open, and the maker's output leg
+    pairs with it later.  Returns ``(steps, pads, perm)``: ``steps`` holds
+    ``(g, t, j, q, axes_s, axes_g)`` per step, g a ``Gen`` or a ``_Fold``
+    and t, j and q as in ``_walk``, whose legs ``axes_g`` are contracted
+    against the state's legs ``axes_s`` (the first step's generator is the
+    state); ``pads`` the inputs that reach the outputs untouched, each of
+    which gets an identity leg pair; ``perm`` the final order of the
+    state's legs.  Raises ArityError when the state would hold more legs
+    than a numpy array can.
     """
     n_in = w.widths[0]
     gens, boundary, made = _walk(w, carry)
+    gens = _fold(gens, made)
     steps = []
     legs = []
     peak = 0
@@ -410,11 +415,111 @@ def _schedule(w, carry):
     return tuple(steps), tuple(pads), perm
 
 
+class _Fold:
+    """A generator with caps and cups folded in: its legs ``legs`` (indices
+    into its inputs, then its outputs) are contracted against the unit, an
+    input leg where a cap was, or the counit, an output leg where a cup
+    was.  One object per (generator, legs) (``_fold_of``), so a bundle
+    keeps one folded block per fold and block of its tables."""
+
+    __slots__ = ("gen", "legs")
+
+    def __init__(self, gen, legs):
+        self.gen, self.legs = gen, legs
+
+    def __repr__(self):
+        return "_Fold(%s, %r)" % (self.gen.value, self.legs)
+
+    def block(self, bundle, labels, ann, q):
+        """The folded block of a step: labels, ann and q are the step's
+        circle labels above its layer, its annotation and its first input
+        circle, from which it reads its generator's block as
+        ``contract_word`` does.  The bundle keeps the folded block
+        (``CrossedBundle.folded_blocks``) by fold and table key, and serves
+        it only while its table, unit and counit still hold the tensors it
+        was built from; it is built through ``tensordot``."""
+        g = self.gen
+        if g is PANTS:
+            key = labels[q], labels[q + 1]
+            block = bundle.fusion[key]
+        elif g is COPANTS:
+            key = ann
+            block = bundle.fission[key]
+        elif g is ID:
+            key = ann, labels[q]
+            block = bundle.transport[key]
+        else:  # a cup with its cap folded in
+            key, block = None, bundle.counit
+        unit, counit = bundle.unit, bundle.counit
+        cache = bundle.folded_blocks
+        kept = cache.get((self, key))
+        if kept is not None and kept[0] is block and kept[1] is unit \
+                and kept[2] is counit:
+            return kept[3]
+        n_in = ARITY[g][0]
+        out = block
+        for leg in reversed(self.legs):  # the last first: the others keep their index
+            out = tensordot(out, unit if leg < n_in else counit, [leg], [0])
+        cache[self, key] = block, unit, counit, out
+        return out
+
+
+_fold_of = functools.cache(_Fold)  # the one _Fold of each (generator, legs)
+
+
+def _fold(gens, n_made):
+    """``_walk``'s generators with each cap and cup folded into the
+    generator it meets, in layer order; ``n_made`` is the number of labels
+    made.
+
+    A cap whose circle another generator reads is folded into that reader,
+    and a cup whose circle a generator other than a cap makes into that
+    maker; a cup that reads a cap's circle takes the cap and becomes a
+    scalar.  The generator that takes them is a ``_Fold`` whose folded
+    legs are gone from its circles, and each folded label is gone from
+    both of its ends, so the planner sees one generator, and the executor
+    one step, where there were two or more.
+    """
+    maker, reader = [None] * n_made, [None] * n_made
+    for k, (_, _, _, _, circles, outs) in enumerate(gens):
+        for c in circles:
+            if c >= 0:
+                reader[c] = k
+        for c in outs:
+            maker[c] = k
+    gone = set()
+    into = {}  # generator -> the labels folded into it
+    for k, (g, _, _, _, circles, outs) in enumerate(gens):
+        if g is CAP and reader[outs[0]] is not None:
+            label = outs[0]
+            taker = reader[label]
+        elif g is CUP and circles[0] >= 0 and gens[maker[circles[0]]][0] is not CAP:
+            label = circles[0]
+            taker = maker[label]
+        else:
+            continue
+        gone.add(k)
+        into.setdefault(taker, []).append(label)
+    folded = []
+    for k, gen in enumerate(gens):
+        if k in gone:
+            continue
+        labels = into.get(k)
+        if labels:
+            g, t, j, q, circles, outs = gen
+            ends = circles + outs
+            gen = (_fold_of(g, tuple(sorted(ends.index(c) for c in labels))), t, j, q,
+                   [c for c in circles if c not in labels],
+                   [c for c in outs if c not in labels])
+        folded.append(gen)
+    return folded
+
+
 def _plan(gens, n_made):
     """The order in which to contract ``gens``, as indices into it: layer
-    order, unless a greedy order costs strictly less.
+    order, unless a planned order costs strictly less.
 
-    ``gens`` is ``_walk``'s list in layer order and ``n_made`` the number
+    ``gens`` is ``_fold``'s list in layer order and ``n_made`` the number
     of labels made in all.  Any generator may come next, ready or not.  A
     step's cost is 4 ** (the legs it spans: the state's and the
     generator's, a paired leg once), the multiply-adds it makes when every
@@ -422,16 +527,17 @@ def _plan(gens, n_made):
     A base above the fiber dimensions 2 and 3 of the common algebras weighs
     the widest steps heavily enough that on the 4,000 schedules of the
     first 1,000 seeds of ``random_equivalent_pair`` no order taken peaks
-    higher than the greedy over ready generators alone does (at base 2,
-    four did).
+    higher than the greedy over ready generators alone does.
     Each step spans at least its generator's legs, so layer order is kept
-    at once when it costs no more than that.  Otherwise ``_greedy`` runs
-    from at most six starts: the first two and the last two of the
-    generators with the fewest legs (the first is the one the greedy's own
-    rule takes from an empty state) and the first and the last generator
-    in layer order.  Each run is cut off once it costs as much as the
-    cheapest order so far, so planning is O(n log n) in the number n of
-    generators.
+    at once when it costs no more than that.  Otherwise each connected
+    component of the network is planned on its own, by ``_greedy`` from
+    each of its generators in turn, each run cut off once it costs as much
+    as the cheapest so far: O(n² log n) in the number n of generators.  A
+    component's steps cost 4 ** (the legs the components before it leave
+    open) times their cost on their own, so the components go in
+    increasing order of (4 ** f - 1) / c, f the legs a component leaves
+    open and c its own cost (Smith's rule for a weighted sum), which puts
+    every closed component, a scalar, first.
     """
     size = []                     # the legs of each generator
     joined = [[] for _ in gens]   # per generator, the other end of each made label
@@ -455,30 +561,44 @@ def _plan(gens, n_made):
     order = range(len(gens))
     if cost == floor:
         return order
-    least = min(size)
-    leaves = [k for k in order if size[k] == least]
-    for start in dict.fromkeys(leaves[:2] + leaves[-2:] + [0, order[-1]]):
-        greedy = _greedy(size, joined, start, cost)
-        if greedy is not None:
-            cost, order = greedy
-    return order
+    parts = []  # (cost, legs left open, order) per component
+    seen = [False] * len(gens)
+    for first in order:
+        if seen[first]:
+            continue
+        part = _greedy(size, joined, first, math.inf)
+        for start in sorted(part[2]):
+            seen[start] = True
+            greedy = _greedy(size, joined, start, part[0])
+            if greedy is not None:
+                part = greedy
+        parts.append(part)
+    parts.sort(key=lambda part: (4 ** part[1] - 1) / part[0])
+    planned, total, n_legs = [], 0, 0
+    for c, f, part in parts:
+        total += 4 ** n_legs * c
+        n_legs += f
+        planned += part
+    return planned if total < cost else order
 
 
 def _greedy(size, joined, start, bound):
-    """``(cost, order)`` of the greedy contraction order from the generator
-    ``start``, or None once its cost reaches ``bound``.
+    """``(cost, legs, order)`` of the greedy contraction order of the
+    connected component of the generator ``start``, from ``start`` on an
+    empty state: its cost, the legs it leaves open and its generators in
+    order; or None once its cost reaches ``bound``.
 
     ``size`` and ``joined`` are ``_plan``'s.  After each step the greedy
-    takes a generator sharing a leg with the state first, then the one
-    that leaves the fewest state legs, then the one whose step spans the
-    fewest legs, then the earliest in layer order.  A generator's shared
-    legs only grow until it is taken, so each gain pushes its new key onto
-    a heap and outdated keys are skipped when popped.
+    takes, of the generators sharing a leg with the state, the one that
+    leaves the fewest state legs, then the one whose step spans the fewest
+    legs, then the earliest in layer order, until none is left.  A
+    generator's shared legs only grow until it is taken, so each gain
+    pushes its new key onto a heap and outdated keys are skipped when
+    popped.
     """
     shared = [0] * len(size)
     taken = [False] * len(size)
-    heap = [(1, n, n, k) for k, n in enumerate(size)]
-    heapq.heapify(heap)
+    heap = []
     order = []
     cost = n_legs = 0
     k = start
@@ -494,13 +614,13 @@ def _greedy(size, joined, start, bound):
             if not taken[m]:
                 shared[m] += 1
                 n, p = size[m], shared[m]
-                heapq.heappush(heap, (0, n - 2 * p, n - p, m))
+                heapq.heappush(heap, (n - 2 * p, n - p, m))
         while heap:
-            _, left, _, k = heapq.heappop(heap)
+            left, _, k = heapq.heappop(heap)
             if not taken[k] and left == size[k] - 2 * shared[k]:
                 break
         else:
-            return cost, order
+            return cost, n_legs, order
 
 
 def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Tensor:
@@ -512,7 +632,9 @@ def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Ten
     ``contracted_schedule``) for every bundle and every labeling; this
     executor only reads blocks and contracts them.  Exact results do not
     depend on the order; float results may differ from layer order's in the
-    last bits.
+    last bits.  A step whose generator took caps and cups (a ``_Fold``)
+    reads its folded block from the bundle, which builds it once
+    (``_Fold.block``); every other step reads its block from the tables.
 
     ``boundaries`` and ``annotations`` are the labels of a
     ``crossed.LabeledBordism``; each step reads its block, legs [inputs...,
@@ -535,8 +657,12 @@ def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Ten
             gen = bundle.fission[annotations[t][j]]
         elif g is ID:
             gen = bundle.transport[annotations[t][j], boundaries[t][q]]
-        else:
-            gen = bundle.unit if g is CAP else bundle.counit
+        elif g is CAP:
+            gen = bundle.unit
+        elif g is CUP:
+            gen = bundle.counit
+        else:  # a _Fold: caps and cups folded into their generator
+            gen = g.block(bundle, boundaries[t], annotations[t][j], q)
         state = gen if state is None else tensordot(state, gen, axes_s, axes_g)
     if state is None:
         state = Tensor.scalar(1, exact=bundle.exact)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,6 +60,12 @@ class CrossedBundle:
     unit: Tensor                # shape (d_e,)
     counit: Tensor              # shape (d_e,)
     tol: float = DEFAULT_TOL    # float-mode tolerance of every comparison
+    # the blocks contract_word contracts with caps and cups folded in, built
+    # on first use (bordism._Fold.block).  A field, not a cached_property:
+    # an attribute added after construction gives the instance a dict of its
+    # own, and every read of the bundle's tables in the executor slows down
+    folded_blocks: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         G = self.group

@@ -28,12 +28,24 @@ MUTANTS = [
      "if exact and equal(u, t)",
      "if equal(u, t, bundle.tol)",
      ["tests/test_crossed.py::test_nfold_shares_subtrees_and_matches_the_reference"]),
-    # _plan keeps a greedy order that only ties layer order's cost
+    # _plan keeps a planned order that only ties layer order's cost
     ("src/tqft2d/bordism.py",
-     "        greedy = _greedy(size, joined, start, cost)\n",
-     "        greedy = _greedy(size, joined, start, cost + 1)\n",
+     "    return planned if total < cost else order\n",
+     "    return planned if total <= cost else order\n",
      ["tests/test_bordism.py::test_the_plan_never_peaks_above_layer_order",
       "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # a folded block contracts a cup's leg against the unit, not the counit
+    ("src/tqft2d/bordism.py",
+     "unit if leg < n_in else counit, [leg], [0])",
+     "unit if leg < n_in else unit, [leg], [0])",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
+    # the bundle serves a kept folded block without checking that its table
+    # still holds the block it was built from
+    ("src/tqft2d/bordism.py",
+     "if kept is not None and kept[0] is block and kept[1] is unit",
+     "if kept is not None and kept[1] is unit",
+     ["tests/test_bordism.py::test_a_replaced_block_is_never_served_folded"]),
     # _schedule puts an input circle left open before its maker after the
     # generator's outputs, so the maker pairs with the wrong state leg
     ("src/tqft2d/bordism.py",

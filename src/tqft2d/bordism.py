@@ -369,17 +369,20 @@ def _schedule(w, carry):
     function of its layers and of ``carry``, whether an ``id`` cylinder
     only carries its circle or is contracted like any other generator.
 
-    The steps are ``_walk``'s contracted generators, with each cap and cup
-    folded into the generator it meets (``_fold``), in ``_plan``'s order,
-    which reads leg counts alone, never fiber dimensions, so one schedule
-    serves every algebra and every labeling of the word.  A generator's
-    legs are its input circles, then its output circles, less its folded
-    ones; each one the state already holds is paired with it, and each
-    other one joins the state.  So a generator contracted before the maker
-    of an input circle leaves that circle open, and the maker's output leg
-    pairs with it later.  Returns ``(steps, pads, perm)``: ``steps`` holds
-    ``(g, t, j, q, axes_s, axes_g)`` per step, g a ``Gen`` or a ``_Fold``
-    and t, j and q as in ``_walk``, whose legs ``axes_g`` are contracted
+    The steps are ``_walk``'s contracted generators, folded (``_fold``):
+    each cap and cup into the generator it meets, then each generator of
+    at most two legs into a pants or copants beside it; in ``_plan``'s
+    order, which reads leg counts alone, never fiber dimensions, so one
+    schedule serves every algebra and every labeling of the word.  A
+    generator's legs are its input circles, then its output circles, less
+    its folded ones; each one the state already holds is paired with it,
+    and each other one joins the state.  So a generator contracted before
+    the maker of an input circle leaves that circle open, and the maker's
+    output leg pairs with it later.  Returns ``(steps, pads, perm)``:
+    ``steps`` holds ``(g, t, j, q, axes_s, axes_g, places)`` per step, g a
+    ``Gen`` or a ``_Fold``, t, j and q as in ``_walk`` (a fold's are its
+    base's) and ``places`` the (t, j, q) of each member of a ``_Fold``,
+    base first (None for a ``Gen``), whose legs ``axes_g`` are contracted
     against the state's legs ``axes_s`` (the first step's generator is the
     state); ``pads`` the inputs that reach the outputs untouched, each of
     which gets an identity leg pair; ``perm`` the final order of the
@@ -392,12 +395,12 @@ def _schedule(w, carry):
     steps = []
     legs = []
     peak = 0
-    for k in _plan(gens, made):
-        g, t, j, q, circles, outs = gens[k]
+    for k in _plan(gens):
+        g, t, j, q, circles, outs, places = gens[k]
         ends = circles + outs  # the generator's legs
         axes_g = tuple([i for i, c in enumerate(ends) if c in legs])
         steps.append((g, t, j, q, tuple([legs.index(ends[i]) for i in axes_g]),
-                      axes_g))
+                      axes_g, places))
         legs = [leg for leg in legs if leg not in ends] + [c for c in ends if c not in legs]
         peak = max(peak, len(legs))
     pads = []
@@ -416,77 +419,144 @@ def _schedule(w, carry):
 
 
 class _Fold:
-    """A generator with caps and cups folded in: its legs ``legs`` (indices
-    into its inputs, then its outputs) are contracted against the unit, an
-    input leg where a cap was, or the counit, an output leg where a cup
-    was.  One object per (generator, legs) (``_fold_of``), so a bundle
-    keeps one folded block per fold and block of its tables."""
+    """A generator with the blocks it meets folded in: one step where there
+    were two or more.
 
-    __slots__ = ("gen", "legs")
+    ``gen`` is the base generator and ``legs`` its legs (indices into its
+    inputs, then its outputs) contracted against the unit, an input leg
+    where a cap was, or the counit, an output leg where a cup was.  ``nbr``
+    is None, or ``(leg, nbr, k)`` for an absorbed neighbour: the base's leg
+    ``leg`` is contracted against leg ``k`` of the block of ``nbr``, a
+    ``Gen`` or a ``_Fold`` of caps and cups alone.  ``members`` holds the
+    ``(Gen, legs)`` of the base, then of the neighbour, and ``ends`` the
+    folded block's legs as (member, leg of the member's block), its
+    ``n_in`` input legs first: the neighbour's other leg, if any, goes
+    before the base's when it is an input and after them when it is an
+    output.  One object per (gen, legs, nbr) (``_fold_of``), so a bundle
+    keeps one folded block per fold and member table keys."""
 
-    def __init__(self, gen, legs):
-        self.gen, self.legs = gen, legs
+    __slots__ = ("gen", "legs", "nbr", "members", "front", "ends", "n_in")
+
+    def __init__(self, gen, legs, nbr):
+        self.gen, self.legs, self.nbr = gen, legs, nbr
+        self.members = ((gen, legs),)
+        if nbr is not None:
+            n = nbr[1]
+            self.members += ((n.gen, n.legs) if isinstance(n, _Fold) else (n, ()),)
+        # per member, whether each leg of its block is an input
+        inputs = [[i < ARITY[g][0] for i in range(sum(ARITY[g])) if i not in folded]
+                  for g, folded in self.members]
+        ends = [(0, i) for i in range(len(inputs[0]))]
+        self.front = False
+        if nbr is not None:
+            leg, _, k = nbr
+            other = [(1, i) for i in range(len(inputs[1])) if i != k]
+            self.front = any(inputs[1][i] for _, i in other)
+            del ends[leg]
+            ends = other + ends if self.front else ends + other
+        self.ends = tuple(ends)
+        self.n_in = sum(inputs[m][i] for m, i in ends)
 
     def __repr__(self):
-        return "_Fold(%s, %r)" % (self.gen.value, self.legs)
+        return "_Fold(%s, %r, %r)" % (self.gen.value, self.legs, self.nbr)
 
-    def block(self, bundle, labels, ann, q):
-        """The folded block of a step: labels, ann and q are the step's
-        circle labels above its layer, its annotation and its first input
-        circle, from which it reads its generator's block as
-        ``contract_word`` does.  The bundle keeps the folded block
-        (``CrossedBundle.folded_blocks``) by fold and table key, and serves
-        it only while its table, unit and counit still hold the tensors it
-        was built from; it is built through ``tensordot``."""
-        g = self.gen
-        if g is PANTS:
-            key = labels[q], labels[q + 1]
-            block = bundle.fusion[key]
-        elif g is COPANTS:
-            key = ann
-            block = bundle.fission[key]
-        elif g is ID:
-            key = ann, labels[q]
-            block = bundle.transport[key]
-        else:  # a cup with its cap folded in
-            key, block = None, bundle.counit
+    def block(self, bundle, boundaries, annotations, places):
+        """The folded block of a step: ``places`` holds each member's (t,
+        j, q), where ``_table_block`` reads its table key and block from
+        the labels as ``contract_word`` does.  The bundle keeps the folded
+        block (``CrossedBundle.folded_blocks``) by fold and member keys,
+        and serves it only while every member's table block, the unit and
+        the counit are still the tensors it was built from."""
+        t, j, q = places[0]
+        key, block = _table_block(self.gen, bundle, boundaries[t], annotations[t][j], q)
+        if self.nbr is None:
+            return self._capped(bundle, key, block)
+        t, j, q = places[1]
+        nkey, nblock = _table_block(self.members[1][0], bundle, boundaries[t],
+                                    annotations[t][j], q)
+        kept = bundle.folded_blocks.get((self, key, nkey))
+        if kept is not None and kept[0] is block and kept[1] is nblock \
+                and kept[2] is bundle.unit and kept[3] is bundle.counit:
+            return kept[4]
+        leg, nbr, k = self.nbr
+        # the neighbour's caps and cups come from its own kept block
+        capped = nbr._capped(bundle, nkey, nblock) if isinstance(nbr, _Fold) else nblock
+        out = tensordot(capped, block, [k], [leg]) if self.front \
+            else tensordot(block, capped, [leg], [k])
+        bundle.folded_blocks[self, key, nkey] = block, nblock, bundle.unit, bundle.counit, out
+        return out
+
+    def _capped(self, bundle, key, block):
+        """The block of a fold of caps and cups alone, its generator's table
+        block ``block`` at ``key`` with each folded leg contracted against
+        the unit or the counit through ``tensordot``, kept as ``block``
+        does."""
         unit, counit = bundle.unit, bundle.counit
-        cache = bundle.folded_blocks
-        kept = cache.get((self, key))
-        if kept is not None and kept[0] is block and kept[1] is unit \
-                and kept[2] is counit:
+        kept = bundle.folded_blocks.get((self, key))
+        if kept is not None and kept[0] is block and kept[1] is unit and kept[2] is counit:
             return kept[3]
-        n_in = ARITY[g][0]
+        n_in = ARITY[self.gen][0]
         out = block
         for leg in reversed(self.legs):  # the last first: the others keep their index
             out = tensordot(out, unit if leg < n_in else counit, [leg], [0])
-        cache[self, key] = block, unit, counit, out
+        bundle.folded_blocks[self, key] = block, unit, counit, out
         return out
 
 
-_fold_of = functools.cache(_Fold)  # the one _Fold of each (generator, legs)
+def _table_block(g, bundle, labels, ann, q):
+    """``(key, block)`` of the generator g of a fold at the labels
+    ``labels`` above its layer, its annotation ``ann`` and its first input
+    circle q, read from the tables of ``bundle`` as ``contract_word`` reads
+    an unfolded one's; a cup's key is None."""
+    if g is PANTS:
+        key = labels[q], labels[q + 1]
+        return key, bundle.fusion[key]
+    if g is COPANTS:
+        return ann, bundle.fission[ann]
+    if g is ID:
+        key = ann, labels[q]
+        return key, bundle.transport[key]
+    return None, bundle.counit  # a cup with its cap folded in
+
+
+_fold_of = functools.cache(_Fold)  # the one _Fold of each (generator, legs, nbr)
 
 
 def _fold(gens, n_made):
+    """``_walk``'s generators folded, in layer order: the caps and cups
+    (``_fold_caps``), then the neighbours (``_fold_neighbours``), so the
+    planner sees one generator, and the executor one step, where there
+    were two or more.  Each generator gets the (t, j, q) of its members,
+    base first, as a last entry (None for one that took nothing);
+    ``n_made`` is the number of labels made."""
+    return _fold_neighbours(_fold_caps(gens, n_made), n_made)
+
+
+def _ends(gens, n_made):
+    """The maker and the reader of each label that ``gens`` hold, as
+    indices into it (None for a word output's reader)."""
+    maker, reader = [None] * n_made, [None] * n_made
+    for k, gen in enumerate(gens):
+        for c in gen[4]:
+            if c >= 0:
+                reader[c] = k
+        for c in gen[5]:
+            maker[c] = k
+    return maker, reader
+
+
+def _fold_caps(gens, n_made):
     """``_walk``'s generators with each cap and cup folded into the
-    generator it meets, in layer order; ``n_made`` is the number of labels
-    made.
+    generator it meets, in layer order.
 
     A cap whose circle another generator reads is folded into that reader,
     and a cup whose circle a generator other than a cap makes into that
     maker; a cup that reads a cap's circle takes the cap and becomes a
     scalar.  The generator that takes them is a ``_Fold`` whose folded
     legs are gone from its circles, and each folded label is gone from
-    both of its ends, so the planner sees one generator, and the executor
-    one step, where there were two or more.
+    both of its ends.
     """
-    maker, reader = [None] * n_made, [None] * n_made
-    for k, (_, _, _, _, circles, outs) in enumerate(gens):
-        for c in circles:
-            if c >= 0:
-                reader[c] = k
-        for c in outs:
-            maker[c] = k
+    maker, reader = _ends(gens, n_made)
     gone = set()
     into = {}  # generator -> the labels folded into it
     for k, (g, _, _, _, circles, outs) in enumerate(gens):
@@ -508,22 +578,67 @@ def _fold(gens, n_made):
         if labels:
             g, t, j, q, circles, outs = gen
             ends = circles + outs
-            gen = (_fold_of(g, tuple(sorted(ends.index(c) for c in labels))), t, j, q,
-                   [c for c in circles if c not in labels],
+            gen = (_fold_of(g, tuple(sorted(ends.index(c) for c in labels)), None), t, j,
+                   q, [c for c in circles if c not in labels],
                    [c for c in outs if c not in labels])
         folded.append(gen)
     return folded
 
 
-def _plan(gens, n_made):
+def _fold_neighbours(gens, n_made):
+    """``_fold_caps``'s generators with each one of at most two legs folded
+    into a pants or copants beside it, in layer order, each with its
+    members' (t, j, q) as a last entry.
+
+    A neighbour folds into a pants or copants of three legs that shares
+    exactly one of its circles and has taken no other: the maker of one of
+    its input circles first, then the reader of one of its output circles,
+    each in the order of its legs.  A base takes one neighbour and is none,
+    so folds never chain, the merged block keeps at most three legs and a
+    bundle builds a fixed set of folds.  The merged generator sits at its
+    base's place, so it may read a circle whose maker comes after it.
+    """
+    maker, reader = _ends(gens, n_made)
+    taken = {}  # base -> (the label it shares, its neighbour)
+    for k, (_, _, _, _, circles, outs) in enumerate(gens):
+        ends = circles + outs
+        if not 0 < len(ends) <= 2:
+            continue
+        for c, b in [(c, maker[c]) for c in circles if c >= 0] + [(c, reader[c]) for c in outs]:
+            if b is not None and b not in taken and gens[b][0] in (PANTS, COPANTS) \
+                    and [x for x in ends if x in gens[b][4] + gens[b][5]] == [c]:
+                taken[b] = c, k
+                break
+    absorbed = {k for _, k in taken.values()}
+    folded = []
+    for k, gen in enumerate(gens):
+        if k in taken:
+            g, t, j, q, circles, outs = gen
+            c, n = taken[k]
+            base, nbr = circles + outs, gens[n][4] + gens[n][5]
+            fold = _fold_of(g, (), (base.index(c), gens[n][0], nbr.index(c)))
+            ends = [(base, nbr)[m][i] for m, i in fold.ends]
+            gen = (fold, t, j, q, ends[:fold.n_in], ends[fold.n_in:],
+                   ((t, j, q), gens[n][1:4]))
+        elif k in absorbed:
+            continue
+        else:
+            gen += ((gen[1:4],) if isinstance(gen[0], _Fold) else None,)
+        folded.append(gen)
+    return folded
+
+
+def _plan(gens):
     """The order in which to contract ``gens``, as indices into it: layer
     order, unless a planned order costs strictly less.
 
-    ``gens`` is ``_fold``'s list in layer order and ``n_made`` the number
-    of labels made in all.  Any generator may come next, ready or not.  A
-    step's cost is 4 ** (the legs it spans: the state's and the
-    generator's, a paired leg once), the multiply-adds it makes when every
-    fiber has dimension 4, and an order's cost is the sum over its steps.
+    ``gens`` is ``_fold``'s list in layer order, where a folded generator
+    may read a circle whose maker comes after it, so each label joins the
+    two generators that hold it, whichever comes first.  Any generator may
+    come next, ready or not.  A step's cost is 4 ** (the legs it spans: the
+    state's and the generator's, a paired leg once), the multiply-adds it
+    makes when every fiber has dimension 4, and an order's cost is the sum
+    over its steps.
     A base above the fiber dimensions 2 and 3 of the common algebras weighs
     the widest steps heavily enough that on the 4,000 schedules of the
     first 1,000 seeds of ``random_equivalent_pair`` no order taken peaks
@@ -540,20 +655,21 @@ def _plan(gens, n_made):
     every closed component, a scalar, first.
     """
     size = []                     # the legs of each generator
-    joined = [[] for _ in gens]   # per generator, the other end of each made label
-    maker = [None] * n_made
+    joined = [[] for _ in gens]   # per generator, the other end of each label it shares
+    first = {}                    # the generator met first holding each label
     cost = floor = n_legs = 0     # in layer order
-    for k, (_, _, _, _, circles, outs) in enumerate(gens):
+    for k, gen in enumerate(gens):
+        ends = gen[4] + gen[5]
         n_paired = 0
-        for c in circles:
-            if c >= 0:  # made by an earlier generator
-                m = maker[c]
+        for c in ends:
+            m = first.pop(c, None)
+            if m is None:
+                first[c] = k
+            else:  # held by an earlier generator
                 joined[k].append(m)
                 joined[m].append(k)
                 n_paired += 1
-        for c in outs:
-            maker[c] = k
-        n = len(circles) + len(outs)
+        n = len(ends)
         size.append(n)
         cost += 4 ** (n_legs + n - n_paired)
         floor += 4 ** n
@@ -632,9 +748,11 @@ def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Ten
     ``contracted_schedule``) for every bundle and every labeling; this
     executor only reads blocks and contracts them.  Exact results do not
     depend on the order; float results may differ from layer order's in the
-    last bits.  A step whose generator took caps and cups (a ``_Fold``)
-    reads its folded block from the bundle, which builds it once
-    (``_Fold.block``); every other step reads its block from the tables.
+    last bits.  A step whose generator took caps, cups or a neighbour (a
+    ``_Fold``) carries the place of each member, where it reads each
+    member's table key, and the bundle serves its folded block, built once
+    per fold and keys (``_Fold.block``); every other step reads its block
+    from the tables.
 
     ``boundaries`` and ``annotations`` are the labels of a
     ``crossed.LabeledBordism``; each step reads its block, legs [inputs...,
@@ -649,7 +767,7 @@ def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Ten
     """
     steps, pads, perm = w.carried_schedule if carry else w.contracted_schedule
     state = None  # None stands for the scalar 1
-    for g, t, j, q, axes_s, axes_g in steps:
+    for g, t, j, q, axes_s, axes_g, places in steps:
         if g is PANTS:
             labels = boundaries[t]
             gen = bundle.fusion[labels[q], labels[q + 1]]
@@ -661,8 +779,8 @@ def contract_word(w: BordismWord, boundaries, annotations, bundle, carry) -> Ten
             gen = bundle.unit
         elif g is CUP:
             gen = bundle.counit
-        else:  # a _Fold: caps and cups folded into their generator
-            gen = g.block(bundle, boundaries[t], annotations[t][j], q)
+        else:  # a _Fold: its members' blocks, each read at its place
+            gen = g.block(bundle, boundaries, annotations, places)
         state = gen if state is None else tensordot(state, gen, axes_s, axes_g)
     if state is None:
         state = Tensor.scalar(1, exact=bundle.exact)

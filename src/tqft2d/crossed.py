@@ -60,10 +60,13 @@ class CrossedBundle:
     unit: Tensor                # shape (d_e,)
     counit: Tensor              # shape (d_e,)
     tol: float = DEFAULT_TOL    # float-mode tolerance of every comparison
-    # the blocks contract_word contracts with caps and cups folded in, built
-    # on first use (bordism._Fold.block).  A field, not a cached_property:
-    # an attribute added after construction gives the instance a dict of its
-    # own, and every read of the bundle's tables in the executor slows down
+    # the blocks contract_word contracts with caps, cups and neighbours
+    # folded in, by fold and member table keys, built on first use and
+    # served while every member's table block, the unit and the counit are
+    # the tensors they were built from (bordism._Fold.block).  A field, not
+    # a cached_property: an attribute added after construction gives the
+    # instance a dict of its own, and every read of the bundle's tables in
+    # the executor slows down
     folded_blocks: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 

@@ -46,6 +46,19 @@ MUTANTS = [
      "if kept is not None and kept[0] is block and kept[1] is unit",
      "if kept is not None and kept[1] is unit",
      ["tests/test_bordism.py::test_a_replaced_block_is_never_served_folded"]),
+    # the bundle serves a merged block after its neighbour's table block
+    # was replaced
+    ("src/tqft2d/bordism.py",
+     "if kept is not None and kept[0] is block and kept[1] is nblock \\\n",
+     "if kept is not None and kept[0] is block \\\n",
+     ["tests/test_bordism.py::test_a_replaced_block_is_never_served_folded"]),
+    # a neighbour that goes after its base's legs is contracted against
+    # the wrong leg of its base
+    ("src/tqft2d/bordism.py",
+     "else tensordot(block, capped, [leg], [k])",
+     "else tensordot(block, capped, [(leg + 1) % 3], [k])",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
     # _schedule puts an input circle left open before its maker after the
     # generator's outputs, so the maker pairs with the wrong state leg
     ("src/tqft2d/bordism.py",
@@ -130,10 +143,16 @@ MUTANTS = [
      ["tests/test_gerbe.py::test_an_exact_cocycle_of_python_ints_is_made_of_fractions",
       "tests/test_gerbe.py::test_a_coboundary_of_python_ints_is_exact",
       "tests/test_gerbe.py::test_the_induced_transport_of_python_ints_is_exact"]),
-    # contract_word reads each copants split reversed
+    # contract_word reads each unfolded copants split reversed
     ("src/tqft2d/bordism.py",
      "gen = bundle.fission[annotations[t][j]]",
      "gen = bundle.fission[annotations[t][j][::-1]]",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # a fold reads its copants' split reversed: the copants of a closed
+    # surface fold in its cap or one of its cylinders
+    ("src/tqft2d/bordism.py",
+     "        return ann, bundle.fission[ann]\n",
+     "        return ann, bundle.fission[ann[::-1]]\n",
      ["tests/test_crossed.py::test_closed_surfaces_have_the_reference_holonomy",
       "tests/test_cli.py::test_cocycle_holonomy_on_a_non_abelian_twisted_bundle"]),
     # contract_word reads an id's transport block at (label, conjugator)
@@ -142,10 +161,16 @@ MUTANTS = [
      "gen = bundle.transport[boundaries[t][q], annotations[t][j]]",
      ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
       "tests/test_crossed.py::test_closed_surfaces_have_the_reference_holonomy"]),
-    # contract_word reads a pants' fusion block at its labels swapped
+    # contract_word reads an unfolded pants' fusion block at its labels
+    # swapped
     ("src/tqft2d/bordism.py",
      "gen = bundle.fusion[labels[q], labels[q + 1]]",
      "gen = bundle.fusion[labels[q + 1], labels[q]]",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # a fold reads its pants' fusion block at its labels swapped
+    ("src/tqft2d/bordism.py",
+     "        key = labels[q], labels[q + 1]\n",
+     "        key = labels[q + 1], labels[q]\n",
      ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
       "tests/test_bordism.py::test_one_word_keeps_a_schedule_per_mode"]),
     # validate_bundle never reports a degenerate pairing

@@ -20,31 +20,36 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 # and the n-fold towers were contracted once per bracketing, 910 when a
 # closed labeled surface split into g circles, and 659 when each closed
 # invariant squared the handle operator anew and the towers were
-# contracted once per distinct subtree, and 457 when each cap and cup was a
-# step of its own; a fresh pass now makes 447
-BUDGET = 447
+# contracted once per distinct subtree, 457 when each cap and cup was a
+# step of its own, and 447 when each block of at most two legs beside a
+# pants or copants was a step of its own, the id cylinders of closed
+# labeled surfaces among them; a fresh pass now makes 424
+BUDGET = 424
 
 # a fuzz-pairs pass contracts its 400 words in the planned order, one call
 # per step after the first whatever the order, so the order moves only the
-# multiply-adds and the sizes; a fresh pass adds one call per folded leg of
-# each folded block it builds.  It made 1,603 calls and 143,653
-# multiply-adds when 10 of its words multiplied their pass-through circles
-# in as identities, 143,387 multiply-adds with a largest result of 729
-# entries when a generator waited for the makers of its input circles, and
-# 1,594 calls, 52,897 multiply-adds and a largest result of 243 entries
-# when each cap and cup was a step of its own and the greedy planned the
-# whole network from six starts
-FUZZ_CALLS = 873
-FUZZ_MADDS = 30502
+# multiply-adds and the sizes; a fresh pass adds one call per folded leg
+# and per absorbed neighbour of each folded block it builds.  It made 1,603
+# calls and 143,653 multiply-adds when 10 of its words multiplied their
+# pass-through circles in as identities, 143,387 multiply-adds with a
+# largest result of 729 entries when a generator waited for the makers of
+# its input circles, 1,594 calls, 52,897 multiply-adds and a largest
+# result of 243 entries when each cap and cup was a step of its own and
+# the greedy planned the whole network from six starts, and 873 calls and
+# 30,502 multiply-adds when each block of at most two legs beside a pants
+# or copants was a step of its own
+FUZZ_CALLS = 730
+FUZZ_MADDS = 26982
 FUZZ_PEAK_ENTRIES = 81
 
 # a labeled-roundtrip pass writes the identity leg pairs of its words'
 # pass-through circles straight into their outputs; when it took them as
 # outer products it made 72,422 calls with 4,642,772 outer-product entries,
 # and 945,872 outer-product entries when a generator waited for the makers
-# of its input circles, and 41,066 calls with 906,328 outer-product entries
-# when each cap and cup was a step of its own
-LABELED_CALLS = 40398
+# of its input circles, 41,066 calls with 906,328 outer-product entries
+# when each cap and cup was a step of its own, and 40,398 calls when each
+# block of at most two legs beside a pants or copants was a step of its own
+LABELED_CALLS = 39214
 LABELED_OUTER_ENTRIES = 906316
 
 

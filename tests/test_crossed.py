@@ -1459,10 +1459,15 @@ def test_closed_surfaces_have_the_reference_holonomy():
 
 def test_a_closed_surface_runs_on_one_circle(monkeypatch):
     # 4g + 2 contracted generators, the cap folded into the first copants
-    # and the cup into the last pants: 4g steps, so 4g - 1 contractions per
-    # holonomy once the folded blocks are built, and never more than the
-    # running circle and one split-off circle.  At genus 0 the cap is
-    # folded into the cup, one scalar step and no contraction
+    # and the cup into the last pants.  From genus 2 on, the first
+    # handle's pants and the last handle's copants each take one of their
+    # handle's id cylinders, and each handle between takes both, one into
+    # its copants and one into its pants: 2g - 2 cylinders in all, so 2g +
+    # 2 steps and 2g + 1 contractions per holonomy once the folded blocks
+    # are built (at genus 1 both cylinders meet a folded copants and pants
+    # and stay: 4 steps), and never more than the running circle and one
+    # split-off circle.  At genus 0 the cap is folded into the cup, one scalar step
+    # and no contraction
     from test_bordism import _peak_legs  # not at the top: it imports this module
     from tqft2d import bordism
     calls = []
@@ -1480,8 +1485,8 @@ def test_a_closed_surface_runs_on_one_circle(monkeypatch):
         calls.clear()
         holonomy(b, B)
         steps = b.word.contracted_schedule[0]
-        assert len(steps) == max(4 * genus, 1)
-        assert len(calls) == max(4 * genus - 1, 0)
+        assert len(steps) == (2 * genus + 2 if genus else 1)
+        assert len(calls) == len(steps) - 1
         assert _peak_legs(steps) <= 2
 
 

@@ -60,10 +60,11 @@ class CrossedBundle:
     unit: Tensor                # shape (d_e,)
     counit: Tensor              # shape (d_e,)
     tol: float = DEFAULT_TOL    # float-mode tolerance of every comparison
-    # the blocks contract_word contracts with caps, cups and neighbours
-    # folded in, by fold and member table keys, built on first use and
-    # served while every member's table block, the unit and the counit are
-    # the tensors they were built from (bordism._Fold.block).  A field, not
+    # the blocks of contract_word's folds, each a base generator's block
+    # with every join's unit, counit or neighbour block contracted in, by
+    # fold, base table key and neighbour table key, built on first use and
+    # served while both table blocks, the unit and the counit are the
+    # tensors they were built from (bordism._Fold.block).  A field, not
     # a cached_property: an attribute added after construction gives the
     # instance a dict of its own, and every read of the bundle's tables in
     # the executor slows down

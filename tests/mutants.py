@@ -36,15 +36,15 @@ MUTANTS = [
       "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
     # a folded block contracts a cup's leg against the unit, not the counit
     ("src/tqft2d/bordism.py",
-     "unit if leg < n_in else counit, [leg], [0])",
-     "unit if leg < n_in else unit, [leg], [0])",
+     "counit if part is CUP else other",
+     "unit if part is CUP else other",
      ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
       "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
     # the bundle serves a kept folded block without checking that its table
-    # still holds the block it was built from
+    # still holds the base's block it was built from
     ("src/tqft2d/bordism.py",
-     "if kept is not None and kept[0] is block and kept[1] is unit",
-     "if kept is not None and kept[1] is unit",
+     "kept[0] is block and kept[1]",
+     "kept[1]",
      ["tests/test_bordism.py::test_a_replaced_block_is_never_served_folded"]),
     # the bundle serves a merged block after its neighbour's table block
     # was replaced
@@ -52,11 +52,17 @@ MUTANTS = [
      "if kept is not None and kept[0] is block and kept[1] is nblock \\\n",
      "if kept is not None and kept[0] is block \\\n",
      ["tests/test_bordism.py::test_a_replaced_block_is_never_served_folded"]),
-    # a neighbour that goes after its base's legs is contracted against
-    # the wrong leg of its base
+    # a neighbour is contracted against the wrong leg of its base
     ("src/tqft2d/bordism.py",
-     "else tensordot(block, capped, [leg], [k])",
-     "else tensordot(block, capped, [(leg + 1) % 3], [k])",
+     "                            [leg], [k])",
+     "                            [leg if part is CAP or part is CUP else (leg + 1) % 3], [k])",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
+    # a folded block keeps its legs in the order it was built, a
+    # neighbour's input after its base's legs, not inputs first
+    ("src/tqft2d/bordism.py",
+     "            out = permute(out, self.perm)\n",
+     "            pass\n",
      ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
       "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
     # _schedule puts an input circle left open before its maker after the

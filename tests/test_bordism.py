@@ -734,12 +734,19 @@ def _same_numerators(t, ref):
             and t.nums.tolist() == ref.nums.tolist())
 
 
+def _absorbed(g):
+    """The generators folded into g: each join's part, and the caps and
+    cups of a part that is a fold itself."""
+    if not isinstance(g, bordism._Fold):
+        return 0
+    return sum(1 + _absorbed(part) for _, part, _ in g.joins)
+
+
 def _folded(steps):
     """The generators a schedule folds into other generators' steps: each
     cap and cup, and each absorbed neighbour, its own caps and cups
     included."""
-    return sum(len(g.members) - 1 + sum(len(legs) for _, legs in g.members)
-               for g, *_ in steps if isinstance(g, bordism._Fold))
+    return sum(_absorbed(g) for g, *_ in steps)
 
 
 def _recording_builds(monkeypatch, calls, builds):
@@ -782,7 +789,7 @@ def test_contract_word_matches_the_loop_reference(monkeypatch):
         gens, place = _walked(w, carry)
         order = [place[step[1:3]] for step in steps]
         assert order == list(_reference_plan(gens))
-        merged = any(isinstance(step[0], bordism._Fold) and step[0].nbr is not None
+        merged = any(isinstance(step[0], bordism._Fold) and step[0].neighbour is not None
                      for step in steps)
         compared.append((carry, bundle.exact, len(calls), order != sorted(order),
                          folded, merged))
@@ -868,7 +875,7 @@ def test_schedule_edge_cases():
     assert empty.carried_schedule == empty.contracted_schedule == ((), (), ())
     # a cap read by a cup is folded into it: one step, a scalar
     steps, pads, perm = parse_word("cap ; cup").carried_schedule
-    assert [s[0] for s in steps] == [bordism._fold_of(Gen.CUP, (0,), None)]
+    assert [s[0] for s in steps] == [bordism._fold_of(Gen.CUP, ((0, Gen.CAP, 0),))]
     assert steps[0][4:6] == ((), ()) and pads == () and perm == ()
     # an input that passes untouched gets an identity leg pair when carried
     w = parse_word("id * cap ; id * cup")
@@ -887,8 +894,8 @@ def test_schedule_edge_cases():
     gens, _, made = bordism._walk(w, True)
     folded = bordism._fold(gens, made)
     fold, t, _, _, circles, _, places = folded[0]
-    assert fold is bordism._fold_of(Gen.COPANTS, (), (1, bordism._fold_of(
-        Gen.PANTS, (2,), None), 0))
+    assert fold is bordism._fold_of(Gen.COPANTS, ((1, bordism._fold_of(
+        Gen.PANTS, ((2, Gen.CUP, 0),)), 0),))
     assert t == 0 and places == ((0, 0, 0), (4, 0, 0))
     assert [k for k, gen in enumerate(folded) if set(gen[5]) & set(circles)] == [1]
     for alg in (dual_numbers(), diagonal([Fraction(2), Fraction(1, 3)])):
@@ -971,11 +978,11 @@ def test_the_tracer_sees_every_engine_contraction(monkeypatch):
 def _peak_legs(steps):
     """The most legs the state holds after any step of a schedule, counted
     from the steps alone: a step brings its block's legs, a generator's
-    all of them and a fold's those it keeps (``_Fold.ends``), and each
+    all of them and a fold's those it keeps (``_Fold.n_legs``), and each
     paired leg leaves on both sides."""
     legs = peak = 0
     for g, _, _, _, axes_s, axes_g, _ in steps:
-        n = len(g.ends) if isinstance(g, bordism._Fold) else sum(ARITY[g])
+        n = g.n_legs if isinstance(g, bordism._Fold) else sum(ARITY[g])
         legs += n - len(axes_s) - len(axes_g)
         peak = max(peak, legs)
     return peak
@@ -1037,10 +1044,12 @@ def _pool_schedules():
 
 def _walked_caps(w, carry):
     """``_walk``'s contracted generators of ``w`` with only their caps and
-    cups folded in (``_fold_caps``), in layer order, as (labels read,
-    labels made): each label's maker comes before its reader."""
+    cups folded in (``_absorb`` by ``_cap_taker``), in layer order, as
+    (labels read, labels made): each label's maker comes before its
+    reader."""
     gens, _, made = bordism._walk(w, carry)
-    return [(circles, outs) for *_, circles, outs in bordism._fold_caps(gens, made)]
+    gens = bordism._absorb([gen + (None,) for gen in gens], made, bordism._cap_taker)
+    return [(circles, outs) for *_, circles, outs, _ in gens]
 
 
 def test_the_plan_never_peaks_above_layer_order():
@@ -1049,8 +1058,9 @@ def test_the_plan_never_peaks_above_layer_order():
     # higher than layer order, so it raises no ArityError that one did not;
     # and it leaves layer order exactly when that is strictly cheaper.  The
     # ready-first plan needs each maker before its reader, so it runs on the
-    # generators with their caps and cups folded and no neighbour
-    lowered = left = 0
+    # generators with their caps and cups folded and no neighbour.  Each
+    # fold's block has the legs of its step's generator, inputs first
+    lowered = left = folds = 0
     words = (w for p in range(1000)
              for w in random_equivalent_pair((p % 3, (p // 3) % 3), 8, p))
     for w in words:
@@ -1065,9 +1075,15 @@ def test_the_plan_never_peaks_above_layer_order():
             assert peak == _peak_legs(steps)
             assert peak <= ready_peak <= _leg_costs(capped, range(len(capped)))[1]
             assert (order != sorted(order)) == (cost < layer_cost)
+            for step, k in zip(steps, order):
+                if isinstance(step[0], bordism._Fold):
+                    circles, outs = gens[k]
+                    assert step[0].n_in == len(circles)
+                    assert step[0].n_legs == len(circles) + len(outs)
+                    folds += 1
             lowered += peak < ready_peak
             left += cost < layer_cost
-    assert lowered > 1000 and left > 2000
+    assert lowered > 1000 and left > 2000 and folds > 1000
 
 
 def _optimal_cost(gens, base):
@@ -1193,9 +1209,9 @@ def test_a_replaced_block_is_never_served_folded():
         assert not equal(after, before)
     merged = [step[0] for _, _, text in cases[4:6]
               for step in parse_word(text).contracted_schedule[0]
-              if isinstance(step[0], bordism._Fold) and step[0].nbr is not None]
-    assert [fold.nbr[1] for fold in merged] == [bordism._fold_of(Gen.PANTS, (0,), None),
-                                                 Gen.ID]
+              if isinstance(step[0], bordism._Fold) and step[0].neighbour is not None]
+    assert [fold.neighbour for fold in merged] == [
+        bordism._fold_of(Gen.PANTS, ((0, Gen.CAP, 0),)), Gen.ID]
 
 
 def test_a_second_pass_over_the_pool_builds_no_folded_block(monkeypatch):

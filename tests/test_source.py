@@ -211,6 +211,27 @@ def test_gerbe_states_no_axiom():
     assert found == []
 
 
+def test_bordism_reads_the_tables_in_two_places():
+    # contract_word reads an unfolded step's block inline and _Fold.block a
+    # fold's through _table_block: no other function of bordism indexes
+    # the bundle's fusion, fission or transport table
+    with open(os.path.join(SRC, "bordism.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="bordism.py")
+    readers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr in ("fusion", "fission", "transport"):
+            readers.append((where, node.value.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    assert set(readers) == {(where, table) for where in ("contract_word", "_table_block")
+                            for table in ("fusion", "fission", "transport")}
+
+
 def test_every_planted_fault_still_applies():
     # tests/run_mutants.py plants each fault of tests/mutants.py by text, so
     # its old text must occur exactly once and each named killer must exist

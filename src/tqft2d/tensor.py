@@ -281,9 +281,14 @@ class Tensor:
 _of = Tensor._of
 
 
-def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
+def tensordot(a: Tensor, b: Tensor, axes_a, axes_b, order=None) -> Tensor:
     """Contract legs ``axes_a`` of a against ``axes_b`` of b (pairwise);
-    with no legs paired, the outer product.
+    with no legs paired, the outer product.  The result's legs are a's kept
+    legs, then b's, or with ``order`` those legs reordered, new leg i being
+    old leg order[i]: bit for bit ``permute(tensordot(a, b, axes_a,
+    axes_b), order)``, with the reorder written by the product's own
+    transpose (a view of the fresh product, never of a or b) in place of a
+    copy.
 
     The steps of ``np.tensordot``, without its argument handling: the paired
     legs go to the end of a and the front of b, both are flattened to
@@ -291,13 +296,15 @@ def tensordot(a: Tensor, b: Tensor, axes_a, axes_b) -> Tensor:
     products in the order ``np.dot`` does, so float results are bit for bit
     ``np.tensordot``'s.  Where the paired legs have size 1 (the outer product
     among them) ``np.multiply`` broadcasts a's kept legs against b's instead.
-    Axes are distinct leg indices 0..rank-1.  The axis counts and leg
-    dimensions are checked, and the layout worked out, once per pattern of
-    both shapes and both axis lists (``_layout``); a pattern is cached only
-    once it has passed, so every call is checked.  ``_contract`` runs the
-    layout, as it runs ``einsum``'s, and bounds the result.
+    Axes are distinct leg indices 0..rank-1.  The axis counts, leg
+    dimensions and order are checked, and the layout worked out, once per
+    pattern of both shapes, both axis lists and the order (``_layout``); a
+    pattern is cached only once it has passed, so every call is checked.
+    ``_contract`` runs the layout, as it runs ``einsum``'s, and bounds the
+    result.
     """
-    return _contract(a, b, _layout(a.nums.shape, b.nums.shape, tuple(axes_a), tuple(axes_b)))
+    return _contract(a, b, _layout(a.nums.shape, b.nums.shape, tuple(axes_a), tuple(axes_b),
+                                   order if order is None else tuple(order)))
 
 
 def einsum(spec, *operands) -> Tensor:
@@ -361,14 +368,16 @@ def _contract(a: Tensor, b: Tensor, plan) -> Tensor:
 
 
 @lru_cache(maxsize=1024)
-def _layout(shape_a, shape_b, axes_a, axes_b):
+def _layout(shape_a, shape_b, axes_a, axes_b, order):
     """How ``tensordot`` contracts a of ``shape_a`` with b of ``shape_b``:
     the ``_plan`` of a's kept legs then its paired ones, b's paired legs
-    then its kept ones, with no batch and the output in product order.
+    then its kept ones, with no batch and the output in ``order`` (product
+    order when None).
 
     Raises ContractionError when the axis lists differ in length, an axis
-    is negative, repeated or past its tensor's last leg, or a paired leg's
-    dimensions differ; an error is never cached.
+    is negative, repeated or past its tensor's last leg, a paired leg's
+    dimensions differ, or ``order`` is no order of the result's legs; an
+    error is never cached.
     """
     if len(axes_a) != len(axes_b):
         raise ContractionError("axis lists differ in length")
@@ -384,8 +393,12 @@ def _layout(shape_a, shape_b, axes_a, axes_b):
                 % (i, shape_a[i], j, shape_b[j]))
     keep_a = tuple(k for k in range(len(shape_a)) if k not in axes_a)
     keep_b = tuple(k for k in range(len(shape_b)) if k not in axes_b)
-    return _plan(shape_a, keep_a + axes_a, shape_b, axes_b + keep_b, 0, len(axes_a),
-                 tuple(range(len(keep_a) + len(keep_b))))
+    legs = tuple(range(len(keep_a) + len(keep_b)))
+    if order is None:
+        order = legs
+    elif sorted(order) != list(legs):
+        raise ContractionError("bad leg order %s for %d legs" % (list(order), len(legs)))
+    return _plan(shape_a, keep_a + axes_a, shape_b, axes_b + keep_b, 0, len(axes_a), order)
 
 
 @lru_cache(maxsize=1024)

@@ -283,13 +283,38 @@ MUTANTS = [
      ["tests/test_bordism.py::test_contraction_equals_the_normal_form_of_the_topological_type",
       "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
     # the contraction kernel keeps the product's legs in (batch, kept) order
-    # and never puts them in the output's, which only tensor.einsum asks for
+    # and never puts them in the output's, which tensor.einsum and an
+    # ordered tensordot ask for
     ("src/tqft2d/tensor.py",
      "    if out is not None:\n        r = r.transpose(out)\n",
      "",
      ["tests/test_tensor.py::test_einsum_matches_numpy_on_the_object_tier[int64]",
       "tests/test_tensor.py::test_einsum_is_tensordot_then_permute[True]",
+      "tests/test_tensor.py::test_tensordot_into_an_order_is_tensordot_then_permute[int64]",
       "tests/test_crossed.py::test_validate_bundle_matches_the_loop_reference"]),
+    # tensordot's layout checks the output order it is given but keeps the
+    # product's leg order
+    ("src/tqft2d/tensor.py",
+     "0, len(axes_a), order)\n",
+     "0, len(axes_a), legs)\n",
+     ["tests/test_tensor.py::test_tensordot_into_an_order_is_tensordot_then_permute[int64]",
+      "tests/test_tensor.py::test_tensordot_into_an_order_is_tensordot_then_permute[float]",
+      "tests/test_bordism.py::test_contract_word_matches_the_loop_reference"]),
+    # the executor drops the last step's output order and returns the
+    # product's legs as they are
+    ("src/tqft2d/bordism.py",
+     "tensordot(state, gen, axes_s, axes_g, order)",
+     "tensordot(state, gen, axes_s, axes_g)",
+     ["tests/test_bordism.py::test_contract_word_matches_the_loop_reference",
+      "tests/test_bordism.py::test_folding_is_bit_identical_to_the_reference_on_the_pair_pool"]),
+    # a one-step word returns its state, a block of the bundle, uncopied
+    # and in its block's leg order
+    ("src/tqft2d/bordism.py",
+     "return state if len(steps) > 1 else",
+     "return state if steps else",
+     ["tests/test_bordism.py::test_evaluate_returns_a_fresh_array",
+      "tests/test_crossed.py::test_evaluate_labeled_returns_a_fresh_array",
+      "tests/test_bordism.py::test_each_evaluation_writes_its_output_once"]),
     # the gather rows of the pair (b, c) are read as (c, b); the twisted D8
     # cocycle then fails to load, so test_crossed, test_gerbe and test_cli
     # stop at collection, which the runner counts as a failure of their

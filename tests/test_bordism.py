@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tqft2d
 from tqft2d.bordism import (ARITY, Gen, BordismWord, WordSyntaxError, ArityError,
                             parse_word, word, seq, par,
                             topological_type, equivalent, evaluate, as_matrix,
@@ -696,9 +697,9 @@ def _reference_contract_word(w, boundaries, annotations, bundle, carry,
 
 def _recording(calls):
     """tensordot, noting (a.shape, axes_a, b.shape, axes_b) of each call."""
-    def dot(a, b, axes_a, axes_b):
+    def dot(a, b, axes_a, axes_b, order=None):
         calls.append((a.shape, tuple(axes_a), b.shape, tuple(axes_b)))
-        return tensordot(a, b, axes_a, axes_b)
+        return tensordot(a, b, axes_a, axes_b, order)
     return dot
 
 
@@ -981,7 +982,7 @@ def _peak_legs(steps):
     all of them and a fold's those it keeps (``_Fold.n_legs``), and each
     paired leg leaves on both sides."""
     legs = peak = 0
-    for g, _, _, _, axes_s, axes_g, _ in steps:
+    for g, _, _, _, axes_s, axes_g, _, _ in steps:
         n = g.n_legs if isinstance(g, bordism._Fold) else sum(ARITY[g])
         legs += n - len(axes_s) - len(axes_g)
         peak = max(peak, legs)
@@ -1017,8 +1018,8 @@ def test_a_wide_word_stays_narrow(monkeypatch):
     center = group_center(symmetric_group(3))
     sizes = []
 
-    def dot(a, b, axes_a, axes_b):
-        out = tensordot(a, b, axes_a, axes_b)
+    def dot(a, b, axes_a, axes_b, order=None):
+        out = tensordot(a, b, axes_a, axes_b, order)
         sizes.append(out.nums.size)
         return out
 
@@ -1326,3 +1327,52 @@ def test_evaluate_returns_a_fresh_array():
     a = dual_numbers()
     t = evaluate(parse_word("pants"), a)
     assert equal(t, a.mul) and not np.shares_memory(t.nums, a.mul.nums)
+
+
+def _bundle_arrays(bundle):
+    """The numerators of every block a bundle holds: its tables, unit and
+    counit, and the folded blocks it keeps."""
+    blocks = [bundle.unit, bundle.counit]
+    for table in (bundle.fusion, bundle.fission, bundle.transport):
+        blocks += table.values()
+    blocks += [kept[4] for kept in bundle.folded_blocks.values()]
+    return [t.nums for t in blocks]
+
+
+def test_each_evaluation_writes_its_output_once(monkeypatch):
+    # a word of two or more steps and no pads has its last contraction
+    # write the output order and makes no permute or with_identities call;
+    # a one-step word, whose state is still a block, makes one permute, and
+    # a word with pads one with_identities.  Counted on each word's second
+    # evaluation, when the bundle keeps every folded block it needs (their
+    # builds permute too), over the pool, carried and contracted, and the
+    # criterion 06 corpus; no result shares memory with a block of its
+    # bundle
+    writes = []
+    for name in ("permute", "with_identities"):
+        monkeypatch.setattr(bordism, name, lambda *args, name=name, real=getattr(bordism, name):
+                            writes.append(name) or real(*args))
+    cases = []  # (word, boundaries, annotations, bundle, carry)
+    for a in (dual_numbers(), group_center(symmetric_group(3))):
+        for p in range(1000):
+            for w in random_equivalent_pair((p % 3, (p // 3) % 3), 8, p):
+                cases += [(w, *w.trivial_labeling, a.bundle, carry) for carry in (True, False)]
+    sys.path.insert(0, PERFBENCH)
+    for _, B, budget in importlib.import_module("workloads").labeled_bundles(tqft2d):
+        cases += [(b.word, b.boundaries, b.annotations, B, False)
+                  for b in enumerate_labeled_words(B.group, 3, budget_per_shape=budget)]
+    assert len(cases) > 20000
+    kinds = set()
+    for case in cases:
+        bordism.contract_word(*case)
+        writes.clear()
+        t = bordism.contract_word(*case)
+        w, _, _, bundle, carry = case
+        steps, pads, _ = w.carried_schedule if carry else w.contracted_schedule
+        kind = "with_identities" if pads else "permute" if len(steps) < 2 else None
+        assert writes == ([kind] if kind else [])
+        assert not any(np.shares_memory(t.nums, x) for x in _bundle_arrays(bundle))
+        kinds.add((kind, len(steps) > 1, carry, bundle.exact))
+    assert {(kind, n) for kind, n, _, _ in kinds} == {
+        (None, True), ("permute", False), ("with_identities", True),
+        ("with_identities", False)}

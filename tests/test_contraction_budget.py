@@ -123,8 +123,8 @@ def _tiers(monkeypatch, calls):
     whether it contracts a tensor with itself (a squaring)."""
     original, tiers, squarings = tensor.tensordot, [], []
 
-    def dot(a, b, axes_a, axes_b):
-        out = original(a, b, axes_a, axes_b)
+    def dot(a, b, axes_a, axes_b, order=None):
+        out = original(a, b, axes_a, axes_b, order)
         tiers.append(tuple(t.nums.dtype == np.int64 for t in (a, b, out)))
         squarings.append(a is b)
         return out

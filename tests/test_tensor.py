@@ -1,4 +1,6 @@
+import importlib
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -14,6 +16,8 @@ from tqft2d.tensor import (Tensor, ModeMismatchError, ContractionError,
                            tensordot, equal, differences, first_difference,
                            invert_matrix, parse_scalar, parse_scalars,
                            format_scalar, permute, with_identities)
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def outer(a, b):
@@ -236,6 +240,89 @@ def test_a_cached_layout_still_checks_every_call():
         assert tensordot(b, d, [0, 1], [1, 0]).item() == 1 + 1 + 1
         with pytest.raises(ContractionError, match="dim 2"):
             tensordot(c, c, [1], [0])
+
+
+def _random_contraction(rng, tier):
+    """Operands a and b of tier ``tier`` (int64 over den 1 or 6, objects,
+    or float) of 0-3 legs of dimension 1-3, random paired legs and a random
+    output order: (a, b, axes_a, axes_b, order).  Legs of size 1, outer
+    products (nothing paired) and 0-d operands all come up."""
+    rank_a, rank_b = (int(r) for r in rng.integers(0, 4, 2))
+    n = int(rng.integers(0, min(rank_a, rank_b) + 1))
+    shape_a = [int(d) for d in rng.integers(1, 4, rank_a)]
+    shape_b = [int(d) for d in rng.integers(1, 4, rank_b)]
+    axes_a = [int(i) for i in rng.permutation(rank_a)[:n]]
+    axes_b = [int(i) for i in rng.permutation(rank_b)[:n]]
+    for i, j in zip(axes_a, axes_b):
+        shape_b[j] = shape_a[i]
+
+    def draw(shape):
+        if tier == "float":
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return Tensor(np.asarray(vals).astype(object), exact=False)
+        den = int(rng.choice([1, 6]))
+        t = Tensor(np.array([Fraction(int(k), den) for k in
+                             rng.integers(-9, 10, math.prod(shape))],
+                            dtype=object).reshape(shape))
+        return _of_objects(t.nums, t.den) if tier == "objects" else t
+    order = [int(i) for i in rng.permutation(rank_a + rank_b - 2 * n)]
+    return draw(tuple(shape_a)), draw(tuple(shape_b)), axes_a, axes_b, order
+
+
+@pytest.mark.parametrize("tier", ["int64", "objects", "float"])
+def test_tensordot_into_an_order_is_tensordot_then_permute(tier):
+    # the same numerators, of one dtype, over the same den and within the
+    # same bound, written by the product's own transpose: never a view of
+    # an operand
+    rng = np.random.default_rng(39)
+    kinds = set()
+    for _ in range(400):
+        a, b, axes_a, axes_b, order = _random_contraction(rng, tier)
+        got = tensordot(a, b, axes_a, axes_b, order)
+        want = permute(tensordot(a, b, axes_a, axes_b), order)
+        assert (got.shape, got.exact, got.den, got.top, got.nums.dtype) == \
+            (want.shape, want.exact, want.den, want.top, want.nums.dtype)
+        assert got.nums.tolist() == want.nums.tolist()
+        assert not np.shares_memory(got.nums, a.nums) and not np.shares_memory(got.nums, b.nums)
+        if tier != "float":
+            _assert_numerators(got)
+            _assert_lowest_terms(got)
+        kinds.add((a.rank == 0 or b.rank == 0, not axes_a, 1 in a.shape + b.shape,
+                   order != sorted(order)))
+    # 0-d operands, outer products, legs of size 1 and moved legs, each
+    # with and without the others
+    for k in range(4):
+        assert {kind[k] for kind in kinds} == {True, False}
+    assert (False, False, True, True) in kinds and (False, True, False, True) in kinds
+
+
+@pytest.mark.parametrize("order", [[0], [0, 1, 2], [1, 1], [0, 2], [-1, 0], [1, -2]],
+                         ids=["short", "long", "repeated", "past-rank", "negative",
+                              "negative-second"])
+def test_a_bad_order_is_a_contraction_error_that_is_never_cached(order):
+    a = frac_tensor([[1, 2], [3, 4]])
+    size = tensor._layout.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ContractionError, match="^bad leg order "):
+            tensordot(a, a, [1], [0], order)
+    assert tensor._layout.cache_info().currsize == size
+    assert tensordot(a, a, [1], [0], (1, 0)).entries() == [7, 15, 10, 22]
+
+
+@pytest.mark.parametrize("build", ["build_fuzz_pairs", "build_labeled_roundtrip",
+                                   "build_structure_checks"])
+def test_a_second_pass_over_a_workload_lays_out_no_new_pattern(build):
+    # each pattern of shapes, axes and output order is laid out once: the
+    # patterns of a whole pass fit the cache, and the next pass finds them
+    import tqft2d
+    sys.path.insert(0, PERFBENCH)
+    wl = getattr(importlib.import_module("workloads"), build)(tqft2d, 1, {})
+    tensor._layout.cache_clear()
+    for _ in range(2):
+        misses = tensor._layout.cache_info().misses
+        assert all(passed for passed, _ in (wl.op(item) for item in wl.items))
+    info = tensor._layout.cache_info()
+    assert info.misses == misses and 0 < info.currsize == misses < info.maxsize
 
 
 def test_mode_mismatch():
